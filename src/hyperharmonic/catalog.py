@@ -27,7 +27,7 @@ from .series import (DEFAULT_MAX_TERMS, DigammaDiffSum, Harmonic,
                      HarmonicSqPlusGen2, LinearCombo, PochhammerRatioSeries,
                      ReciprocalShift, Unit, WeightKind, eval_weighted,
                      finite_difference, hyp2f1)
-from .specialfn import gamma_ratio
+from .specialfn import gamma_ratio, harmonic
 
 __all__ = [
     "DEFAULT_SEED", "Identity", "SeriesTerm", "PointCheck", "VerifyReport",
@@ -49,8 +49,6 @@ class SeriesTerm:
 
     coefficient: Expr
     build: Callable[[dict], tuple[PochhammerRatioSeries, WeightKind, complex]]
-    eval_tol: float | None = None
-    max_terms: int | None = None
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,10 @@ def _sum_terms(ident: Identity, terms, env: dict):
     total = 0j
     used = 0
     methods = set()
-    base_tol = ident.eval_tol if ident.eval_tol is not None else ident.tol / 4.0
+    tol = ident.eval_tol if ident.eval_tol is not None else ident.tol / 4.0
     for term in terms:
-        tol = term.eval_tol if term.eval_tol is not None else base_tol
-        budget = term.max_terms if term.max_terms is not None else ident.max_terms
         spec, weight, x = term.build(env)
-        res = eval_weighted(spec, weight, x, tol=tol, max_terms=budget,
+        res = eval_weighted(spec, weight, x, tol=tol, max_terms=ident.max_terms,
                             accel=ident.accel)
         total += term.coefficient.eval(env) * res.value
         used += res.terms_used
@@ -128,7 +124,7 @@ def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
     return PointCheck(
         params=dict(env), lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
         passed=passed, terms_used=used_l + used_r,
-        method="wynn_epsilon" if "wynn_epsilon" in methods else "direct")
+        method="extrapolated" if "extrapolated" in methods else "direct")
 
 
 def get_identity(identity, registry: dict | None = None) -> Identity:
@@ -255,12 +251,11 @@ def finite_sum_instance(identity_id: str, b: int) -> dict:
     spec2 = PochhammerRatioSeries((0.5, 1.0 - b), (b + 0.5,), 1, 1.0, 1)
     companion = 0j
     for n in range(1, b):
-        companion += spec2.term(n) * _harmonic_2n(n)
+        companion += spec2.term(n) * harmonic(2 * n)
     # term at n = b must vanish identically
     vanish = spec2.term(b)
     spec1 = PochhammerRatioSeries((0.5, float(b)), (2.0 * b,), 1, 1.0, 1)
-    s1 = eval_weighted(spec1, Harmonic(), 1.0, tol=2.5e-7, max_terms=400000,
-                       accel=True)
+    s1 = eval_weighted(spec1, Harmonic(), 1.0, tol=2.5e-7, accel=True)
     closed = gamma_ratio([b + 0.5, 2.0 * b - 1.0], [b, 2.0 * b - 0.5]) * _LN2
     lhs = 0.25 * s1.value - companion
     residual = abs(lhs - closed)
@@ -275,10 +270,6 @@ def finite_sum_instance(identity_id: str, b: int) -> dict:
         "residual": residual,
         "identity_holds": residual <= 1e-6 * max(1.0, abs(closed)),
     }
-
-
-def _harmonic_2n(n: int) -> float:
-    return math.fsum(1.0 / k for k in range(1, 2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +333,12 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
         param_names=("a", "b"), sample_points=pts,
         lhs=(SeriesTerm(C(2), lambda e: (_doubling_kernels(e)[0], Harmonic(), 1.0)),),
         rhs=C(0),
-        rhs_series=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[1], Harmonic(), 1.0),
-                               max_terms=1300000),),
+        rhs_series=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[1], Harmonic(), 1.0)),),
         tol=1e-8, accel=True))
 
     rng = _rng_for(seed, "THM-A2")
-    # collective shift Re(a+b) raises the extrapolation noise floor on the
-    # unit-argument side; cap it so the default budget always certifies
+    # the unit side certifies beyond the cap on Re(a+b); the cap stays
+    # because it fixes the seeded sample points
     pts = _draw_points(
         rng, ("a", "b"), _FULL_POOL, 8,
         pred=lambda e: (complex(e["a"]) + complex(e["b"])).real <= 0.75,
@@ -361,8 +351,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
                                          HarmonicSqPlusGen2(), 1.0)),),
         rhs=C(0),
         rhs_series=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[1],
-                                                HarmonicSqPlusGen2(), 1.0),
-                               eval_tol=1e-7, max_terms=2500000),),
+                                                HarmonicSqPlusGen2(), 1.0)),),
         tol=1e-8, accel=True))
 
     ids.append(Identity(
@@ -594,7 +583,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
         lhs=(SeriesTerm(C(0.25), lambda e: (_cord_spec, Harmonic(), 1.0)),
              SeriesTerm(C(-1), lambda e: (_cord_alt, Harmonic(), 1.0))),
         rhs=_g14 ** 4 * Log(C(2)) / (64 * PI),
-        tol=1e-8, max_terms=700000, accel=True))
+        tol=1e-8, accel=True))
 
     ids.append(Identity(
         id="THM-E", kind="identity",
@@ -608,7 +597,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
                  (0.5, 1.0 - e["b"]), (e["b"] + 0.5,), 1, 1.0, 1),
                  Harmonic(stride=2), 1.0))),
         rhs=GammaRatio((b + 0.5, 2 * b - 1), (b, 2 * b - 0.5)) * Log(C(2)),
-        tol=1e-6, max_terms=700000, accel=True))
+        tol=1e-6, accel=True))
 
     # --- transformation and evaluation cross-checks ----------------------
 

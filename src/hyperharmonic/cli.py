@@ -17,7 +17,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from .catalog import (DEFAULT_SEED, Identity, VerifyReport, build_registry,
@@ -207,8 +206,6 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"--perturb references unknown id {ident_id!r}")
         registry[ident_id] = with_perturbed_rhs(
             registry[ident_id], perturb[ident_id], registry)
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be a positive integer")
 
     def run_one(ident_id):
         try:
@@ -216,12 +213,7 @@ def _cmd_verify(args) -> int:
         except HyperharmonicError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    if args.jobs == 1:
-        outcomes = [run_one(i) for i in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_one, i) for i in ids]
-            outcomes = [f.result() for f in futures]
+    outcomes = [run_one(i) for i in ids]
 
     payload_results = []
     n_pass = n_fail = n_error = 0
@@ -374,8 +366,6 @@ def _build_parser() -> _Parser:
                           help="check the whole registry")
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override comparison tolerance for all ids")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="evaluate identities in N worker threads")
     p_verify.add_argument("--perturb", action="append", metavar="ID=EPS",
                           help="scale the closed form of ID by (1+EPS); "
                                "fault injection for the failure path")

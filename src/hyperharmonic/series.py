@@ -10,17 +10,29 @@ updated incrementally with compensated accumulation so that a million
 steps stay within a couple of ulps of direct evaluation.
 
 Inside the unit circle the engine sums directly with a geometric tail
-bound. On the circle (|r*x| = 1) the terms decay only algebraically, so
-partial sums are retained at geometrically spaced checkpoints and fed to
-Wynn's epsilon algorithm; convergence is claimed only after two
-consecutive, decreasing extrapolation moves both land inside the
-tolerance. All claimed tail bounds satisfy
-tail_bound <= tol * max(1, |value|).
+bound. On the circle (|r*x| = 1) the terms decay only algebraically,
+like n^sigma (log n)^L, where sigma is the spec's complex exponent
+sum(a) - sum(b) - p plus the weight's shift and L is the weight's log
+power. There the engine always sums exactly 2^14 terms, keeps the
+partial sums at the 25 checkpoints N = 2^(14 - k/4), k = 0..24, and
+least-squares fits them to the tail model
+
+    S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
+
+with s = sigma + 1 at r*x = 1 and s = sigma at r*x = e^{i theta} != 1.
+The error estimate is twice the larger disagreement of the fitted S
+with a fit of order 3 and with a fit on the checkpoints <= 2^13, plus
+(N + sum |w_k|) * eps * sum |t_n| for rounding, where the w_k are the
+weights of the fit (S = sum w_k S_{N_k}). All claimed tail bounds
+satisfy tail_bound <= tol * max(1, |value|); otherwise the call raises.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -44,7 +56,6 @@ __all__ = [
     "eval_weighted",
     "eval_hyper",
     "hyp2f1",
-    "wynn_epsilon",
     "finite_difference",
 ]
 
@@ -54,8 +65,15 @@ DEFAULT_TOL_UNIT = 1e-6      # on / near the unit circle
 _UNIT_BAND = 1e-12           # |r*x| within this of 1 counts as unit argument
 _RATIO_TRUST = 0.99          # empirical ratio below this is always trusted
 _RATIO_HARD_CAP = 0.99995    # never trust a geometric bound beyond this
-_EPS_GUARD = 1e-300          # epsilon-table difference underflow guard
-_WYNN_MAX_DEPTH = 20
+
+# unit circle: partial sums at N = 2^(14 - k/4), k = 24, ..., 0 (256 to 16384)
+_LADDER_TOP = 2 ** 14
+_LADDER = tuple(round(2.0 ** (14 - k / 4.0)) for k in range(24, -1, -1))
+_SHORT = 21                  # the marks <= 2^13, for the second fit
+_MODEL_ORDER = 4             # J: powers N^-j, j < J, in the tail model
+_WIDEN = 2.0                 # safety factor on the fits' disagreement
+_SINGULAR = 1e-13            # QR pivot below which a model column is dropped
+_EPS = 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +139,7 @@ class SeriesResult:
     terms_used: int
     tail_bound: float
     converged: bool
-    method: str  # "direct" or "wynn_epsilon"
+    method: str  # "direct" or "extrapolated"
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +147,15 @@ class SeriesResult:
 
 
 class WeightKind:
-    """Marker base class for weight families."""
+    """Base class for weight families.
+
+    asymptotics() gives (shift, L) with w_n ~ n^shift * (log n)^L at large
+    n, the input of the unit-circle tail model.
+    """
     __slots__ = ()
+
+    def asymptotics(self) -> tuple[int, int]:
+        return 0, 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +170,9 @@ class Harmonic(WeightKind):
     stride: int = 1
     offset: int = 0
 
+    def asymptotics(self):
+        return 0, 1
+
     def __post_init__(self):
         if self.stride not in (1, 2, 3):
             raise DomainError(f"harmonic stride must be 1, 2 or 3, got {self.stride!r}")
@@ -156,12 +184,19 @@ class Harmonic(WeightKind):
 class HarmonicSqPlusGen2(WeightKind):
     """w_n = H_n**2 + H_n^(2)."""
 
+    def asymptotics(self):
+        return 0, 2
+
 
 @dataclass(frozen=True)
 class ReciprocalShift(WeightKind):
     """w_n = inner_n / (n + 1)."""
 
     inner: WeightKind = Unit()
+
+    def asymptotics(self):
+        shift, logs = self.inner.asymptotics()
+        return shift - 1, logs
 
 
 @dataclass(frozen=True)
@@ -179,6 +214,9 @@ class DigammaDiffSum(WeightKind):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
 
+    def asymptotics(self):
+        return 0, 1
+
 
 @dataclass(frozen=True)
 class LinearCombo(WeightKind):
@@ -193,6 +231,10 @@ class LinearCombo(WeightKind):
                 raise DomainError(f"LinearCombo parts need WeightKind entries, got {kind!r}")
             norm.append((complex(coeff), kind))
         object.__setattr__(self, "parts", tuple(norm))
+
+    def asymptotics(self):
+        shapes = [kind.asymptotics() for _, kind in self.parts]
+        return max(sh for sh, _ in shapes), max(lg for _, lg in shapes)
 
 
 def weight_value(weight: WeightKind, n: int) -> complex:
@@ -218,7 +260,7 @@ def weight_value(weight: WeightKind, n: int) -> complex:
 
 
 def _stepper(weight: WeightKind, n0: int):
-    """Closure yielding w_n for n = n0, n0+1, ... one call per index.
+    """Callable yielding w_n for n = n0, n0+1, ... one call per index.
 
     Running sums carry Kahan compensation so a 10^6-term walk stays
     within ~2 ulp of the fsum reference.
@@ -229,43 +271,35 @@ def _stepper(weight: WeightKind, n0: int):
         return step
 
     if isinstance(weight, Harmonic):
-        stride, offset = weight.stride, weight.offset
-        state = [harmonic(stride * n0 + offset), 0.0, stride * n0 + offset, True]
-
-        def step():
-            if state[3]:
-                state[3] = False
-                return state[0]
-            h, c, idx = state[0], state[1], state[2]
-            for _ in range(stride):
-                idx += 1
-                y = 1.0 / idx - c
-                t = h + y
-                c = (t - h) - y
-                h = t
-            state[0], state[1], state[2] = h, c, idx
-            return h
-        return step
+        def walk(h, idx, stride):
+            c = 0.0
+            steps = range(stride)
+            while True:
+                yield h
+                for _ in steps:
+                    idx += 1
+                    y = 1.0 / idx - c
+                    t = h + y
+                    c = (t - h) - y
+                    h = t
+        idx = weight.stride * n0 + weight.offset
+        return walk(harmonic(idx), idx, weight.stride).__next__
 
     if isinstance(weight, HarmonicSqPlusGen2):
-        state = [harmonic(n0), 0.0, generalized_harmonic(n0, 2.0), 0.0, n0, True]
-
-        def step():
-            if state[5]:
-                state[5] = False
-            else:
-                idx = state[4] + 1
-                y = 1.0 / idx - state[1]
-                t = state[0] + y
-                state[1] = (t - state[0]) - y
-                state[0] = t
-                y = 1.0 / (idx * idx) - state[3]
-                t = state[2] + y
-                state[3] = (t - state[2]) - y
-                state[2] = t
-                state[4] = idx
-            return state[0] * state[0] + state[2]
-        return step
+        def walk(h, g, idx):
+            hc = gc = 0.0
+            while True:
+                yield h * h + g
+                idx += 1
+                y = 1.0 / idx - hc
+                t = h + y
+                hc = (t - h) - y
+                h = t
+                y = 1.0 / (idx * idx) - gc
+                t = g + y
+                gc = (t - g) - y
+                g = t
+        return walk(harmonic(n0), generalized_harmonic(n0, 2.0), n0).__next__
 
     if isinstance(weight, ReciprocalShift):
         inner = _stepper(weight.inner, n0)
@@ -310,66 +344,109 @@ def _stepper(weight: WeightKind, n0: int):
 
 
 # ---------------------------------------------------------------------------
-# extrapolation
+# extrapolation on the unit circle
 
 
-def wynn_epsilon(partial_sums, max_depth: int = _WYNN_MAX_DEPTH) -> complex:
-    """Epsilon-algorithm extrapolation of a sequence of partial sums.
+def _limit_weights(marks, s: complex, theta: float, logs: int,
+                   order: int) -> list:
+    """Weights w_k with S = sum_k w_k S_{N_k}, where S is the limit of the
+    tail model least-squares fitted to the partial sums at the marks N_k:
 
-    The even columns of the epsilon table hold the accelerated estimates.
-    Deep columns occasionally pass near a pole of the recursion and blow
-    up while shallower ones stay good, so instead of returning the deepest
-    entry unconditionally, each even column is scored by its last
-    in-column step and the entry with the smallest step wins (ties go to
-    the deeper column). Needs at least 5 entries. An exactly constant
-    sequence short-circuits to its value; otherwise any table difference
-    below 1e-300 in magnitude, or a non-finite entry, raises
-    AccelerationBreakdown unless an even column was already completed.
+        S_N = S + e^{i theta N} N^s sum_{j<order} sum_{l<=logs} c_jl N^-j log^l N
+
+    The weights depend on the model only, and sum |w_k| is the factor by
+    which the fit can amplify errors of the partial sums. N is scaled by
+    the top mark, which changes only the c_jl.
     """
-    sums = [complex(s) for s in partial_sums]
-    if len(sums) < 5:
-        raise ValueError(f"wynn_epsilon needs at least 5 partial sums, got {len(sums)}")
-    last = sums[-1]
-    if all(s == last for s in sums):
-        return last
-    prev = [0j] * (len(sums) + 1)
-    cur = sums
-    best = last
-    best_step = math.inf
-    depth = 0
-    col = 0
-    while len(cur) >= 2 and col < max_depth:
-        nxt = []
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
-            if abs(d) < _EPS_GUARD:
-                # converged-to-rounding deep in the table: keep the estimate;
-                # a degenerate difference before any even column means the
-                # input sequence itself is defective
-                if depth:
-                    return best
-                raise AccelerationBreakdown(
-                    f"degenerate difference in epsilon column {col + 1}")
-            e = prev[i + 1] + 1.0 / d
-            if not (math.isfinite(e.real) and math.isfinite(e.imag)):
-                if depth:
-                    return best
-                raise AccelerationBreakdown(
-                    f"non-finite entry in epsilon column {col + 1}")
-            nxt.append(e)
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur:
-            step = abs(cur[-1] - cur[-2]) if len(cur) >= 2 else abs(cur[-1] - best)
-            if step <= best_step:
-                best = cur[-1]
-                best_step = step
-            depth = col
-    return best
+    top = marks[-1]
+    cols = [[1.0 + 0j] * len(marks)]
+    base = []
+    try:
+        for N in marks:
+            u = N / top
+            b = u ** s
+            if theta:
+                b *= cmath.rect(1.0, theta * N)
+            base.append((b, 1.0 / u, math.log(u)))
+    except OverflowError:
+        raise AccelerationBreakdown(
+            f"tail model N^{s:.3g} overflows on the ladder") from None
+    for j in range(order):
+        for l in range(logs + 1):
+            cols.append([b * iu ** j * lg ** l for b, iu, lg in base])
+    return _pinv_first_row(cols)
+
+
+def _pinv_first_row(cols) -> list:
+    """Row of the pseudo-inverse of the matrix with these columns that
+    yields the least-squares coefficient of cols[0].
+
+    Householder QR on unit-norm columns, cols[0] first and the rest by
+    column pivoting. Columns whose remaining norm falls below _SINGULAR
+    are numerically dependent on those already taken and are dropped
+    (this happens only for fast-decaying tails, e.g. s <= -5 at log
+    power 2). A column that cannot be normalized raises
+    AccelerationBreakdown.
+    """
+    scale = [math.hypot(*map(abs, c)) for c in cols]
+    if not all(0.0 < nrm < math.inf for nrm in scale):
+        raise AccelerationBreakdown("tail model is singular on the ladder")
+    cols = [[v / nrm for v in c] for c, nrm in zip(cols, scale)]
+    diag = []
+    reflectors = []
+    for k in range(len(cols)):
+        norms = [math.hypot(*map(abs, c[k:])) for c in cols[k:]]
+        piv = k + max(range(len(norms)), key=norms.__getitem__) if k else 0
+        nrm = norms[piv - k]
+        if nrm <= _SINGULAR:
+            break
+        cols[k], cols[piv] = cols[piv], cols[k]
+        x0 = cols[k][k]
+        alpha = nrm * (x0 / abs(x0)) if x0 != 0.0 else complex(nrm)
+        v = cols[k][k:]
+        v[0] += alpha
+        refl = (k, v, [2.0 * e.conjugate() for e in v],
+                math.fsum(abs(e) ** 2 for e in v))
+        for c in cols[k + 1:]:
+            _reflect(refl, c)
+        reflectors.append(refl)
+        diag.append(-alpha)
+    # coefficient of cols[0] = e_0^T R^-1 Q^H y: solve R^T g = e_0, and
+    # the row is conj(Q conj(g)) / scale[0]
+    g = []
+    for i, d in enumerate(diag):
+        acc = 1.0 if i == 0 else 0j
+        for j in range(i):
+            acc -= cols[i][j] * g[j]
+        g.append(acc / d)
+    row = [e.conjugate() for e in g] + [0j] * (len(cols[0]) - len(g))
+    for refl in reversed(reflectors):
+        _reflect(refl, row)
+    return [e.conjugate() / scale[0] for e in row]
+
+
+def _reflect(refl, c) -> None:
+    """Apply the Householder reflector I - 2 v v^H / |v|^2 to c[k:]."""
+    k, v, vc, vv = refl
+    tail = c[k:]
+    d = sum(map(operator.mul, vc, tail)) / vv
+    c[k:] = [e - d * w for e, w in zip(tail, v)]
 
 
 # ---------------------------------------------------------------------------
 # the summation engine
+
+
+def _first_term(spec: PochhammerRatioSeries, rx: complex) -> complex:
+    """u_{n0}: (a)_1 = a, (a)_0 = 1, so both legal starts are cheap."""
+    t = 1.0 + 0j
+    if spec.start_index == 1:
+        t = rx
+        for a in spec.numerator_shifts:
+            t *= a
+        for b in spec.denominator_shifts:
+            t /= b
+    return t
 
 
 def _tol_default(mag: float) -> float:
@@ -383,11 +460,25 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
 
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
-    built from recent term ratios also meets the tolerance. On the unit
-    circle accel=True is required: partial sums at checkpoints 4, 8, 16,
-    ... feed wynn_epsilon, and the extrapolated value is accepted after
-    two consecutive shrinking moves inside 0.3*tol. Divergent inputs or a
-    missed tolerance at the term budget raise NonConvergentError.
+    built from recent term ratios also meets the tolerance.
+
+    On the unit circle (|r*x| = 1) accel=True is required, and the sum is
+    extrapolated from a fixed ladder: exactly _LADDER_TOP = 2^14 terms,
+    partial sums at the 25 _LADDER checkpoints, and the limit of the tail
+    model fitted to them (see _limit_weights; model order _MODEL_ORDER =
+    4). The exponent s is sigma + 1 at r*x = 1 and sigma elsewhere on the
+    circle, where sigma is the spec's complex exponent plus the weight's
+    shift; the log power is the weight's (WeightKind.asymptotics). The
+    returned tail_bound is
+
+        2 * max(|fit - fit of order 3|, |fit - fit on the marks <= 2^13|)
+          + (2^14 + sum |w_k|) * eps * sum |t_n|,
+
+    the second part covering rounding in the partial sums as amplified
+    by the fit weights w_k. A budget below 2^14 terms, divergent or
+    non-decaying terms, or a bound above tol * max(1, |S|) raise
+    NonConvergentError; a tail model that cannot be formed on the ladder
+    raises AccelerationBreakdown.
     """
     x = complex(x)
     rx = spec.geometric_ratio * x
@@ -400,9 +491,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         raise DomainError(f"max_terms must be positive, got {max_terms!r}")
     if mag > 1.0 + _UNIT_BAND:
         raise NonConvergentError(f"|ratio*x| = {mag:.6g} exceeds 1; series diverges")
-    unit = mag > 1.0 - _UNIT_BAND
     sigma = spec.effective_exponent()
-    if unit:
+    if mag > 1.0 - _UNIT_BAND:
         if not accel:
             raise NonConvergentError(
                 "unit-argument series needs accel=True (terms decay only algebraically)")
@@ -414,21 +504,18 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             raise NonConvergentError(
                 f"effective exponent {sigma:.3g} >= 0 on the unit circle; "
                 "terms do not decay")
+        if max_terms < _LADDER_TOP:
+            raise NonConvergentError(
+                f"unit-argument series sums {_LADDER_TOP} terms; "
+                f"budget {max_terms} is too small")
+        return _eval_unit(spec, weight, rx, tol)
 
     nums = spec.numerator_shifts
     dens = spec.denominator_shifts
     p = spec.factorial_power
     n0 = spec.start_index
     step = _stepper(weight, n0)
-
-    # u_{n0}: (a)_1 = a, (a)_0 = 1, so both legal starts are cheap
-    t = 1.0 + 0j
-    if n0 == 1:
-        t = rx
-        for a in nums:
-            t *= a
-        for b in dens:
-            t /= b
+    t = _first_term(spec, rx)
 
     S = 0j
     comp = 0j
@@ -436,14 +523,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     count = 0
     consec = 0
     prev_at = -1.0
-    r_hist: list[float] = []      # last 3 term ratios
-    at_hist: list[float] = []     # last 3 |term| values
-    cps: list[complex] = []
-    next_cp = 4
-    accel_alive = accel
-    E_prev: complex | None = None
-    d_prev: float | None = None
-    run_small = 0
+    r_hist = deque(maxlen=3)      # last 3 term ratios
+    at_hist = deque(maxlen=3)     # last 3 |term| values
 
     while True:
         w = step()
@@ -457,18 +538,12 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
 
         if prev_at > 0.0:
             r_hist.append(at / prev_at)
-            if len(r_hist) > 3:
-                r_hist.pop(0)
         elif prev_at == 0.0:
             # a nonzero term after an exact zero has no usable ratio; poison
             # the window so the geometric bound is not trusted through it
             r_hist.append(0.0 if at == 0.0 else 2.0)
-            if len(r_hist) > 3:
-                r_hist.pop(0)
         prev_at = at
         at_hist.append(at)
-        if len(at_hist) > 3:
-            at_hist.pop(0)
 
         scale = abs(S)
         if at <= tol * scale or at == 0.0:
@@ -489,35 +564,6 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                              for i in range(len(r_hist) - 1))
                 if ok and tail <= tol * max(1.0, scale):
                     return SeriesResult(S, count, tail, True, "direct")
-
-        if accel_alive and n == next_cp:
-            cps.append(S)
-            next_cp *= 2
-            if len(cps) >= 5:
-                try:
-                    E = wynn_epsilon(cps)
-                except AccelerationBreakdown:
-                    accel_alive = False  # keep summing; direct paths remain
-                else:
-                    if E_prev is not None:
-                        d = abs(E - E_prev)
-                        lim = 0.3 * tol * max(1.0, abs(E))
-                        run_small = run_small + 1 if d <= lim else 0
-                        # two sub-limit moves in a row, still shrinking; a
-                        # stalled-but-tiny pair (both an order below the
-                        # limit) also counts, since an extrapolation plateau
-                        # that deep cannot hide an above-tolerance error.
-                        # Failing those, four sub-limit moves in a row: every
-                        # observed false plateau breaks such a run by its
-                        # fourth member, while rounding-floor bounce does not
-                        if (d_prev is not None and d <= lim and d_prev <= lim
-                                and (d <= 0.7 * d_prev
-                                     or max(d, d_prev) <= 0.1 * lim
-                                     or run_small >= 4)):
-                            return SeriesResult(E, count, d + d_prev, True,
-                                                "wynn_epsilon")
-                        d_prev = d
-                    E_prev = E
 
         if count >= max_terms:
             break
@@ -543,6 +589,92 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     raise NonConvergentError(
         f"no tolerance-{tol:g} tail bound after {count} terms "
         f"(|r*x| = {mag:.6g}, effective exponent {sigma:.3g})")
+
+
+def _dot(weights, sums) -> complex:
+    """sum_k w_k S_k for weights summing to 1, centred on the last S_k so
+    that rounding scales with the spread of the sums, not their size."""
+    ref = sums[-1]
+    return ref + sum(w * (x - ref) for w, x in zip(weights, sums))
+
+
+def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
+               tol: float) -> SeriesResult:
+    """The unit-circle rule of eval_weighted: fixed ladder, fitted limit.
+
+    The fit amplifies noise in the partial sums, so the term recurrence
+    here is compensated: each numerator shift a is paired with a
+    denominator shift d (the n! factors count as d = 1), the step factor
+    prod (a + n)/(d + n) is formed as 1 + g with g accumulated from the
+    small ratios (a - d)/(d + n), and t + t*g is added with an error term.
+    Unpaired shifts, if any, multiply in directly.
+    """
+    nums = spec.numerator_shifts
+    dens = spec.denominator_shifts + (1.0,) * spec.factorial_power
+    pairs = tuple((a - d, d) for a, d in zip(nums, dens))
+    more, less = nums[len(pairs):], dens[len(pairs):]
+    unpaired = more + less
+    n = spec.start_index
+    step = _stepper(weight, n)
+    t = _first_term(spec, rx)
+    tc = 0j
+    r = rx
+
+    S = comp = 0j
+    abs_sum = 0.0
+    sums = []
+    done = 0
+    for mark in _LADDER:
+        for _ in range(mark - done):
+            term = t * step()
+            y = term - comp
+            hi = S + y
+            comp = (hi - S) - y
+            S = hi
+            abs_sum += abs(term)
+            # advance u_n -> u_{n+1} = r * u_n * (1 + g)
+            g = 0j
+            for delta, d in pairs:
+                e = delta / (d + n)
+                g += e + g * e
+            inc = t * g + tc
+            hi = t + inc
+            back = hi - t
+            tc = (t - (hi - back)) + (inc - back)
+            if unpaired:
+                r = rx
+                for a in more:
+                    r *= a + n
+                for d in less:
+                    r /= d + n
+            t = hi * r
+            tc *= r
+            n += 1
+        sums.append(S)
+        done = mark
+
+    shift, logs = weight.asymptotics()
+    s = sum(nums) - sum(dens) + shift  # dens carries the n! factors
+    theta = 0.0
+    if abs(rx - 1.0) <= 1e-9:
+        s += 1.0
+    else:
+        theta = cmath.phase(rx)
+    weights = _limit_weights(_LADDER, s, theta, logs, _MODEL_ORDER)
+    best = _dot(weights, sums)
+    lower = _dot(_limit_weights(_LADDER, s, theta, logs, _MODEL_ORDER - 1),
+                 sums)
+    short = _dot(_limit_weights(_LADDER[:_SHORT], s, theta, logs,
+                                _MODEL_ORDER), sums[:_SHORT])
+    gain = math.fsum(map(abs, weights))
+    tail = (_WIDEN * max(abs(best - lower), abs(best - short))
+            + (_LADDER_TOP + gain) * _EPS * abs_sum)
+    if not tail <= tol * max(1.0, abs(best)):
+        raise NonConvergentError(
+            f"extrapolated error estimate {tail:.3g} exceeds tolerance {tol:g} "
+            f"after {_LADDER_TOP} terms (|r*x| = {abs(rx):.6g}, "
+            f"exponent {s:.3g}, log power {logs})")
+    return SeriesResult(best, _LADDER_TOP, tail, True, "extrapolated")
 
 
 def eval_hyper(spec: PochhammerRatioSeries, x, **kwargs) -> SeriesResult:

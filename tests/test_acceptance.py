@@ -142,7 +142,7 @@ def test_shifted_harmonic_unit_series():
     for chk in report.checks:
         assert (complex(chk.params["a"]) + complex(chk.params["b"])).real \
             <= 0.2 + 1e-12
-        assert chk.method == "wynn_epsilon"
+        assert chk.method == "extrapolated"
     gauss = assert_all_within("SUM-GAUSSD", 1e-6)
     assert [c.params for c in gauss.checks] == \
         [c.params for c in report.checks], "companion sum must share points"

@@ -4,12 +4,15 @@ the structural checks that go beyond plain value comparison."""
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from hyperharmonic import (DEFAULT_SEED, DomainError, Identity, REGISTRY,
                            UnknownIdentityError, build_registry, eval_lhs,
-                           eval_rhs, finite_sum_instance, get_identity,
-                           ode_residual, verify, with_perturbed_rhs)
+                           eval_rhs, eval_weighted, finite_sum_instance,
+                           get_identity, ode_residual, verify,
+                           with_perturbed_rhs)
+from hyperharmonic import catalog
 
 # frozen at 40 digits: twice the weighted half-argument series of the
 # first doubling identity at a = 0.3+0.1i, b = 0.2
@@ -202,3 +205,71 @@ class TestStructuralChecks:
             finite_sum_instance("THM-E", 2.5)
         with pytest.raises(UnknownIdentityError):
             finite_sum_instance("THM-D", 3)
+
+
+def _half_side_mp(a, b, squared: bool) -> complex:
+    """sum_{n>=1} (2a)_n (2b)_n / ((a+b+1/2)_n n!) 2^-n w_n at 30 digits,
+    w_n = H_n or H_n^2 + H_n^(2): the half-argument side of THM-A1/A2."""
+    mpmath.mp.dps = 30
+    a, b = mpmath.mpc(a), mpmath.mpc(b)
+    c = a + b + mpmath.mpf(1) / 2
+    term = 2 * a * 2 * b / c / 2
+    h = h2 = total = mpmath.mpf(0)
+    n = 1
+    while True:
+        h += mpmath.mpf(1) / n
+        h2 += mpmath.mpf(1) / n ** 2
+        inc = term * (h * h + h2 if squared else h)
+        total += inc
+        if n > 60 and abs(inc) < mpmath.mpf(10) ** -32:
+            return complex(total)
+        term *= (2 * a + n) * (2 * b + n) / ((c + n) * (n + 1)) / 2
+        n += 1
+
+
+class TestUnitArgumentExtrapolation:
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 8, 9, 10, 11])
+    def test_doubling_identities_certify_at_registry_seed(self, seed):
+        # registry seeds at which the unit-argument side of THM-A2 used to
+        # exhaust its budget without certifying
+        reg = build_registry(seed)
+        for ident_id in ("THM-A1", "THM-A2"):
+            report = verify(ident_id, registry=reg)
+            assert report.passed, (seed, ident_id, report.failures)
+
+    @pytest.mark.parametrize("a, b", [
+        (0.25, 0.25), (0.45, 1.0 / 3.0), (0.3 + 0.1j, 0.2),
+        (0.3 + 0.1j, 0.2 - 0.2j),
+    ])
+    def test_unit_side_against_half_argument_oracle(self, a, b):
+        # THM-A1: unit side = 2 x half side; THM-A2: unit side = 4 x half
+        # side. The actual error stays below a quarter of the claimed
+        # bound (a margin of at least 4), and the bound below the tolerance.
+        for ident_id, squared, mult in (("THM-A1", False, 2.0),
+                                        ("THM-A2", True, 4.0)):
+            ident = REGISTRY[ident_id]
+            spec, weight, x = ident.rhs_series[0].build({"a": a, "b": b})
+            res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0,
+                                accel=True)
+            want = mult * _half_side_mp(a, b, squared)
+            assert abs(res.value - want) <= 0.25 * res.tail_bound, \
+                (ident_id, a, b)
+            assert res.tail_bound <= ident.tol
+
+    def test_registry_term_budget(self, monkeypatch):
+        # term counts are deterministic: gate the whole registry at its
+        # default seed, and every unit-argument sum at the ladder top
+        unit_terms = []
+
+        def spy(spec, weight, x, **kwargs):
+            res = eval_weighted(spec, weight, x, **kwargs)
+            if abs(abs(spec.geometric_ratio * complex(x)) - 1.0) <= 1e-12:
+                unit_terms.append(res.terms_used)
+            return res
+
+        monkeypatch.setattr(catalog, "eval_weighted", spy)
+        total = sum(chk.terms_used for ident_id in REGISTRY
+                    for chk in verify(ident_id).checks)
+        assert total <= 1_137_110
+        assert len(unit_terms) == 69
+        assert set(unit_terms) == {16384}

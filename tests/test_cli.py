@@ -56,14 +56,6 @@ class TestVerify:
         assert lines[0].startswith("EX-2")
         assert lines[1].startswith("EX-1")
 
-    def test_jobs_preserve_order_and_output(self, capsys):
-        ids = ["EX-1", "EX-2", "EX-3", "EX-4", "SUM-2.8.50"]
-        rc1, out1, _ = run_cli(capsys, "verify", "--ids", *ids, "--quiet")
-        rc2, out2, _ = run_cli(capsys, "verify", "--ids", *ids, "--quiet",
-                               "--jobs", "3")
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-
     def test_perturbation_fails_with_exit_2(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1",
                              "--perturb", "EX-1=1e-6")
@@ -113,7 +105,7 @@ class TestVerify:
         cases = [
             ("verify",),                                   # no ids, no --all
             ("verify", "--ids", "NOPE"),                   # unknown id
-            ("verify", "--ids", "EX-1", "--jobs", "0"),    # bad jobs
+            ("verify", "--ids", "EX-1", "--jobs", "0"),    # unknown option
             ("verify", "--ids", "EX-1", "--perturb", "EX-1"),      # no '='
             ("verify", "--ids", "EX-1", "--perturb", "EX-1=abc"),  # bad eps
             ("verify", "--ids", "EX-1", "--perturb", "NOPE=1e-6"),

@@ -1,5 +1,5 @@
-"""Series engine: term recurrences, weight steppers, extrapolation,
-convergence guards, and the 2F1 wrapper."""
+"""Series engine: term recurrences, weight steppers, unit-circle
+extrapolation, convergence guards, and the 2F1 wrapper."""
 
 import math
 
@@ -13,7 +13,7 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DomainError,
                            NonConvergentError, PochhammerRatioSeries, PoleError,
                            ReciprocalShift, Unit, eval_hyper, eval_weighted,
                            finite_difference, harmonic, hyp2f1, pochhammer,
-                           weight_value, wynn_epsilon)
+                           weight_value)
 from hyperharmonic.series import _stepper
 
 # frozen at 40 digits
@@ -121,40 +121,6 @@ class TestWeights:
             assert step() == pytest.approx(harmonic(2 * n - 1), abs=1e-13)
 
 
-class TestWynnEpsilon:
-    def test_needs_five(self):
-        with pytest.raises(ValueError):
-            wynn_epsilon([1.0, 2.0, 3.0, 4.0])
-
-    def test_constant_sequence(self):
-        assert wynn_epsilon([3.25] * 9) == 3.25
-
-    def test_alternating_harmonic(self):
-        sums, s = [], 0.0
-        for k in range(1, 25):
-            s += (-1.0) ** (k + 1) / k
-            sums.append(s)
-        assert abs(wynn_epsilon(sums) - math.log(2.0)) < 1e-12
-
-    def test_geometric(self):
-        sums, s = [], 0.0
-        for k in range(12):
-            s += 0.7 ** k
-            sums.append(s)
-        assert abs(wynn_epsilon(sums) - 1.0 / 0.3) < 1e-12
-
-    def test_degenerate_input_raises(self):
-        with pytest.raises(AccelerationBreakdown):
-            wynn_epsilon([1.0, 1.0, 1.0, 1.0, 2.0])
-
-    def test_alternating_squares(self):
-        sums, s = [], 0.0
-        for k in range(1, 22):
-            s += (-1.0) ** (k + 1) / (k * k)
-            sums.append(s)
-        assert abs(wynn_epsilon(sums) - math.pi ** 2 / 12.0) < 1e-10
-
-
 class TestEvalWeighted:
     def test_frozen_half_kernel_value(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (), 2, 0.5, 1)
@@ -217,7 +183,7 @@ class TestEvalWeighted:
         # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1)
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         res = eval_weighted(spec, Unit(), -1.0, tol=1e-9, accel=True)
-        assert res.method == "wynn_epsilon"
+        assert res.method == "extrapolated"
         assert abs(res.value - math.asinh(1.0)) < 1e-9
 
     def test_log_series_at_minus_one(self):
@@ -233,6 +199,93 @@ class TestEvalWeighted:
         res = eval_weighted(spec, Unit(), q, tol=1e-12)
         want = (1.0 - q) ** -a
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestUnitLadder:
+    """The unit-circle rule: a fixed 2^14-term ladder and the fitted limit
+    of the known-exponent tail model."""
+
+    def test_slowest_unit_weight_case_against_mpmath(self):
+        # 2F1(a, b; a+b+1/2; 1): terms ~ n^-3/2, so the tail model's
+        # exponent is s = -1/2
+        mpmath.mp.dps = 30
+        for a, b in ((0.3 + 0.1j, 0.2 - 0.2j), (0.25 - 0.3j, 0.4 + 0.15j)):
+            spec = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 0)
+            res = eval_weighted(spec, Unit(), 1.0, tol=1e-10, accel=True)
+            want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
+            assert res.converged and res.method == "extrapolated"
+            assert res.terms_used == 16384
+            assert abs(res.value - want) <= res.tail_bound, (a, b)
+            assert res.tail_bound <= 1e-10 * max(1.0, abs(res.value))
+            assert hyp2f1(a, b, a + b + 0.5, 1.0, tol=1e-10,
+                          accel=True) == res.value
+
+    def test_every_unit_sum_takes_the_whole_ladder(self):
+        cases = [
+            (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0), Unit(), -1.0),
+            (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0), Unit(), 1.0),
+            (PochhammerRatioSeries((0.25, 0.25), (1.0,), 1, 1.0, 1),
+             HarmonicSqPlusGen2(), 1.0),
+            (PochhammerRatioSeries((0.5, 0.6), (1.25, 1.5), 0, 1.0, 1),
+             Harmonic(), 1.0j),
+        ]
+        for spec, weight, x in cases:
+            res = eval_weighted(spec, weight, x, tol=1e-8, accel=True)
+            assert res.terms_used == 16384
+            assert res.tail_bound <= 1e-8 * max(1.0, abs(res.value))
+
+    def test_terminating_unit_sum_is_exact(self):
+        spec = PochhammerRatioSeries((-3.0, 0.5), (1.5,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-10, accel=True)
+        want = sum(spec.term(n) for n in range(4))
+        assert abs(res.value - want) <= 1e-14
+
+    def test_fast_decaying_tail_drops_dependent_columns(self):
+        # s = -5 at log power 2: some model columns are numerically
+        # dependent on the ladder, yet the sum plainly converges
+        spec = PochhammerRatioSeries((0.5, 0.5), (6.0,), 1, 1.0, 1)
+        res = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11,
+                            accel=True)
+        mpmath.mp.dps = 25
+        half = mpmath.mpf(0.5)
+        term, h, h2, want = half * half / 6, 0, 0, 0
+        for n in range(1, 4001):  # the tail beyond is below 1e-17
+            h += mpmath.mpf(1) / n
+            h2 += mpmath.mpf(1) / n ** 2
+            want += term * (h * h + h2)
+            term *= (half + n) ** 2 / ((6 + n) * (n + 1))
+        assert abs(res.value - complex(want)) <= res.tail_bound
+
+    def test_unpaired_shifts_multiply_in_directly(self):
+        # sum (-1)^n / n! and sum (1/2)_n / (n!)^2: more denominator
+        # shifts than numerator ones, so the terms die off factorially
+        res = eval_weighted(PochhammerRatioSeries((), (), 1, -1.0, 0), Unit(),
+                            1.0, tol=1e-10, accel=True)
+        assert abs(res.value - math.exp(-1.0)) <= 1e-15
+        res = eval_weighted(PochhammerRatioSeries((0.5,), (), 2, 1.0, 0),
+                            Unit(), 1.0, tol=1e-10, accel=True)
+        mpmath.mp.dps = 20
+        want = complex(mpmath.hyp1f1(0.5, 1, 1))
+        assert abs(res.value - want) <= max(res.tail_bound, 1e-15)
+
+    def test_budget_below_ladder_raises(self):
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError):
+            eval_weighted(spec, Unit(), -1.0, accel=True, max_terms=16383)
+
+    def test_unrepresentable_model_raises_breakdown(self):
+        # exponent -400: N^s overflows on the ladder
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 1, 1.0, 0)
+        with pytest.raises(AccelerationBreakdown):
+            eval_weighted(spec, Unit(), 1.0, accel=True)
+
+    def test_accel_inside_disk_is_the_direct_rule(self):
+        spec = PochhammerRatioSeries((0.3 + 0.1j, 0.45), (1.25,), 1, 1.0, 1)
+        for x in (0.5, 0.9, -0.97 + 0.1j):
+            plain = eval_weighted(spec, HarmonicSqPlusGen2(), x, tol=1e-10)
+            accel = eval_weighted(spec, HarmonicSqPlusGen2(), x, tol=1e-10,
+                                  accel=True)
+            assert accel == plain and accel.method == "direct"
 
 
 class TestHyp2F1:
