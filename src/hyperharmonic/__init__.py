@@ -33,11 +33,10 @@ from .series import (
     ReciprocalShift,
     SeriesResult,
     Unit,
-    eval_hyper,
+    WeightKind,
     eval_weighted,
     finite_difference,
     hyp2f1,
-    weight_value,
 )
 from .catalog import (
     DEFAULT_SEED,
@@ -81,11 +80,10 @@ __all__ = [
     "ReciprocalShift",
     "SeriesResult",
     "Unit",
-    "eval_hyper",
+    "WeightKind",
     "eval_weighted",
     "finite_difference",
     "hyp2f1",
-    "weight_value",
     "DEFAULT_SEED",
     "Identity",
     "PointCheck",

@@ -23,10 +23,9 @@ from typing import Callable
 from .errors import DomainError, UnknownIdentityError
 from .expr import (C, Const, Cos, Digamma, EllipticK, Expr, Gamma, GammaRatio,
                    Hyp2F1, Log, Mul, P, PI, Pow, Sin, Sqrt)
-from .series import (DEFAULT_MAX_TERMS, DigammaDiffSum, Harmonic,
-                     HarmonicSqPlusGen2, LinearCombo, PochhammerRatioSeries,
-                     ReciprocalShift, Unit, WeightKind, eval_weighted,
-                     finite_difference, hyp2f1)
+from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
+                     LinearCombo, PochhammerRatioSeries, ReciprocalShift, Unit,
+                     WeightKind, eval_weighted, finite_difference, hyp2f1)
 from .specialfn import gamma_ratio, harmonic
 
 __all__ = [
@@ -63,7 +62,6 @@ class Identity:
     rhs_series: tuple[SeriesTerm, ...] = ()
     tol: float = 1e-9
     eval_tol: float | None = None
-    max_terms: int = DEFAULT_MAX_TERMS
     accel: bool = False
 
 
@@ -105,8 +103,7 @@ def _sum_terms(ident: Identity, terms, env: dict):
     tol = ident.eval_tol if ident.eval_tol is not None else ident.tol / 4.0
     for term in terms:
         spec, weight, x = term.build(env)
-        res = eval_weighted(spec, weight, x, tol=tol, max_terms=ident.max_terms,
-                            accel=ident.accel)
+        res = eval_weighted(spec, weight, x, tol=tol, accel=ident.accel)
         total += term.coefficient.eval(env) * res.value
         used += res.terms_used
         methods.add(res.method)

@@ -5,17 +5,24 @@ A PochhammerRatioSeries describes terms
     u_n = prod_i (a_i)_n / (prod_j (b_j)_n * (n!)**p) * (r*x)**n
 
 summed against a weight sequence w_n (harmonic numbers and relatives).
-Terms advance by one multiply-divide recurrence per index; weights are
-updated incrementally with compensated accumulation so that a million
-steps stay within a couple of ulps of direct evaluation.
+Each weight family is one WeightKind subclass: value(n) evaluates w_n
+from scratch, steps(n0) walks w_n0, w_n0+1, ... with compensated
+accumulation so that a million steps stay within a couple of ulps of
+value(n), and asymptotics() gives its growth n^shift (log n)^L. Terms
+advance by one multiply-divide recurrence per index.
+
+Before summing, the engine refuses terms that grow factorially (more
+numerator than denominator shifts, the n! factors counted as shifts,
+and no terminating numerator shift). On the unit circle it also
+refuses sums whose complex exponent sigma = sum(a) - sum(b) - p +
+shift has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere, unless there are
+more denominator than numerator shifts, so the terms decay factorially.
 
 Inside the unit circle the engine sums directly with a geometric tail
 bound. On the circle (|r*x| = 1) the terms decay only algebraically,
-like n^sigma (log n)^L, where sigma is the spec's complex exponent
-sum(a) - sum(b) - p plus the weight's shift and L is the weight's log
-power. There the engine always sums exactly 2^14 terms, keeps the
-partial sums at the 25 checkpoints N = 2^(14 - k/4), k = 0..24, and
-least-squares fits them to the tail model
+like n^sigma (log n)^L. There the engine always sums exactly 2^14
+terms, keeps the partial sums at the 25 checkpoints N = 2^(14 - k/4),
+k = 0..24, and least-squares fits them to the tail model
 
     S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
 
@@ -30,6 +37,7 @@ satisfy tail_bound <= tol * max(1, |value|); otherwise the call raises.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from collections import deque
@@ -52,9 +60,8 @@ __all__ = [
     "ReciprocalShift",
     "DigammaDiffSum",
     "LinearCombo",
-    "weight_value",
+    "WeightKind",
     "eval_weighted",
-    "eval_hyper",
     "hyp2f1",
     "finite_difference",
 ]
@@ -114,11 +121,12 @@ class PochhammerRatioSeries:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
 
-    def effective_exponent(self) -> float:
-        """Algebraic growth exponent of u_n at |r*x| = 1: u_n ~ n**sigma."""
-        s = sum(a.real for a in self.numerator_shifts)
-        s -= sum(b.real for b in self.denominator_shifts)
-        return s - self.factorial_power
+    def effective_exponent(self) -> complex:
+        """Complex exponent of u_n at |r*x| = 1 for balanced shifts:
+        u_n ~ n**sigma (r*x)**n with sigma = sum(a) - sum(b) - p, the n!
+        factors counting as denominator shifts b = 1."""
+        return (sum(self.numerator_shifts)
+                - sum(self.denominator_shifts + (1.0,) * self.factorial_power))
 
     def term(self, n: int, x: complex = 1.0) -> complex:
         """Direct (non-recurrent) term value, for cross-checks."""
@@ -147,12 +155,23 @@ class SeriesResult:
 
 
 class WeightKind:
-    """Base class for weight families.
+    """Base class for weight families; each subclass is the one definition
+    of its family.
 
-    asymptotics() gives (shift, L) with w_n ~ n^shift * (log n)^L at large
-    n, the input of the unit-circle tail model.
+    value(n) recomputes w_n from scratch, the reference that tests compare
+    the walk against. steps(n0) yields w_n0, w_n0+1, ... incrementally;
+    running sums carry Kahan compensation so a 10^6-term walk stays
+    within ~2 ulp of the fsum reference. asymptotics() gives (shift, L)
+    with w_n ~ n^shift * (log n)^L at large n, the weight's part of the
+    exponent sigma and the log power of the unit-circle tail model.
     """
     __slots__ = ()
+
+    def value(self, n: int) -> complex:
+        raise NotImplementedError
+
+    def steps(self, n0: int):
+        raise NotImplementedError
 
     def asymptotics(self) -> tuple[int, int]:
         return 0, 0
@@ -162,6 +181,12 @@ class WeightKind:
 class Unit(WeightKind):
     """w_n = 1."""
 
+    def value(self, n):
+        return 1.0
+
+    def steps(self, n0):
+        return itertools.repeat(1.0)
+
 
 @dataclass(frozen=True)
 class Harmonic(WeightKind):
@@ -170,19 +195,55 @@ class Harmonic(WeightKind):
     stride: int = 1
     offset: int = 0
 
-    def asymptotics(self):
-        return 0, 1
-
     def __post_init__(self):
         if self.stride not in (1, 2, 3):
             raise DomainError(f"harmonic stride must be 1, 2 or 3, got {self.stride!r}")
         if self.offset not in (-1, 0):
             raise DomainError(f"harmonic offset must be -1 or 0, got {self.offset!r}")
 
+    def value(self, n):
+        return harmonic(self.stride * n + self.offset)
+
+    def steps(self, n0):
+        idx = self.stride * n0 + self.offset
+        h = harmonic(idx)
+        c = 0.0
+        stride = range(self.stride)
+        while True:
+            yield h
+            for _ in stride:
+                idx += 1
+                y = 1.0 / idx - c
+                t = h + y
+                c = (t - h) - y
+                h = t
+
+    def asymptotics(self):
+        return 0, 1
+
 
 @dataclass(frozen=True)
 class HarmonicSqPlusGen2(WeightKind):
     """w_n = H_n**2 + H_n^(2)."""
+
+    def value(self, n):
+        h = harmonic(n)
+        return h * h + generalized_harmonic(n, 2.0)
+
+    def steps(self, n0):
+        h, g, idx = harmonic(n0), generalized_harmonic(n0, 2.0), n0
+        hc = gc = 0.0
+        while True:
+            yield h * h + g
+            idx += 1
+            y = 1.0 / idx - hc
+            t = h + y
+            hc = (t - h) - y
+            h = t
+            y = 1.0 / (idx * idx) - gc
+            t = g + y
+            gc = (t - g) - y
+            g = t
 
     def asymptotics(self):
         return 0, 2
@@ -193,6 +254,13 @@ class ReciprocalShift(WeightKind):
     """w_n = inner_n / (n + 1)."""
 
     inner: WeightKind = Unit()
+
+    def value(self, n):
+        return self.inner.value(n) / (n + 1.0)
+
+    def steps(self, n0):
+        for n, w in enumerate(self.inner.steps(n0), n0 + 1):
+            yield w / n
 
     def asymptotics(self):
         shift, logs = self.inner.asymptotics()
@@ -214,6 +282,24 @@ class DigammaDiffSum(WeightKind):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
 
+    def value(self, n):
+        b2, ab = 2.0 * self.b, self.a + self.b + 0.5
+        acc = 0j
+        for k in range(n):
+            acc += 2.0 / (b2 + k) - 1.0 / (ab + k)
+        return acc
+
+    def steps(self, n0):
+        b2, ab = 2.0 * self.b, self.a + self.b + 0.5
+        acc, c, k = self.value(n0), 0j, n0
+        while True:
+            yield acc
+            y = (2.0 / (b2 + k) - 1.0 / (ab + k)) - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            k += 1
+
     def asymptotics(self):
         return 0, 1
 
@@ -232,115 +318,17 @@ class LinearCombo(WeightKind):
             norm.append((complex(coeff), kind))
         object.__setattr__(self, "parts", tuple(norm))
 
+    def value(self, n):
+        return sum(c * kind.value(n) for c, kind in self.parts)
+
+    def steps(self, n0):
+        coeffs = tuple(c for c, _ in self.parts)
+        for ws in zip(*(kind.steps(n0) for _, kind in self.parts)):
+            yield sum(map(operator.mul, coeffs, ws))
+
     def asymptotics(self):
         shapes = [kind.asymptotics() for _, kind in self.parts]
         return max(sh for sh, _ in shapes), max(lg for _, lg in shapes)
-
-
-def weight_value(weight: WeightKind, n: int) -> complex:
-    """Direct w_n, recomputed from scratch. Reference path for tests."""
-    if isinstance(weight, Unit):
-        return 1.0
-    if isinstance(weight, Harmonic):
-        return harmonic(weight.stride * n + weight.offset)
-    if isinstance(weight, HarmonicSqPlusGen2):
-        h = harmonic(n)
-        return h * h + generalized_harmonic(n, 2.0)
-    if isinstance(weight, ReciprocalShift):
-        return weight_value(weight.inner, n) / (n + 1.0)
-    if isinstance(weight, DigammaDiffSum):
-        a, b = weight.a, weight.b
-        acc = 0j
-        for k in range(n):
-            acc += 2.0 / (2.0 * b + k) - 1.0 / (a + b + 0.5 + k)
-        return acc
-    if isinstance(weight, LinearCombo):
-        return sum(c * weight_value(k, n) for c, k in weight.parts)
-    raise DomainError(f"unknown weight kind {weight!r}")
-
-
-def _stepper(weight: WeightKind, n0: int):
-    """Callable yielding w_n for n = n0, n0+1, ... one call per index.
-
-    Running sums carry Kahan compensation so a 10^6-term walk stays
-    within ~2 ulp of the fsum reference.
-    """
-    if isinstance(weight, Unit):
-        def step():
-            return 1.0
-        return step
-
-    if isinstance(weight, Harmonic):
-        def walk(h, idx, stride):
-            c = 0.0
-            steps = range(stride)
-            while True:
-                yield h
-                for _ in steps:
-                    idx += 1
-                    y = 1.0 / idx - c
-                    t = h + y
-                    c = (t - h) - y
-                    h = t
-        idx = weight.stride * n0 + weight.offset
-        return walk(harmonic(idx), idx, weight.stride).__next__
-
-    if isinstance(weight, HarmonicSqPlusGen2):
-        def walk(h, g, idx):
-            hc = gc = 0.0
-            while True:
-                yield h * h + g
-                idx += 1
-                y = 1.0 / idx - hc
-                t = h + y
-                hc = (t - h) - y
-                h = t
-                y = 1.0 / (idx * idx) - gc
-                t = g + y
-                gc = (t - g) - y
-                g = t
-        return walk(harmonic(n0), generalized_harmonic(n0, 2.0), n0).__next__
-
-    if isinstance(weight, ReciprocalShift):
-        inner = _stepper(weight.inner, n0)
-        state = [n0]
-
-        def step():
-            n = state[0]
-            state[0] = n + 1
-            return inner() / (n + 1.0)
-        return step
-
-    if isinstance(weight, DigammaDiffSum):
-        a2 = 2.0 * weight.b
-        ab = weight.a + weight.b + 0.5
-        acc = 0j
-        for k in range(n0):
-            acc += 2.0 / (a2 + k) - 1.0 / (ab + k)
-        state = [acc, 0j, n0, True]
-
-        def step():
-            if state[3]:
-                state[3] = False
-                return state[0]
-            k = state[2]
-            y = (2.0 / (a2 + k) - 1.0 / (ab + k)) - state[1]
-            t = state[0] + y
-            state[1] = (t - state[0]) - y
-            state[0] = t
-            state[2] = k + 1
-            return state[0]
-        return step
-
-    if isinstance(weight, LinearCombo):
-        coeffs = tuple(c for c, _ in weight.parts)
-        subs = tuple(_stepper(k, n0) for _, k in weight.parts)
-
-        def step():
-            return sum(c * s() for c, s in zip(coeffs, subs))
-        return step
-
-    raise DomainError(f"unknown weight kind {weight!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +446,9 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                   accel: bool = False) -> SeriesResult:
     """Sum w_n * u_n(x) for n >= spec.start_index.
 
+    Terms that grow factorially raise NonConvergentError before any is
+    summed (see the module docstring for the pre-checks).
+
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
     built from recent term ratios also meets the tolerance.
@@ -469,7 +460,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     4). The exponent s is sigma + 1 at r*x = 1 and sigma elsewhere on the
     circle, where sigma is the spec's complex exponent plus the weight's
     shift; the log power is the weight's (WeightKind.asymptotics). The
-    returned tail_bound is
+    same sigma drives the pre-check and the direct rule's drift clause.
+    The returned tail_bound is
 
         2 * max(|fit - fit of order 3|, |fit - fit on the marks <= 2^13|)
           + (2^14 + sum |w_k|) * eps * sum |t_n|,
@@ -491,30 +483,36 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         raise DomainError(f"max_terms must be positive, got {max_terms!r}")
     if mag > 1.0 + _UNIT_BAND:
         raise NonConvergentError(f"|ratio*x| = {mag:.6g} exceeds 1; series diverges")
-    sigma = spec.effective_exponent()
+    nums = spec.numerator_shifts
+    dens = spec.denominator_shifts
+    p = spec.factorial_power
+    # u_{n+1}/u_n ~ r*x * n^excess: factorial growth (excess > 0) or decay
+    excess = len(nums) - len(dens) - p
+    if excess > 0 and mag > 0.0 and all(_pole_index(a) is None for a in nums):
+        raise NonConvergentError(
+            f"{len(nums)} numerator against {len(dens) + p} denominator shifts "
+            "(n! counted as one) and no terminating shift; terms grow factorially")
+    shift, logs = weight.asymptotics()
+    sigma = spec.effective_exponent() + shift  # w_n u_n ~ n^sigma (r*x)^n
     if mag > 1.0 - _UNIT_BAND:
         if not accel:
             raise NonConvergentError(
                 "unit-argument series needs accel=True (terms decay only algebraically)")
-        if abs(rx - 1.0) <= 1e-9:
-            if sigma >= -1.0:
-                raise NonConvergentError(
-                    f"effective exponent {sigma:.3g} >= -1 at argument 1; sum diverges")
-        elif sigma >= 0.0:
+        # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
+        # circle the terms need sigma < 0; factorial decay needs neither
+        limit = -1.0 if abs(rx - 1.0) <= 1e-9 else 0.0
+        if excess >= 0 and sigma.real >= limit:
             raise NonConvergentError(
-                f"effective exponent {sigma:.3g} >= 0 on the unit circle; "
-                "terms do not decay")
+                f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
+                f"(r*x = {rx:.6g}); sum diverges")
         if max_terms < _LADDER_TOP:
             raise NonConvergentError(
                 f"unit-argument series sums {_LADDER_TOP} terms; "
                 f"budget {max_terms} is too small")
-        return _eval_unit(spec, weight, rx, tol)
+        return _eval_unit(spec, weight, rx, tol, sigma, logs)
 
-    nums = spec.numerator_shifts
-    dens = spec.denominator_shifts
-    p = spec.factorial_power
     n0 = spec.start_index
-    step = _stepper(weight, n0)
+    step = weight.steps(n0).__next__
     t = _first_term(spec, rx)
 
     S = 0j
@@ -556,7 +554,7 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             if r < _RATIO_HARD_CAP:
                 tail = max(at_hist) * r / (1.0 - r)
                 ok = r <= _RATIO_TRUST
-                if not ok and sigma < 0.0 and count >= 10:
+                if not ok and sigma.real < 0.0 and count >= 10:
                     # ratios of an algebraically decaying tail drift down
                     # toward |r*x|, so a non-increasing recent window makes
                     # the geometric bound safe beyond the usual trust cap
@@ -588,7 +586,7 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                 return SeriesResult(S, count, tail, True, "direct")
     raise NonConvergentError(
         f"no tolerance-{tol:g} tail bound after {count} terms "
-        f"(|r*x| = {mag:.6g}, effective exponent {sigma:.3g})")
+        f"(|r*x| = {mag:.6g}, exponent {sigma.real:.3g})")
 
 
 def _dot(weights, sums) -> complex:
@@ -599,7 +597,7 @@ def _dot(weights, sums) -> complex:
 
 
 def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
-               tol: float) -> SeriesResult:
+               tol: float, sigma: complex, logs: int) -> SeriesResult:
     """The unit-circle rule of eval_weighted: fixed ladder, fitted limit.
 
     The fit amplifies noise in the partial sums, so the term recurrence
@@ -615,7 +613,7 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
     more, less = nums[len(pairs):], dens[len(pairs):]
     unpaired = more + less
     n = spec.start_index
-    step = _stepper(weight, n)
+    step = weight.steps(n).__next__
     t = _first_term(spec, rx)
     tc = 0j
     r = rx
@@ -653,8 +651,7 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
         sums.append(S)
         done = mark
 
-    shift, logs = weight.asymptotics()
-    s = sum(nums) - sum(dens) + shift  # dens carries the n! factors
+    s = sigma
     theta = 0.0
     if abs(rx - 1.0) <= 1e-9:
         s += 1.0
@@ -675,11 +672,6 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
             f"after {_LADDER_TOP} terms (|r*x| = {abs(rx):.6g}, "
             f"exponent {s:.3g}, log power {logs})")
     return SeriesResult(best, _LADDER_TOP, tail, True, "extrapolated")
-
-
-def eval_hyper(spec: PochhammerRatioSeries, x, **kwargs) -> SeriesResult:
-    """Unit-weight convenience wrapper: the plain hypergeometric sum."""
-    return eval_weighted(spec, Unit(), x, **kwargs)
 
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,

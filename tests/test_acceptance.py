@@ -15,9 +15,8 @@ import pytest
 from hyperharmonic import (REGISTRY, boundary_asymptotic_check, digamma,
                            finite_difference, finite_sum_instance,
                            generalized_harmonic, harmonic, ln_gamma,
-                           ode_residual, pochhammer, verify, weight_value)
+                           ode_residual, pochhammer, verify)
 from hyperharmonic.cli import main
-from hyperharmonic.series import _stepper
 
 
 @pytest.fixture(autouse=True)
@@ -155,7 +154,7 @@ def test_watson_type_sums():
         for pt in ident.sample_points:
             spec, _, x = ident.lhs[0].build(dict(pt))
             assert abs(spec.geometric_ratio * x) == pytest.approx(1.0)
-            assert spec.effective_exponent() < -1.0, \
+            assert spec.effective_exponent().real < -1.0, \
                 "points must keep absolute convergence"
 
 
@@ -208,10 +207,10 @@ def test_property_weight_incrementality():
     )
     for kind in kinds:
         for n0 in (0, 1):
-            step = _stepper(kind, n0)
+            steps = kind.steps(n0)
             for n in range(n0, n0 + 300):
-                got = step()
-                want = weight_value(kind, n)
+                got = next(steps)
+                want = kind.value(n)
                 assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (kind, n)
 
 

@@ -1,0 +1,41 @@
+"""Smoke test of the benchmark's span tracer (perfbench/spans.py).
+
+The tracer wraps package attributes by name from outside the package, so
+renaming one of them breaks `perfbench/run.py --trace 1`; this test makes
+such a rename fail the test suite too.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import hyperharmonic
+import hyperharmonic.cli  # noqa: F401  (the tracer wraps cli attributes)
+from hyperharmonic import REGISTRY
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_layer_and_unwinds():
+    spans = _load_spans()
+    original = hyperharmonic.catalog.eval_weighted
+    tracer = spans.Tracer()
+    tracer.install(hyperharmonic)
+    try:
+        for ident_id in ("EX-1", "COR-D"):
+            point = REGISTRY[ident_id].sample_points[0]
+            report = hyperharmonic.verify(ident_id, points=[point])
+            assert report.passed, (ident_id, report.failures)
+    finally:
+        tracer.uninstall()
+    layers = {s.layer for s in tracer.spans}
+    assert {"series", "expr", "specialfn", "catalog"} <= layers
+    paths = {s.attrs["path"] for s in tracer.spans if s.layer == "series"}
+    assert paths == {"direct", "accel"}
+    assert hyperharmonic.catalog.eval_weighted is original

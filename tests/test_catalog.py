@@ -170,8 +170,7 @@ class TestVerifySemantics:
         # a genuine identity keeps passing when asked for 10x more accuracy;
         # a lucky cancellation would not
         ident = REGISTRY[ident_id]
-        tight = dataclasses.replace(ident, tol=ident.tol / 10.0,
-                                    max_terms=4 * ident.max_terms)
+        tight = dataclasses.replace(ident, tol=ident.tol / 10.0)
         assert verify(tight).passed
 
 

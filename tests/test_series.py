@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DomainError,
                            Harmonic, HarmonicSqPlusGen2, LinearCombo,
                            NonConvergentError, PochhammerRatioSeries, PoleError,
-                           ReciprocalShift, Unit, eval_hyper, eval_weighted,
-                           finite_difference, harmonic, hyp2f1, pochhammer,
-                           weight_value)
-from hyperharmonic.series import _stepper
+                           ReciprocalShift, Unit, WeightKind, eval_weighted,
+                           finite_difference, harmonic, hyp2f1, pochhammer)
 
 # frozen at 40 digits
 EX1_VALUE = 0.2177751606844838071823350370302293726395
@@ -22,6 +20,9 @@ F21_R = 1.1779196550701314091744402021002208716499
 F21_C = complex(1.0705542645157026013120740481842515651534,
                 -0.0379394951411739184233317759007260169656)
 F21_NEG = 0.9205459388780172109453484311563885565609
+# sum_n ((1/2)_n / n!)^2 H_n / (n+1), frozen at 30 digits from
+# mpmath.nsum(..., method='e'); nsum's default r+s method is off by 2e-4
+RECIP_HARMONIC_SUM = "0.469830397557574505656697086112"
 
 
 class TestSpecValidation:
@@ -72,20 +73,20 @@ class TestWeights:
             LinearCombo(((2.0, "H"),))
 
     def test_weight_value_reference(self):
-        assert weight_value(Unit(), 17) == 1.0
-        assert weight_value(Harmonic(), 6) == pytest.approx(49.0 / 20.0, abs=1e-14)
-        assert weight_value(Harmonic(stride=2), 3) == pytest.approx(
+        assert Unit().value(17) == 1.0
+        assert Harmonic().value(6) == pytest.approx(49.0 / 20.0, abs=1e-14)
+        assert Harmonic(stride=2).value(3) == pytest.approx(
             harmonic(6), abs=1e-14)
-        assert weight_value(Harmonic(stride=3, offset=-1), 2) == pytest.approx(
+        assert Harmonic(stride=3, offset=-1).value(2) == pytest.approx(
             harmonic(5), abs=1e-14)
         h4 = harmonic(4)
         g4 = 1.0 + 1.0 / 4 + 1.0 / 9 + 1.0 / 16
-        assert weight_value(HarmonicSqPlusGen2(), 4) == pytest.approx(
+        assert HarmonicSqPlusGen2().value(4) == pytest.approx(
             h4 * h4 + g4, abs=1e-13)
-        assert weight_value(ReciprocalShift(Harmonic()), 3) == pytest.approx(
+        assert ReciprocalShift(Harmonic()).value(3) == pytest.approx(
             harmonic(3) / 4.0, abs=1e-14)
         combo = LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic())))
-        assert weight_value(combo, 5) == pytest.approx(
+        assert combo.value(5) == pytest.approx(
             4.0 * harmonic(10) - 3.0 * harmonic(5), abs=1e-13)
 
     def test_digamma_diff_sum_brute_force(self):
@@ -94,7 +95,7 @@ class TestWeights:
             acc = 0j
             for k in range(n):
                 acc += 2.0 / (2.0 * 0.2 + k) - 1.0 / (0.3 + 0.1j + 0.2 + 0.5 + k)
-            assert abs(weight_value(w, n) - acc) <= 1e-13
+            assert abs(w.value(n) - acc) <= 1e-13
 
     @pytest.mark.parametrize("weight", [
         Unit(),
@@ -106,19 +107,22 @@ class TestWeights:
         DigammaDiffSum(0.25, 0.4),
         DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j),
         LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
+        ReciprocalShift(DigammaDiffSum(0.3 + 0.1j, 0.2)),
+        LinearCombo(((0.5j, ReciprocalShift(HarmonicSqPlusGen2())),
+                     (2.0, DigammaDiffSum(0.25, 0.4)), (-1.0, Unit()))),
     ])
     @pytest.mark.parametrize("n0", [0, 1, 7])
     def test_stepper_matches_reference(self, weight, n0):
-        step = _stepper(weight, n0)
+        steps = weight.steps(n0)
         for n in range(n0, n0 + 60):
-            got = step()
-            want = weight_value(weight, n)
+            got = next(steps)
+            want = weight.value(n)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (weight, n)
 
     def test_stepper_offset_weights_from_one(self):
-        step = _stepper(Harmonic(stride=2, offset=-1), 1)
+        steps = Harmonic(stride=2, offset=-1).steps(1)
         for n in range(1, 40):
-            assert step() == pytest.approx(harmonic(2 * n - 1), abs=1e-13)
+            assert next(steps) == pytest.approx(harmonic(2 * n - 1), abs=1e-13)
 
 
 class TestEvalWeighted:
@@ -139,12 +143,6 @@ class TestEvalWeighted:
         res = eval_weighted(spec, Unit(), 0.7, tol=1e-12)
         want = sum(spec.term(n, 0.7) for n in range(4))
         assert abs(res.value - want) < 1e-14
-
-    def test_eval_hyper_is_unit_weight(self):
-        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
-        a = eval_hyper(spec, 0.3, tol=1e-12)
-        b = eval_weighted(spec, Unit(), 0.3, tol=1e-12)
-        assert a.value == b.value
 
     def test_diverges_outside_disk(self):
         spec = PochhammerRatioSeries((0.5,), (), 0, 1.0, 0)
@@ -168,6 +166,32 @@ class TestEvalWeighted:
         spec = PochhammerRatioSeries((1.5,), (), 1, -1.0, 0)
         with pytest.raises(NonConvergentError):
             eval_weighted(spec, Unit(), 1.0, accel=True)
+
+    def test_factorially_growing_terms_raise_before_summing(self):
+        # 2F0(1, 1; ; 1/2) = sum n! 2^-n: more numerator than denominator
+        # shifts and none terminates, so the terms grow factorially
+        class Counted(WeightKind):
+            def __init__(self):
+                self.advanced = 0
+
+            def steps(self, n0):
+                while True:
+                    self.advanced += 1
+                    yield 1.0
+
+        spec = PochhammerRatioSeries((1.0, 1.0), (), 1, 1.0, 0)
+        weight = Counted()
+        with pytest.raises(NonConvergentError, match="grow factorially"):
+            eval_weighted(spec, weight, 0.5)
+        assert weight.advanced == 0
+
+    @pytest.mark.parametrize("p, want", [(1, 37.0 / 64.0), (0, -1.0 / 32.0)])
+    def test_terminating_numerator_excess_sums(self, p, want):
+        # 2F0(-3, 1/2; ; 1/2) (p = 1) and sum (-3)_n (1/2)_n 2^-n (p = 0)
+        # stop at n = 3
+        spec = PochhammerRatioSeries((-3.0, 0.5), (), p, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 0.5, tol=1e-12)
+        assert res.value == want
 
     def test_budget_exhaustion_raises(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
@@ -267,6 +291,26 @@ class TestUnitLadder:
         mpmath.mp.dps = 20
         want = complex(mpmath.hyp1f1(0.5, 1, 1))
         assert abs(res.value - want) <= max(res.tail_bound, 1e-15)
+
+    def test_factorially_decaying_terms_skip_the_exponent_check(self):
+        # sum 1/n! = e: the spec's exponent is -1, but one more
+        # denominator than numerator shift makes the terms decay factorially
+        res = eval_weighted(PochhammerRatioSeries((), (), 1, 1.0, 0), Unit(),
+                            1.0, tol=1e-10, accel=True)
+        assert abs(res.value - math.e) <= res.tail_bound
+        assert res.tail_bound <= 1e-10 * math.e
+
+    def test_exponent_counts_the_weight_shift(self):
+        # sum ((1/2)_n / n!)^2 H_n / (n+1): the spec's exponent is -1, and
+        # the weight's 1/(n+1) brings it to -2
+        mpmath.mp.dps = 30
+        want = mpmath.mpf(RECIP_HARMONIC_SUM)
+        assert abs(want - (4 - 16 * mpmath.log(2) / mpmath.pi)) < 1e-28
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.0,), 1, 1.0, 0)
+        res = eval_weighted(spec, ReciprocalShift(Harmonic()), 1.0, tol=1e-10,
+                            accel=True)
+        assert abs(res.value - complex(want)) <= res.tail_bound
+        assert res.tail_bound <= 1e-10
 
     def test_budget_below_ladder_raises(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
