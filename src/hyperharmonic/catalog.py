@@ -5,7 +5,7 @@ series that belong on the right-hand side) with a closed-form expression
 tree, a comparison tolerance, and deterministic sample points. verify()
 evaluates both sides and reports mismatches as failed checks rather than
 exceptions; genuine evaluation trouble (divergence, domain violations)
-still raises.
+still raises, naming the identity, the point and the side.
 
 Comparison rule: relative error when |rhs| >= 1, absolute error below
 that, always against the named tolerance. Series are evaluated tighter
@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .errors import DomainError, UnknownIdentityError
+from .errors import DomainError, HyperharmonicError, UnknownIdentityError
 from .expr import (C, Const, Cos, Digamma, EllipticK, Expr, Gamma, GammaRatio,
                    Hyp2F1, Log, Mul, P, PI, Pow, Sin, Sqrt)
 from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
@@ -96,24 +96,43 @@ class VerifyReport:
 # evaluation
 
 
-def _sum_terms(ident: Identity, terms, env: dict):
+def _located(exc: HyperharmonicError, ident: Identity, env: dict,
+             where: str) -> HyperharmonicError:
+    """The same error class, its message prefixed with the identity, the
+    point and the side (lhs term k, rhs series term k or rhs expression,
+    k counting from 0) where it was raised."""
+    return type(exc)(f"{ident.id} at {env}, {where}: {exc}")
+
+
+def _sum_terms(ident: Identity, terms, env: dict, side: str):
     total = 0j
     used = 0
     methods = set()
     tol = ident.eval_tol if ident.eval_tol is not None else ident.tol / 4.0
-    for term in terms:
-        spec, weight, x = term.build(env)
-        res = eval_weighted(spec, weight, x, tol=tol, accel=ident.accel)
-        total += term.coefficient.eval(env) * res.value
+    for k, term in enumerate(terms):
+        try:
+            spec, weight, x = term.build(env)
+            res = eval_weighted(spec, weight, x, tol=tol, accel=ident.accel)
+            total += term.coefficient.eval(env) * res.value
+        except HyperharmonicError as exc:
+            raise _located(exc, ident, env, f"{side} term {k}") from exc
         used += res.terms_used
         methods.add(res.method)
     return total, used, methods
 
 
+def _eval_rhs_expr(ident: Identity, env: dict) -> complex:
+    try:
+        return ident.rhs.eval(env)
+    except HyperharmonicError as exc:
+        raise _located(exc, ident, env, "rhs expression") from exc
+
+
 def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
-    lhs, used_l, methods = _sum_terms(ident, ident.lhs, env)
-    rhs, used_r, methods_r = _sum_terms(ident, ident.rhs_series, env)
-    rhs += ident.rhs.eval(env)
+    lhs, used_l, methods = _sum_terms(ident, ident.lhs, env, "lhs")
+    rhs, used_r, methods_r = _sum_terms(ident, ident.rhs_series, env,
+                                        "rhs series")
+    rhs += _eval_rhs_expr(ident, env)
     methods |= methods_r
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else None
@@ -139,7 +158,8 @@ def verify(identity, *, points=None, tol: float | None = None,
     """Check an identity at its sample points (or the given ones).
 
     Numerical disagreement comes back as failed PointChecks; evaluation
-    failures (divergent series, domain violations) raise.
+    failures (divergent series, domain violations) raise the same error
+    class with a message that names the identity, the point and the side.
     """
     ident = get_identity(identity, registry)
     if tol is None:
@@ -151,14 +171,14 @@ def verify(identity, *, points=None, tol: float | None = None,
 
 def eval_lhs(identity, registry: dict | None = None, **params) -> complex:
     ident = get_identity(identity, registry)
-    val, _, _ = _sum_terms(ident, ident.lhs, params)
+    val, _, _ = _sum_terms(ident, ident.lhs, params, "lhs")
     return val
 
 
 def eval_rhs(identity, registry: dict | None = None, **params) -> complex:
     ident = get_identity(identity, registry)
-    val, _, _ = _sum_terms(ident, ident.rhs_series, params)
-    return val + ident.rhs.eval(params)
+    val, _, _ = _sum_terms(ident, ident.rhs_series, params, "rhs series")
+    return val + _eval_rhs_expr(ident, params)
 
 
 def with_perturbed_rhs(identity, eps: float, registry: dict | None = None) -> Identity:

@@ -16,22 +16,26 @@ numerator than denominator shifts, the n! factors counted as shifts,
 and no terminating numerator shift). On the unit circle it also
 refuses sums whose complex exponent sigma = sum(a) - sum(b) - p +
 shift has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere, unless there are
-more denominator than numerator shifts, so the terms decay factorially.
+more denominator than numerator shifts, so the terms decay factorially,
+or a numerator shift is a non-positive integer, so the sum terminates.
 
-Inside the unit circle the engine sums directly with a geometric tail
-bound. On the circle (|r*x| = 1) the terms decay only algebraically,
-like n^sigma (log n)^L. There the engine always sums exactly 2^14
-terms, keeps the partial sums at the 25 checkpoints N = 2^(14 - k/4),
-k = 0..24, and least-squares fits them to the tail model
+Inside the unit circle, and for terminating sums on it, the engine sums
+directly with a geometric tail bound. On the circle (|r*x| = 1) the
+terms of other sums decay only algebraically, like n^sigma (log n)^L.
+There the engine keeps the partial sums at the checkpoints
+N = round(2^(j/4)), j = 24..56, and at each top T = 2^12, 2^13, 2^14
+fits the 25 checkpoints T/64..T by least squares to the tail model
 
     S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
 
 with s = sigma + 1 at r*x = 1 and s = sigma at r*x = e^{i theta} != 1.
 The error estimate is twice the larger disagreement of the fitted S
-with a fit of order 3 and with a fit on the checkpoints <= 2^13, plus
-(N + sum |w_k|) * eps * sum |t_n| for rounding, where the w_k are the
-weights of the fit (S = sum w_k S_{N_k}). All claimed tail bounds
-satisfy tail_bound <= tol * max(1, |value|); otherwise the call raises.
+with a fit of order 3 and with a fit on the checkpoints <= T/2, plus
+(T + sum |w_k|) * eps * sum |t_n| for rounding, where the w_k are the
+weights of the fit (S = sum w_k S_{N_k}) and the t_n the T terms summed.
+The sum stops at the first top whose estimate meets the tolerance, after
+T terms. All claimed tail bounds satisfy
+tail_bound <= tol * max(1, |value|); otherwise the call raises.
 """
 
 from __future__ import annotations
@@ -73,10 +77,13 @@ _UNIT_BAND = 1e-12           # |r*x| within this of 1 counts as unit argument
 _RATIO_TRUST = 0.99          # empirical ratio below this is always trusted
 _RATIO_HARD_CAP = 0.99995    # never trust a geometric bound beyond this
 
-# unit circle: partial sums at N = 2^(14 - k/4), k = 24, ..., 0 (256 to 16384)
-_LADDER_TOP = 2 ** 14
-_LADDER = tuple(round(2.0 ** (14 - k / 4.0)) for k in range(24, -1, -1))
-_SHORT = 21                  # the marks <= 2^13, for the second fit
+# unit circle: partial sums at N = round(2^(j/4)), j = 24, ..., 56 (64 to
+# 16384); the sum stops at the first top whose fit on the _MARKS marks
+# ending there certifies
+_GRID = tuple(round(2.0 ** (j / 4.0)) for j in range(24, 57))
+_TOPS = (2 ** 12, 2 ** 13, 2 ** 14)
+_MARKS = 25                  # marks per fit: top / 64 to top
+_SHORT = 21                  # the marks <= top / 2, for the second fit
 _MODEL_ORDER = 4             # J: powers N^-j, j < J, in the tail model
 _WIDEN = 2.0                 # safety factor on the fits' disagreement
 _SINGULAR = 1e-13            # QR pivot below which a model column is dropped
@@ -453,24 +460,28 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     consecutive terms fall below tol*|S| and the geometric tail bound
     built from recent term ratios also meets the tolerance.
 
-    On the unit circle (|r*x| = 1) accel=True is required, and the sum is
-    extrapolated from a fixed ladder: exactly _LADDER_TOP = 2^14 terms,
-    partial sums at the 25 _LADDER checkpoints, and the limit of the tail
-    model fitted to them (see _limit_weights; model order _MODEL_ORDER =
-    4). The exponent s is sigma + 1 at r*x = 1 and sigma elsewhere on the
-    circle, where sigma is the spec's complex exponent plus the weight's
-    shift; the log power is the weight's (WeightKind.asymptotics). The
-    same sigma drives the pre-check and the direct rule's drift clause.
-    The returned tail_bound is
+    On the unit circle (|r*x| = 1) accel=True is required. A sum with a
+    numerator shift at a non-positive integer terminates and takes the
+    direct rule. Any other sum is extrapolated from a ladder: partial sums
+    at the _GRID checkpoints, and at each top T in _TOPS = (2^12, 2^13,
+    2^14) the limit of the tail model fitted to the 25 checkpoints ending
+    at T (see _limit_weights; model order _MODEL_ORDER = 4). The exponent
+    s is sigma + 1 at r*x = 1 and sigma elsewhere on the circle, where
+    sigma is the spec's complex exponent plus the weight's shift; the log
+    power is the weight's (WeightKind.asymptotics). The same sigma drives
+    the pre-check and the direct rule's drift clause. The error estimate
+    at top T is
 
-        2 * max(|fit - fit of order 3|, |fit - fit on the marks <= 2^13|)
-          + (2^14 + sum |w_k|) * eps * sum |t_n|,
+        2 * max(|fit - fit of order 3|, |fit - fit on the marks <= T/2|)
+          + (T + sum |w_k|) * eps * sum |t_n|,
 
-    the second part covering rounding in the partial sums as amplified
-    by the fit weights w_k. A budget below 2^14 terms, divergent or
-    non-decaying terms, or a bound above tol * max(1, |S|) raise
-    NonConvergentError; a tail model that cannot be formed on the ladder
-    raises AccelerationBreakdown.
+    the second part covering rounding in the partial sums of the T terms
+    t_n summed so far, as amplified by the fit weights w_k. The first top
+    whose estimate meets tol * max(1, |S|) returns its fit with
+    terms_used = T and the estimate as tail_bound. A budget below 2^14
+    terms, divergent or non-decaying terms, or an estimate above the
+    tolerance even at 2^14 raise NonConvergentError; a tail model that
+    cannot be formed on the ladder raises AccelerationBreakdown.
     """
     x = complex(x)
     rx = spec.geometric_ratio * x
@@ -498,18 +509,20 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         if not accel:
             raise NonConvergentError(
                 "unit-argument series needs accel=True (terms decay only algebraically)")
-        # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
-        # circle the terms need sigma < 0; factorial decay needs neither
-        limit = -1.0 if abs(rx - 1.0) <= 1e-9 else 0.0
-        if excess >= 0 and sigma.real >= limit:
-            raise NonConvergentError(
-                f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
-                f"(r*x = {rx:.6g}); sum diverges")
-        if max_terms < _LADDER_TOP:
-            raise NonConvergentError(
-                f"unit-argument series sums {_LADDER_TOP} terms; "
-                f"budget {max_terms} is too small")
-        return _eval_unit(spec, weight, rx, tol, sigma, logs)
+        # a terminating sum is finite: the direct rule below sums it exactly
+        if all(_pole_index(a) is None for a in nums):
+            # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
+            # circle the terms need sigma < 0; factorial decay needs neither
+            limit = -1.0 if abs(rx - 1.0) <= 1e-9 else 0.0
+            if excess >= 0 and sigma.real >= limit:
+                raise NonConvergentError(
+                    f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
+                    f"(r*x = {rx:.6g}); sum diverges")
+            if max_terms < _TOPS[-1]:
+                raise NonConvergentError(
+                    f"unit-argument series sums up to {_TOPS[-1]} terms; "
+                    f"budget {max_terms} is too small")
+            return _eval_unit(spec, weight, rx, tol, sigma, logs)
 
     n0 = spec.start_index
     step = weight.steps(n0).__next__
@@ -598,7 +611,8 @@ def _dot(weights, sums) -> complex:
 
 def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
                tol: float, sigma: complex, logs: int) -> SeriesResult:
-    """The unit-circle rule of eval_weighted: fixed ladder, fitted limit.
+    """The unit-circle rule of eval_weighted: a ladder of partial sums,
+    cut at the first top whose fitted limit certifies.
 
     The fit amplifies noise in the partial sums, so the term recurrence
     here is compensated: each numerator shift a is paired with a
@@ -618,11 +632,18 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
     tc = 0j
     r = rx
 
+    s = sigma
+    theta = 0.0
+    if abs(rx - 1.0) <= 1e-9:
+        s += 1.0
+    else:
+        theta = cmath.phase(rx)
+
     S = comp = 0j
     abs_sum = 0.0
     sums = []
     done = 0
-    for mark in _LADDER:
+    for mark in _GRID:
         for _ in range(mark - done):
             term = t * step()
             y = term - comp
@@ -650,28 +671,25 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
             n += 1
         sums.append(S)
         done = mark
-
-    s = sigma
-    theta = 0.0
-    if abs(rx - 1.0) <= 1e-9:
-        s += 1.0
-    else:
-        theta = cmath.phase(rx)
-    weights = _limit_weights(_LADDER, s, theta, logs, _MODEL_ORDER)
-    best = _dot(weights, sums)
-    lower = _dot(_limit_weights(_LADDER, s, theta, logs, _MODEL_ORDER - 1),
-                 sums)
-    short = _dot(_limit_weights(_LADDER[:_SHORT], s, theta, logs,
-                                _MODEL_ORDER), sums[:_SHORT])
-    gain = math.fsum(map(abs, weights))
-    tail = (_WIDEN * max(abs(best - lower), abs(best - short))
-            + (_LADDER_TOP + gain) * _EPS * abs_sum)
-    if not tail <= tol * max(1.0, abs(best)):
-        raise NonConvergentError(
-            f"extrapolated error estimate {tail:.3g} exceeds tolerance {tol:g} "
-            f"after {_LADDER_TOP} terms (|r*x| = {abs(rx):.6g}, "
-            f"exponent {s:.3g}, log power {logs})")
-    return SeriesResult(best, _LADDER_TOP, tail, True, "extrapolated")
+        if mark not in _TOPS:
+            continue
+        marks = _GRID[len(sums) - _MARKS:len(sums)]
+        window = sums[-_MARKS:]
+        weights = _limit_weights(marks, s, theta, logs, _MODEL_ORDER)
+        best = _dot(weights, window)
+        lower = _dot(_limit_weights(marks, s, theta, logs, _MODEL_ORDER - 1),
+                     window)
+        short = _dot(_limit_weights(marks[:_SHORT], s, theta, logs,
+                                    _MODEL_ORDER), window[:_SHORT])
+        gain = math.fsum(map(abs, weights))
+        tail = (_WIDEN * max(abs(best - lower), abs(best - short))
+                + (mark + gain) * _EPS * abs_sum)
+        if tail <= tol * max(1.0, abs(best)):
+            return SeriesResult(best, mark, tail, True, "extrapolated")
+    raise NonConvergentError(
+        f"extrapolated error estimate {tail:.3g} exceeds tolerance {tol:g} "
+        f"after {done} terms (|r*x| = {abs(rx):.6g}, "
+        f"exponent {s:.3g}, log power {logs})")
 
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,

@@ -39,3 +39,19 @@ def test_tracer_wraps_every_layer_and_unwinds():
     paths = {s.attrs["path"] for s in tracer.spans if s.layer == "series"}
     assert paths == {"direct", "accel"}
     assert hyperharmonic.catalog.eval_weighted is original
+
+
+def test_accel_span_records_a_ladder_top():
+    # the benchmark's series.accel.* metrics read each span's terms
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(hyperharmonic)
+    try:
+        point = REGISTRY["THM-A1"].sample_points[0]
+        assert hyperharmonic.verify("THM-A1", points=[point]).passed
+    finally:
+        tracer.uninstall()
+    accel = [s.attrs for s in tracer.spans
+             if s.layer == "series" and s.attrs["path"] == "accel"]
+    assert accel and not any(a["raised"] for a in accel)
+    assert {a["terms"] for a in accel} <= {4096, 8192, 16384}

@@ -7,11 +7,11 @@ import math
 import mpmath
 import pytest
 
-from hyperharmonic import (DEFAULT_SEED, DomainError, Identity, REGISTRY,
-                           UnknownIdentityError, build_registry, eval_lhs,
-                           eval_rhs, eval_weighted, finite_sum_instance,
-                           get_identity, ode_residual, verify,
-                           with_perturbed_rhs)
+from hyperharmonic import (DEFAULT_SEED, DomainError, Identity,
+                           NonConvergentError, REGISTRY, UnknownIdentityError,
+                           build_registry, eval_lhs, eval_rhs, eval_weighted,
+                           finite_sum_instance, get_identity, harmonic,
+                           ode_residual, verify, with_perturbed_rhs)
 from hyperharmonic import catalog
 
 # frozen at 40 digits: twice the weighted half-argument series of the
@@ -138,6 +138,17 @@ class TestVerifySemantics:
         with pytest.raises(PoleError):
             eval_rhs("THM-C", a=0.5, b=0.15)
 
+    def test_evaluation_error_names_identity_point_and_side(self):
+        from hyperharmonic import PoleError
+        with pytest.raises(NonConvergentError, match=(
+                r"^THM-B at \{'a': 0\.25, 'x': 1\.0\}, lhs term 0: "
+                r"unit-argument series needs accel=True")):
+            verify("THM-B", points=[{"a": 0.25, "x": 0.5},
+                                    {"a": 0.25, "x": 1.0}])
+        with pytest.raises(PoleError, match=(
+                r"^THM-C at \{'a': 0\.5, 'b': 0\.15\}, rhs expression: ")):
+            verify("THM-C", points=[{"a": 0.5, "b": 0.15}])
+
     def test_mismatch_is_reported_not_raised(self):
         bad = with_perturbed_rhs("EX-1", 1e-6)
         report = verify(bad)
@@ -197,6 +208,17 @@ class TestStructuralChecks:
         assert inst["vanishing_term"] == 0.0
         assert inst["identity_holds"]
 
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_terminating_companion_is_summed_directly(self, b):
+        # THM-E's H_{2n} series at integer b has b-1 nonzero terms at
+        # argument 1: the direct rule sums them, not the unit-circle ladder
+        ident = REGISTRY["THM-E"]
+        spec, weight, x = ident.lhs[1].build({"b": float(b)})
+        res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0, accel=True)
+        want = sum(spec.term(n) * harmonic(2 * n) for n in range(1, b))
+        assert res.method == "direct" and res.terms_used < 10
+        assert abs(res.value - want) <= 1e-15
+
     def test_finite_sum_bad_args(self):
         with pytest.raises(DomainError):
             finite_sum_instance("THM-E", 1)
@@ -255,20 +277,47 @@ class TestUnitArgumentExtrapolation:
                 (ident_id, a, b)
             assert res.tail_bound <= ident.tol
 
+    @pytest.mark.parametrize("a, b", [(0.45, 0.25), (0.25, 0.3 + 0.1j)])
+    def test_tighter_tolerance_never_stops_at_a_lower_top(self, a, b):
+        # THM-A2's unit side from tol/4 to tol/40: the stop moves up the
+        # ladder tops (inf: not certified even at 2^14), and every fit it
+        # returns lies within its bound of 4 x the half-argument side
+        ident = REGISTRY["THM-A2"]
+        spec, weight, x = ident.rhs_series[0].build({"a": a, "b": b})
+        want = 4.0 * _half_side_mp(a, b, True)
+        stops = []
+        for div in (4.0, 8.0, 12.0, 16.0, 24.0, 40.0):
+            try:
+                res = eval_weighted(spec, weight, x, tol=ident.tol / div,
+                                    accel=True)
+            except NonConvergentError:
+                stops.append(math.inf)
+                continue
+            assert abs(res.value - want) <= res.tail_bound, (div, res)
+            stops.append(res.terms_used)
+        assert stops == sorted(stops)
+        assert set(stops) <= {4096, 8192, 16384, math.inf}
+        assert stops[0] == 4096 and 16384 in stops and stops[-1] == math.inf
+
     def test_registry_term_budget(self, monkeypatch):
         # term counts are deterministic: gate the whole registry at its
-        # default seed, and every unit-argument sum at the ladder top
+        # default seed; every extrapolated unit-argument sum stops at a
+        # ladder top, and terminating ones take a few direct terms
         unit_terms = []
 
         def spy(spec, weight, x, **kwargs):
             res = eval_weighted(spec, weight, x, **kwargs)
             if abs(abs(spec.geometric_ratio * complex(x)) - 1.0) <= 1e-12:
-                unit_terms.append(res.terms_used)
+                unit_terms.append((res.method, res.terms_used))
             return res
 
         monkeypatch.setattr(catalog, "eval_weighted", spy)
         total = sum(chk.terms_used for ident_id in REGISTRY
                     for chk in verify(ident_id).checks)
-        assert total <= 1_137_110
+        assert total <= 285_154
         assert len(unit_terms) == 69
-        assert set(unit_terms) == {16384}
+        for method, terms in unit_terms:
+            if method == "extrapolated":
+                assert terms in (4096, 8192, 16384)
+            else:
+                assert method == "direct" and terms <= 10

@@ -225,9 +225,13 @@ class TestEvalWeighted:
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
 
 
+LADDER_TOPS = (4096, 8192, 16384)
+
+
 class TestUnitLadder:
-    """The unit-circle rule: a fixed 2^14-term ladder and the fitted limit
-    of the known-exponent tail model."""
+    """The unit-circle rule: a ladder of partial sums cut at the first top
+    (2^12, 2^13 or 2^14) where the fitted limit of the known-exponent tail
+    model certifies."""
 
     def test_slowest_unit_weight_case_against_mpmath(self):
         # 2F1(a, b; a+b+1/2; 1): terms ~ n^-3/2, so the tail model's
@@ -238,13 +242,26 @@ class TestUnitLadder:
             res = eval_weighted(spec, Unit(), 1.0, tol=1e-10, accel=True)
             want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
             assert res.converged and res.method == "extrapolated"
-            assert res.terms_used == 16384
+            assert res.terms_used in LADDER_TOPS
             assert abs(res.value - want) <= res.tail_bound, (a, b)
             assert res.tail_bound <= 1e-10 * max(1.0, abs(res.value))
             assert hyp2f1(a, b, a + b + 0.5, 1.0, tol=1e-10,
                           accel=True) == res.value
 
-    def test_every_unit_sum_takes_the_whole_ladder(self):
+    @pytest.mark.parametrize("tol, top", [(1e-10, 8192), (1e-11, 16384)])
+    def test_later_tops_against_mpmath(self, tol, top):
+        # 2F1(a, b; a+b+1/2; 1) needs more than 2^12 terms at these
+        # tolerances; the fit at the later top still bounds its error
+        mpmath.mp.dps = 30
+        a, b = 0.1 - 0.25j, 0.35 + 0.05j
+        spec = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=tol, accel=True)
+        want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
+        assert res.terms_used == top
+        assert abs(res.value - want) <= res.tail_bound
+        assert res.tail_bound <= tol * max(1.0, abs(res.value))
+
+    def test_every_unit_sum_stops_at_a_ladder_top(self):
         cases = [
             (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0), Unit(), -1.0),
             (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0), Unit(), 1.0),
@@ -255,7 +272,7 @@ class TestUnitLadder:
         ]
         for spec, weight, x in cases:
             res = eval_weighted(spec, weight, x, tol=1e-8, accel=True)
-            assert res.terms_used == 16384
+            assert res.terms_used in LADDER_TOPS
             assert res.tail_bound <= 1e-8 * max(1.0, abs(res.value))
 
     def test_terminating_unit_sum_is_exact(self):
@@ -263,6 +280,15 @@ class TestUnitLadder:
         res = eval_weighted(spec, Unit(), 1.0, tol=1e-10, accel=True)
         want = sum(spec.term(n) for n in range(4))
         assert abs(res.value - want) <= 1e-14
+
+    def test_terminating_unit_sum_skips_the_exponent_check(self):
+        # sum (-3)_n (5)_n / ((1/2)_n n!) = -21: the spec's exponent 0.5
+        # would refuse the sum, but it stops after four terms
+        spec = PochhammerRatioSeries((-3.0, 5.0), (0.5,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, accel=True)
+        assert res.value == -21.0
+        assert res.method == "direct" and res.tail_bound == 0.0
+        assert res.terms_used <= 10
 
     def test_fast_decaying_tail_drops_dependent_columns(self):
         # s = -5 at log power 2: some model columns are numerically
