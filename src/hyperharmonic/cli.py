@@ -14,10 +14,10 @@ mismatched, 3 evaluation failure (divergence, pole, domain violation),
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import os
 import sys
-from datetime import datetime, timezone
 
 from .catalog import (DEFAULT_SEED, Identity, VerifyReport, build_registry,
                       verify, with_perturbed_rhs)
@@ -132,6 +132,32 @@ def _report_payload(report: VerifyReport, ident: Identity) -> dict:
 # argument plumbing
 
 
+def _finite(text: str, parse=float):
+    """text parsed as a finite float (or complex), or None."""
+    try:
+        value = parse(text)
+    except ValueError:
+        return None
+    return value if cmath.isfinite(value) else None
+
+
+def _finite_arg(text: str) -> float:
+    """argparse type of --from and --to."""
+    value = _finite(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tol_arg(text: str) -> float:
+    """argparse type of --tol."""
+    value = _finite(text)
+    if value is None or value <= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _resolve_seed(args) -> int:
     env = os.environ.get("HYPERHARMONIC_SEED")
     if env is not None and env != "":
@@ -149,10 +175,10 @@ def _parse_perturb(specs) -> dict:
         ident_id, sep, eps_text = spec.partition("=")
         if not sep or not ident_id:
             raise _UsageError(f"--perturb expects ID=EPS, got {spec!r}")
-        try:
-            out[ident_id] = float(eps_text)
-        except ValueError:
-            raise _UsageError(f"--perturb epsilon must be a number, got {eps_text!r}")
+        out[ident_id] = _finite(eps_text)
+        if out[ident_id] is None:
+            raise _UsageError(
+                f"--perturb epsilon must be a finite number, got {eps_text!r}")
     return out
 
 
@@ -174,10 +200,9 @@ def _parse_fixed(specs) -> dict:
         name, sep, text = spec.partition("=")
         if not sep or not name:
             raise _UsageError(f"--fixed expects NAME=VALUE, got {spec!r}")
-        try:
-            val = complex(text)
-        except ValueError:
-            raise _UsageError(f"--fixed value must be a number, got {text!r}")
+        val = _finite(text, complex)
+        if val is None:
+            raise _UsageError(f"--fixed value must be a finite number, got {text!r}")
         out[name] = val.real if val.imag == 0.0 else val
     return out
 
@@ -247,6 +272,7 @@ def _cmd_verify(args) -> int:
     print(f"{total} checked: {n_pass} passed, {n_fail} failed, {n_error} errors")
 
     if args.json is not None:
+        from datetime import datetime, timezone  # only a report reads the clock
         payload = {
             "run": {
                 "command": "verify",
@@ -364,7 +390,7 @@ def _build_parser() -> _Parser:
                           help="identity ids to check")
     p_verify.add_argument("--all", action="store_true",
                           help="check the whole registry")
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_tol_arg, default=None,
                           help="override comparison tolerance for all ids")
     p_verify.add_argument("--perturb", action="append", metavar="ID=EPS",
                           help="scale the closed form of ID by (1+EPS); "
@@ -378,15 +404,15 @@ def _build_parser() -> _Parser:
                              help="walk one parameter across a linear grid")
     p_sweep.add_argument("--id", required=True, help="identity id")
     p_sweep.add_argument("--param", required=True, help="parameter to sweep")
-    p_sweep.add_argument("--from", dest="start", type=float, required=True,
+    p_sweep.add_argument("--from", dest="start", type=_finite_arg, required=True,
                          help="grid start")
-    p_sweep.add_argument("--to", dest="stop", type=float, required=True,
+    p_sweep.add_argument("--to", dest="stop", type=_finite_arg, required=True,
                          help="grid end")
     p_sweep.add_argument("--steps", type=int, required=True,
                          help="number of grid points (>= 2)")
     p_sweep.add_argument("--fixed", action="append", metavar="NAME=VALUE",
                          help="pin another parameter (repeatable)")
-    p_sweep.add_argument("--tol", type=float, default=None,
+    p_sweep.add_argument("--tol", type=_tol_arg, default=None,
                          help="override the identity's tolerance")
     p_sweep.add_argument("--csv", metavar="FILE",
                          help="write rows as CSV to FILE ('-' = stdout)")

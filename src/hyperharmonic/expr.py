@@ -3,15 +3,16 @@
 Nodes evaluate to complex numbers in a parameter environment (a plain
 dict). Arithmetic operators are overloaded so registry entries read like
 the formulas they encode; `C` and `P` are shorthand constructors for
-constants and parameters.
+constants and parameters. Nodes are immutable Frozen value classes whose
+fields are their __slots__.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import DomainError, PoleError
 from .series import PochhammerRatioSeries, Unit, eval_weighted
 from .specialfn import digamma as _digamma
@@ -30,11 +31,11 @@ def _wrap(v) -> "Expr":
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, float, complex)):
-        return Const(complex(v))
+        return Const(v)
     raise TypeError(f"cannot use {v!r} in an expression")
 
 
-class Expr:
+class Expr(Frozen):
     __slots__ = ()
 
     def eval(self, env: dict) -> complex:
@@ -71,20 +72,18 @@ class Expr:
         return Neg(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: complex
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    def __init__(self, value):
+        object.__setattr__(self, "value", complex(value))
 
     def eval(self, env):
         return self.value
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
+    __slots__ = ("name",)
 
     def eval(self, env):
         try:
@@ -93,37 +92,29 @@ class Param(Expr):
             raise DomainError(f"missing parameter {self.name!r}") from None
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def eval(self, env):
         return self.left.eval(env) + self.right.eval(env)
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def eval(self, env):
         return self.left.eval(env) - self.right.eval(env)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def eval(self, env):
         return self.left.eval(env) * self.right.eval(env)
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def eval(self, env):
         num = self.left.eval(env)
@@ -133,18 +124,15 @@ class Div(Expr):
         return num / den
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return -self.arg.eval(env)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
 
     def eval(self, env):
         try:
@@ -153,17 +141,15 @@ class Pow(Expr):
             raise PoleError("zero base raised to a negative power") from None
 
 
-@dataclass(frozen=True)
 class Sqrt(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return cmath.sqrt(self.arg.eval(env))
 
 
-@dataclass(frozen=True)
 class Log(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         v = self.arg.eval(env)
@@ -172,74 +158,62 @@ class Log(Expr):
         return cmath.log(v)
 
 
-@dataclass(frozen=True)
 class Sin(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return cmath.sin(self.arg.eval(env))
 
 
-@dataclass(frozen=True)
 class Cos(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return cmath.cos(self.arg.eval(env))
 
 
-@dataclass(frozen=True)
 class Gamma(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return cmath.exp(_ln_gamma(self.arg.eval(env)))
 
 
-@dataclass(frozen=True)
 class LnGamma(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return _ln_gamma(self.arg.eval(env))
 
 
-@dataclass(frozen=True)
 class Digamma(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return _digamma(self.arg.eval(env))
 
 
-@dataclass(frozen=True)
 class GammaRatio(Expr):
     """prod Gamma(numerators) / prod Gamma(denominators), pole-paired."""
 
-    numerators: tuple
-    denominators: tuple
+    __slots__ = ("numerators", "denominators")
 
     def eval(self, env):
         return _gamma_ratio([e.eval(env) for e in self.numerators],
                             [e.eval(env) for e in self.denominators])
 
 
-@dataclass(frozen=True)
 class EllipticK(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def eval(self, env):
         return complex(_elliptic_K(self.arg.eval(env)))
 
 
-@dataclass(frozen=True)
 class Hyp2F1(Expr):
     """Gauss 2F1 evaluated by direct summation; keep |x| away from 1."""
 
-    a: Expr
-    b: Expr
-    c: Expr
-    x: Expr
+    __slots__ = ("a", "b", "c", "x")
 
     def eval(self, env):
         spec = PochhammerRatioSeries(

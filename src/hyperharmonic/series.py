@@ -47,6 +47,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import (
     AccelerationBreakdown,
     DomainError,
@@ -163,7 +164,8 @@ class SeriesResult:
 
 class WeightKind:
     """Base class for weight families; each subclass is the one definition
-    of its family.
+    of its family. The families below are also Frozen value classes whose
+    fields are their __slots__; other subclasses need not be.
 
     value(n) recomputes w_n from scratch, the reference that tests compare
     the walk against. steps(n0) yields w_n0, w_n0+1, ... incrementally;
@@ -184,9 +186,10 @@ class WeightKind:
         return 0, 0
 
 
-@dataclass(frozen=True)
-class Unit(WeightKind):
+class Unit(Frozen, WeightKind):
     """w_n = 1."""
+
+    __slots__ = ()
 
     def value(self, n):
         return 1.0
@@ -195,18 +198,19 @@ class Unit(WeightKind):
         return itertools.repeat(1.0)
 
 
-@dataclass(frozen=True)
-class Harmonic(WeightKind):
+class Harmonic(Frozen, WeightKind):
     """w_n = H_{stride*n + offset}, stride in {1,2,3}, offset in {-1,0}."""
 
-    stride: int = 1
-    offset: int = 0
+    __slots__ = ("stride", "offset")
 
-    def __post_init__(self):
-        if self.stride not in (1, 2, 3):
-            raise DomainError(f"harmonic stride must be 1, 2 or 3, got {self.stride!r}")
-        if self.offset not in (-1, 0):
-            raise DomainError(f"harmonic offset must be -1 or 0, got {self.offset!r}")
+    def __init__(self, stride=1, offset=0):
+        if stride not in (1, 2, 3):
+            raise DomainError(f"harmonic stride must be 1, 2 or 3, got {stride!r}")
+        if offset not in (-1, 0):
+            raise DomainError(f"harmonic offset must be -1 or 0, got {offset!r}")
+        # an equal float (2.0) is stored as the int that indexing needs
+        object.__setattr__(self, "stride", int(stride.real))
+        object.__setattr__(self, "offset", int(offset.real))
 
     def value(self, n):
         return harmonic(self.stride * n + self.offset)
@@ -229,9 +233,10 @@ class Harmonic(WeightKind):
         return 0, 1
 
 
-@dataclass(frozen=True)
-class HarmonicSqPlusGen2(WeightKind):
+class HarmonicSqPlusGen2(Frozen, WeightKind):
     """w_n = H_n**2 + H_n^(2)."""
+
+    __slots__ = ()
 
     def value(self, n):
         h = harmonic(n)
@@ -256,11 +261,13 @@ class HarmonicSqPlusGen2(WeightKind):
         return 0, 2
 
 
-@dataclass(frozen=True)
-class ReciprocalShift(WeightKind):
+class ReciprocalShift(Frozen, WeightKind):
     """w_n = inner_n / (n + 1)."""
 
-    inner: WeightKind = Unit()
+    __slots__ = ("inner",)
+
+    def __init__(self, inner=Unit()):
+        object.__setattr__(self, "inner", inner)
 
     def value(self, n):
         return self.inner.value(n) / (n + 1.0)
@@ -274,20 +281,18 @@ class ReciprocalShift(WeightKind):
         return shift - 1, logs
 
 
-@dataclass(frozen=True)
-class DigammaDiffSum(WeightKind):
+class DigammaDiffSum(Frozen, WeightKind):
     """w_n = sum_{k=0}^{n-1} (2/(2b+k) - 1/(a+b+1/2+k)).
 
     Telescopes to psi differences; the parameters must keep every shifted
     argument away from non-positive integers.
     """
 
-    a: complex
-    b: complex
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", complex(a))
+        object.__setattr__(self, "b", complex(b))
 
     def value(self, n):
         b2, ab = 2.0 * self.b, self.a + self.b + 0.5
@@ -311,15 +316,14 @@ class DigammaDiffSum(WeightKind):
         return 0, 1
 
 
-@dataclass(frozen=True)
-class LinearCombo(WeightKind):
+class LinearCombo(Frozen, WeightKind):
     """w_n = sum_i coeff_i * inner_i(n)."""
 
-    parts: tuple  # of (coeff, WeightKind)
+    __slots__ = ("parts",)  # of (coeff, WeightKind)
 
-    def __post_init__(self):
+    def __init__(self, parts):
         norm = []
-        for coeff, kind in self.parts:
+        for coeff, kind in parts:
             if not isinstance(kind, WeightKind):
                 raise DomainError(f"LinearCombo parts need WeightKind entries, got {kind!r}")
             norm.append((complex(coeff), kind))
@@ -453,8 +457,9 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                   accel: bool = False) -> SeriesResult:
     """Sum w_n * u_n(x) for n >= spec.start_index.
 
-    Terms that grow factorially raise NonConvergentError before any is
-    summed (see the module docstring for the pre-checks).
+    A non-finite r*x raises DomainError, and terms that grow factorially
+    raise NonConvergentError, before any term is summed (see the module
+    docstring for the pre-checks).
 
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
@@ -485,6 +490,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     """
     x = complex(x)
     rx = spec.geometric_ratio * x
+    if not cmath.isfinite(rx):
+        raise DomainError(f"r*x = {rx:.6g} is not finite")
     mag = abs(rx)
     if tol is None:
         tol = _tol_default(mag)

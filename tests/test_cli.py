@@ -110,6 +110,16 @@ class TestVerify:
             ("verify", "--ids", "EX-1", "--perturb", "EX-1=abc"),  # bad eps
             ("verify", "--ids", "EX-1", "--perturb", "NOPE=1e-6"),
             ("frobnicate",),                               # unknown command
+            # numbers that cannot be valid: an infinite perturbation wrote
+            # inf and nan into the JSON report, a nan tolerance failed
+            # every check
+            ("verify", "--ids", "EX-1", "--perturb", "EX-1=inf",
+             "--json", "-"),
+            ("verify", "--ids", "EX-1", "--perturb", "EX-1=nan"),
+            ("verify", "--ids", "EX-1", "--tol", "nan"),
+            ("verify", "--ids", "EX-1", "--tol", "inf"),
+            ("verify", "--ids", "EX-1", "--tol", "0"),
+            ("verify", "--ids", "EX-1", "--tol", "-1e-9"),
         ]
         for argv in cases:
             rc, _, err = run_cli(capsys, *argv)
@@ -242,6 +252,21 @@ class TestSweep:
             ("sweep", "--id", "COR-A1", "--param", "a",
              "--from", "0.2", "--to", "0.4", "--steps", "3",
              "--fixed", "a"),
+            # non-finite grid ends and pins, and invalid tolerances
+            ("sweep", "--id", "GF-K1", "--param", "k",
+             "--from", "nan", "--to", "0.5", "--steps", "3"),
+            ("sweep", "--id", "GF-K1", "--param", "k",
+             "--from", "0.1", "--to", "inf", "--steps", "3"),
+            ("sweep", "--id", "THM-B", "--param", "x",
+             "--from", "0.1", "--to", "0.5", "--steps", "3",
+             "--fixed", "a=nan"),
+            ("sweep", "--id", "THM-B", "--param", "x",
+             "--from", "0.1", "--to", "0.5", "--steps", "3",
+             "--fixed", "a=0.5+infj"),
+            ("sweep", "--id", "GF-K1", "--param", "k",
+             "--from", "0.1", "--to", "0.5", "--steps", "3", "--tol", "nan"),
+            ("sweep", "--id", "GF-K1", "--param", "k",
+             "--from", "0.1", "--to", "0.5", "--steps", "3", "--tol", "0"),
         ]
         for argv in cases:
             rc, _, err = run_cli(capsys, *argv)

@@ -72,6 +72,19 @@ class TestWeights:
         with pytest.raises(DomainError):
             LinearCombo(((2.0, "H"),))
 
+    def test_harmonic_float_stride_is_stored_as_int(self):
+        # 2.0 is a valid stride; it used to be stored as given, and the
+        # walk died with a TypeError from range(2.0)
+        w = Harmonic(stride=2.0, offset=-1.0)
+        assert w == Harmonic(stride=2, offset=-1)
+        assert type(w.stride) is int and type(w.offset) is int
+        spec = PochhammerRatioSeries((0.5, 0.5), (), 2, 0.5, 1)
+        got = eval_weighted(spec, w, 1.0, tol=1e-12)
+        want = eval_weighted(spec, Harmonic(stride=2, offset=-1), 1.0, tol=1e-12)
+        assert got == want
+        with pytest.raises(DomainError):
+            Harmonic(stride=2.5)
+
     def test_weight_value_reference(self):
         assert Unit().value(17) == 1.0
         assert Harmonic().value(6) == pytest.approx(49.0 / 20.0, abs=1e-14)
@@ -183,6 +196,27 @@ class TestEvalWeighted:
         weight = Counted()
         with pytest.raises(NonConvergentError, match="grow factorially"):
             eval_weighted(spec, weight, 0.5)
+        assert weight.advanced == 0
+
+    @pytest.mark.parametrize("ratio, x", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, complex(0.0, -math.inf)),
+        (1e200, 1e200), (0.0, math.inf)])
+    def test_non_finite_argument_raises_before_summing(self, ratio, x):
+        # r*x = nan used to walk 200,000 terms and then raise
+        # NonConvergentError; r*x = inf raised "exceeds 1"
+        class Counted(WeightKind):
+            def __init__(self):
+                self.advanced = 0
+
+            def steps(self, n0):
+                while True:
+                    self.advanced += 1
+                    yield 1.0
+
+        spec = PochhammerRatioSeries((0.5, 0.5), (), 2, ratio, 0)
+        weight = Counted()
+        with pytest.raises(DomainError, match="not finite"):
+            eval_weighted(spec, weight, x)
         assert weight.advanced == 0
 
     @pytest.mark.parametrize("p, want", [(1, 37.0 / 64.0), (0, -1.0 / 32.0)])
