@@ -8,9 +8,8 @@ exceptions; genuine evaluation trouble (divergence, domain violations)
 still raises, naming the identity, the point and the side.
 
 Comparison rule: relative error when |rhs| >= 1, absolute error below
-that, always against the named tolerance. Series are evaluated tighter
-than the comparison (eval_tol, default tol/4) so both sides contribute
-headroom.
+that, always against the named tolerance. Every series is evaluated at
+a quarter of that tolerance so both sides contribute headroom.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ class Identity:
     rhs: Expr
     rhs_series: tuple[SeriesTerm, ...] = ()
     tol: float = 1e-9
-    eval_tol: float | None = None
-    accel: bool = False
+    accel: bool = False  # data only: marks identities with unit-argument sides
 
 
 @dataclass(frozen=True)
@@ -108,11 +106,10 @@ def _sum_terms(ident: Identity, terms, env: dict, side: str):
     total = 0j
     used = 0
     methods = set()
-    tol = ident.eval_tol if ident.eval_tol is not None else ident.tol / 4.0
     for k, term in enumerate(terms):
         try:
             spec, weight, x = term.build(env)
-            res = eval_weighted(spec, weight, x, tol=tol, accel=ident.accel)
+            res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0)
             total += term.coefficient.eval(env) * res.value
         except HyperharmonicError as exc:
             raise _located(exc, ident, env, f"{side} term {k}") from exc
@@ -272,7 +269,7 @@ def finite_sum_instance(identity_id: str, b: int) -> dict:
     # term at n = b must vanish identically
     vanish = spec2.term(b)
     spec1 = PochhammerRatioSeries((0.5, float(b)), (2.0 * b,), 1, 1.0, 1)
-    s1 = eval_weighted(spec1, Harmonic(), 1.0, tol=2.5e-7, accel=True)
+    s1 = eval_weighted(spec1, Harmonic(), 1.0, tol=2.5e-7)
     closed = gamma_ratio([b + 0.5, 2.0 * b - 1.0], [b, 2.0 * b - 0.5]) * _LN2
     lhs = 0.25 * s1.value - companion
     residual = abs(lhs - closed)
@@ -775,7 +772,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
                        (a + 0.5, b + 0.5, c - a, c - b))
             + _eps * GammaRatio((C(0.5), c, a + b + 0.5, c - a - b),
                                 (a, b, c - a + 0.5, c - b + 0.5)),
-        tol=1e-6, eval_tol=2.5e-8, accel=True))
+        tol=1e-6, accel=True))
 
     out = {ident.id: ident for ident in ids}
     if len(out) != len(ids):

@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 all requested checks passed, 2 at least one comparison
 mismatched, 3 evaluation failure (divergence, pole, domain violation),
-64 usage error. The HYPERHARMONIC_SEED environment variable overrides
---seed when set.
+64 usage error, 141 stdout closed by its reader (as under `| head`; the
+rest of the output is dropped quietly). The HYPERHARMONIC_SEED
+environment variable overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .catalog import (DEFAULT_SEED, Identity, VerifyReport, build_registry,
 from .errors import HyperharmonicError, UnknownIdentityError
 
 USAGE_ERROR = 64
+BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for `| head`
 
 
 class _UsageError(Exception):
@@ -322,20 +324,12 @@ def _cmd_sweep(args) -> int:
             f"sweep leaves parameters unpinned: {', '.join(missing)} "
             "(use --fixed NAME=VALUE)")
 
-    from .catalog import _check_point  # shared comparison semantics
-
     lo, hi, steps = args.start, args.stop, args.steps
-    rows = []
-    n_fail = 0
-    for j in range(steps):
-        val = lo + (hi - lo) * j / (steps - 1)
-        env = dict(fixed)
-        env[args.param] = val
-        chk = _check_point(ident, env, args.tol if args.tol is not None
-                           else ident.tol)
-        rows.append((val, chk))
-        if not chk.passed:
-            n_fail += 1
+    grid = [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
+    report = verify(ident, points=[{**fixed, args.param: val} for val in grid],
+                    tol=args.tol)
+    rows = list(zip(grid, report.checks))
+    n_fail = len(report.failures)
 
     if args.csv is not None:
         handle = sys.stdout if args.csv == "-" else open(args.csv, "w",
@@ -423,11 +417,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_sweep(args)
+        run = {"list": _cmd_list, "verify": _cmd_verify, "sweep": _cmd_sweep}
+        code = run[args.command](args)
+        sys.stdout.flush()  # a reader that is gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so that the
+        # flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

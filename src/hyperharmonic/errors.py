@@ -18,7 +18,8 @@ class NonConvergentError(HyperharmonicError, ArithmeticError):
 
 
 class AccelerationBreakdown(HyperharmonicError, ArithmeticError):
-    """The extrapolation table produced a degenerate or non-finite entry."""
+    """The unit-circle tail model cannot be formed on the ladder (it
+    overflows or is singular there)."""
 
 
 class UnknownIdentityError(HyperharmonicError, KeyError):

@@ -19,12 +19,13 @@ shift has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere, unless there are
 more denominator than numerator shifts, so the terms decay factorially,
 or a numerator shift is a non-positive integer, so the sum terminates.
 
-Inside the unit circle, and for terminating sums on it, the engine sums
-directly with a geometric tail bound. On the circle (|r*x| = 1) the
-terms of other sums decay only algebraically, like n^sigma (log n)^L.
-There the engine keeps the partial sums at the checkpoints
-N = round(2^(j/4)), j = 24..56, and at each top T = 2^12, 2^13, 2^14
-fits the 25 checkpoints T/64..T by least squares to the tail model
+The argument alone picks the rule. Inside the unit circle, and for
+terminating sums on it, the engine sums directly with a geometric tail
+bound. On the circle (|r*x| = 1) the terms of other sums decay only
+algebraically, like n^sigma (log n)^L. There the engine keeps the
+partial sums at the checkpoints N = round(2^(j/4)), j = 24..56, and at
+each top T = 2^12, 2^13, 2^14 fits the 25 checkpoints T/64..T by least
+squares to the tail model
 
     S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
 
@@ -72,8 +73,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TERMS = 200000
-DEFAULT_TOL_INSIDE = 1e-10   # |r*x| <= 0.96
-DEFAULT_TOL_UNIT = 1e-6      # on / near the unit circle
+DEFAULT_TOL_INSIDE = 1e-10   # default tol inside the unit circle
+DEFAULT_TOL_UNIT = 1e-6      # default tol on the unit circle
 _UNIT_BAND = 1e-12           # |r*x| within this of 1 counts as unit argument
 _RATIO_TRUST = 0.99          # empirical ratio below this is always trusted
 _RATIO_HARD_CAP = 0.99995    # never trust a geometric bound beyond this
@@ -448,29 +449,27 @@ def _first_term(spec: PochhammerRatioSeries, rx: complex) -> complex:
     return t
 
 
-def _tol_default(mag: float) -> float:
-    return DEFAULT_TOL_INSIDE if mag <= 0.96 else DEFAULT_TOL_UNIT
-
-
 def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
-                  *, tol: float | None = None, max_terms: int | None = None,
-                  accel: bool = False) -> SeriesResult:
+                  *, tol: float | None = None,
+                  max_terms: int | None = None) -> SeriesResult:
     """Sum w_n * u_n(x) for n >= spec.start_index.
 
-    A non-finite r*x raises DomainError, and terms that grow factorially
-    raise NonConvergentError, before any term is summed (see the module
-    docstring for the pre-checks).
+    The argument picks the rule and the default tol: DEFAULT_TOL_UNIT on
+    the unit circle, DEFAULT_TOL_INSIDE elsewhere. A non-finite r*x raises
+    DomainError, and factorially growing terms or a divergent sum on the
+    circle raise NonConvergentError, before any term is summed (see the
+    module docstring for the pre-checks).
 
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
     built from recent term ratios also meets the tolerance.
 
-    On the unit circle (|r*x| = 1) accel=True is required. A sum with a
-    numerator shift at a non-positive integer terminates and takes the
-    direct rule. Any other sum is extrapolated from a ladder: partial sums
-    at the _GRID checkpoints, and at each top T in _TOPS = (2^12, 2^13,
-    2^14) the limit of the tail model fitted to the 25 checkpoints ending
-    at T (see _limit_weights; model order _MODEL_ORDER = 4). The exponent
+    On the unit circle (|r*x| = 1) a sum with a numerator shift at a
+    non-positive integer terminates and takes the direct rule. Any other
+    sum is extrapolated from a ladder: partial sums at the _GRID
+    checkpoints, and at each top T in _TOPS = (2^12, 2^13, 2^14) the limit
+    of the tail model fitted to the 25 checkpoints ending at T (see
+    _limit_weights; model order _MODEL_ORDER = 4). The exponent
     s is sigma + 1 at r*x = 1 and sigma elsewhere on the circle, where
     sigma is the spec's complex exponent plus the weight's shift; the log
     power is the weight's (WeightKind.asymptotics). The same sigma drives
@@ -493,8 +492,9 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     if not cmath.isfinite(rx):
         raise DomainError(f"r*x = {rx:.6g} is not finite")
     mag = abs(rx)
+    unit = mag > 1.0 - _UNIT_BAND
     if tol is None:
-        tol = _tol_default(mag)
+        tol = DEFAULT_TOL_UNIT if unit else DEFAULT_TOL_INSIDE
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
     if max_terms < 1:
@@ -512,10 +512,7 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             "(n! counted as one) and no terminating shift; terms grow factorially")
     shift, logs = weight.asymptotics()
     sigma = spec.effective_exponent() + shift  # w_n u_n ~ n^sigma (r*x)^n
-    if mag > 1.0 - _UNIT_BAND:
-        if not accel:
-            raise NonConvergentError(
-                "unit-argument series needs accel=True (terms decay only algebraically)")
+    if unit:
         # a terminating sum is finite: the direct rule below sums it exactly
         if all(_pole_index(a) is None for a in nums):
             # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
@@ -700,11 +697,10 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
 
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,
-           max_terms: int = DEFAULT_MAX_TERMS, accel: bool = False) -> complex:
-    """Gauss 2F1 by direct summation, |x| < 1 (or accel at 1)."""
+           max_terms: int = DEFAULT_MAX_TERMS) -> complex:
+    """Gauss 2F1 by its series, |x| <= 1 (see eval_weighted)."""
     spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
-    return eval_weighted(spec, Unit(), x, tol=tol, max_terms=max_terms,
-                         accel=accel).value
+    return eval_weighted(spec, Unit(), x, tol=tol, max_terms=max_terms).value
 
 
 # ---------------------------------------------------------------------------

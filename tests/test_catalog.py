@@ -142,7 +142,7 @@ class TestVerifySemantics:
         from hyperharmonic import PoleError
         with pytest.raises(NonConvergentError, match=(
                 r"^THM-B at \{'a': 0\.25, 'x': 1\.0\}, lhs term 0: "
-                r"unit-argument series needs accel=True")):
+                r"exponent -1 >= -1 at \|r\*x\| = 1")):
             verify("THM-B", points=[{"a": 0.25, "x": 0.5},
                                     {"a": 0.25, "x": 1.0}])
         with pytest.raises(PoleError, match=(
@@ -214,7 +214,7 @@ class TestStructuralChecks:
         # argument 1: the direct rule sums them, not the unit-circle ladder
         ident = REGISTRY["THM-E"]
         spec, weight, x = ident.lhs[1].build({"b": float(b)})
-        res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0, accel=True)
+        res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0)
         want = sum(spec.term(n) * harmonic(2 * n) for n in range(1, b))
         assert res.method == "direct" and res.terms_used < 10
         assert abs(res.value - want) <= 1e-15
@@ -270,8 +270,7 @@ class TestUnitArgumentExtrapolation:
                                         ("THM-A2", True, 4.0)):
             ident = REGISTRY[ident_id]
             spec, weight, x = ident.rhs_series[0].build({"a": a, "b": b})
-            res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0,
-                                accel=True)
+            res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0)
             want = mult * _half_side_mp(a, b, squared)
             assert abs(res.value - want) <= 0.25 * res.tail_bound, \
                 (ident_id, a, b)
@@ -288,8 +287,7 @@ class TestUnitArgumentExtrapolation:
         stops = []
         for div in (4.0, 8.0, 12.0, 16.0, 24.0, 40.0):
             try:
-                res = eval_weighted(spec, weight, x, tol=ident.tol / div,
-                                    accel=True)
+                res = eval_weighted(spec, weight, x, tol=ident.tol / div)
             except NonConvergentError:
                 stops.append(math.inf)
                 continue

@@ -4,13 +4,14 @@ the JSON / CSV writers."""
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from hyperharmonic import REGISTRY
-from hyperharmonic.cli import USAGE_ERROR, main
+from hyperharmonic.cli import BROKEN_PIPE, USAGE_ERROR, main
 
 
 @pytest.fixture(autouse=True)
@@ -293,3 +294,32 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        # the pipe's read end is closed before the child starts, so its
+        # first write to stdout fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperharmonic.cli", "verify",
+                 "--ids", "EX-1", "--json", "-"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == BROKEN_PIPE
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package and its CLI need nothing outside the standard library
+    code = ("import sys; before = set(sys.modules); import hyperharmonic.cli; "
+            "print(*sorted({m.partition('.')[0] for m in sys.modules} "
+            "- {m.partition('.')[0] for m in before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "hyperharmonic" in loaded
+    assert [m for m in loaded if m != "hyperharmonic"
+            and m not in sys.stdlib_module_names] == []

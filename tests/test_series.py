@@ -162,23 +162,44 @@ class TestEvalWeighted:
         with pytest.raises(NonConvergentError):
             eval_weighted(spec, Unit(), 1.2)
 
-    def test_unit_argument_requires_accel(self):
+    def test_unit_argument_needs_no_flag(self):
+        # 2F1(1/2, 1/2; 3/2; 1) = arcsin(1) = pi/2: on the unit circle the
+        # argument alone picks the ladder
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
-        with pytest.raises(NonConvergentError):
-            eval_weighted(spec, Unit(), 1.0)
+        res = eval_weighted(spec, Unit(), 1.0)
+        assert res.converged and res.method == "extrapolated"
+        assert abs(res.value - math.pi / 2.0) <= res.tail_bound
+
+    def test_default_tolerance_near_the_circle_is_the_inside_one(self):
+        # 2F1(1/2, 1/2; 1; 0.97): |x| < 1, so tol=None means 1e-10 however
+        # close x comes to the circle
+        mpmath.mp.dps = 30
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.0,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 0.97, tol=None)
+        assert res.method == "direct"
+        assert res.tail_bound <= 1e-10 * max(1.0, abs(res.value))
+        want = complex(mpmath.hyp2f1(0.5, 0.5, 1, 0.97))
+        assert abs(res.value - want) <= res.tail_bound
+
+    def test_no_rule_keyword(self):
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        with pytest.raises(TypeError):
+            eval_weighted(spec, Unit(), 1.0, accel=True)
+        with pytest.raises(TypeError):
+            hyp2f1(0.5, 0.5, 1.5, 1.0, accel=True)
 
     def test_divergent_at_one_even_with_accel(self):
         # effective exponent -0.5 >= -1: partial sums grow without bound
         spec = PochhammerRatioSeries((0.5, 0.5), (0.5,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError):
-            eval_weighted(spec, Unit(), 1.0, accel=True)
+            eval_weighted(spec, Unit(), 1.0)
 
     def test_nondecaying_alternating_raises(self):
         # terms grow like n^0.5 at |x| = 1, so even Abel-style averaging
         # is refused
         spec = PochhammerRatioSeries((1.5,), (), 1, -1.0, 0)
         with pytest.raises(NonConvergentError):
-            eval_weighted(spec, Unit(), 1.0, accel=True)
+            eval_weighted(spec, Unit(), 1.0)
 
     def test_factorially_growing_terms_raise_before_summing(self):
         # 2F0(1, 1; ; 1/2) = sum n! 2^-n: more numerator than denominator
@@ -240,12 +261,12 @@ class TestEvalWeighted:
     def test_alternating_unit_argument_accelerated(self):
         # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1)
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, Unit(), -1.0, tol=1e-9, accel=True)
+        res = eval_weighted(spec, Unit(), -1.0, tol=1e-9)
         assert res.method == "extrapolated"
         assert abs(res.value - math.asinh(1.0)) < 1e-9
 
     def test_log_series_at_minus_one(self):
-        assert abs(hyp2f1(1.0, 1.0, 2.0, -1.0, tol=1e-9, accel=True)
+        assert abs(hyp2f1(1.0, 1.0, 2.0, -1.0, tol=1e-9)
                    - math.log(2.0)) < 1e-9
 
     @given(st.floats(min_value=-2.5, max_value=2.5),
@@ -273,14 +294,13 @@ class TestUnitLadder:
         mpmath.mp.dps = 30
         for a, b in ((0.3 + 0.1j, 0.2 - 0.2j), (0.25 - 0.3j, 0.4 + 0.15j)):
             spec = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 0)
-            res = eval_weighted(spec, Unit(), 1.0, tol=1e-10, accel=True)
+            res = eval_weighted(spec, Unit(), 1.0, tol=1e-10)
             want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
             assert res.converged and res.method == "extrapolated"
             assert res.terms_used in LADDER_TOPS
             assert abs(res.value - want) <= res.tail_bound, (a, b)
             assert res.tail_bound <= 1e-10 * max(1.0, abs(res.value))
-            assert hyp2f1(a, b, a + b + 0.5, 1.0, tol=1e-10,
-                          accel=True) == res.value
+            assert hyp2f1(a, b, a + b + 0.5, 1.0, tol=1e-10) == res.value
 
     @pytest.mark.parametrize("tol, top", [(1e-10, 8192), (1e-11, 16384)])
     def test_later_tops_against_mpmath(self, tol, top):
@@ -289,7 +309,7 @@ class TestUnitLadder:
         mpmath.mp.dps = 30
         a, b = 0.1 - 0.25j, 0.35 + 0.05j
         spec = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, Unit(), 1.0, tol=tol, accel=True)
+        res = eval_weighted(spec, Unit(), 1.0, tol=tol)
         want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
         assert res.terms_used == top
         assert abs(res.value - want) <= res.tail_bound
@@ -305,13 +325,13 @@ class TestUnitLadder:
              Harmonic(), 1.0j),
         ]
         for spec, weight, x in cases:
-            res = eval_weighted(spec, weight, x, tol=1e-8, accel=True)
+            res = eval_weighted(spec, weight, x, tol=1e-8)
             assert res.terms_used in LADDER_TOPS
             assert res.tail_bound <= 1e-8 * max(1.0, abs(res.value))
 
     def test_terminating_unit_sum_is_exact(self):
         spec = PochhammerRatioSeries((-3.0, 0.5), (1.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, Unit(), 1.0, tol=1e-10, accel=True)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-10)
         want = sum(spec.term(n) for n in range(4))
         assert abs(res.value - want) <= 1e-14
 
@@ -319,7 +339,7 @@ class TestUnitLadder:
         # sum (-3)_n (5)_n / ((1/2)_n n!) = -21: the spec's exponent 0.5
         # would refuse the sum, but it stops after four terms
         spec = PochhammerRatioSeries((-3.0, 5.0), (0.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, Unit(), 1.0, accel=True)
+        res = eval_weighted(spec, Unit(), 1.0)
         assert res.value == -21.0
         assert res.method == "direct" and res.tail_bound == 0.0
         assert res.terms_used <= 10
@@ -328,8 +348,7 @@ class TestUnitLadder:
         # s = -5 at log power 2: some model columns are numerically
         # dependent on the ladder, yet the sum plainly converges
         spec = PochhammerRatioSeries((0.5, 0.5), (6.0,), 1, 1.0, 1)
-        res = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11,
-                            accel=True)
+        res = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11)
         mpmath.mp.dps = 25
         half = mpmath.mpf(0.5)
         term, h, h2, want = half * half / 6, 0, 0, 0
@@ -344,10 +363,10 @@ class TestUnitLadder:
         # sum (-1)^n / n! and sum (1/2)_n / (n!)^2: more denominator
         # shifts than numerator ones, so the terms die off factorially
         res = eval_weighted(PochhammerRatioSeries((), (), 1, -1.0, 0), Unit(),
-                            1.0, tol=1e-10, accel=True)
+                            1.0, tol=1e-10)
         assert abs(res.value - math.exp(-1.0)) <= 1e-15
         res = eval_weighted(PochhammerRatioSeries((0.5,), (), 2, 1.0, 0),
-                            Unit(), 1.0, tol=1e-10, accel=True)
+                            Unit(), 1.0, tol=1e-10)
         mpmath.mp.dps = 20
         want = complex(mpmath.hyp1f1(0.5, 1, 1))
         assert abs(res.value - want) <= max(res.tail_bound, 1e-15)
@@ -356,7 +375,7 @@ class TestUnitLadder:
         # sum 1/n! = e: the spec's exponent is -1, but one more
         # denominator than numerator shift makes the terms decay factorially
         res = eval_weighted(PochhammerRatioSeries((), (), 1, 1.0, 0), Unit(),
-                            1.0, tol=1e-10, accel=True)
+                            1.0, tol=1e-10)
         assert abs(res.value - math.e) <= res.tail_bound
         assert res.tail_bound <= 1e-10 * math.e
 
@@ -367,29 +386,20 @@ class TestUnitLadder:
         want = mpmath.mpf(RECIP_HARMONIC_SUM)
         assert abs(want - (4 - 16 * mpmath.log(2) / mpmath.pi)) < 1e-28
         spec = PochhammerRatioSeries((0.5, 0.5), (1.0,), 1, 1.0, 0)
-        res = eval_weighted(spec, ReciprocalShift(Harmonic()), 1.0, tol=1e-10,
-                            accel=True)
+        res = eval_weighted(spec, ReciprocalShift(Harmonic()), 1.0, tol=1e-10)
         assert abs(res.value - complex(want)) <= res.tail_bound
         assert res.tail_bound <= 1e-10
 
     def test_budget_below_ladder_raises(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError):
-            eval_weighted(spec, Unit(), -1.0, accel=True, max_terms=16383)
+            eval_weighted(spec, Unit(), -1.0, max_terms=16383)
 
     def test_unrepresentable_model_raises_breakdown(self):
         # exponent -400: N^s overflows on the ladder
         spec = PochhammerRatioSeries((0.5,), (400.5,), 1, 1.0, 0)
         with pytest.raises(AccelerationBreakdown):
-            eval_weighted(spec, Unit(), 1.0, accel=True)
-
-    def test_accel_inside_disk_is_the_direct_rule(self):
-        spec = PochhammerRatioSeries((0.3 + 0.1j, 0.45), (1.25,), 1, 1.0, 1)
-        for x in (0.5, 0.9, -0.97 + 0.1j):
-            plain = eval_weighted(spec, HarmonicSqPlusGen2(), x, tol=1e-10)
-            accel = eval_weighted(spec, HarmonicSqPlusGen2(), x, tol=1e-10,
-                                  accel=True)
-            assert accel == plain and accel.method == "direct"
+            eval_weighted(spec, Unit(), 1.0)
 
 
 class TestHyp2F1:
@@ -415,7 +425,7 @@ class TestHyp2F1:
         from hyperharmonic import gamma_ratio
         a, b, c = 0.3, 0.2, 2.0
         want = gamma_ratio([c, c - a - b], [c - a, c - b])
-        got = hyp2f1(a, b, c, 1.0, tol=1e-9, accel=True)
+        got = hyp2f1(a, b, c, 1.0, tol=1e-9)
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
