@@ -2,7 +2,9 @@
 
 Each entry pairs weighted Pochhammer-ratio series (the `lhs`, plus any
 series that belong on the right-hand side) with a closed-form expression
-tree, a comparison tolerance, and deterministic sample points. verify()
+tree, a comparison tolerance, and deterministic sample points. The
+definitions do not depend on the seed and are built once, at import; a
+registry is those shared definitions plus one seed's points. verify()
 evaluates both sides and reports mismatches as failed checks rather than
 exceptions; genuine evaluation trouble (divergence, domain violations)
 still raises, naming the identity, the point and the side.
@@ -328,39 +330,89 @@ def _doubling_kernels(env):
     return half, unit
 
 
-def build_registry(seed: int = DEFAULT_SEED) -> dict:
-    """All identities and transformation checks, keyed by id, in display
-    order. Sample points are reproducible functions of the seed."""
+def _seeded_points(seed: int) -> dict:
+    """{id: sample points} of the entries whose points the seed draws.
+
+    Each entry draws from its own stream, _rng_for(seed, id), so no entry
+    moves another's points; SUM-GAUSSD shares THM-C's draw.
+    """
+    pts = {}
+    pts["THM-A1"] = _draw_points(
+        _rng_for(seed, "THM-A1"), ("a", "b"), _FULL_POOL, 12,
+        seed_points=({"a": 0.3 + 0.1j, "b": 0.2}, {"a": 0.25, "b": 0.25}))
+    # the unit side certifies beyond the cap on Re(a+b); the cap stays
+    # because it fixes the seeded sample points
+    pts["THM-A2"] = _draw_points(
+        _rng_for(seed, "THM-A2"), ("a", "b"), _FULL_POOL, 8,
+        pred=lambda e: (complex(e["a"]) + complex(e["b"])).real <= 0.75,
+        seed_points=({"a": 0.25, "b": 0.25}, {"a": 0.3 + 0.1j, "b": 0.2}))
+
+    def _c_pred(e):
+        av, bv = complex(e["a"]), complex(e["b"])
+        s = av + bv
+        return (abs(av) >= 0.05 and abs(bv) >= 0.05
+                and s.real <= 0.2
+                and abs(s + 0.5) >= 0.15 and abs(s - 0.5) >= 0.15
+                and abs(2.0 * av - 1.0) >= 0.2 and abs(2.0 * bv - 1.0) >= 0.2)
+
+    pts["THM-C"] = pts["SUM-GAUSSD"] = _draw_points(
+        _rng_for(seed, "THM-C"), ("a", "b"),
+        (-0.35, -0.25, -0.15, 0.1, 0.15, 0.2, 0.25, -0.3 + 0.1j, 0.1 - 0.15j),
+        6, pred=_c_pred, seed_points=({"a": -0.25, "b": 0.15},))
+    pts["THM-D"] = _draw_points(
+        _rng_for(seed, "THM-D"), ("a", "b"),
+        (0.15, 0.25, 1.0 / 3.0, 0.45, 0.6, 0.3 + 0.1j, 0.2 - 0.2j), 5,
+        pred=lambda e: (complex(e["a"]) + complex(e["b"])).real >= 0.25,
+        seed_points=({"a": 0.25, "b": 0.25},))
+
+    def _z_rational_pred(w):
+        return (abs(w) <= 0.5 and w.real >= -0.1
+                and abs(4.0 * w / (1.0 + w) ** 2) <= 0.92)
+
+    # (id, parameters drawn from the pool, then z's predicate and box)
+    for ident_id, names, z_pred, lo, hi, im in (
+            ("TR-2.11.2", ("a", "b"),
+             lambda w: (w.real < 0.5 and abs(w) <= 0.38
+                        and abs(4.0 * w * (1.0 - w)) <= 0.9),
+             -0.38, 0.38, 0.38),
+            ("TR-2.11.7", ("a", "b"),
+             lambda w: (abs(w) <= 0.9 and abs((1.0 + w) / 2.0) <= 0.95
+                        and abs((1.0 - w) / 2.0) <= 0.95),
+             -0.9, 0.9, 0.45),
+            ("TR-2.11.5", ("a", "b"), _z_rational_pred, -0.1, 0.5, 0.35),
+            ("TR-4.5.1", ("a", "b", "c"), _z_rational_pred, -0.1, 0.5, 0.35)):
+        rng = _rng_for(seed, ident_id)
+        drawn = []
+        for _ in range(10):
+            params = _draw_points(rng, names, _FULL_POOL, 1)[0]
+            params["z"] = _draw_z(rng, z_pred, lo=lo, hi=hi, im=im)
+            drawn.append(params)
+        pts[ident_id] = tuple(drawn)
+    return pts
+
+
+def _definitions() -> dict:
+    """Every entry without its seeded points, keyed by id in display
+    order. An entry whose points _seeded_points draws has none here."""
     a, b, c, k, x, z = P("a"), P("b"), P("c"), P("k"), P("x"), P("z")
     ids: list[Identity] = []
 
     # --- harmonic-weight identities -------------------------------------
 
-    rng = _rng_for(seed, "THM-A1")
-    pts = _draw_points(
-        rng, ("a", "b"), _FULL_POOL, 12,
-        seed_points=({"a": 0.3 + 0.1j, "b": 0.2}, {"a": 0.25, "b": 0.25}))
     ids.append(Identity(
         id="THM-A1", kind="identity",
         description="H_n-weighted doubled kernel at argument 1/2 equals the "
                     "base kernel at unit argument",
-        param_names=("a", "b"), sample_points=pts,
+        param_names=("a", "b"), sample_points=(),
         lhs=(SeriesTerm(C(2), lambda e: (_doubling_kernels(e)[0], Harmonic(), 1.0)),),
         rhs=C(0),
         rhs_series=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[1], Harmonic(), 1.0)),),
         tol=1e-8, accel=True))
 
-    rng = _rng_for(seed, "THM-A2")
-    # the unit side certifies beyond the cap on Re(a+b); the cap stays
-    # because it fixes the seeded sample points
-    pts = _draw_points(
-        rng, ("a", "b"), _FULL_POOL, 8,
-        pred=lambda e: (complex(e["a"]) + complex(e["b"])).real <= 0.75,
-        seed_points=({"a": 0.25, "b": 0.25}, {"a": 0.3 + 0.1j, "b": 0.2}))
     ids.append(Identity(
         id="THM-A2", kind="identity",
         description="(H_n^2 + H_n^(2))-weighted form of the argument doubling",
-        param_names=("a", "b"), sample_points=pts,
+        param_names=("a", "b"), sample_points=(),
         lhs=(SeriesTerm(C(4), lambda e: (_doubling_kernels(e)[0],
                                          HarmonicSqPlusGen2(), 1.0)),),
         rhs=C(0),
@@ -520,25 +572,11 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
             * _g14 ** 2 / Pow(2 * PI, C(1.5)),
         tol=1e-9))
 
-    _cpool = (-0.35, -0.25, -0.15, 0.1, 0.15, 0.2, 0.25,
-              -0.3 + 0.1j, 0.1 - 0.15j)
-
-    def _c_pred(e):
-        av, bv = complex(e["a"]), complex(e["b"])
-        s = av + bv
-        return (abs(av) >= 0.05 and abs(bv) >= 0.05
-                and s.real <= 0.2
-                and abs(s + 0.5) >= 0.15 and abs(s - 0.5) >= 0.15
-                and abs(2.0 * av - 1.0) >= 0.2 and abs(2.0 * bv - 1.0) >= 0.2)
-
-    rng = _rng_for(seed, "THM-C")
-    _c_pts = _draw_points(rng, ("a", "b"), _cpool, 6, pred=_c_pred,
-                          seed_points=({"a": -0.25, "b": 0.15},))
     ids.append(Identity(
         id="THM-C", kind="identity",
         description="H_n/(n+1) weight against the doubled kernel at unit "
                     "argument: trigonometric-digamma closed form",
-        param_names=("a", "b"), sample_points=_c_pts,
+        param_names=("a", "b"), sample_points=(),
         lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
             (2.0 * e["a"], 2.0 * e["b"]), (e["a"] + e["b"] + 0.5,), 1, 1.0, 1),
             ReciprocalShift(Harmonic()), 1.0)),),
@@ -552,7 +590,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
         id="SUM-GAUSSD", kind="identity",
         description="(2H_{2n} - H_n)-weighted unit-argument sum equal to a "
                     "digamma-weighted gamma ratio",
-        param_names=("a", "b"), sample_points=_c_pts,
+        param_names=("a", "b"), sample_points=(),
         lhs=(SeriesTerm(C(-1), lambda e: (PochhammerRatioSeries(
             (e["a"], e["b"]), (0.5,), 1, 1.0, 1), LinearCombo(
             ((2.0, Harmonic(stride=2)), (-1.0, Harmonic()))), 1.0)),),
@@ -560,15 +598,6 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
             * (Digamma(C(0.5)) + Digamma(0.5 - a - b)
                - Digamma(0.5 - a) - Digamma(0.5 - b)),
         tol=1e-6, accel=True))
-
-    _dpool = (0.15, 0.25, 1.0 / 3.0, 0.45, 0.6, 0.3 + 0.1j, 0.2 - 0.2j)
-
-    def _d_pred(e):
-        return (complex(e["a"]) + complex(e["b"])).real >= 0.25
-
-    rng = _rng_for(seed, "THM-D")
-    _d_pts = _draw_points(rng, ("a", "b"), _dpool, 5, pred=_d_pred,
-                          seed_points=({"a": 0.25, "b": 0.25},))
 
     def _thmd_mono(e):
         return PochhammerRatioSeries(
@@ -578,7 +607,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
         id="THM-D", kind="identity",
         description="three-series combination tying H_n weights at arguments "
                     "+1 and -1 to log 4",
-        param_names=("a", "b"), sample_points=_d_pts,
+        param_names=("a", "b"), sample_points=(),
         lhs=(SeriesTerm(C(1), lambda e: (_thmd_mono(e), Harmonic(), 1.0)),
              SeriesTerm(C(-4), lambda e: (PochhammerRatioSeries(
                  (1.0 - e["a"], 1.0 - e["b"]), (1.0 + e["a"], 1.0 + e["b"]),
@@ -615,39 +644,22 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
 
     # --- transformation and evaluation cross-checks ----------------------
 
-    rng = _rng_for(seed, "TR-2.11.2")
-    pts = []
-    for _ in range(10):
-        ab = _draw_points(rng, ("a", "b"), _FULL_POOL, 1)[0]
-        zv = _draw_z(rng, lambda w: (w.real < 0.5 and abs(w) <= 0.38
-                                     and abs(4.0 * w * (1.0 - w)) <= 0.9),
-                     lo=-0.38, hi=0.38, im=0.38)
-        pts.append({**ab, "z": zv})
     ids.append(Identity(
         id="TR-2.11.2", kind="transformation",
         description="quadratic argument map z -> 4z(1-z) between doubled and "
                     "base kernels",
-        param_names=("a", "b", "z"), sample_points=tuple(pts),
+        param_names=("a", "b", "z"), sample_points=(),
         lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
             (2.0 * e["a"], 2.0 * e["b"]), (e["a"] + e["b"] + 0.5,), 1, 1.0, 0),
             Unit(), e["z"])),),
         rhs=Hyp2F1(a, b, a + b + 0.5, 4 * z * (1 - z)),
         tol=1e-10))
 
-    rng = _rng_for(seed, "TR-2.11.7")
-    pts = []
-    for _ in range(10):
-        ab = _draw_points(rng, ("a", "b"), _FULL_POOL, 1)[0]
-        zv = _draw_z(rng, lambda w: (abs(w) <= 0.9
-                                     and abs((1.0 + w) / 2.0) <= 0.95
-                                     and abs((1.0 - w) / 2.0) <= 0.95),
-                     lo=-0.9, hi=0.9, im=0.45)
-        pts.append({**ab, "z": zv})
     ids.append(Identity(
         id="TR-2.11.7", kind="transformation",
         description="splitting of the squared-argument kernel into the two "
                     "half-shifted arguments",
-        param_names=("a", "b", "z"), sample_points=tuple(pts),
+        param_names=("a", "b", "z"), sample_points=(),
         lhs=(SeriesTerm(2 * GammaRatio((C(0.5), a + b + 0.5), (a + 0.5, b + 0.5)),
                         lambda e: (PochhammerRatioSeries(
                             (e["a"], e["b"]), (0.5,), 1, 1.0, 0), Unit(),
@@ -656,38 +668,22 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
             + Hyp2F1(2 * a, 2 * b, a + b + 0.5, (1 - z) / 2),
         tol=1e-10))
 
-    def _z_rational_pred(w):
-        return (abs(w) <= 0.5 and w.real >= -0.1
-                and abs(4.0 * w / (1.0 + w) ** 2) <= 0.92)
-
-    rng = _rng_for(seed, "TR-2.11.5")
-    pts = []
-    for _ in range(10):
-        ab = _draw_points(rng, ("a", "b"), _FULL_POOL, 1)[0]
-        pts.append({**ab, "z": _draw_z(rng, _z_rational_pred,
-                                       lo=-0.1, hi=0.5, im=0.35)})
     ids.append(Identity(
         id="TR-2.11.5", kind="transformation",
         description="rational pullback 4z/(1+z)^2 with algebraic prefactor "
                     "against the squared-argument kernel",
-        param_names=("a", "b", "z"), sample_points=tuple(pts),
+        param_names=("a", "b", "z"), sample_points=(),
         lhs=(SeriesTerm(Pow(1 + z, -2 * a), lambda e: (PochhammerRatioSeries(
             (e["a"], e["b"]), (2.0 * e["b"],), 1, 1.0, 0), Unit(),
             4.0 * e["z"] / (1.0 + e["z"]) ** 2)),),
         rhs=Hyp2F1(a, a + 0.5 - b, b + 0.5, z ** 2),
         tol=1e-10))
 
-    rng = _rng_for(seed, "TR-4.5.1")
-    pts = []
-    for _ in range(10):
-        abc = _draw_points(rng, ("a", "b", "c"), _FULL_POOL, 1)[0]
-        pts.append({**abc, "z": _draw_z(rng, _z_rational_pred,
-                                        lo=-0.1, hi=0.5, im=0.35)})
     ids.append(Identity(
         id="TR-4.5.1", kind="transformation",
         description="rational transformation of the two-denominator kernel "
                     "with power prefactor",
-        param_names=("a", "b", "c", "z"), sample_points=tuple(pts),
+        param_names=("a", "b", "c", "z"), sample_points=(),
         lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
             (e["a"], e["b"], e["c"]),
             (e["a"] - e["b"] + 1.0, e["a"] - e["c"] + 1.0), 1, 1.0, 0),
@@ -778,6 +774,21 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
     if len(out) != len(ids):
         raise RuntimeError("duplicate identity ids in registry")
     return out
+
+
+_DEFINITIONS = _definitions()
+
+
+def build_registry(seed: int = DEFAULT_SEED) -> dict:
+    """All identities and transformation checks, keyed by id, in display
+    order: the shared definitions, built once at import, plus this seed's
+    sample points. Registries of different seeds share every expression
+    tree and series builder; their points are reproducible functions of
+    the seed."""
+    points = _seeded_points(seed)
+    return {ident_id: (replace(ident, sample_points=points[ident_id])
+                       if ident_id in points else ident)
+            for ident_id, ident in _DEFINITIONS.items()}
 
 
 REGISTRY = build_registry(DEFAULT_SEED)

@@ -19,9 +19,10 @@ import cmath
 import csv
 import os
 import sys
+from contextlib import nullcontext
 
-from .catalog import (DEFAULT_SEED, Identity, VerifyReport, build_registry,
-                      verify, with_perturbed_rhs)
+from .catalog import (DEFAULT_SEED, REGISTRY, Identity, VerifyReport,
+                      build_registry, verify, with_perturbed_rhs)
 from .errors import HyperharmonicError, UnknownIdentityError
 
 USAGE_ERROR = 64
@@ -196,6 +197,18 @@ def _select_ids(args, registry) -> list:
     return list(args.ids)
 
 
+def _output(path, **kwargs):
+    """Context manager of FILE's handle: stdout for '-', None without FILE.
+    A file is opened here, before any identity is evaluated, so that a path
+    that cannot be written fails as a usage error."""
+    if path is None or path == "-":
+        return nullcontext(None if path is None else sys.stdout)
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _parse_fixed(specs) -> dict:
     out = {}
     for spec in specs or ():
@@ -240,60 +253,56 @@ def _cmd_verify(args) -> int:
         except HyperharmonicError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    outcomes = [run_one(i) for i in ids]
+    with _output(args.json) as report_file:
+        outcomes = [run_one(i) for i in ids]
 
-    payload_results = []
-    n_pass = n_fail = n_error = 0
-    width = max(len(i) for i in ids)
-    for ident_id, (report, err) in zip(ids, outcomes):
-        ident = registry[ident_id]
-        if err is not None:
-            n_error += 1
-            print(f"{ident_id:<{width}}  ERROR  {err}", file=sys.stderr)
-            payload_results.append({"id": ident_id, "kind": ident.kind,
-                                    "error": err})
-            continue
-        status = "PASS" if report.passed else "FAIL"
-        if report.passed:
-            n_pass += 1
-        else:
-            n_fail += 1
-        print(f"{ident_id:<{width}}  {status}  "
-              f"{len(report.checks)} points  tol {report.tol:g}")
-        if not args.quiet:
-            for chk in report.checks:
-                rel = ("rel %.3e" % chk.rel_err) if chk.rel_err is not None \
-                    else "rel n/a"
-                mark = "ok" if chk.passed else "MISMATCH"
-                print(f"    {_fmt_params(ident, chk.params)}: "
-                      f"|lhs-rhs| = {chk.abs_err:.3e} ({rel}, "
-                      f"{chk.terms_used} terms, {chk.method}) {mark}")
-        payload_results.append(_report_payload(report, ident))
+        payload_results = []
+        n_pass = n_fail = n_error = 0
+        width = max(len(i) for i in ids)
+        for ident_id, (report, err) in zip(ids, outcomes):
+            ident = registry[ident_id]
+            if err is not None:
+                n_error += 1
+                print(f"{ident_id:<{width}}  ERROR  {err}", file=sys.stderr)
+                payload_results.append({"id": ident_id, "kind": ident.kind,
+                                        "error": err})
+                continue
+            status = "PASS" if report.passed else "FAIL"
+            if report.passed:
+                n_pass += 1
+            else:
+                n_fail += 1
+            print(f"{ident_id:<{width}}  {status}  "
+                  f"{len(report.checks)} points  tol {report.tol:g}")
+            if not args.quiet:
+                for chk in report.checks:
+                    rel = ("rel %.3e" % chk.rel_err) if chk.rel_err is not None \
+                        else "rel n/a"
+                    mark = "ok" if chk.passed else "MISMATCH"
+                    print(f"    {_fmt_params(ident, chk.params)}: "
+                          f"|lhs-rhs| = {chk.abs_err:.3e} ({rel}, "
+                          f"{chk.terms_used} terms, {chk.method}) {mark}")
+            payload_results.append(_report_payload(report, ident))
 
-    total = len(ids)
-    print(f"{total} checked: {n_pass} passed, {n_fail} failed, {n_error} errors")
+        print(f"{len(ids)} checked: {n_pass} passed, {n_fail} failed, "
+              f"{n_error} errors")
 
-    if args.json is not None:
-        from datetime import datetime, timezone  # only a report reads the clock
-        payload = {
-            "run": {
-                "command": "verify",
-                "seed": seed,
-                "timestamp": datetime.now(timezone.utc)
-                                     .strftime("%Y-%m-%dT%H:%M:%SZ"),
-                "ids": list(ids),
-                "tol_override": args.tol,
-                "perturb": {k: perturb[k] for k in sorted(perturb)},
-            },
-            "results": payload_results,
-        }
-        if args.json == "-":
-            _json_write(payload, sys.stdout, 0)
-            sys.stdout.write("\n")
-        else:
-            with open(args.json, "w") as handle:
-                _json_write(payload, handle, 0)
-                handle.write("\n")
+        if report_file is not None:
+            from datetime import datetime, timezone  # only a report reads the clock
+            payload = {
+                "run": {
+                    "command": "verify",
+                    "seed": seed,
+                    "timestamp": datetime.now(timezone.utc)
+                                         .strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    "ids": list(ids),
+                    "tol_override": args.tol,
+                    "perturb": {k: perturb[k] for k in sorted(perturb)},
+                },
+                "results": payload_results,
+            }
+            _json_write(payload, report_file, 0)
+            report_file.write("\n")
 
     if n_error:
         return 3
@@ -301,12 +310,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
-    registry = build_registry(seed)
-    if args.id not in registry:
+    _resolve_seed(args)  # validated only: the grid replaces the seeded points
+    if args.id not in REGISTRY:
         raise _UsageError(f"unknown identity id {args.id!r}; "
                           "run `hyperharmonic list`")
-    ident = registry[args.id]
+    ident = REGISTRY[args.id]
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
     if args.param not in ident.param_names:
@@ -314,6 +322,8 @@ def _cmd_sweep(args) -> int:
             f"{args.id} has no parameter {args.param!r}; "
             f"parameters: {', '.join(ident.param_names) or '(none)'}")
     fixed = _parse_fixed(args.fixed)
+    if args.param in fixed:
+        raise _UsageError(f"--fixed pins the swept parameter {args.param!r}")
     for name in fixed:
         if name not in ident.param_names:
             raise _UsageError(f"{args.id} has no parameter {name!r}")
@@ -326,15 +336,11 @@ def _cmd_sweep(args) -> int:
 
     lo, hi, steps = args.start, args.stop, args.steps
     grid = [lo + (hi - lo) * j / (steps - 1) for j in range(steps)]
-    report = verify(ident, points=[{**fixed, args.param: val} for val in grid],
-                    tol=args.tol)
-    rows = list(zip(grid, report.checks))
-    n_fail = len(report.failures)
-
-    if args.csv is not None:
-        handle = sys.stdout if args.csv == "-" else open(args.csv, "w",
-                                                         newline="")
-        try:
+    with _output(args.csv, newline="") as handle:
+        report = verify(ident, tol=args.tol,
+                        points=[{**fixed, args.param: val} for val in grid])
+        rows = list(zip(grid, report.checks))
+        if handle is not None:
             writer = csv.writer(handle)
             writer.writerow([args.param, "lhs_re", "lhs_im", "rhs_re",
                              "rhs_im", "abs_err", "rel_err", "passed"])
@@ -347,15 +353,14 @@ def _cmd_sweep(args) -> int:
                     _fmt_float(chk.rel_err) if chk.rel_err is not None else "",
                     "true" if chk.passed else "false",
                 ])
-        finally:
-            if handle is not sys.stdout:
-                handle.close()
-    else:
-        for val, chk in rows:
-            mark = "ok" if chk.passed else "MISMATCH"
-            print(f"{args.param}={_fmt_value(val)}: lhs={_fmt_value(chk.lhs)} "
-                  f"rhs={_fmt_value(chk.rhs)} |diff|={chk.abs_err:.3e} {mark}")
+        else:
+            for val, chk in rows:
+                mark = "ok" if chk.passed else "MISMATCH"
+                print(f"{args.param}={_fmt_value(val)}: "
+                      f"lhs={_fmt_value(chk.lhs)} rhs={_fmt_value(chk.rhs)} "
+                      f"|diff|={chk.abs_err:.3e} {mark}")
 
+    n_fail = len(report.failures)
     if args.csv != "-":
         print(f"{steps} points swept: {steps - n_fail} passed, {n_fail} failed")
     return 0 if n_fail == 0 else 2

@@ -2,6 +2,7 @@
 the structural checks that go beyond plain value comparison."""
 
 import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -31,6 +32,39 @@ EXPECTED_IDS = (
     "SUM-2.8.46", "SUM-2.8.50", "SUM-2.8.51",
     "WATSON", "WATSON-PM",
 )
+
+# sha256 over (id, kind, description, param_names, tol, accel,
+# repr(sample_points)) of each entry in registry order, one per seed, as
+# the registry was built before its definitions and points were split
+REGISTRY_DIGESTS = {
+    0: "e184171f930f9fc5585ff8092cb51020b7ed0122c2f469a5aeda058a9c2e5e9d",
+    1: "0552933bc6a555f5b73335ae8484b4c74217d32a6c8e583bd738100eeecbe78b",
+    2: "9ee5e831352d9ac8789cd5865706dd8f5593c7765740222e0e879b2b48eea0f1",
+    3: "297fd0e01583add6289c284dd593e71acdc070c811e05ea42c1356d4d379f298",
+    4: "62e0d1116f13fd2ec449cd936cd6b52e9a6ae10049ad0a15253aa82a37564c3d",
+    5: "18c5155a774c3e4d4956822531b59417b11b99b311158e2eef2d21fe248f6e7e",
+    6: "39f76856a31890a9865c6268caf36f5c31537131ad5cb1be47d1fb6352e91618",
+    7: "f001223f73a7068de03696903ccb63810df19f2e9c92bc078bbb68a032f5237a",
+    8: "a0a16f9d3e4b107545b375acc4e0d69d27d4069a90aa28ddded0893fd7987274",
+    9: "9da954eea0e37255cf9b9d4b46127e0f22d32a214acce72acb5beca336f5741d",
+    10: "a4f6b6a508de99c54f64769d8a1d20ce772390dcd39a1e606db70f14467d90eb",
+    11: "4ca1f4b218b5ccf6568356d0876dc6de6f3cb24da759e0f8d429772e225d7d0d",
+    12: "19664500fecbd71409d5165e7311875e5294fc7be727a1005348ff2eb3ad2bd5",
+    101: "eb5ba421f76f65dbf8027d82b40e39ed8a12961dd6da40da209b15d70079945b",
+    202: "c923b80c38a0a7df876d43c1bc514c89f96eabe2edcdeb0a72f5aa0c0a3eebc5",
+}
+# sha256 of the concatenated hex digests of seeds 0..300
+REGISTRY_DIGEST_0_300 = \
+    "42d4b278228972678e2b090a101a9c2403c301d1f6a398c8456a96050728d807"
+
+
+def registry_digest(registry) -> str:
+    h = hashlib.sha256()
+    for ident in registry.values():
+        h.update(repr((ident.id, ident.kind, ident.description,
+                       ident.param_names, ident.tol, ident.accel,
+                       repr(ident.sample_points))).encode())
+    return h.hexdigest()
 
 
 class TestRegistryShape:
@@ -81,6 +115,23 @@ class TestRegistryShape:
         r2 = build_registry(DEFAULT_SEED + 1)
         assert any(r1[i].sample_points != r2[i].sample_points
                    for i in EXPECTED_IDS)
+
+    @pytest.mark.parametrize("seed", sorted(REGISTRY_DIGESTS))
+    def test_digest_pins_entries_and_points(self, seed):
+        assert registry_digest(build_registry(seed)) == REGISTRY_DIGESTS[seed]
+
+    def test_digests_of_seeds_0_to_300(self):
+        chained = "".join(registry_digest(build_registry(s))
+                          for s in range(301))
+        assert hashlib.sha256(chained.encode()).hexdigest() \
+            == REGISTRY_DIGEST_0_300
+
+    def test_registries_share_their_definitions(self):
+        r1, r2 = build_registry(1), build_registry(2)
+        for ident_id in EXPECTED_IDS:
+            assert r1[ident_id].rhs is r2[ident_id].rhs, ident_id
+            assert r1[ident_id].lhs is r2[ident_id].lhs, ident_id
+            assert r1[ident_id].rhs_series is r2[ident_id].rhs_series
 
     def test_fixed_point_ids_ignore_seed(self):
         r2 = build_registry(DEFAULT_SEED + 1)

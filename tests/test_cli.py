@@ -102,7 +102,7 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify", "--ids", "EX-1")
         assert rc == USAGE_ERROR and "HYPERHARMONIC_SEED" in err
 
-    def test_usage_errors(self, capsys):
+    def test_usage_errors(self, capsys, tmp_path):
         cases = [
             ("verify",),                                   # no ids, no --all
             ("verify", "--ids", "NOPE"),                   # unknown id
@@ -121,6 +121,9 @@ class TestVerify:
             ("verify", "--ids", "EX-1", "--tol", "inf"),
             ("verify", "--ids", "EX-1", "--tol", "0"),
             ("verify", "--ids", "EX-1", "--tol", "-1e-9"),
+            # report files that cannot be written
+            ("verify", "--ids", "EX-1", "--json", str(tmp_path / "no" / "r.json")),
+            ("verify", "--ids", "EX-1", "--json", str(tmp_path)),
         ]
         for argv in cases:
             rc, _, err = run_cli(capsys, *argv)
@@ -237,7 +240,33 @@ class TestSweep:
         assert rc == 3
         assert "evaluation error" in err
 
-    def test_usage_errors(self, capsys):
+    def test_reads_the_package_registry(self, capsys, monkeypatch):
+        # the grid replaces the seeded points, so no registry is built and
+        # the seed does not change the output
+        import hyperharmonic.cli as cli
+        from hyperharmonic import catalog
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_registry", counted(cli.build_registry))
+        monkeypatch.setattr(catalog, "_rng_for", counted(catalog._rng_for))
+        argv = ("sweep", "--id", "THM-A1", "--param", "a", "--from", "0.1",
+                "--to", "0.3", "--steps", "3", "--fixed", "b=0.2")
+        rc, out, err = run_cli(capsys, *argv, "--seed", "7")
+        assert (rc, err, calls) == (0, "", [])
+        monkeypatch.setenv("HYPERHARMONIC_SEED", "202")
+        assert run_cli(capsys, *argv) == (rc, out, err)
+        assert calls == []
+        # the counters see a command that does build one
+        run_cli(capsys, "list", "--seed", "7")
+        assert {"build_registry", "_rng_for"} <= set(calls)
+
+    def test_usage_errors(self, capsys, tmp_path):
         cases = [
             ("sweep", "--id", "NOPE", "--param", "a",
              "--from", "0", "--to", "1", "--steps", "3"),
@@ -268,11 +297,39 @@ class TestSweep:
              "--from", "0.1", "--to", "0.5", "--steps", "3", "--tol", "nan"),
             ("sweep", "--id", "GF-K1", "--param", "k",
              "--from", "0.1", "--to", "0.5", "--steps", "3", "--tol", "0"),
+            # the swept parameter pinned as well
+            ("sweep", "--id", "THM-B", "--param", "x",
+             "--from", "0.1", "--to", "0.9", "--steps", "3",
+             "--fixed", "a=0.25", "--fixed", "x=0.5"),
+            # CSV files that cannot be written
+            ("sweep", "--id", "GF-K1", "--param", "k", "--from", "0.1",
+             "--to", "0.5", "--steps", "3", "--csv", str(tmp_path / "no" / "x.csv")),
+            ("sweep", "--id", "GF-K1", "--param", "k", "--from", "0.1",
+             "--to", "0.5", "--steps", "3", "--csv", str(tmp_path)),
         ]
         for argv in cases:
             rc, _, err = run_cli(capsys, *argv)
             assert rc == USAGE_ERROR, argv
             assert err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--ids", "EX-1", "--json"),
+    ("sweep", "--id", "GF-K1", "--param", "k", "--from", "0.1",
+     "--to", "0.5", "--steps", "3", "--csv"),
+])
+def test_unwritable_output_fails_before_evaluation(capsys, monkeypatch,
+                                                   tmp_path, argv):
+    import hyperharmonic.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated before the output was checked")
+
+    monkeypatch.setattr(cli, "verify", never)
+    path = tmp_path / "no" / "out"
+    rc, out, err = run_cli(capsys, *argv, str(path))
+    assert rc == USAGE_ERROR and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
 class TestEntryPoint:
