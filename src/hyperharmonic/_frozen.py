@@ -1,13 +1,15 @@
-"""Base of the immutable value classes: expression nodes and weight kinds.
+"""Base of every immutable value class: the expression nodes, the weight
+kinds, the series records and the catalog records.
 
 A subclass lists its fields, in order, as __slots__. Frozen binds them
 in __init__ (positionally or by keyword), compares and hashes instances
 by class and fields, names both in repr, refuses assignment after
-construction, and pickles and copies through the constructor. Nothing is
-generated per class, so defining one costs what a plain class costs. A
-subclass that normalizes or validates its arguments defines its own
-__init__ and stores each field with object.__setattr__, which passes
-the guard.
+construction, and pickles, copies and replace()s through the
+constructor. Nothing is generated per class, so defining one costs what
+a plain class costs. A subclass that has defaults, or normalizes or
+validates its arguments, defines its own __init__ whose parameters are
+its fields; it passes the final values on to Frozen.__init__ or stores
+each with object.__setattr__, which passes the guard.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ class Frozen:
         elif n:
             for name, value in zip(names, args):
                 _set(self, name, value)
+
+    def replace(self, **changes):
+        """Copy with the named fields changed. It is built through the
+        constructor, so normalization and validation run again, and an
+        unknown field raises TypeError."""
+        fields = dict(zip(self.__slots__, self._fields()))
+        fields.update(changes)
+        return type(self)(**fields)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -4,10 +4,13 @@ Each entry pairs weighted Pochhammer-ratio series (the `lhs`, plus any
 series that belong on the right-hand side) with a closed-form expression
 tree, a comparison tolerance, and deterministic sample points. The
 definitions do not depend on the seed and are built once, at import; a
-registry is those shared definitions plus one seed's points. verify()
-evaluates both sides and reports mismatches as failed checks rather than
-exceptions; genuine evaluation trouble (divergence, domain violations)
-still raises, naming the identity, the point and the side.
+registry is those shared definitions plus one seed's points. The
+records (SeriesTerm, Identity, PointCheck, VerifyReport) are Frozen
+value classes; Identity.replace(...) derives a copy, as build_registry
+and with_perturbed_rhs do. verify() evaluates both sides and reports
+mismatches as failed checks rather than exceptions; genuine evaluation
+trouble (divergence, domain violations) still raises, naming the
+identity, the point and the side.
 
 Comparison rule: relative error when |rhs| >= 1, absolute error below
 that, always against the named tolerance. Every series is evaluated at
@@ -18,15 +21,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Callable
 
+from ._frozen import Frozen
 from .errors import DomainError, HyperharmonicError, UnknownIdentityError
-from .expr import (C, Const, Cos, Digamma, EllipticK, Expr, Gamma, GammaRatio,
+from .expr import (C, Const, Cos, Digamma, EllipticK, Gamma, GammaRatio,
                    Hyp2F1, Log, Mul, P, PI, Pow, Sin, Sqrt)
 from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
                      LinearCombo, PochhammerRatioSeries, ReciprocalShift, Unit,
-                     WeightKind, eval_weighted, finite_difference, hyp2f1)
+                     eval_weighted, finite_difference, hyp2f1)
 from .specialfn import gamma_ratio, harmonic
 
 __all__ = [
@@ -42,46 +44,36 @@ _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(Frozen):
     """One weighted series with a scalar (possibly parameter-dependent)
-    coefficient. build(env) -> (spec, weight, argument)."""
+    coefficient Expr. build(env) -> (spec, weight, argument)."""
 
-    coefficient: Expr
-    build: Callable[[dict], tuple[PochhammerRatioSeries, WeightKind, complex]]
-
-
-@dataclass(frozen=True)
-class Identity:
-    id: str
-    kind: str  # "identity" | "transformation"
-    description: str
-    param_names: tuple[str, ...]
-    sample_points: tuple[dict, ...]
-    lhs: tuple[SeriesTerm, ...]
-    rhs: Expr
-    rhs_series: tuple[SeriesTerm, ...] = ()
-    tol: float = 1e-9
-    accel: bool = False  # data only: marks identities with unit-argument sides
+    __slots__ = ("coefficient", "build")
 
 
-@dataclass(frozen=True)
-class PointCheck:
-    params: dict
-    lhs: complex
-    rhs: complex
-    abs_err: float
-    rel_err: float | None
-    passed: bool
-    terms_used: int
-    method: str
+class Identity(Frozen):
+    """A registry entry. kind is "identity" or "transformation"; lhs and
+    rhs_series are tuples of SeriesTerm, rhs an Expr; accel is data only:
+    it marks identities with unit-argument sides."""
+
+    __slots__ = ("id", "kind", "description", "param_names", "sample_points",
+                 "lhs", "rhs", "rhs_series", "tol", "accel")
+
+    def __init__(self, id, kind, description, param_names, sample_points,
+                 lhs, rhs, rhs_series=(), tol=1e-9, accel=False):
+        Frozen.__init__(self, id, kind, description, param_names,
+                        sample_points, lhs, rhs, rhs_series, tol, accel)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    identity_id: str
-    tol: float
-    checks: tuple[PointCheck, ...]
+class PointCheck(Frozen):
+    """One compared point; rel_err is None where rhs == 0."""
+
+    __slots__ = ("params", "lhs", "rhs", "abs_err", "rel_err", "passed",
+                 "terms_used", "method")
+
+
+class VerifyReport(Frozen):
+    __slots__ = ("identity_id", "tol", "checks")  # checks: PointChecks
 
     @property
     def passed(self) -> bool:
@@ -136,10 +128,9 @@ def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else None
     passed = (rel_err <= tol) if abs(rhs) >= 1.0 else (abs_err <= tol)
-    return PointCheck(
-        params=dict(env), lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
-        passed=passed, terms_used=used_l + used_r,
-        method="extrapolated" if "extrapolated" in methods else "direct")
+    return PointCheck(dict(env), lhs, rhs, abs_err, rel_err, passed,
+                      used_l + used_r,
+                      "extrapolated" if "extrapolated" in methods else "direct")
 
 
 def get_identity(identity, registry: dict | None = None) -> Identity:
@@ -188,7 +179,7 @@ def with_perturbed_rhs(identity, eps: float, registry: dict | None = None) -> Id
     part is scaled, so pick an identity whose rhs expression is nonzero.
     """
     ident = get_identity(identity, registry)
-    return replace(ident, rhs=Mul(ident.rhs, C(1.0 + eps)))
+    return ident.replace(rhs=Mul(ident.rhs, C(1.0 + eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +777,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
     tree and series builder; their points are reproducible functions of
     the seed."""
     points = _seeded_points(seed)
-    return {ident_id: (replace(ident, sample_points=points[ident_id])
+    return {ident_id: (ident.replace(sample_points=points[ident_id])
                        if ident_id in points else ident)
             for ident_id, ident in _DEFINITIONS.items()}
 

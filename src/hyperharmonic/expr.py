@@ -22,7 +22,7 @@ from .specialfn import ln_gamma as _ln_gamma
 
 __all__ = [
     "Expr", "Const", "Param", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Sqrt", "Log", "Sin", "Cos", "Gamma", "LnGamma", "Digamma",
+    "Sqrt", "Log", "Sin", "Cos", "Gamma", "Digamma",
     "GammaRatio", "EllipticK", "Hyp2F1", "C", "P", "PI",
 ]
 
@@ -177,13 +177,6 @@ class Gamma(Expr):
 
     def eval(self, env):
         return cmath.exp(_ln_gamma(self.arg.eval(env)))
-
-
-class LnGamma(Expr):
-    __slots__ = ("arg",)
-
-    def eval(self, env):
-        return _ln_gamma(self.arg.eval(env))
 
 
 class Digamma(Expr):

@@ -5,6 +5,7 @@ A PochhammerRatioSeries describes terms
     u_n = prod_i (a_i)_n / (prod_j (b_j)_n * (n!)**p) * (r*x)**n
 
 summed against a weight sequence w_n (harmonic numbers and relatives).
+The spec, the SeriesResult and the weights are Frozen value classes.
 Each weight family is one WeightKind subclass: value(n) evaluates w_n
 from scratch, steps(n0) walks w_n0, w_n0+1, ... with compensated
 accumulation so that a million steps stay within a couple of ulps of
@@ -46,7 +47,6 @@ import itertools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 
 from ._frozen import Frozen
 from .errors import (
@@ -96,39 +96,33 @@ _EPS = 2.0 ** -52
 # series specification
 
 
-@dataclass(frozen=True)
-class PochhammerRatioSeries:
+class PochhammerRatioSeries(Frozen):
     """Term family u_n = prod (a_i)_n / (prod (b_j)_n (n!)**p) * r**n.
 
     factorial_power p >= 0, start_index in {0, 1}. Denominator shifts may
     not sit within 1e-12 of a non-positive integer (the recurrence would
     divide by zero); numerator shifts at non-positive integers are legal
-    and terminate the series.
+    and terminate the series. Shifts and r are stored as complex numbers.
     """
 
-    numerator_shifts: tuple
-    denominator_shifts: tuple
-    factorial_power: int = 1
-    geometric_ratio: complex = 1.0
-    start_index: int = 0
+    __slots__ = ("numerator_shifts", "denominator_shifts", "factorial_power",
+                 "geometric_ratio", "start_index")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "numerator_shifts",
-            tuple(complex(a) for a in self.numerator_shifts))
-        object.__setattr__(
-            self, "denominator_shifts",
-            tuple(complex(b) for b in self.denominator_shifts))
-        object.__setattr__(self, "geometric_ratio", complex(self.geometric_ratio))
-        if self.factorial_power != int(self.factorial_power) or self.factorial_power < 0:
+    def __init__(self, numerator_shifts, denominator_shifts,
+                 factorial_power=1, geometric_ratio=1.0, start_index=0):
+        nums = tuple(complex(a) for a in numerator_shifts)
+        dens = tuple(complex(b) for b in denominator_shifts)
+        ratio = complex(geometric_ratio)
+        if factorial_power != int(factorial_power) or factorial_power < 0:
             raise DomainError(f"factorial_power must be a non-negative integer, "
-                              f"got {self.factorial_power!r}")
-        object.__setattr__(self, "factorial_power", int(self.factorial_power))
-        if self.start_index not in (0, 1):
-            raise DomainError(f"start_index must be 0 or 1, got {self.start_index!r}")
-        for b in self.denominator_shifts:
+                              f"got {factorial_power!r}")
+        if start_index not in (0, 1):
+            raise DomainError(f"start_index must be 0 or 1, got {start_index!r}")
+        for b in dens:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
+        Frozen.__init__(self, nums, dens, int(factorial_power), ratio,
+                        start_index)
 
     def effective_exponent(self) -> complex:
         """Complex exponent of u_n at |r*x| = 1 for balanced shifts:
@@ -150,13 +144,11 @@ class PochhammerRatioSeries:
         return t
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: complex
-    terms_used: int
-    tail_bound: float
-    converged: bool
-    method: str  # "direct" or "extrapolated"
+class SeriesResult(Frozen):
+    """A certified sum: value, terms_used, tail_bound, converged and method
+    ("direct" or "extrapolated")."""
+
+    __slots__ = ("value", "terms_used", "tail_bound", "converged", "method")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Identity registry: structure, determinism, comparison semantics, and
 the structural checks that go beyond plain value comparison."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -232,7 +231,7 @@ class TestVerifySemantics:
         # a genuine identity keeps passing when asked for 10x more accuracy;
         # a lucky cancellation would not
         ident = REGISTRY[ident_id]
-        tight = dataclasses.replace(ident, tol=ident.tol / 10.0)
+        tight = ident.replace(tol=ident.tol / 10.0)
         assert verify(tight).passed
 
 

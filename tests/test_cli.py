@@ -217,7 +217,8 @@ class TestSweep:
                              "--csv", str(path))
         assert rc == 0
         assert "5 points swept: 5 passed, 0 failed" in out
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 6
 
     def test_fixed_parameters(self, capsys):
