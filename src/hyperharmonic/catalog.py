@@ -221,7 +221,10 @@ def boundary_asymptotic_check(a: float, xs=(1e-3, 1e-4)) -> dict:
 
     The function grows like (sin(pi a)/pi) log(1/x) + O(1). Returns the
     measured slope across the xs pair, the O(1) offsets, and pass flags:
-    slope within 5 percent and offsets bounded by 1.
+    slope within 5 percent and offsets bounded by 1. The values come from
+    the plain series (series.hyp2f1), not from expr.Hyp2F1: near 1 that
+    node sums a connection formula whose log(1/x) term is written in, so
+    the slope would read back the formula instead of testing the series.
     """
     a = float(a)
     expected = math.sin(math.pi * a) / math.pi

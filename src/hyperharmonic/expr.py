@@ -5,6 +5,11 @@ dict). Arithmetic operators are overloaded so registry entries read like
 the formulas they encode; `C` and `P` are shorthand constructors for
 constants and parameters. Nodes are immutable Frozen value classes whose
 fields are their __slots__.
+
+Special functions and series sums are called through this module's
+attributes (_gamma_ratio, _digamma, eval_weighted, ...). A Hyp2F1 node
+near x = 1 sums at 1 - x by Kummer's connection formulas, a few terms
+where the direct sum at x would take tens of thousands.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import math
 
 from ._frozen import Frozen
 from .errors import DomainError, PoleError
-from .series import PochhammerRatioSeries, Unit, eval_weighted
+from .series import (DigammaDiffSum, Harmonic, LinearCombo,
+                     PochhammerRatioSeries, Unit, eval_weighted)
+from .specialfn import _pole_index
 from .specialfn import digamma as _digamma
 from .specialfn import elliptic_K as _elliptic_K
 from .specialfn import gamma_ratio as _gamma_ratio
@@ -204,15 +211,70 @@ class EllipticK(Expr):
 
 
 class Hyp2F1(Expr):
-    """Gauss 2F1 evaluated by direct summation; keep |x| away from 1."""
+    """Gauss 2F1(a, b; c; x), summed to 1e-12 * max(1, |F|).
+
+    Near x = 1 (|1 - x| < 1/4 and |x| < 1) the node sums at y = 1 - x
+    instead, by Kummer's connection formulas in s = c - a - b:
+
+    - |s| <= 1e-12 (A&S 15.3.10, the logarithmic case):
+      Gamma(a+b)/(Gamma(a)Gamma(b)) sum (a)_n (b)_n / (n!)^2 y^n
+      * (2 psi(n+1) - psi(a+n) - psi(b+n) - log y);
+    - s at least 0.1 from every integer (A&S 15.3.6):
+      Gamma(c)Gamma(s)/(Gamma(c-a)Gamma(c-b)) 2F1(a, b; 1-s; y)
+      + y^s Gamma(c)Gamma(-s)/(Gamma(a)Gamma(b)) 2F1(c-a, c-b; 1+s; y),
+      where a sum whose prefactor is 0 is skipped.
+
+    Each of these sums runs at tol 1e-12 / max(1, sum |prefactor|) and
+    needs about 20 terms at most. Any other s, a terminating sum (a or b
+    at a non-positive integer), a prefactor that is not finite and every
+    other x take the direct sum at x (eval_weighted), which raises for
+    |x| > 1 and takes the unit-circle rule at |x| = 1. A pole at c
+    raises PoleError.
+    """
 
     __slots__ = ("a", "b", "c", "x")
 
     def eval(self, env):
-        spec = PochhammerRatioSeries(
-            (self.a.eval(env), self.b.eval(env)),
-            (self.c.eval(env),), 1, 1.0, 0)
-        return eval_weighted(spec, Unit(), self.x.eval(env), tol=1e-12).value
+        a, b, c = self.a.eval(env), self.b.eval(env), self.c.eval(env)
+        x = self.x.eval(env)
+        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
+        if (abs(1.0 - x) < 0.25 and abs(x) < 1.0
+                and _pole_index(a) is None and _pole_index(b) is None):
+            value = _hyp2f1_near_one(a, b, c, 1.0 - x)
+            if value is not None:
+                return value
+        return eval_weighted(spec, Unit(), x, tol=1e-12).value
+
+
+def _hyp2f1_near_one(a, b, c, y):
+    """2F1(a, b; c; 1 - y) by the connection formulas of Hyp2F1, or None
+    where neither applies."""
+    s = c - a - b
+    log_case = abs(s) <= 1e-12
+    if not log_case and abs(s - round(s.real)) < 0.1:
+        return None
+    try:
+        prefs = ([_gamma_ratio([a + b], [a, b])] if log_case else
+                 [_gamma_ratio([c, s], [c - a, c - b]),
+                  y ** s * _gamma_ratio([c, -s], [a, b])])
+    except OverflowError:
+        return None
+    if not all(map(cmath.isfinite, prefs)):
+        return None
+    if log_case:
+        # 2 psi(n+1) - psi(a+n) - psi(b+n) - log y
+        const = 2.0 * _digamma(1.0) - _digamma(a) - _digamma(b) - cmath.log(y)
+        sums = [(PochhammerRatioSeries((a, b), (), 2, 1.0, 0), LinearCombo((
+            (1.0, DigammaDiffSum(a - 1.0, 0.5)),
+            (1.0, DigammaDiffSum(b - 1.0, 0.5)),
+            (-2.0, Harmonic()), (const, Unit()))))]
+    else:
+        sums = [(PochhammerRatioSeries((a, b), (1.0 - s,), 1, 1.0, 0), Unit()),
+                (PochhammerRatioSeries((c - a, c - b), (1.0 + s,), 1, 1.0, 0),
+                 Unit())]
+    tol = 1e-12 / max(1.0, sum(map(abs, prefs)))
+    return sum(pref * eval_weighted(spec, weight, y, tol=tol).value
+               for pref, (spec, weight) in zip(prefs, sums) if pref != 0)
 
 
 def C(v) -> Const:

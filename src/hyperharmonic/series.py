@@ -690,7 +690,13 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,
            max_terms: int = DEFAULT_MAX_TERMS) -> complex:
-    """Gauss 2F1 by its series, |x| <= 1 (see eval_weighted)."""
+    """Gauss 2F1 by its series, |x| <= 1 (see eval_weighted).
+
+    This stays the plain series at x, also near x = 1, where the
+    closed-form node expr.Hyp2F1 switches to Kummer's connection formulas:
+    catalog.boundary_asymptotic_check measures the series' own growth
+    there, which a connection formula would only read back.
+    """
     spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
     return eval_weighted(spec, Unit(), x, tol=tol, max_terms=max_terms).value
 

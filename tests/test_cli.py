@@ -334,14 +334,14 @@ def test_unwritable_output_fails_before_evaluation(capsys, monkeypatch,
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "hyperharmonic.cli", "list"],
-            capture_output=True, text=True, timeout=120)
+            env=child_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == len(REGISTRY)
 
-    def test_console_script_verify(self):
+    def test_console_script_verify(self, child_env):
         # an uninstalled source tree has no console script; the module
         # entry point runs the same main()
         import shutil
@@ -349,11 +349,11 @@ class TestEntryPoint:
         cmd = [exe] if exe else [sys.executable, "-m", "hyperharmonic.cli"]
         proc = subprocess.run(
             cmd + ["verify", "--ids", "EX-4", "--quiet"],
-            capture_output=True, text=True, timeout=120)
+            env=child_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
-    def test_closed_stdout_exits_quietly(self):
+    def test_closed_stdout_exits_quietly(self, child_env):
         # the pipe's read end is closed before the child starts, so its
         # first write to stdout fails
         read_end, write_end = os.pipe()
@@ -362,20 +362,21 @@ class TestEntryPoint:
             proc = subprocess.run(
                 [sys.executable, "-m", "hyperharmonic.cli", "verify",
                  "--ids", "EX-1", "--json", "-"],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+                env=child_env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120)
         finally:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == BROKEN_PIPE
 
 
-def test_runtime_imports_only_the_standard_library():
+def test_runtime_imports_only_the_standard_library(child_env):
     # the package and its CLI need nothing outside the standard library
     code = ("import sys; before = set(sys.modules); import hyperharmonic.cli; "
             "print(*sorted({m.partition('.')[0] for m in sys.modules} "
             "- {m.partition('.')[0] for m in before}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "hyperharmonic" in loaded

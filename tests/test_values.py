@@ -4,14 +4,12 @@ importing the CLI loads."""
 
 import copy
 import json
-import os
 import pickle
 import subprocess
 import sys
 
 import pytest
 
-import hyperharmonic
 from hyperharmonic import DomainError, REGISTRY, catalog, expr, series
 from hyperharmonic._frozen import Frozen
 from hyperharmonic.catalog import Identity, PointCheck, SeriesTerm, VerifyReport
@@ -186,7 +184,7 @@ def test_replace_validates_again():
         Harmonic().replace(stride=4)
 
 
-def test_cli_import_loads_no_clock_and_no_generated_classes():
+def test_cli_import_loads_no_clock_and_no_generated_classes(child_env):
     # start-up gate: importing the CLI must not load datetime (only a JSON
     # report needs the clock), nor dataclasses, inspect or typing, and no
     # class of the package is a dataclass; every value class is Frozen.
@@ -206,11 +204,7 @@ print(json.dumps({"loaded": sorted(loaded & {"dataclasses", "inspect",
                                               "typing", "datetime"}),
                   "dataclasses": records}))
 """
-    src = os.path.dirname(os.path.dirname(hyperharmonic.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
