@@ -3,8 +3,8 @@ harmonic-number weights.
 
 The package has three layers: scalar special functions (specialfn),
 a weighted-series summation engine with unit-circle extrapolation (series),
-and a registry of verifiable identities with closed-form right-hand
-sides (catalog) fronted by the `hyperharmonic` command line tool (cli).
+and a registry of verifiable identities whose sides are expression trees
+(expr, catalog) fronted by the `hyperharmonic` command line tool (cli).
 """
 
 from .errors import (
@@ -43,7 +43,6 @@ from .catalog import (
     Identity,
     PointCheck,
     REGISTRY,
-    SeriesTerm,
     VerifyReport,
     boundary_asymptotic_check,
     build_registry,
@@ -88,7 +87,6 @@ __all__ = [
     "Identity",
     "PointCheck",
     "REGISTRY",
-    "SeriesTerm",
     "VerifyReport",
     "boundary_asymptotic_check",
     "build_registry",

@@ -1,16 +1,17 @@
 """Registry of verifiable series identities and transformation checks.
 
-Each entry pairs weighted Pochhammer-ratio series (the `lhs`, plus any
-series that belong on the right-hand side) with a closed-form expression
-tree, a comparison tolerance, and deterministic sample points. The
-definitions do not depend on the seed and are built once, at import; a
-registry is those shared definitions plus one seed's points. The
-records (SeriesTerm, Identity, PointCheck, VerifyReport) are Frozen
-value classes; Identity.replace(...) derives a copy, as build_registry
-and with_perturbed_rhs do. verify() evaluates both sides and reports
-mismatches as failed checks rather than exceptions; genuine evaluation
-trouble (divergence, domain violations) still raises, naming the
-identity, the point and the side.
+Each entry states its two sides as expression trees (expr): weighted
+Pochhammer-ratio series are Series nodes, combined with Gauss functions
+and elementary terms as the formula reads. An entry also carries a
+comparison tolerance and deterministic sample points. The definitions
+do not depend on the seed and are built once, at import; a registry is
+those shared definitions plus one seed's points. The records (Identity,
+PointCheck, VerifyReport) are Frozen value classes, so an entry is data
+that compares, pickles and reprs by its formulas; Identity.replace(...)
+derives a copy, as build_registry and with_perturbed_rhs do. verify()
+evaluates both sides and reports mismatches as failed checks rather than
+exceptions; genuine evaluation trouble (divergence, domain violations)
+still raises, naming the identity, the point and the side.
 
 Comparison rule: relative error when |rhs| >= 1, absolute error below
 that, always against the named tolerance. Every series is evaluated at
@@ -24,15 +25,15 @@ import random
 
 from ._frozen import Frozen
 from .errors import DomainError, HyperharmonicError, UnknownIdentityError
-from .expr import (C, Const, Cos, Digamma, EllipticK, Gamma, GammaRatio,
-                   Hyp2F1, Log, Mul, P, PI, Pow, Sin, Sqrt)
+from .expr import (C, Cos, Digamma, EllipticK, Gamma, GammaRatio, Hyp2F1,
+                   Log, Mul, P, PI, Pow, Series, Sin, Sqrt)
 from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
                      LinearCombo, PochhammerRatioSeries, ReciprocalShift, Unit,
                      eval_weighted, finite_difference, hyp2f1)
 from .specialfn import gamma_ratio, harmonic
 
 __all__ = [
-    "DEFAULT_SEED", "Identity", "SeriesTerm", "PointCheck", "VerifyReport",
+    "DEFAULT_SEED", "Identity", "PointCheck", "VerifyReport",
     "REGISTRY", "build_registry", "get_identity", "verify", "eval_lhs",
     "eval_rhs", "with_perturbed_rhs", "ode_residual",
     "boundary_asymptotic_check", "finite_sum_instance",
@@ -44,25 +45,18 @@ _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 
-class SeriesTerm(Frozen):
-    """One weighted series with a scalar (possibly parameter-dependent)
-    coefficient Expr. build(env) -> (spec, weight, argument)."""
-
-    __slots__ = ("coefficient", "build")
-
-
 class Identity(Frozen):
     """A registry entry. kind is "identity" or "transformation"; lhs and
-    rhs_series are tuples of SeriesTerm, rhs an Expr; accel is data only:
-    it marks identities with unit-argument sides."""
+    rhs are Exprs whose Series nodes are the summed series; accel is data
+    only: it marks identities with unit-argument sides."""
 
     __slots__ = ("id", "kind", "description", "param_names", "sample_points",
-                 "lhs", "rhs", "rhs_series", "tol", "accel")
+                 "lhs", "rhs", "tol", "accel")
 
     def __init__(self, id, kind, description, param_names, sample_points,
-                 lhs, rhs, rhs_series=(), tol=1e-9, accel=False):
+                 lhs, rhs, tol=1e-9, accel=False):
         Frozen.__init__(self, id, kind, description, param_names,
-                        sample_points, lhs, rhs, rhs_series, tol, accel)
+                        sample_points, lhs, rhs, tol, accel)
 
 
 class PointCheck(Frozen):
@@ -88,49 +82,44 @@ class VerifyReport(Frozen):
 # evaluation
 
 
-def _located(exc: HyperharmonicError, ident: Identity, env: dict,
-             where: str) -> HyperharmonicError:
-    """The same error class, its message prefixed with the identity, the
-    point and the side (lhs term k, rhs series term k or rhs expression,
-    k counting from 0) where it was raised."""
-    return type(exc)(f"{ident.id} at {env}, {where}: {exc}")
+class _Scope(dict):
+    """A point's parameters, plus the tolerance that a side's Series
+    nodes sum at and the list of their SeriesResults (see expr.Series)."""
+
+    __slots__ = ("tol", "sums")
 
 
-def _sum_terms(ident: Identity, terms, env: dict, side: str):
-    total = 0j
-    used = 0
-    methods = set()
-    for k, term in enumerate(terms):
-        try:
-            spec, weight, x = term.build(env)
-            res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0)
-            total += term.coefficient.eval(env) * res.value
-        except HyperharmonicError as exc:
-            raise _located(exc, ident, env, f"{side} term {k}") from exc
-        used += res.terms_used
-        methods.add(res.method)
-    return total, used, methods
-
-
-def _eval_rhs_expr(ident: Identity, env: dict) -> complex:
+def _eval_side(ident: Identity, env: dict, side: str):
+    """(value, SeriesResults of its Series nodes) of ident's side ("lhs"
+    or "rhs") at the point env, every series summed at ident.tol / 4. An
+    error is raised again as the same class, its message prefixed with
+    the identity, the point and the place: "{side} term k" for the k-th
+    Series node in evaluation order (from 0), "{side} expression" for
+    any other node."""
+    scope = _Scope(env)
+    scope.tol = ident.tol / 4.0
+    scope.sums = sums = []
     try:
-        return ident.rhs.eval(env)
+        # from 0j, as a sum of series: a negated side's zero imaginary
+        # part then reads +0.0
+        return 0j + getattr(ident, side).eval(scope), sums
     except HyperharmonicError as exc:
-        raise _located(exc, ident, env, "rhs expression") from exc
+        where = (f"term {len(sums) - 1}" if sums and sums[-1] is None
+                 else "expression")
+        raise type(exc)(f"{ident.id} at {env}, {side} {where}: {exc}") from exc
 
 
 def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
-    lhs, used_l, methods = _sum_terms(ident, ident.lhs, env, "lhs")
-    rhs, used_r, methods_r = _sum_terms(ident, ident.rhs_series, env,
-                                        "rhs series")
-    rhs += _eval_rhs_expr(ident, env)
-    methods |= methods_r
+    lhs, sums = _eval_side(ident, env, "lhs")
+    rhs, sums_r = _eval_side(ident, env, "rhs")
+    sums += sums_r
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else None
     passed = (rel_err <= tol) if abs(rhs) >= 1.0 else (abs_err <= tol)
     return PointCheck(dict(env), lhs, rhs, abs_err, rel_err, passed,
-                      used_l + used_r,
-                      "extrapolated" if "extrapolated" in methods else "direct")
+                      sum(r.terms_used for r in sums),
+                      "extrapolated" if any(r.method == "extrapolated"
+                                            for r in sums) else "direct")
 
 
 def get_identity(identity, registry: dict | None = None) -> Identity:
@@ -160,23 +149,18 @@ def verify(identity, *, points=None, tol: float | None = None,
 
 
 def eval_lhs(identity, registry: dict | None = None, **params) -> complex:
-    ident = get_identity(identity, registry)
-    val, _, _ = _sum_terms(ident, ident.lhs, params, "lhs")
-    return val
+    return _eval_side(get_identity(identity, registry), params, "lhs")[0]
 
 
 def eval_rhs(identity, registry: dict | None = None, **params) -> complex:
-    ident = get_identity(identity, registry)
-    val, _, _ = _sum_terms(ident, ident.rhs_series, params, "rhs series")
-    return val + _eval_rhs_expr(ident, params)
+    return _eval_side(get_identity(identity, registry), params, "rhs")[0]
 
 
 def with_perturbed_rhs(identity, eps: float, registry: dict | None = None) -> Identity:
-    """Copy of an identity with its closed-form side scaled by (1 + eps).
+    """Copy of an identity with its right-hand side scaled by (1 + eps).
 
     Fault-injection helper: a perturbed copy must fail verification, which
-    exercises the failure-reporting path end to end. Only the expression
-    part is scaled, so pick an identity whose rhs expression is nonzero.
+    exercises the failure-reporting path end to end.
     """
     ident = get_identity(identity, registry)
     return ident.replace(rhs=Mul(ident.rhs, C(1.0 + eps)))
@@ -317,13 +301,6 @@ def _draw_z(rng, pred, lo=-0.9, hi=0.9, im=0.45):
             return z
 
 
-def _doubling_kernels(env):
-    a, b = env["a"], env["b"]
-    half = PochhammerRatioSeries((2.0 * a, 2.0 * b), (a + b + 0.5,), 1, 0.5, 1)
-    unit = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 1)
-    return half, unit
-
-
 def _seeded_points(seed: int) -> dict:
     """{id: sample points} of the entries whose points the seed draws.
 
@@ -390,6 +367,8 @@ def _definitions() -> dict:
     order. An entry whose points _seeded_points draws has none here."""
     a, b, c, k, x, z = P("a"), P("b"), P("c"), P("k"), P("x"), P("z")
     ids: list[Identity] = []
+    # shifts of the doubled kernel (2a)_n (2b)_n / (a+b+1/2)_n
+    _doubled = ((2 * a, 2 * b), (a + b + 0.5,))
 
     # --- harmonic-weight identities -------------------------------------
 
@@ -398,20 +377,16 @@ def _definitions() -> dict:
         description="H_n-weighted doubled kernel at argument 1/2 equals the "
                     "base kernel at unit argument",
         param_names=("a", "b"), sample_points=(),
-        lhs=(SeriesTerm(C(2), lambda e: (_doubling_kernels(e)[0], Harmonic(), 1.0)),),
-        rhs=C(0),
-        rhs_series=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[1], Harmonic(), 1.0)),),
+        lhs=2 * Series(*_doubled, 1, 0.5, 1, Harmonic(), 1.0),
+        rhs=Series((a, b), (a + b + 0.5,), 1, 1.0, 1, Harmonic(), 1.0),
         tol=1e-8, accel=True))
 
     ids.append(Identity(
         id="THM-A2", kind="identity",
         description="(H_n^2 + H_n^(2))-weighted form of the argument doubling",
         param_names=("a", "b"), sample_points=(),
-        lhs=(SeriesTerm(C(4), lambda e: (_doubling_kernels(e)[0],
-                                         HarmonicSqPlusGen2(), 1.0)),),
-        rhs=C(0),
-        rhs_series=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[1],
-                                                HarmonicSqPlusGen2(), 1.0)),),
+        lhs=4 * Series(*_doubled, 1, 0.5, 1, HarmonicSqPlusGen2(), 1.0),
+        rhs=Series((a, b), (a + b + 0.5,), 1, 1.0, 1, HarmonicSqPlusGen2(), 1.0),
         tol=1e-8, accel=True))
 
     ids.append(Identity(
@@ -419,8 +394,7 @@ def _definitions() -> dict:
         description="terminating-direction H_n sum at 1/2 in digamma form",
         param_names=("a",),
         sample_points=tuple({"a": round(0.1 * j, 1)} for j in range(1, 10)),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (2.0 * e["a"], 2.0), (e["a"] + 1.5,), 1, 0.5, 1), Harmonic(), 1.0)),),
+        lhs=Series((2 * a, 2), (a + 1.5,), 1, 0.5, 1, Harmonic(), 1.0),
         rhs=(a + 0.5) * (Digamma(a + 0.5) - Digamma(C(0.5))),
         tol=1e-9))
 
@@ -430,15 +404,16 @@ def _definitions() -> dict:
         param_names=("a",),
         sample_points=tuple({"a": v} for v in
                             (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 0.7)),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (e["a"], 1.0 - e["a"]), (), 2, 0.5, 1), Harmonic(), 1.0)),),
+        lhs=Series((a, 1 - a), (), 2, 0.5, 1, Harmonic(), 1.0),
         rhs=(Sqrt(PI) / (2 * Gamma(1 - a / 2) * Gamma((a + 1) / 2)))
             * (Digamma(1 - a / 2) + Digamma((a + 1) / 2)
                - Digamma(C(1)) - Digamma(C(0.5))),
         tol=1e-9))
 
-    _sq_half = PochhammerRatioSeries((0.5, 0.5), (), 2, 0.5, 1)
-    _tt_half = PochhammerRatioSeries((1.0 / 3.0, 2.0 / 3.0), (), 2, 0.5, 1)
+    # shifts, factorial power, ratio and start of the squared-half and
+    # third-pair kernels
+    _sq_half = ((0.5, 0.5), (), 2, 0.5, 1)
+    _tt_half = ((1.0 / 3.0, 2.0 / 3.0), (), 2, 0.5, 1)
     _g14 = Gamma(C(0.25))
     _g13 = Gamma(C(1.0 / 3.0))
 
@@ -446,7 +421,7 @@ def _definitions() -> dict:
         id="EX-1", kind="identity",
         description="H_n against the squared-half kernel at 1/2",
         param_names=(), sample_points=({},),
-        lhs=(SeriesTerm(C(1), lambda e: (_sq_half, Harmonic(), 1.0)),),
+        lhs=Series(*_sq_half, Harmonic(), 1.0),
         rhs=_g14 ** 2 / (4 * Sqrt(PI)) * (1 - 4 * Log(C(2)) / PI),
         tol=1e-10))
 
@@ -454,7 +429,7 @@ def _definitions() -> dict:
         id="EX-2", kind="identity",
         description="H_n against the third-pair kernel at 1/2",
         param_names=(), sample_points=({},),
-        lhs=(SeriesTerm(C(1), lambda e: (_tt_half, Harmonic(), 1.0)),),
+        lhs=Series(*_tt_half, Harmonic(), 1.0),
         rhs=_g13 ** 3 / (C(2.0 ** (7.0 / 3.0)) * PI)
             * (Sqrt(C(3)) - 9 * Log(C(3)) / (2 * PI)),
         tol=1e-10))
@@ -463,7 +438,7 @@ def _definitions() -> dict:
         id="EX-3", kind="identity",
         description="H_{2n} against the squared-half kernel at 1/2",
         param_names=(), sample_points=({},),
-        lhs=(SeriesTerm(C(1), lambda e: (_sq_half, Harmonic(stride=2), 1.0)),),
+        lhs=Series(*_sq_half, Harmonic(stride=2), 1.0),
         rhs=_g14 ** 2 / (8 * Sqrt(PI)) * (1 - 3 * Log(C(2)) / PI),
         tol=1e-10))
 
@@ -471,7 +446,7 @@ def _definitions() -> dict:
         id="EX-4", kind="identity",
         description="H_{3n} against the third-pair kernel at 1/2",
         param_names=(), sample_points=({},),
-        lhs=(SeriesTerm(C(1), lambda e: (_tt_half, Harmonic(stride=3), 1.0)),),
+        lhs=Series(*_tt_half, Harmonic(stride=3), 1.0),
         rhs=_g13 ** 3 / (C(2.0 ** (7.0 / 3.0)) * PI)
             * (1 / Sqrt(C(3)) + (2 * Log(C(2)) - 3 * Log(C(3))) / (2 * PI)),
         tol=1e-10))
@@ -483,8 +458,7 @@ def _definitions() -> dict:
         param_names=("a", "b"),
         sample_points=({"a": 0.25, "b": 0.25}, {"a": 0.3, "b": 0.2},
                        {"a": 0.3 + 0.1j, "b": 0.25}),
-        lhs=(SeriesTerm(C(1), lambda e: (_doubling_kernels(e)[0],
-                                         DigammaDiffSum(e["a"], e["b"]), 1.0)),),
+        lhs=Series(*_doubled, 1, 0.5, 1, (DigammaDiffSum, a, b), 1.0),
         rhs=GammaRatio((C(0.5), a + b + 0.5), (a + 0.5, b + 0.5))
             * (Digamma(a + b + 0.5) - Digamma(b + 0.5)),
         tol=1e-8))
@@ -493,20 +467,20 @@ def _definitions() -> dict:
         id="SUM-MIX", kind="identity",
         description="mixed 4H_{2n} - 3H_n weight at 1/2",
         param_names=(), sample_points=({},),
-        lhs=(SeriesTerm(C(1), lambda e: (_sq_half, LinearCombo(
-            ((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))), 1.0)),),
+        lhs=Series(*_sq_half, LinearCombo(
+            ((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))), 1.0),
         rhs=_g14 ** 2 / (4 * Sqrt(PI)) * (6 * Log(C(2)) / PI - 1),
         tol=1e-8))
 
     _k_grid = tuple({"k": round(0.1 * j, 1)} for j in range(1, 10))
-    _sq_unit = PochhammerRatioSeries((0.5, 0.5), (), 2, 1.0, 1)
+    _sq_unit = ((0.5, 0.5), (), 2, 1.0, 1)
 
     ids.append(Identity(
         id="GF-K1", kind="identity",
         description="H_n generating function at k^2: complete elliptic "
                     "integral combination",
         param_names=("k",), sample_points=_k_grid,
-        lhs=(SeriesTerm(C(1), lambda e: (_sq_unit, Harmonic(), e["k"] ** 2)),),
+        lhs=Series(*_sq_unit, Harmonic(), k ** 2),
         rhs=EllipticK(Sqrt(1 - k ** 2))
             + EllipticK(k) * Log(k ** 2 / (16 * (1 - k ** 2))) / PI,
         tol=1e-9))
@@ -515,8 +489,7 @@ def _definitions() -> dict:
         id="GF-K2", kind="identity",
         description="H_{2n} generating function at k^2 via elliptic integrals",
         param_names=("k",), sample_points=_k_grid,
-        lhs=(SeriesTerm(C(1), lambda e: (_sq_unit, Harmonic(stride=2),
-                                         e["k"] ** 2)),),
+        lhs=Series(*_sq_unit, Harmonic(stride=2), k ** 2),
         rhs=C(0.5) * EllipticK(Sqrt(1 - k ** 2))
             + EllipticK(k) * Log(k / (4 * (1 - k ** 2))) / PI,
         tol=1e-9))
@@ -529,8 +502,7 @@ def _definitions() -> dict:
         description="H_n generating function as a two-term Gauss-series "
                     "combination with logarithmic coefficient",
         param_names=("a", "x"), sample_points=_thmb_pts,
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (e["a"], 1.0 - e["a"]), (), 2, 1.0, 1), Harmonic(), e["x"])),),
+        lhs=Series((a, 1 - a), (), 2, 1.0, 1, Harmonic(), x),
         rhs=PI / (2 * Sin(PI * a)) * Hyp2F1(a, 1 - a, C(1), 1 - x)
             + C(0.5) * (Digamma(1 - a / 2) + Digamma((a + 1) / 2)
                         - Digamma(C(1)) - Digamma(C(0.5))
@@ -543,8 +515,7 @@ def _definitions() -> dict:
         description="H_{3n} generating function for the third-pair kernel",
         param_names=("x",),
         sample_points=tuple({"x": round(0.1 * j, 1)} for j in range(1, 10)),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (1.0 / 3.0, 2.0 / 3.0), (), 2, 1.0, 1), Harmonic(stride=3), e["x"])),),
+        lhs=Series((1.0 / 3.0, 2.0 / 3.0), (), 2, 1.0, 1, Harmonic(stride=3), x),
         rhs=PI / C(3.0 * math.sqrt(3.0))
             * Hyp2F1(C(1.0 / 3.0), C(2.0 / 3.0), C(1), 1 - x)
             - Hyp2F1(C(1.0 / 3.0), C(2.0 / 3.0), C(1), x)
@@ -560,8 +531,7 @@ def _definitions() -> dict:
         param_names=("x", "scale"),
         sample_points=({"x": _x1, "scale": 1.0},
                        {"x": _x2, "scale": math.sqrt(3.0)}),
-        lhs=(SeriesTerm(P("scale"), lambda e: (PochhammerRatioSeries(
-            (1.0 / 3.0, 2.0 / 3.0), (), 2, 1.0, 0), Unit(), e["x"])),),
+        lhs=P("scale") * Series((1.0 / 3.0, 2.0 / 3.0), (), 2, 1.0, 0, Unit(), x),
         rhs=Pow(C(3), C(0.375)) * Pow(C(2.0 + math.sqrt(3.0)), C(0.25))
             * _g14 ** 2 / Pow(2 * PI, C(1.5)),
         tol=1e-9))
@@ -571,9 +541,7 @@ def _definitions() -> dict:
         description="H_n/(n+1) weight against the doubled kernel at unit "
                     "argument: trigonometric-digamma closed form",
         param_names=("a", "b"), sample_points=(),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (2.0 * e["a"], 2.0 * e["b"]), (e["a"] + e["b"] + 0.5,), 1, 1.0, 1),
-            ReciprocalShift(Harmonic()), 1.0)),),
+        lhs=Series(*_doubled, 1, 1.0, 1, ReciprocalShift(Harmonic()), 1.0),
         rhs=(2 * a + 2 * b - 1) * Sin(PI * a) * Sin(PI * b)
             / ((2 * a - 1) * (2 * b - 1) * Cos(PI * (a + b)))
             * (Digamma(C(0.5)) + Digamma(1.5 - a - b)
@@ -585,40 +553,34 @@ def _definitions() -> dict:
         description="(2H_{2n} - H_n)-weighted unit-argument sum equal to a "
                     "digamma-weighted gamma ratio",
         param_names=("a", "b"), sample_points=(),
-        lhs=(SeriesTerm(C(-1), lambda e: (PochhammerRatioSeries(
-            (e["a"], e["b"]), (0.5,), 1, 1.0, 1), LinearCombo(
-            ((2.0, Harmonic(stride=2)), (-1.0, Harmonic()))), 1.0)),),
+        lhs=-Series((a, b), (0.5,), 1, 1.0, 1, LinearCombo(
+            ((2.0, Harmonic(stride=2)), (-1.0, Harmonic()))), 1.0),
         rhs=GammaRatio((C(0.5), 0.5 - a - b), (0.5 - a, 0.5 - b))
             * (Digamma(C(0.5)) + Digamma(0.5 - a - b)
                - Digamma(0.5 - a) - Digamma(0.5 - b)),
         tol=1e-6, accel=True))
 
-    def _thmd_mono(e):
-        return PochhammerRatioSeries(
-            (0.5, e["a"] + e["b"]), (1.0 + e["a"], 1.0 + e["b"]), 0, 1.0, 1)
-
+    _mono = ((0.5, a + b), (1 + a, 1 + b), 0, 1.0, 1)
     ids.append(Identity(
         id="THM-D", kind="identity",
         description="three-series combination tying H_n weights at arguments "
                     "+1 and -1 to log 4",
         param_names=("a", "b"), sample_points=(),
-        lhs=(SeriesTerm(C(1), lambda e: (_thmd_mono(e), Harmonic(), 1.0)),
-             SeriesTerm(C(-4), lambda e: (PochhammerRatioSeries(
-                 (1.0 - e["a"], 1.0 - e["b"]), (1.0 + e["a"], 1.0 + e["b"]),
-                 0, -1.0, 1), Harmonic(), 1.0)),
-             SeriesTerm(C(-_LN4), lambda e: (_thmd_mono(e), Unit(), 1.0))),
+        lhs=Series(*_mono, Harmonic(), 1.0)
+            - 4 * Series((1 - a, 1 - b), (1 + a, 1 + b), 0, -1.0, 1,
+                         Harmonic(), 1.0)
+            - _LN4 * Series(*_mono, Unit(), 1.0),
         rhs=C(_LN4),
         tol=1e-6, accel=True))
 
-    _cord_spec = PochhammerRatioSeries((0.75, 0.5), (1.25, 1.5), 0, 1.0, 1)
-    _cord_alt = PochhammerRatioSeries((0.75, 0.5), (1.25, 1.5), 0, -1.0, 1)
+    _cord = ((0.75, 0.5), (1.25, 1.5), 0)
     ids.append(Identity(
         id="COR-D", kind="identity",
         description="quarter-parameter instance of the two-argument H_n "
                     "combination",
         param_names=(), sample_points=({},),
-        lhs=(SeriesTerm(C(0.25), lambda e: (_cord_spec, Harmonic(), 1.0)),
-             SeriesTerm(C(-1), lambda e: (_cord_alt, Harmonic(), 1.0))),
+        lhs=0.25 * Series(*_cord, 1.0, 1, Harmonic(), 1.0)
+            - Series(*_cord, -1.0, 1, Harmonic(), 1.0),
         rhs=_g14 ** 4 * Log(C(2)) / (64 * PI),
         tol=1e-8, accel=True))
 
@@ -628,11 +590,9 @@ def _definitions() -> dict:
                     "by a gamma-ratio multiple of log 2",
         param_names=("b",),
         sample_points=({"b": 0.75}, {"b": 1.2}, {"b": 2.0}, {"b": 3.0}),
-        lhs=(SeriesTerm(C(0.25), lambda e: (PochhammerRatioSeries(
-            (0.5, e["b"]), (2.0 * e["b"],), 1, 1.0, 1), Harmonic(), 1.0)),
-             SeriesTerm(C(-1), lambda e: (PochhammerRatioSeries(
-                 (0.5, 1.0 - e["b"]), (e["b"] + 0.5,), 1, 1.0, 1),
-                 Harmonic(stride=2), 1.0))),
+        lhs=0.25 * Series((0.5, b), (2 * b,), 1, 1.0, 1, Harmonic(), 1.0)
+            - Series((0.5, 1 - b), (b + 0.5,), 1, 1.0, 1, Harmonic(stride=2),
+                     1.0),
         rhs=GammaRatio((b + 0.5, 2 * b - 1), (b, 2 * b - 0.5)) * Log(C(2)),
         tol=1e-6, accel=True))
 
@@ -643,9 +603,7 @@ def _definitions() -> dict:
         description="quadratic argument map z -> 4z(1-z) between doubled and "
                     "base kernels",
         param_names=("a", "b", "z"), sample_points=(),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (2.0 * e["a"], 2.0 * e["b"]), (e["a"] + e["b"] + 0.5,), 1, 1.0, 0),
-            Unit(), e["z"])),),
+        lhs=Series(*_doubled, 1, 1.0, 0, Unit(), z),
         rhs=Hyp2F1(a, b, a + b + 0.5, 4 * z * (1 - z)),
         tol=1e-10))
 
@@ -654,10 +612,8 @@ def _definitions() -> dict:
         description="splitting of the squared-argument kernel into the two "
                     "half-shifted arguments",
         param_names=("a", "b", "z"), sample_points=(),
-        lhs=(SeriesTerm(2 * GammaRatio((C(0.5), a + b + 0.5), (a + 0.5, b + 0.5)),
-                        lambda e: (PochhammerRatioSeries(
-                            (e["a"], e["b"]), (0.5,), 1, 1.0, 0), Unit(),
-                            e["z"] ** 2)),),
+        lhs=2 * GammaRatio((C(0.5), a + b + 0.5), (a + 0.5, b + 0.5))
+            * Series((a, b), (0.5,), 1, 1.0, 0, Unit(), z ** 2),
         rhs=Hyp2F1(2 * a, 2 * b, a + b + 0.5, (1 + z) / 2)
             + Hyp2F1(2 * a, 2 * b, a + b + 0.5, (1 - z) / 2),
         tol=1e-10))
@@ -667,9 +623,8 @@ def _definitions() -> dict:
         description="rational pullback 4z/(1+z)^2 with algebraic prefactor "
                     "against the squared-argument kernel",
         param_names=("a", "b", "z"), sample_points=(),
-        lhs=(SeriesTerm(Pow(1 + z, -2 * a), lambda e: (PochhammerRatioSeries(
-            (e["a"], e["b"]), (2.0 * e["b"],), 1, 1.0, 0), Unit(),
-            4.0 * e["z"] / (1.0 + e["z"]) ** 2)),),
+        lhs=Pow(1 + z, -2 * a) * Series((a, b), (2 * b,), 1, 1.0, 0, Unit(),
+                                        4 * z / (1 + z) ** 2),
         rhs=Hyp2F1(a, a + 0.5 - b, b + 0.5, z ** 2),
         tol=1e-10))
 
@@ -678,15 +633,10 @@ def _definitions() -> dict:
         description="rational transformation of the two-denominator kernel "
                     "with power prefactor",
         param_names=("a", "b", "c", "z"), sample_points=(),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (e["a"], e["b"], e["c"]),
-            (e["a"] - e["b"] + 1.0, e["a"] - e["c"] + 1.0), 1, 1.0, 0),
-            Unit(), -e["z"])),),
-        rhs=C(0),
-        rhs_series=(SeriesTerm(Pow(1 + z, -a), lambda e: (PochhammerRatioSeries(
-            (e["a"] - e["b"] - e["c"] + 1.0, e["a"] / 2.0, (e["a"] + 1.0) / 2.0),
-            (e["a"] - e["b"] + 1.0, e["a"] - e["c"] + 1.0), 1, 1.0, 0),
-            Unit(), 4.0 * e["z"] / (1.0 + e["z"]) ** 2)),),
+        lhs=Series((a, b, c), (a - b + 1, a - c + 1), 1, 1.0, 0, Unit(), -z),
+        rhs=Pow(1 + z, -a) * Series(
+            (a - b - c + 1, a / 2, (a + 1) / 2), (a - b + 1, a - c + 1), 1, 1.0,
+            0, Unit(), 4 * z / (1 + z) ** 2),
         tol=1e-10))
 
     ids.append(Identity(
@@ -697,8 +647,7 @@ def _definitions() -> dict:
                        {"a": 0.25, "b": 0.5, "c": 2.75},
                        {"a": 0.1 + 0.2j, "b": 0.3, "c": 2.6},
                        {"a": -0.2, "b": 0.35, "c": 2.2}),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (e["a"], e["b"]), (e["c"],), 1, 1.0, 0), Unit(), 1.0)),),
+        lhs=Series((a, b), (c,), 1, 1.0, 0, Unit(), 1.0),
         rhs=GammaRatio((c, c - a - b), (c - a, c - b)),
         tol=1e-8, accel=True))
 
@@ -709,9 +658,7 @@ def _definitions() -> dict:
         sample_points=({"a": 0.25, "b": 0.25}, {"a": 0.2, "b": 0.3},
                        {"a": 0.15 + 0.1j, "b": 0.2}, {"a": -0.3, "b": 0.45},
                        {"a": 1.0 / 3.0, "b": 1.0 / 6.0}),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (2.0 * e["a"], 2.0 * e["b"]), (e["a"] + e["b"] + 0.5,), 1, 1.0, 0),
-            Unit(), 0.5)),),
+        lhs=Series(*_doubled, 1, 1.0, 0, Unit(), 0.5),
         rhs=GammaRatio((C(0.5), a + b + 0.5), (a + 0.5, b + 0.5)),
         tol=1e-10))
 
@@ -723,8 +670,7 @@ def _definitions() -> dict:
         sample_points=({"a": 0.3, "c": 0.7}, {"a": 0.5, "c": 1.2},
                        {"a": 0.25 + 0.15j, "c": 0.8}, {"a": -0.4, "c": 0.6},
                        {"a": 2.0 / 3.0, "c": 5.0 / 3.0}),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (e["a"], 1.0 - e["a"]), (e["c"] + 1.0,), 1, 1.0, 0), Unit(), 0.5)),),
+        lhs=Series((a, 1 - a), (c + 1,), 1, 1.0, 0, Unit(), 0.5),
         rhs=GammaRatio((c / 2 + 1, (c + 1) / 2),
                        ((c - a) / 2 + 1, (c + a + 1) / 2)),
         tol=1e-10))
@@ -738,9 +684,8 @@ def _definitions() -> dict:
         description="balanced unit-argument double-kernel sum as a "
                     "four-over-four gamma product",
         param_names=("a", "b", "c"), sample_points=_watson_pts,
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (2.0 * e["a"], 2.0 * e["b"], e["c"]),
-            (e["a"] + e["b"] + 0.5, 2.0 * e["c"]), 1, 1.0, 0), Unit(), 1.0)),),
+        lhs=Series((2 * a, 2 * b, c), (a + b + 0.5, 2 * c), 1, 1.0, 0, Unit(),
+                   1.0),
         rhs=GammaRatio((C(0.5), a + b + 0.5, c + 0.5, 0.5 - a - b + c),
                        (a + 0.5, b + 0.5, 0.5 - a + c, 0.5 - b + c)),
         tol=1e-6, accel=True))
@@ -755,9 +700,8 @@ def _definitions() -> dict:
                        {"a": 0.2, "b": 0.3, "c": 2.0, "eps": -1.0},
                        {"a": 0.25, "b": 1.0 / 3.0, "c": 2.5, "eps": 1.0},
                        {"a": 0.15, "b": 0.2 - 0.1j, "c": 1.8, "eps": -1.0}),
-        lhs=(SeriesTerm(C(1), lambda e: (PochhammerRatioSeries(
-            (2.0 * e["a"], 2.0 * e["b"], e["c"] + complex(e["eps"]) / 2.0),
-            (e["a"] + e["b"] + 0.5, 2.0 * e["c"]), 1, 1.0, 0), Unit(), 1.0)),),
+        lhs=Series((2 * a, 2 * b, c + _eps / 2), (a + b + 0.5, 2 * c), 1, 1.0,
+                   0, Unit(), 1.0),
         rhs=GammaRatio((C(0.5), c, a + b + 0.5, c - a - b),
                        (a + 0.5, b + 0.5, c - a, c - b))
             + _eps * GammaRatio((C(0.5), c, a + b + 0.5, c - a - b),
@@ -777,8 +721,7 @@ def build_registry(seed: int = DEFAULT_SEED) -> dict:
     """All identities and transformation checks, keyed by id, in display
     order: the shared definitions, built once at import, plus this seed's
     sample points. Registries of different seeds share every expression
-    tree and series builder; their points are reproducible functions of
-    the seed."""
+    tree; their points are reproducible functions of the seed."""
     points = _seeded_points(seed)
     return {ident_id: (ident.replace(sample_points=points[ident_id])
                        if ident_id in points else ident)

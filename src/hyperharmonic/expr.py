@@ -1,15 +1,18 @@
-"""Expression trees for closed-form right-hand sides.
+"""Expression trees: both sides of every registry identity.
 
-Nodes evaluate to complex numbers in a parameter environment (a plain
-dict). Arithmetic operators are overloaded so registry entries read like
-the formulas they encode; `C` and `P` are shorthand constructors for
+Nodes evaluate to complex numbers in a parameter environment (a dict).
+Arithmetic operators are overloaded so registry entries read like the
+formulas they encode; `C` and `P` are shorthand constructors for
 constants and parameters. Nodes are immutable Frozen value classes whose
-fields are their __slots__.
+fields are their __slots__, so a side is plain data that compares,
+hashes, pickles and reprs by its formula.
 
-Special functions and series sums are called through this module's
-attributes (_gamma_ratio, _digamma, eval_weighted, ...). A Hyp2F1 node
-near x = 1 sums at 1 - x by Kummer's connection formulas, a few terms
-where the direct sum at x would take tens of thousands.
+A Series node is one weighted Pochhammer-ratio series, summed by
+eval_weighted; Hyp2F1 is the closed-form Gauss function. Special
+functions and series sums are called through this module's attributes
+(_gamma_ratio, _digamma, eval_weighted, ...). A Hyp2F1 node near x = 1
+sums at 1 - x by Kummer's connection formulas, a few terms where the
+direct sum at x would take tens of thousands.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from ._frozen import Frozen
 from .errors import DomainError, PoleError
 from .series import (DigammaDiffSum, Harmonic, LinearCombo,
-                     PochhammerRatioSeries, Unit, eval_weighted)
+                     PochhammerRatioSeries, Unit, WeightKind, eval_weighted)
 from .specialfn import _pole_index
 from .specialfn import digamma as _digamma
 from .specialfn import elliptic_K as _elliptic_K
@@ -30,7 +33,7 @@ from .specialfn import ln_gamma as _ln_gamma
 __all__ = [
     "Expr", "Const", "Param", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Sqrt", "Log", "Sin", "Cos", "Gamma", "Digamma",
-    "GammaRatio", "EllipticK", "Hyp2F1", "C", "P", "PI",
+    "GammaRatio", "EllipticK", "Hyp2F1", "Series", "C", "P", "PI",
 ]
 
 
@@ -244,6 +247,53 @@ class Hyp2F1(Expr):
             if value is not None:
                 return value
         return eval_weighted(spec, Unit(), x, tol=1e-12).value
+
+
+class Series(Expr):
+    """sum_{n >= start_index} w_n u_n(x): the weighted series of
+    series.PochhammerRatioSeries(numerator_shifts, denominator_shifts,
+    factorial_power, geometric_ratio, start_index) with weight w at the
+    argument x. The shifts and x are Exprs (numbers are wrapped as
+    constants); weight is a WeightKind, or (kind class, *Exprs) for a
+    kind whose parameters depend on the point, such as
+    (DigammaDiffSum, a, b).
+
+    eval sums at the env's `tol` attribute (eval_weighted's default in a
+    plain dict) and, where the env has a `sums` list, records its
+    SeriesResult there in evaluation order; the slot holds None while
+    the node is being summed, so a failure can name the node.
+    """
+
+    __slots__ = ("numerator_shifts", "denominator_shifts", "factorial_power",
+                 "geometric_ratio", "start_index", "weight", "x")
+
+    def __init__(self, numerator_shifts, denominator_shifts, factorial_power,
+                 geometric_ratio, start_index, weight, x):
+        Frozen.__init__(self, tuple(map(_wrap, numerator_shifts)),
+                        tuple(map(_wrap, denominator_shifts)), factorial_power,
+                        geometric_ratio, start_index, weight, _wrap(x))
+
+    def bind(self, env):
+        """(spec, weight, x) at the point env: eval_weighted's arguments."""
+        spec = PochhammerRatioSeries(
+            [e.eval(env) for e in self.numerator_shifts],
+            [e.eval(env) for e in self.denominator_shifts],
+            self.factorial_power, self.geometric_ratio, self.start_index)
+        weight = self.weight
+        if not isinstance(weight, WeightKind):
+            weight = weight[0](*(e.eval(env) for e in weight[1:]))
+        return spec, weight, self.x.eval(env)
+
+    def eval(self, env):
+        sums = getattr(env, "sums", None)
+        if sums is not None:
+            k = len(sums)
+            sums.append(None)
+        spec, weight, x = self.bind(env)
+        res = eval_weighted(spec, weight, x, tol=getattr(env, "tol", None))
+        if sums is not None:
+            sums[k] = res
+        return res.value
 
 
 def _hyp2f1_near_one(a, b, c, y):

@@ -152,7 +152,7 @@ def test_watson_type_sums():
         report = assert_all_within(ident_id, 1e-6, expect_points=4)
         ident = REGISTRY[ident_id]
         for pt in ident.sample_points:
-            spec, _, x = ident.lhs[0].build(dict(pt))
+            spec, _, x = ident.lhs.bind(dict(pt))
             assert abs(spec.geometric_ratio * x) == pytest.approx(1.0)
             assert spec.effective_exponent().real < -1.0, \
                 "points must keep absolute convergence"

@@ -1,8 +1,10 @@
 """Identity registry: structure, determinism, comparison semantics, and
 the structural checks that go beyond plain value comparison."""
 
+import copy
 import hashlib
 import math
+import pickle
 
 import mpmath
 import pytest
@@ -12,7 +14,7 @@ from hyperharmonic import (DEFAULT_SEED, DomainError, Identity,
                            build_registry, eval_lhs, eval_rhs, eval_weighted,
                            finite_sum_instance, get_identity, harmonic,
                            ode_residual, verify, with_perturbed_rhs)
-from hyperharmonic import catalog
+from hyperharmonic import expr
 
 # frozen at 40 digits: twice the weighted half-argument series of the
 # first doubling identity at a = 0.3+0.1i, b = 0.2
@@ -55,6 +57,10 @@ REGISTRY_DIGESTS = {
 # sha256 of the concatenated hex digests of seeds 0..300
 REGISTRY_DIGEST_0_300 = \
     "42d4b278228972678e2b090a101a9c2403c301d1f6a398c8456a96050728d807"
+# sha256 over (id, repr(lhs), repr(rhs)) of each entry in registry order:
+# the formulas themselves, which the digests above do not see
+FORMULA_DIGEST = \
+    "dded8b2c42ff36e5b7e4a407b448a81dc7faeb239b9fbc928b347b272cb654cc"
 
 
 def registry_digest(registry) -> str:
@@ -78,7 +84,6 @@ class TestRegistryShape:
             assert ident.sample_points
             for pt in ident.sample_points:
                 assert set(pt) == set(ident.param_names)
-            assert ident.lhs or ident.rhs_series
 
     def test_point_counts(self):
         counts = {
@@ -125,12 +130,26 @@ class TestRegistryShape:
         assert hashlib.sha256(chained.encode()).hexdigest() \
             == REGISTRY_DIGEST_0_300
 
+    def test_formula_digest(self):
+        h = hashlib.sha256()
+        for ident in REGISTRY.values():
+            h.update(repr((ident.id, repr(ident.lhs),
+                           repr(ident.rhs))).encode())
+        assert h.hexdigest() == FORMULA_DIGEST
+
+    @pytest.mark.parametrize("ident_id", EXPECTED_IDS)
+    def test_entries_are_data(self, ident_id):
+        # both sides are expression trees: an entry copies and pickles
+        # through its formulas and compares equal afterwards
+        ident = REGISTRY[ident_id]
+        assert copy.deepcopy(ident) == ident
+        assert pickle.loads(pickle.dumps(ident)) == ident
+
     def test_registries_share_their_definitions(self):
         r1, r2 = build_registry(1), build_registry(2)
         for ident_id in EXPECTED_IDS:
             assert r1[ident_id].rhs is r2[ident_id].rhs, ident_id
             assert r1[ident_id].lhs is r2[ident_id].lhs, ident_id
-            assert r1[ident_id].rhs_series is r2[ident_id].rhs_series
 
     def test_fixed_point_ids_ignore_seed(self):
         r2 = build_registry(DEFAULT_SEED + 1)
@@ -199,6 +218,22 @@ class TestVerifySemantics:
                 r"^THM-C at \{'a': 0\.5, 'b': 0\.15\}, rhs expression: ")):
             verify("THM-C", points=[{"a": 0.5, "b": 0.15}])
 
+    @pytest.mark.parametrize("ident_id, point, prefix", [
+        # the second of THM-D's three lhs series diverges at r*x = -1
+        ("THM-D", {"a": -0.1, "b": -0.1},
+         r"^THM-D at \{'a': -0\.1, 'b': -0\.1\}, lhs term 1: "
+         r"exponent 0\.4 >= 0"),
+        # the series of TR-4.5.1's rhs sits behind a power prefactor
+        ("TR-4.5.1", {"a": 0.2, "b": 0.3, "c": 0.4, "z": 0.5j},
+         r"^TR-4\.5\.1 at \{'a': 0\.2, 'b': 0\.3, 'c': 0\.4, 'z': 0\.5j\}, "
+         r"rhs term 0: \|ratio\*x\| = 1\.6 exceeds 1"),
+    ])
+    def test_evaluation_error_names_the_series_of_a_side(self, ident_id,
+                                                         point, prefix):
+        # term k is the side's k-th Series node in evaluation order
+        with pytest.raises(NonConvergentError, match=prefix):
+            verify(ident_id, points=[point])
+
     def test_mismatch_is_reported_not_raised(self):
         bad = with_perturbed_rhs("EX-1", 1e-6)
         report = verify(bad)
@@ -208,6 +243,12 @@ class TestVerifySemantics:
 
     def test_negligible_perturbation_passes(self):
         assert verify(with_perturbed_rhs("EX-1", 1e-13)).passed
+
+    @pytest.mark.parametrize("ident_id", ["THM-A1", "THM-A2", "TR-4.5.1"])
+    def test_perturbation_scales_a_series_rhs(self, ident_id):
+        # these right-hand sides are a series, alone or behind a prefactor
+        assert not verify(with_perturbed_rhs(ident_id, 1e-3)).passed
+        assert verify(with_perturbed_rhs(ident_id, 1e-13)).passed
 
     def test_perturbation_does_not_touch_registry(self):
         before = REGISTRY["EX-1"].rhs
@@ -263,7 +304,7 @@ class TestStructuralChecks:
         # THM-E's H_{2n} series at integer b has b-1 nonzero terms at
         # argument 1: the direct rule sums them, not the unit-circle ladder
         ident = REGISTRY["THM-E"]
-        spec, weight, x = ident.lhs[1].build({"b": float(b)})
+        spec, weight, x = ident.lhs.right.bind({"b": float(b)})
         res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0)
         want = sum(spec.term(n) * harmonic(2 * n) for n in range(1, b))
         assert res.method == "direct" and res.terms_used < 10
@@ -319,7 +360,7 @@ class TestUnitArgumentExtrapolation:
         for ident_id, squared, mult in (("THM-A1", False, 2.0),
                                         ("THM-A2", True, 4.0)):
             ident = REGISTRY[ident_id]
-            spec, weight, x = ident.rhs_series[0].build({"a": a, "b": b})
+            spec, weight, x = ident.rhs.bind({"a": a, "b": b})
             res = eval_weighted(spec, weight, x, tol=ident.tol / 4.0)
             want = mult * _half_side_mp(a, b, squared)
             assert abs(res.value - want) <= 0.25 * res.tail_bound, \
@@ -332,7 +373,7 @@ class TestUnitArgumentExtrapolation:
         # ladder tops (inf: not certified even at 2^14), and every fit it
         # returns lies within its bound of 4 x the half-argument side
         ident = REGISTRY["THM-A2"]
-        spec, weight, x = ident.rhs_series[0].build({"a": a, "b": b})
+        spec, weight, x = ident.rhs.bind({"a": a, "b": b})
         want = 4.0 * _half_side_mp(a, b, True)
         stops = []
         for div in (4.0, 8.0, 12.0, 16.0, 24.0, 40.0):
@@ -359,7 +400,7 @@ class TestUnitArgumentExtrapolation:
                 unit_terms.append((res.method, res.terms_used))
             return res
 
-        monkeypatch.setattr(catalog, "eval_weighted", spy)
+        monkeypatch.setattr(expr, "eval_weighted", spy)
         total = sum(chk.terms_used for ident_id in REGISTRY
                     for chk in verify(ident_id).checks)
         assert total <= 285_154

@@ -64,6 +64,13 @@ class TestVerify:
         assert "FAIL" in out and "MISMATCH" in out
         assert "1 checked: 0 passed, 1 failed, 0 errors" in out
 
+    def test_perturbation_of_a_series_rhs_fails_with_exit_2(self, capsys):
+        # THM-A1's right-hand side is one series and no closed form
+        rc, out, _ = run_cli(capsys, "verify", "--ids", "THM-A1",
+                             "--perturb", "THM-A1=1e-3")
+        assert rc == 2
+        assert "FAIL" in out and "MISMATCH" in out
+
     def test_negligible_perturbation_still_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1",
                              "--perturb", "EX-1=1e-13", "--quiet")

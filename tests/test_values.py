@@ -12,18 +12,13 @@ import pytest
 
 from hyperharmonic import DomainError, REGISTRY, catalog, expr, series
 from hyperharmonic._frozen import Frozen
-from hyperharmonic.catalog import Identity, PointCheck, SeriesTerm, VerifyReport
+from hyperharmonic.catalog import Identity, PointCheck, VerifyReport
 from hyperharmonic.expr import (C, Add, Const, Cos, Digamma, Div, EllipticK,
                                 Gamma, GammaRatio, Hyp2F1, Log, Mul, Neg, P,
-                                Param, Pow, Sin, Sqrt, Sub)
+                                Param, Pow, Series, Sin, Sqrt, Sub)
 from hyperharmonic.series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
                                   LinearCombo, PochhammerRatioSeries,
                                   ReciprocalShift, SeriesResult, Unit)
-
-
-def _geometric(env):
-    # module level, so that a SeriesTerm holding it pickles
-    return PochhammerRatioSeries((1.0,), (), 1, 1.0, 0), Unit(), env["x"]
 
 
 def _point_check():
@@ -56,9 +51,10 @@ BUILDERS = [
     lambda: LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
     lambda: PochhammerRatioSeries((0.5, 0.25j), (1.5,), 1, -0.5, 1),
     lambda: SeriesResult(1.25 + 0j, 4096, 3e-13, True, "extrapolated"),
-    lambda: SeriesTerm(C(1), _geometric),
+    lambda: Series((P("a"), 1), (P("a") + 1,), 1, 0.5, 1,
+                   (DigammaDiffSum, P("a"), C(0.25)), P("x")),
     lambda: Identity("GEOM", "identity", "geometric series", ("x",),
-                     ({"x": 0.5},), (SeriesTerm(C(1), _geometric),),
+                     ({"x": 0.5},), Series((1.0,), (), 1, 1.0, 0, Unit(), P("x")),
                      1 / (1 - P("x")), tol=1e-10),
     _point_check,
     lambda: VerifyReport("GEOM", 1e-10, (_point_check(),)),
