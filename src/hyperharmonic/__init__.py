@@ -35,7 +35,6 @@ from .series import (
     Unit,
     WeightKind,
     eval_weighted,
-    finite_difference,
     hyp2f1,
 )
 from .catalog import (
@@ -48,7 +47,6 @@ from .catalog import (
     build_registry,
     eval_lhs,
     eval_rhs,
-    finite_sum_instance,
     get_identity,
     ode_residual,
     verify,
@@ -81,7 +79,6 @@ __all__ = [
     "Unit",
     "WeightKind",
     "eval_weighted",
-    "finite_difference",
     "hyp2f1",
     "DEFAULT_SEED",
     "Identity",
@@ -92,7 +89,6 @@ __all__ = [
     "build_registry",
     "eval_lhs",
     "eval_rhs",
-    "finite_sum_instance",
     "get_identity",
     "ode_residual",
     "verify",

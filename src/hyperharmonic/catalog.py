@@ -11,7 +11,10 @@ that compares, pickles and reprs by its formulas; Identity.replace(...)
 derives a copy, as build_registry and with_perturbed_rhs do. verify()
 evaluates both sides and reports mismatches as failed checks rather than
 exceptions; genuine evaluation trouble (divergence, domain violations)
-still raises, naming the identity, the point and the side.
+still raises, naming the identity, the point and the side. Beyond value
+comparison, ode_residual checks the equation of THM-B's generating
+function on exact derivative series, and boundary_asymptotic_check its
+logarithmic growth toward x = 1.
 
 Comparison rule: relative error when |rhs| >= 1, absolute error below
 that, always against the named tolerance. Every series is evaluated at
@@ -24,24 +27,22 @@ import math
 import random
 
 from ._frozen import Frozen
-from .errors import DomainError, HyperharmonicError, UnknownIdentityError
+from .errors import HyperharmonicError, UnknownIdentityError
 from .expr import (C, Cos, Digamma, EllipticK, Gamma, GammaRatio, Hyp2F1,
                    Log, Mul, P, PI, Pow, Series, Sin, Sqrt)
 from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
                      LinearCombo, PochhammerRatioSeries, ReciprocalShift, Unit,
-                     eval_weighted, finite_difference, hyp2f1)
-from .specialfn import gamma_ratio, harmonic
+                     eval_weighted, hyp2f1)
 
 __all__ = [
     "DEFAULT_SEED", "Identity", "PointCheck", "VerifyReport",
     "REGISTRY", "build_registry", "get_identity", "verify", "eval_lhs",
     "eval_rhs", "with_perturbed_rhs", "ode_residual",
-    "boundary_asymptotic_check", "finite_sum_instance",
+    "boundary_asymptotic_check",
 ]
 
 DEFAULT_SEED = 101
 
-_LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 
 
@@ -170,47 +171,58 @@ def with_perturbed_rhs(identity, eps: float, registry: dict | None = None) -> Id
 # structural checks beyond value comparison
 
 
-def ode_residual(a, x, h: float = 1e-3, homogeneous: bool = False) -> float:
+def _derivative_sums(a: complex, x: complex, homogeneous: bool) -> list:
+    """[v, v', v''] at x of v = sum (a)_n (1-a)_n / (n!)^2 H_n x^n, or of
+    2F1(a, 1-a; 1; x) with homogeneous=True, each summed as a series of
+    its own. Termwise (as DLMF 15.5.1 does for 2F1),
+
+        v^(k)(x) = c_k sum (a+k)_n (1+k-a)_n / ((1+k)_n n!) H_{n+k} x^n,
+
+    c_0 = 1, c_{k+1} = c_k (a+k)(1+k-a)/(1+k), with weight 1 for 2F1."""
+    sums = []
+    c = 1.0
+    for k in range(3):
+        spec = PochhammerRatioSeries((a + k, 1.0 + k - a), (1.0 + k,), 1, 1.0, 0)
+        weight = Unit() if homogeneous else Harmonic(offset=k)
+        sums.append(c * eval_weighted(spec, weight, x, tol=1e-15).value)
+        c *= (a + k) * (1.0 + k - a) / (1.0 + k)
+    return sums
+
+
+def ode_residual(a, x, homogeneous: bool = False) -> float:
     """Residual of the second-order equation satisfied by the H_n
     generating function v(x) = sum (a)_n (1-a)_n / (n!)^2 H_n x^n:
 
         x(1-x) v'' + (1-2x) v' - a(1-a) v = a(1-a) 2F1(a+1, 2-a; 2; x)
 
     (the right side is d/dx 2F1(a, 1-a; 1; x)). With homogeneous=True the
-    plain 2F1 replaces v and the forcing term is zero. Derivatives are
-    Richardson-extrapolated central differences with step h; the residual
-    is normalized by max(1, |forcing|).
+    plain 2F1(a, 1-a; 1; x) replaces v and the forcing term is zero. v,
+    v' and v'' are exact derivative series (_derivative_sums), and the
+    residual is normalized by max(1, |forcing|).
     """
-    a = complex(a)
-    x = complex(x)
+    a, x = complex(a), complex(x)
     if homogeneous:
-        def v(t):
-            return hyp2f1(a, 1.0 - a, 1.0, t, tol=1e-12)
         forcing = 0j
     else:
-        spec = PochhammerRatioSeries((a, 1.0 - a), (), 2, 1.0, 1)
-
-        def v(t):
-            return eval_weighted(spec, Harmonic(), t, tol=1e-12).value
-        forcing = a * (1.0 - a) * hyp2f1(a + 1.0, 2.0 - a, 2.0, x, tol=1e-12)
-    v0 = v(x)
-    v1 = finite_difference(v, x, 1, h)
-    v2 = finite_difference(v, x, 2, h)
+        forcing = a * (1.0 - a) * hyp2f1(a + 1.0, 2.0 - a, 2.0, x, tol=1e-15)
+    v0, v1, v2 = _derivative_sums(a, x, homogeneous)
     resid = x * (1.0 - x) * v2 + (1.0 - 2.0 * x) * v1 - a * (1.0 - a) * v0 - forcing
     return abs(resid) / max(1.0, abs(forcing))
 
 
-def boundary_asymptotic_check(a: float, xs=(1e-3, 1e-4)) -> dict:
+def boundary_asymptotic_check(a: float) -> dict:
     """Logarithmic blow-up of 2F1(a, 1-a; 1; 1-x) as x -> 0.
 
     The function grows like (sin(pi a)/pi) log(1/x) + O(1). Returns the
-    measured slope across the xs pair, the O(1) offsets, and pass flags:
-    slope within 5 percent and offsets bounded by 1. The values come from
-    the plain series (series.hyp2f1), not from expr.Hyp2F1: near 1 that
-    node sums a connection formula whose log(1/x) term is written in, so
-    the slope would read back the formula instead of testing the series.
+    measured slope between x = 1e-3 and 1e-4, the O(1) offsets, and pass
+    flags: slope within 5 percent and offsets bounded by 1. The values
+    come from the plain series (series.hyp2f1), not from expr.Hyp2F1:
+    near 1 that node sums a connection formula whose log(1/x) term is
+    written in, so the slope would read back the formula instead of
+    testing the series.
     """
     a = float(a)
+    xs = (1e-3, 1e-4)
     expected = math.sin(math.pi * a) / math.pi
     logs = [math.log(1.0 / x) for x in xs]
     vals = [hyp2f1(a, 1.0 - a, 1.0, 1.0 - x, tol=1e-7, max_terms=500000).real
@@ -227,42 +239,6 @@ def boundary_asymptotic_check(a: float, xs=(1e-3, 1e-4)) -> dict:
         "offsets": offsets,
         "bounded": bounded,
         "passed": bounded and slope_rel_err <= 0.05,
-    }
-
-
-def finite_sum_instance(identity_id: str, b: int) -> dict:
-    """Terminating instance of THM-E at integer b >= 2.
-
-    The H_{2n} companion series has numerator shift 1-b, so its terms
-    vanish from n = b on: exactly b-1 nonzero terms. Sums that small are
-    evaluated exactly and checked against the gamma-ratio closed form.
-    """
-    if identity_id != "THM-E":
-        raise UnknownIdentityError(identity_id)
-    if b != int(b) or b < 2:
-        raise DomainError(f"terminating instances need integer b >= 2, got {b!r}")
-    b = int(b)
-    spec2 = PochhammerRatioSeries((0.5, 1.0 - b), (b + 0.5,), 1, 1.0, 1)
-    companion = 0j
-    for n in range(1, b):
-        companion += spec2.term(n) * harmonic(2 * n)
-    # term at n = b must vanish identically
-    vanish = spec2.term(b)
-    spec1 = PochhammerRatioSeries((0.5, float(b)), (2.0 * b,), 1, 1.0, 1)
-    s1 = eval_weighted(spec1, Harmonic(), 1.0, tol=2.5e-7)
-    closed = gamma_ratio([b + 0.5, 2.0 * b - 1.0], [b, 2.0 * b - 0.5]) * _LN2
-    lhs = 0.25 * s1.value - companion
-    residual = abs(lhs - closed)
-    return {
-        "b": b,
-        "termination_index": b - 1,
-        "term_count": b - 1,
-        "vanishing_term": abs(vanish),
-        "companion_value": companion,
-        "lhs": lhs,
-        "closed_form": closed,
-        "residual": residual,
-        "identity_holds": residual <= 1e-6 * max(1.0, abs(closed)),
     }
 
 

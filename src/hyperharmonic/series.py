@@ -15,18 +15,19 @@ advance by one multiply-divide recurrence per index.
 Before summing, the engine refuses terms that grow factorially (more
 numerator than denominator shifts, the n! factors counted as shifts,
 and no terminating numerator shift). On the unit circle it also
-refuses sums whose complex exponent sigma = sum(a) - sum(b) - p +
-shift has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere, unless there are
-more denominator than numerator shifts, so the terms decay factorially,
-or a numerator shift is a non-positive integer, so the sum terminates.
+refuses a balanced sum (as many numerator as denominator shifts, none
+terminating) whose complex exponent sigma = sum(a) - sum(b) - p + shift
+has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere.
 
-The argument alone picks the rule. Inside the unit circle, and for
-terminating sums on it, the engine sums directly with a geometric tail
-bound. On the circle (|r*x| = 1) the terms of other sums decay only
-algebraically, like n^sigma (log n)^L. There the engine keeps the
-partial sums at the checkpoints N = round(2^(j/4)), j = 24..56, and at
-each top T = 2^12, 2^13, 2^14 fits the 25 checkpoints T/64..T by least
-squares to the tail model
+The argument and the shift counts pick the rule. Inside the unit
+circle, and on it for terminating sums and for sums with more
+denominator than numerator shifts (terms decaying factorially), the
+engine sums directly with a geometric tail bound. On the circle
+(|r*x| = 1) the terms of balanced sums decay only algebraically, like
+n^sigma (log n)^L. There the engine keeps the partial sums at the
+checkpoints N = round(2^(j/4)), j = 24..56, and at each top T = 2^12,
+2^13, 2^14 fits the 25 checkpoints T/64..T by least squares to the tail
+model
 
     S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
 
@@ -69,7 +70,6 @@ __all__ = [
     "WeightKind",
     "eval_weighted",
     "hyp2f1",
-    "finite_difference",
 ]
 
 DEFAULT_MAX_TERMS = 200000
@@ -192,15 +192,18 @@ class Unit(Frozen, WeightKind):
 
 
 class Harmonic(Frozen, WeightKind):
-    """w_n = H_{stride*n + offset}, stride in {1,2,3}, offset in {-1,0}."""
+    """w_n = H_{stride*n + offset}, stride in {1,2,3}, offset in
+    {-1,0,1,2}; offsets 1 and 2 weight the derivative series of an H_n
+    generating function (catalog.ode_residual)."""
 
     __slots__ = ("stride", "offset")
 
     def __init__(self, stride=1, offset=0):
         if stride not in (1, 2, 3):
             raise DomainError(f"harmonic stride must be 1, 2 or 3, got {stride!r}")
-        if offset not in (-1, 0):
-            raise DomainError(f"harmonic offset must be -1 or 0, got {offset!r}")
+        if offset not in (-1, 0, 1, 2):
+            raise DomainError(f"harmonic offset must be -1, 0, 1 or 2, "
+                              f"got {offset!r}")
         # an equal float (2.0) is stored as the int that indexing needs
         object.__setattr__(self, "stride", int(stride.real))
         object.__setattr__(self, "offset", int(offset.real))
@@ -457,12 +460,13 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     built from recent term ratios also meets the tolerance.
 
     On the unit circle (|r*x| = 1) a sum with a numerator shift at a
-    non-positive integer terminates and takes the direct rule. Any other
-    sum is extrapolated from a ladder: partial sums at the _GRID
-    checkpoints, and at each top T in _TOPS = (2^12, 2^13, 2^14) the limit
-    of the tail model fitted to the 25 checkpoints ending at T (see
-    _limit_weights; model order _MODEL_ORDER = 4). The exponent
-    s is sigma + 1 at r*x = 1 and sigma elsewhere on the circle, where
+    non-positive integer terminates, and a sum with more denominator than
+    numerator shifts has factorially decaying terms: both take the direct
+    rule. A balanced sum is extrapolated from a ladder: partial sums at
+    the _GRID checkpoints, and at each top T in _TOPS = (2^12, 2^13, 2^14)
+    the limit of the tail model fitted to the 25 checkpoints ending at T
+    (see _limit_weights; model order _MODEL_ORDER = 4). The exponent s is
+    sigma + 1 at r*x = 1 and sigma elsewhere on the circle, where
     sigma is the spec's complex exponent plus the weight's shift; the log
     power is the weight's (WeightKind.asymptotics). The same sigma drives
     the pre-check and the direct rule's drift clause. The error estimate
@@ -504,13 +508,14 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             "(n! counted as one) and no terminating shift; terms grow factorially")
     shift, logs = weight.asymptotics()
     sigma = spec.effective_exponent() + shift  # w_n u_n ~ n^sigma (r*x)^n
-    if unit:
-        # a terminating sum is finite: the direct rule below sums it exactly
+    # a terminating sum is finite, and factorially decaying terms (excess
+    # < 0) leave a geometric tail: the direct rule below sums both
+    if unit and excess >= 0:
         if all(_pole_index(a) is None for a in nums):
             # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
-            # circle the terms need sigma < 0; factorial decay needs neither
+            # circle the terms need sigma < 0
             limit = -1.0 if abs(rx - 1.0) <= 1e-9 else 0.0
-            if excess >= 0 and sigma.real >= limit:
+            if sigma.real >= limit:
                 raise NonConvergentError(
                     f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
                     f"(r*x = {rx:.6g}); sum diverges")
@@ -612,21 +617,17 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
 
     The fit amplifies noise in the partial sums, so the term recurrence
     here is compensated: each numerator shift a is paired with a
-    denominator shift d (the n! factors count as d = 1), the step factor
-    prod (a + n)/(d + n) is formed as 1 + g with g accumulated from the
-    small ratios (a - d)/(d + n), and t + t*g is added with an error term.
-    Unpaired shifts, if any, multiply in directly.
+    denominator shift d (the n! factors count as d = 1; a balanced spec
+    pairs every shift), the step factor prod (a + n)/(d + n) is formed as
+    1 + g with g accumulated from the small ratios (a - d)/(d + n), and
+    t + t*g is added with an error term.
     """
-    nums = spec.numerator_shifts
     dens = spec.denominator_shifts + (1.0,) * spec.factorial_power
-    pairs = tuple((a - d, d) for a, d in zip(nums, dens))
-    more, less = nums[len(pairs):], dens[len(pairs):]
-    unpaired = more + less
+    pairs = tuple((a - d, d) for a, d in zip(spec.numerator_shifts, dens))
     n = spec.start_index
     step = weight.steps(n).__next__
     t = _first_term(spec, rx)
     tc = 0j
-    r = rx
 
     s = sigma
     theta = 0.0
@@ -656,14 +657,8 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
             hi = t + inc
             back = hi - t
             tc = (t - (hi - back)) + (inc - back)
-            if unpaired:
-                r = rx
-                for a in more:
-                    r *= a + n
-                for d in less:
-                    r /= d + n
-            t = hi * r
-            tc *= r
+            t = hi * rx
+            tc *= rx
             n += 1
         sums.append(S)
         done = mark
@@ -700,25 +695,3 @@ def hyp2f1(a, b, c, x, *, tol: float = 1e-12,
     spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
     return eval_weighted(spec, Unit(), x, tol=tol, max_terms=max_terms).value
 
-
-# ---------------------------------------------------------------------------
-# differentiation helper
-
-
-def finite_difference(f, at, order: int = 1, h: float = 1e-3) -> complex:
-    """Central difference with one Richardson pass: (4 D(h/2) - D(h)) / 3.
-
-    order 1 or 2. Error is O(h^4) for smooth f.
-    """
-    at = complex(at)
-    if order == 1:
-        def d(hh):
-            return (f(at + hh) - f(at - hh)) / (2.0 * hh)
-    elif order == 2:
-        f0 = f(at)
-
-        def d(hh):
-            return (f(at + hh) - 2.0 * f0 + f(at - hh)) / (hh * hh)
-    else:
-        raise ValueError(f"finite_difference order must be 1 or 2, got {order!r}")
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0

@@ -10,10 +10,10 @@ import cmath
 import json
 import math
 
+import mpmath
 import pytest
 
 from hyperharmonic import (REGISTRY, boundary_asymptotic_check, digamma,
-                           finite_difference, finite_sum_instance,
                            generalized_harmonic, harmonic, ln_gamma,
                            ode_residual, pochhammer, verify)
 from hyperharmonic.cli import main
@@ -107,8 +107,8 @@ def test_harmonic_generating_function_identity():
 def test_generating_function_ode_residual():
     for a in (0.2, 1 / 3, 0.45):
         for x in (0.15, 0.4, 0.65):
-            assert ode_residual(a, x, h=1e-3) <= 1e-4, (a, x)
-    assert ode_residual(0.3, 0.5, h=1e-3, homogeneous=True) <= 1e-4
+            assert ode_residual(a, x) <= 1e-12, (a, x)
+    assert ode_residual(0.3, 0.5, homogeneous=True) <= 1e-12
 
 
 def test_generating_function_boundary_slope():
@@ -170,10 +170,12 @@ def test_ln2_identity_and_terminating_instances():
     grid = sorted(c.params["b"] for c in report.checks)
     assert grid == pytest.approx([0.75, 1.2, 2.0, 3.0])
     for b in (2, 3):
-        inst = finite_sum_instance("THM-E", b)
-        assert inst["term_count"] == b - 1
-        assert inst["vanishing_term"] == 0.0
-        assert inst["identity_holds"], inst
+        # at integer b the H_{2n} companion has exactly b-1 nonzero terms
+        check = verify("THM-E", points=[{"b": float(b)}]).checks[0]
+        assert check.passed and check.abs_err <= 1e-6, check
+        spec, _, _ = REGISTRY["THM-E"].lhs.right.bind({"b": float(b)})
+        assert spec.term(b) == 0.0
+        assert all(spec.term(n) != 0.0 for n in range(1, b))
 
 
 # --- property suites --------------------------------------------------------
@@ -201,7 +203,7 @@ def test_property_weight_incrementality():
                                LinearCombo, ReciprocalShift, Unit)
     kinds = (
         Unit(), Harmonic(), Harmonic(stride=2), Harmonic(stride=3),
-        HarmonicSqPlusGen2(), ReciprocalShift(Harmonic()),
+        Harmonic(offset=1), Harmonic(offset=2), HarmonicSqPlusGen2(), ReciprocalShift(Harmonic()),
         DigammaDiffSum(0.3 + 0.1j, 0.2),
         LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
     )
@@ -217,16 +219,17 @@ def test_property_weight_incrementality():
 def test_property_pochhammer_derivative_lemma():
     # d/dc [1/(c)_n] at c=1 is -H_n/n!; the second derivative is
     # (H_n^2 + H_n^(2))/n!
+    mpmath.mp.dps = 30
     for n in range(1, 51):
         def f(c):
-            return 1.0 / pochhammer(c, n)
+            return 1 / mpmath.rf(c, n)
         fac = float(math.factorial(n))
-        d1 = finite_difference(f, 1.0, order=1)
-        want1 = -harmonic(n) / fac
-        assert abs(d1 - want1) <= 1e-6 * abs(want1), n
-        d2 = finite_difference(f, 1.0, order=2)
-        want2 = (harmonic(n) ** 2 + generalized_harmonic(n, 2)) / fac
-        assert abs(d2 - want2) <= 1e-6 * abs(want2), n
+        d1 = complex(mpmath.diff(f, 1, 1))
+        got1 = -harmonic(n) / fac
+        assert abs(got1 - d1) <= 1e-12 * abs(d1), n
+        d2 = complex(mpmath.diff(f, 1, 2))
+        got2 = (harmonic(n) ** 2 + generalized_harmonic(n, 2)) / fac
+        assert abs(got2 - d2) <= 1e-12 * abs(d2), n
 
 
 def test_property_transformation_residuals():

@@ -9,12 +9,14 @@ import pickle
 import mpmath
 import pytest
 
-from hyperharmonic import (DEFAULT_SEED, DomainError, Identity,
+import hyperharmonic
+from hyperharmonic import (DEFAULT_SEED, Harmonic, Identity,
                            NonConvergentError, REGISTRY, UnknownIdentityError,
                            build_registry, eval_lhs, eval_rhs, eval_weighted,
-                           finite_sum_instance, get_identity, harmonic,
-                           ode_residual, verify, with_perturbed_rhs)
-from hyperharmonic import expr
+                           get_identity, harmonic, ode_residual, verify,
+                           with_perturbed_rhs)
+from hyperharmonic import catalog, errors, expr, series, specialfn
+from hyperharmonic.expr import C, Digamma, Hyp2F1, Log, P, PI, Sin
 
 # frozen at 40 digits: twice the weighted half-argument series of the
 # first doubling identity at a = 0.3+0.1i, b = 0.2
@@ -278,26 +280,21 @@ class TestVerifySemantics:
 
 class TestStructuralChecks:
     def test_ode_residual_small_on_solution(self):
-        assert ode_residual(0.3, 0.45) < 1e-5
+        assert ode_residual(0.3, 0.45) < 1e-12
 
     def test_ode_residual_homogeneous(self):
-        assert ode_residual(0.25, 0.3, homogeneous=True) < 1e-5
+        assert ode_residual(0.25, 0.3, homogeneous=True) < 1e-12
 
-    def test_finite_sum_termination(self):
-        inst = finite_sum_instance("THM-E", 2)
-        assert inst["termination_index"] == 1
-        assert inst["term_count"] == 1
-        assert inst["vanishing_term"] == 0.0
-        assert inst["identity_holds"]
-        assert abs(inst["closed_form"] - THME_B2) < 1e-12
-        assert inst["residual"] <= 1e-6
-
-    def test_finite_sum_b3(self):
-        inst = finite_sum_instance("THM-E", 3)
-        assert inst["termination_index"] == 2
-        assert inst["term_count"] == 2
-        assert inst["vanishing_term"] == 0.0
-        assert inst["identity_holds"]
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_terminating_instance(self, b):
+        # at integer b the H_{2n} companion of THM-E stops after b-1 terms
+        report = verify("THM-E", points=[{"b": float(b)}])
+        assert report.passed and report.checks[0].abs_err <= 1e-6
+        if b == 2:
+            assert abs(eval_rhs("THM-E", b=2.0) - THME_B2) < 1e-12
+        spec, _, _ = REGISTRY["THM-E"].lhs.right.bind({"b": float(b)})
+        assert spec.term(b) == 0
+        assert all(spec.term(n) != 0 for n in range(1, b))
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_terminating_companion_is_summed_directly(self, b):
@@ -310,13 +307,60 @@ class TestStructuralChecks:
         assert res.method == "direct" and res.terms_used < 10
         assert abs(res.value - want) <= 1e-15
 
-    def test_finite_sum_bad_args(self):
-        with pytest.raises(DomainError):
-            finite_sum_instance("THM-E", 1)
-        with pytest.raises(DomainError):
-            finite_sum_instance("THM-E", 2.5)
-        with pytest.raises(UnknownIdentityError):
-            finite_sum_instance("THM-D", 3)
+    def test_terminating_instance_beyond_the_seeded_points(self):
+        assert verify("THM-E", points=[{"b": 4.0}]).passed
+
+
+def _thmb_rhs(with_log: bool):
+    """THM-B's rhs as the registry writes it, or without its log term."""
+    a, x = P("a"), P("x")
+    log = Log((1 - x) / x) if with_log else C(0)
+    return (PI / (2 * Sin(PI * a)) * Hyp2F1(a, 1 - a, C(1), 1 - x)
+            + C(0.5) * (Digamma(1 - a / 2) + Digamma((a + 1) / 2)
+                        - Digamma(C(1)) - Digamma(C(0.5))
+                        - PI / Sin(PI * a) - log)
+            * Hyp2F1(a, 1 - a, C(1), x))
+
+
+class TestStructuralMutants:
+    """verify must fail a wrong identity, not only a scaled one: each
+    mutant changes one piece of a formula at registry seed 101."""
+
+    def test_shifted_harmonic_index(self):
+        ident = REGISTRY["THM-B"]
+        mutant = ident.replace(lhs=ident.lhs.replace(weight=Harmonic(offset=-1)))
+        report = verify(mutant)
+        assert (len(report.failures), len(report.checks)) == (36, 36)
+
+    def test_dropped_log_term(self):
+        assert _thmb_rhs(True) == REGISTRY["THM-B"].rhs
+        report = verify(REGISTRY["THM-B"].replace(rhs=_thmb_rhs(False)))
+        assert (len(report.failures), len(report.checks)) == (32, 36)
+        # at x = 1/2 the log is 0, so the mutant is the identity there
+        assert {c.params["x"] for c in report.checks if c.passed} == {0.5}
+
+    def test_shifted_parameter(self):
+        ident = REGISTRY["THM-A1"]
+        a, b = P("a"), P("b")
+        mutant = ident.replace(rhs=ident.rhs.replace(
+            denominator_shifts=(a + b + 0.501,)))
+        report = verify(mutant)
+        assert (len(report.failures), len(report.checks)) == (12, 12)
+
+
+def test_exports_resolve_and_agree():
+    # the package re-exports these three modules; expr is used by path
+    modules = (specialfn, series, catalog)
+    for mod in (hyperharmonic, expr) + modules:
+        for name in mod.__all__:
+            assert hasattr(mod, name), (mod.__name__, name)
+    error_classes = {"AccelerationBreakdown", "DomainError",
+                     "HyperharmonicError", "NonConvergentError", "PoleError",
+                     "UnknownIdentityError"}
+    assert error_classes <= set(vars(errors))
+    want = set().union(*(m.__all__ for m in modules)) | error_classes
+    assert set(hyperharmonic.__all__) == want | {"__version__"}
+    assert len(hyperharmonic.__all__) == len(set(hyperharmonic.__all__))
 
 
 def _half_side_mp(a, b, squared: bool) -> complex:

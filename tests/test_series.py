@@ -12,7 +12,8 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DomainError,
                            Harmonic, HarmonicSqPlusGen2, LinearCombo,
                            NonConvergentError, PochhammerRatioSeries, PoleError,
                            ReciprocalShift, Unit, WeightKind, eval_weighted,
-                           finite_difference, harmonic, hyp2f1, pochhammer)
+                           harmonic, hyp2f1, pochhammer)
+from hyperharmonic.catalog import _derivative_sums
 
 # frozen at 40 digits
 EX1_VALUE = 0.2177751606844838071823350370302293726395
@@ -65,8 +66,11 @@ class TestWeights:
     def test_harmonic_validation(self):
         with pytest.raises(DomainError):
             Harmonic(stride=4)
-        with pytest.raises(DomainError):
-            Harmonic(offset=1)
+        for offset in (3, -2):
+            with pytest.raises(DomainError):
+                Harmonic(offset=offset)
+        assert Harmonic(offset=1).value(3) == harmonic(4)
+        assert Harmonic(offset=2).value(3) == harmonic(5)
 
     def test_linear_combo_validation(self):
         with pytest.raises(DomainError):
@@ -362,8 +366,9 @@ class TestUnitLadder:
     def test_unpaired_shifts_multiply_in_directly(self):
         # sum (-1)^n / n! and sum (1/2)_n / (n!)^2: more denominator
         # shifts than numerator ones, so the terms die off factorially
+        # and the direct rule sums them
         res = eval_weighted(PochhammerRatioSeries((), (), 1, -1.0, 0), Unit(),
-                            1.0, tol=1e-10)
+                            1.0, tol=1e-12)
         assert abs(res.value - math.exp(-1.0)) <= 1e-15
         res = eval_weighted(PochhammerRatioSeries((0.5,), (), 2, 1.0, 0),
                             Unit(), 1.0, tol=1e-10)
@@ -396,10 +401,31 @@ class TestUnitLadder:
             eval_weighted(spec, Unit(), -1.0, max_terms=16383)
 
     def test_unrepresentable_model_raises_breakdown(self):
-        # exponent -400: N^s overflows on the ladder
-        spec = PochhammerRatioSeries((0.5,), (400.5,), 1, 1.0, 0)
-        with pytest.raises(AccelerationBreakdown):
+        # a balanced spec with exponent -400: N^-399 overflows on the ladder
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
+        with pytest.raises(AccelerationBreakdown, match="N\\^-399"):
             eval_weighted(spec, Unit(), 1.0)
+
+    @pytest.mark.parametrize("spec, x, terms, oracle", [
+        (PochhammerRatioSeries((), (), 1, 1.0, 0), 1.0, 18,
+         lambda: mpmath.e),
+        (PochhammerRatioSeries((), (), 1, 1.0, 0), -1.0, 19,
+         lambda: mpmath.exp(-1)),
+        (PochhammerRatioSeries((0.5,), (400.5,), 1, 1.0, 0), 1.0, 8,
+         lambda: mpmath.hyp1f1(0.5, 400.5, 1)),
+    ])
+    def test_factorially_decaying_unit_sums_take_the_direct_rule(
+            self, spec, x, terms, oracle):
+        # more denominator than numerator shifts: the terms decay
+        # factorially, so a geometric tail bound holds after a few terms
+        # (the ladder's tail model N^-400 of 1F1(1/2; 400.5; 1) overflows)
+        res = eval_weighted(spec, Unit(), x, tol=1e-12)
+        mpmath.mp.dps = 30
+        want = complex(oracle())
+        assert res.converged and res.method == "direct"
+        assert res.terms_used == terms
+        assert abs(res.value - want) <= res.tail_bound
+        assert res.tail_bound <= 1e-12 * abs(want)
 
 
 class TestHyp2F1:
@@ -429,22 +455,42 @@ class TestHyp2F1:
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
-class TestFiniteDifference:
-    def test_first_derivative(self):
-        import cmath
-        got = finite_difference(cmath.exp, 0.3, order=1)
-        assert abs(got - math.exp(0.3)) < 1e-12
+def _derivative_mp(a, x, k: int, homogeneous: bool) -> complex:
+    """k-th x-derivative at 30 digits of 2F1(a, 1-a; 1; x) or, as
+    d/dc 1/(c)_n = -H_n/n! at c = 1, of -d/dc 2F1(a, 1-a; c; x) at c = 1,
+    which is sum (a)_n (1-a)_n / (n!)^2 H_n x^n."""
+    mpmath.mp.dps = 30
+    a, x = mpmath.mpc(a), mpmath.mpc(x)
+    if homogeneous:
+        return complex(mpmath.diff(lambda t: mpmath.hyp2f1(a, 1 - a, 1, t),
+                                   x, k))
+    return complex(-mpmath.diff(lambda c, t: mpmath.hyp2f1(a, 1 - a, c, t),
+                                (1, x), (1, k)))
 
-    def test_second_derivative(self):
-        import cmath
-        got = finite_difference(cmath.exp, 0.3, order=2, h=1e-3)
-        assert abs(got - math.exp(0.3)) < 1e-9
 
-    def test_complex_function(self):
-        import cmath
-        got = finite_difference(cmath.sin, 0.5 + 0.2j, order=1)
-        assert abs(got - cmath.cos(0.5 + 0.2j)) < 1e-11
+class TestDerivativeSeries:
+    """The exact derivative series that catalog.ode_residual sums, against
+    mpmath.diff of mpmath's 2F1."""
 
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            finite_difference(math.exp, 0.0, order=3)
+    @staticmethod
+    def _check(a, x, homogeneous, ks):
+        got = _derivative_sums(complex(a), complex(x), homogeneous)
+        for k in ks:
+            want = _derivative_mp(a, x, k, homogeneous)
+            assert abs(got[k] - want) <= 1e-11 * max(1.0, abs(want)), (a, x, k)
+
+    def test_harmonic_weight_k_0_1_2(self):
+        for a in (0.2, 1.0 / 3.0, 0.45):
+            self._check(a, 0.4, False, (0, 1, 2))
+
+    def test_plain_2f1_k_1_2(self):
+        for a in (0.2, 0.45):
+            self._check(a, 0.65, True, (1, 2))
+
+    def test_complex_parameter(self):
+        for homogeneous in (False, True):
+            self._check(0.3 + 0.1j, 0.15, homogeneous, (0, 1, 2))
+
+    def test_near_the_circle(self):
+        for homogeneous in (False, True):
+            self._check(1.0 / 3.0, 0.9, homogeneous, (0, 1, 2))
