@@ -26,6 +26,7 @@ from .specialfn import (
 )
 from .series import (
     DigammaDiffSum,
+    DigammaLog,
     Harmonic,
     HarmonicSqPlusGen2,
     LinearCombo,
@@ -70,6 +71,7 @@ __all__ = [
     "ln_gamma",
     "pochhammer",
     "DigammaDiffSum",
+    "DigammaLog",
     "Harmonic",
     "HarmonicSqPlusGen2",
     "LinearCombo",

@@ -23,11 +23,12 @@ a quarter of that tolerance so both sides contribute headroom.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
 from ._frozen import Frozen
-from .errors import HyperharmonicError, UnknownIdentityError
+from .errors import DomainError, HyperharmonicError, UnknownIdentityError
 from .expr import (C, Cos, Digamma, EllipticK, Gamma, GammaRatio, Hyp2F1,
                    Log, Mul, P, PI, Pow, Series, Sin, Sqrt)
 from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
@@ -96,18 +97,23 @@ def _eval_side(ident: Identity, env: dict, side: str):
     error is raised again as the same class, its message prefixed with
     the identity, the point and the place: "{side} term k" for the k-th
     Series node in evaluation order (from 0), "{side} expression" for
-    any other node."""
+    any other node. An OverflowError, and a value that is not finite,
+    raise DomainError with that prefix."""
     scope = _Scope(env)
     scope.tol = ident.tol / 4.0
     scope.sums = sums = []
     try:
         # from 0j, as a sum of series: a negated side's zero imaginary
         # part then reads +0.0
-        return 0j + getattr(ident, side).eval(scope), sums
-    except HyperharmonicError as exc:
+        value = 0j + getattr(ident, side).eval(scope)
+        if not cmath.isfinite(value):
+            raise DomainError(f"value {value} is not finite")
+        return value, sums
+    except (HyperharmonicError, OverflowError) as exc:
         where = (f"term {len(sums) - 1}" if sums and sums[-1] is None
                  else "expression")
-        raise type(exc)(f"{ident.id} at {env}, {side} {where}: {exc}") from exc
+        cls = DomainError if isinstance(exc, OverflowError) else type(exc)
+        raise cls(f"{ident.id} at {env}, {side} {where}: {exc}") from exc
 
 
 def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import os
 import sys
 from contextlib import nullcontext
@@ -61,47 +62,56 @@ def _fmt_params(ident: Identity, params: dict) -> str:
     return " ".join(f"{name}={_fmt_value(params[name])}" for name in names)
 
 
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_float(v)
-    raise TypeError(f"unexpected scalar {type(v)!r}")
+def _json_text(obj) -> str:
+    """obj as indented JSON: two spaces a level, floats as %.17g, complex
+    numbers as {"re": ..., "im": ...} on one line, keys as given. The
+    parts are joined once, so a report is one write."""
+    parts = []
+    put = parts.append
 
+    def walk(obj, pad):
+        # floats first: they are most of a report's scalars
+        if isinstance(obj, float):
+            put(_fmt_float(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{"
+            for key, val in obj.items():
+                put(f'{sep}{inner}"{key}": ')
+                walk(val, inner)
+                sep = ","
+            put(pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "["
+            for val in obj:
+                put(sep + inner)
+                walk(val, inner)
+                sep = ","
+            put(pad + "]")
+        elif isinstance(obj, complex):
+            put('{"re": %s, "im": %s}'
+                % (_fmt_float(obj.real), _fmt_float(obj.imag)))
+        elif isinstance(obj, str):
+            put('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        elif obj is None:
+            put("null")
+        elif isinstance(obj, bool):
+            put("true" if obj else "false")
+        elif isinstance(obj, int):
+            put(str(obj))
+        else:
+            raise TypeError(f"unexpected scalar {type(obj)!r}")
 
-def _json_write(obj, out, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.write(f'{pad}  "{key}": ')
-            _json_write(val, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, val in enumerate(obj):
-            out.write(pad + "  ")
-            _json_write(val, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, complex):
-        out.write('{"re": %s, "im": %s}'
-                  % (_fmt_float(obj.real), _fmt_float(obj.imag)))
-    else:
-        out.write(_json_scalar(obj))
+    # pad starts with the newline that precedes every indented line
+    walk(obj, "\n")
+    return "".join(parts)
 
 
 def _jsonable_number(v):
@@ -301,8 +311,7 @@ def _cmd_verify(args) -> int:
                 },
                 "results": payload_results,
             }
-            _json_write(payload, report_file, 0)
-            report_file.write("\n")
+            report_file.write(_json_text(payload) + "\n")
 
     if n_error:
         return 3
@@ -369,7 +378,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first main() call and reused by
+    every later one in the process (parse_args keeps no state)."""
     parser = _Parser(
         prog="hyperharmonic",
         description="Verify harmonic-number series identities numerically.")
@@ -419,9 +431,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         run = {"list": _cmd_list, "verify": _cmd_verify, "sweep": _cmd_sweep}
         code = run[args.command](args)
         sys.stdout.flush()  # a reader that is gone shows here, not at exit

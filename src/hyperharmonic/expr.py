@@ -22,8 +22,8 @@ import math
 
 from ._frozen import Frozen
 from .errors import DomainError, PoleError
-from .series import (DigammaDiffSum, Harmonic, LinearCombo,
-                     PochhammerRatioSeries, Unit, WeightKind, eval_weighted)
+from .series import (DigammaLog, PochhammerRatioSeries, Unit, WeightKind,
+                     eval_weighted)
 from .specialfn import _pole_index
 from .specialfn import digamma as _digamma
 from .specialfn import elliptic_K as _elliptic_K
@@ -240,12 +240,12 @@ class Hyp2F1(Expr):
     def eval(self, env):
         a, b, c = self.a.eval(env), self.b.eval(env), self.c.eval(env)
         x = self.x.eval(env)
-        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
         if (abs(1.0 - x) < 0.25 and abs(x) < 1.0
                 and _pole_index(a) is None and _pole_index(b) is None):
             value = _hyp2f1_near_one(a, b, c, 1.0 - x)
             if value is not None:
                 return value
+        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
         return eval_weighted(spec, Unit(), x, tol=1e-12).value
 
 
@@ -312,12 +312,10 @@ def _hyp2f1_near_one(a, b, c, y):
     if not all(map(cmath.isfinite, prefs)):
         return None
     if log_case:
-        # 2 psi(n+1) - psi(a+n) - psi(b+n) - log y
-        const = 2.0 * _digamma(1.0) - _digamma(a) - _digamma(b) - cmath.log(y)
-        sums = [(PochhammerRatioSeries((a, b), (), 2, 1.0, 0), LinearCombo((
-            (1.0, DigammaDiffSum(a - 1.0, 0.5)),
-            (1.0, DigammaDiffSum(b - 1.0, 0.5)),
-            (-2.0, Harmonic()), (const, Unit()))))]
+        # the weight at n = 0: 2 psi(1) - psi(a) - psi(b) - log y
+        w0 = 2.0 * _digamma(1.0) - _digamma(a) - _digamma(b) - cmath.log(y)
+        sums = [(PochhammerRatioSeries((a, b), (), 2, 1.0, 0),
+                 DigammaLog(a, b, w0))]
     else:
         sums = [(PochhammerRatioSeries((a, b), (1.0 - s,), 1, 1.0, 0), Unit()),
                 (PochhammerRatioSeries((c - a, c - b), (1.0 + s,), 1, 1.0, 0),

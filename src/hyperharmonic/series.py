@@ -56,7 +56,8 @@ from .errors import (
     NonConvergentError,
     PoleError,
 )
-from .specialfn import _pole_index, harmonic, generalized_harmonic, pochhammer
+from .specialfn import (_pole_index, digamma, generalized_harmonic, harmonic,
+                        pochhammer)
 
 __all__ = [
     "PochhammerRatioSeries",
@@ -66,6 +67,7 @@ __all__ = [
     "HarmonicSqPlusGen2",
     "ReciprocalShift",
     "DigammaDiffSum",
+    "DigammaLog",
     "LinearCombo",
     "WeightKind",
     "eval_weighted",
@@ -307,6 +309,41 @@ class DigammaDiffSum(Frozen, WeightKind):
             c = (t - acc) - y
             acc = t
             k += 1
+
+    def asymptotics(self):
+        return 0, 1
+
+
+class DigammaLog(Frozen, WeightKind):
+    """w_n = 2 psi(n+1) - psi(a+n) - psi(b+n) - log y, the weight of Kummer's
+    logarithmic connection formula (A&S 15.3.10), given by its first value
+    w0 = 2 psi(1) - psi(a) - psi(b) - log y. The walk adds
+    2/(n+1) - 1/(a+n) - 1/(b+n) per step; a and b must stay away from
+    non-positive integers.
+    """
+
+    __slots__ = ("a", "b", "w0")
+
+    def __init__(self, a, b, w0):
+        Frozen.__init__(self, complex(a), complex(b), complex(w0))
+
+    def value(self, n):
+        if n == 0:  # the walk from n = 0 starts without a digamma call
+            return self.w0
+        a, b = self.a, self.b
+        return (self.w0 + 2.0 * (digamma(n + 1.0) - digamma(1.0))
+                - (digamma(a + n) - digamma(a)) - (digamma(b + n) - digamma(b)))
+
+    def steps(self, n0):
+        a, b = self.a, self.b
+        acc, c, n = self.value(n0), 0j, n0
+        while True:
+            yield acc
+            y = (2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)) - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            n += 1
 
     def asymptotics(self):
         return 0, 1

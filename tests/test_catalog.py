@@ -220,6 +220,18 @@ class TestVerifySemantics:
                 r"^THM-C at \{'a': 0\.5, 'b': 0\.15\}, rhs expression: ")):
             verify("THM-C", points=[{"a": 0.5, "b": 0.15}])
 
+    def test_overflow_and_non_finite_sides_raise_domain_error(self):
+        # Gamma((a+1)/2) overflows at a = 400.3, and a perturbation of
+        # 1e308 takes the rhs past the largest float
+        with pytest.raises(errors.DomainError, match=(
+                r"^COR-A2 at \{'a': 400\.3\}, rhs expression: "
+                r"math range error")):
+            verify("COR-A2", points=[{"a": 400.3}])
+        with pytest.raises(errors.DomainError, match=(
+                r"^COR-A1 at \{'a': 0\.7\}, rhs expression: "
+                r"value \(inf\+0j\) is not finite")):
+            verify(with_perturbed_rhs("COR-A1", 1e308), points=[{"a": 0.7}])
+
     @pytest.mark.parametrize("ident_id, point, prefix", [
         # the second of THM-D's three lhs series diverges at r*x = -1
         ("THM-D", {"a": -0.1, "b": -0.1},

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import hyperharmonic.cli as cli
 from hyperharmonic import REGISTRY
 from hyperharmonic.cli import BROKEN_PIPE, USAGE_ERROR, main
 
@@ -192,6 +193,137 @@ class TestVerifyJson:
         assert payload["run"]["perturb"] == {"EX-1": 1e-6}
         assert payload["results"][0]["passed"] is False
 
+    def test_non_finite_side_is_an_error_entry(self, capsys):
+        # a rhs scaled past the largest float wrote inf and nan tokens
+        rc, out, err = run_cli(capsys, "verify", "--ids", "COR-A1",
+                               "--perturb", "COR-A1=1e308", "--json", "-")
+        assert rc == 3
+        payload = json.loads(out[out.index("{"):])
+        (result,) = payload["results"]
+        assert result["error"] == ("DomainError: COR-A1 at {'a': 0.7}, rhs "
+                                   "expression: value (inf+0j) is not finite")
+        assert err == f"COR-A1  ERROR  {result['error']}\n"
+
+
+def _reference_json_write(obj, out, indent):
+    """The report writer as first written, one write per token: the
+    reference for the bytes of cli._json_text."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        out.write("{\n")
+        for i, (key, val) in enumerate(obj.items()):
+            out.write(f'{pad}  "{key}": ')
+            _reference_json_write(val, out, indent + 1)
+            out.write(",\n" if i < len(obj) - 1 else "\n")
+        out.write(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.write("[]")
+            return
+        out.write("[\n")
+        for i, val in enumerate(obj):
+            out.write(pad + "  ")
+            _reference_json_write(val, out, indent + 1)
+            out.write(",\n" if i < len(obj) - 1 else "\n")
+        out.write(pad + "]")
+    elif isinstance(obj, str):
+        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, complex):
+        out.write('{"re": %.17g, "im": %.17g}' % (obj.real, obj.imag))
+    elif obj is None:
+        out.write("null")
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.write(str(obj))
+    elif isinstance(obj, float):
+        out.write("%.17g" % obj)
+    else:
+        raise TypeError(f"unexpected scalar {type(obj)!r}")
+
+
+def _reference_json(obj) -> str:
+    out = io.StringIO()
+    _reference_json_write(obj, out, 0)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    def test_report_bytes_match_the_reference(self, capsys, monkeypatch):
+        payloads = []
+        text = cli._json_text
+
+        def recording(obj):
+            payloads.append(obj)
+            return text(obj)
+
+        monkeypatch.setattr(cli, "_json_text", recording)
+        direct = [i for i, ident in REGISTRY.items() if not ident.accel]
+        rc, out, _ = run_cli(capsys, "verify", "--seed", "7", "--quiet",
+                             "--json", "-", "--ids", *direct)
+        assert rc == 0
+        (payload,) = payloads
+        assert len(payload["results"]) == len(direct)
+        assert out[out.index("{"):] == _reference_json(payload) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}}, {"a": []}, [[]], [{}],
+        [[1, [2.5, [], [[-0.0]]]], {"k": [None]}],
+        'say "hi" \\ then \\"',
+        {'q"uote': 'a"b\\c', "nested": {"deeper": {"x": ("t", 1)}}},
+        [complex(1.5, -2.0), 0.1 + 0j, complex(-1e-300, 1e300)],
+        [None, True, False, 0, -7, 10 ** 20, 1.0, 1e-310, 2.0 ** 60],
+        {"run": {"seed": 7, "ok": True, "tol": None}, "rows": [1, 2.0, 3j]},
+        None, True, 42, 3.25, 1 + 1j,
+    ], ids=repr)
+    def test_edge_payloads_match_the_reference(self, obj):
+        assert cli._json_text(obj) == _reference_json(obj)
+
+    def test_unknown_scalar_raises(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"set": {1}})
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaves state
+    behind for the next."""
+
+    def test_nothing_carries_over_between_calls(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
+        rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1",
+                             "--perturb", "EX-1=1e-6")
+        assert rc == 2 and "MISMATCH" in out
+        rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1")
+        assert rc == 0 and "1 checked: 1 passed, 0 failed, 0 errors" in out
+
+        sweep = ("sweep", "--id", "THM-B", "--param", "x", "--from", "0.3",
+                 "--to", "0.6", "--steps", "2")
+        rc, out, _ = run_cli(capsys, *sweep, "--fixed", "a=0.25")
+        assert rc == 0 and "2 points swept: 2 passed, 0 failed" in out
+        rc, _, err = run_cli(capsys, *sweep)
+        assert rc == USAGE_ERROR and "unpinned: a" in err
+
+        rc, _, err = run_cli(capsys, "verify", "--ids", "EX-1", "--jobs", "0")
+        assert rc == USAGE_ERROR and err
+        rc, out, err = run_cli(capsys, "verify", "--ids", "EX-1", "--quiet")
+        assert (rc, err) == (0, "") and "PASS" in out
+
+        args = ("verify", "--ids", "TR-2.11.2", "--seed", "12345")
+        outs = {}
+        for seed in ("77", "78"):
+            outs[seed] = run_cli(capsys, "verify", "--ids", "TR-2.11.2",
+                                 "--seed", seed)[1]
+            monkeypatch.setenv("HYPERHARMONIC_SEED", seed)
+            assert run_cli(capsys, *args)[1] == outs[seed]
+            monkeypatch.delenv("HYPERHARMONIC_SEED")
+        assert outs["77"] != outs["78"]
+
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
 
 class TestSweep:
     def test_text_rows(self, capsys):
@@ -240,6 +372,16 @@ class TestSweep:
                              "--from", "0.5", "--to", "1.0", "--steps", "2")
         assert rc == 3
         assert "evaluation error" in err
+
+    def test_overflowing_closed_form_is_evaluation_error(self, capsys):
+        # Gamma((a+1)/2) overflows at a = 400.3; the OverflowError used
+        # to escape main as a traceback
+        rc, out, err = run_cli(capsys, "sweep", "--id", "COR-A2",
+                               "--param", "a", "--from", "0.1",
+                               "--to", "400.3", "--steps", "3")
+        assert (rc, out) == (3, "")
+        assert err == ("evaluation error: DomainError: COR-A2 at "
+                       "{'a': 400.3}, rhs expression: math range error\n")
 
     def test_closed_form_pole_is_evaluation_error(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--id", "THM-C", "--param", "a",

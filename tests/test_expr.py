@@ -2,12 +2,16 @@
 against mpmath, the direct sum everywhere else, and the calls the node
 makes through the module attributes of `expr`."""
 
+import cmath
+
 import mpmath
 import pytest
 
-from hyperharmonic import NonConvergentError, PoleError, expr, verify
+from hyperharmonic import (NonConvergentError, PoleError, digamma, expr,
+                           gamma_ratio, verify)
 from hyperharmonic.expr import C, Hyp2F1
-from hyperharmonic.series import PochhammerRatioSeries, Unit, eval_weighted
+from hyperharmonic.series import (DigammaDiffSum, Harmonic, LinearCombo,
+                                  PochhammerRatioSeries, Unit, eval_weighted)
 
 
 def node(a, b, c, x):
@@ -89,6 +93,23 @@ class TestConnectionNearOne:
     def test_thm_b_near_one(self):
         report = verify("THM-B", points=[{"a": 0.25, "x": 0.9999}])
         assert report.passed
+
+    @pytest.mark.parametrize("y", (0.01, 0.1, 0.24, 0.2 + 0.1j))
+    @pytest.mark.parametrize("a, b", ((0.25, 0.75), (1 / 6, 0.4),
+                                      (0.3 + 0.1j, 0.7 - 0.1j)))
+    def test_logarithmic_weight_matches_its_four_part_sum(self, a, b, y):
+        # the A&S 15.3.10 weight 2 psi(n+1) - psi(a+n) - psi(b+n) - log y
+        # as it was first written: two psi-difference sums, -2 H_n and
+        # the constant at n = 0
+        pref = gamma_ratio([a + b], [a, b])
+        const = 2.0 * digamma(1.0) - digamma(a) - digamma(b) - cmath.log(y)
+        weight = LinearCombo(((1.0, DigammaDiffSum(a - 1.0, 0.5)),
+                              (1.0, DigammaDiffSum(b - 1.0, 0.5)),
+                              (-2.0, Harmonic()), (const, Unit())))
+        spec = PochhammerRatioSeries((a, b), (), 2, 1.0, 0)
+        tol = 1e-12 / max(1.0, abs(pref))
+        want = pref * eval_weighted(spec, weight, y, tol=tol).value
+        assert abs(node(a, b, a + b, 1.0 - y) - want) <= 1e-15 * abs(want)
 
     def test_calls_go_through_expr(self, counted):
         node(0.25, 0.75, 1.0, 0.95)

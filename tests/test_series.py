@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DomainError,
-                           Harmonic, HarmonicSqPlusGen2, LinearCombo,
-                           NonConvergentError, PochhammerRatioSeries, PoleError,
-                           ReciprocalShift, Unit, WeightKind, eval_weighted,
-                           harmonic, hyp2f1, pochhammer)
+from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
+                           DomainError, Harmonic, HarmonicSqPlusGen2,
+                           LinearCombo, NonConvergentError,
+                           PochhammerRatioSeries, PoleError, ReciprocalShift,
+                           Unit, WeightKind, eval_weighted, harmonic, hyp2f1,
+                           pochhammer)
 from hyperharmonic.catalog import _derivative_sums
 
 # frozen at 40 digits
@@ -125,6 +126,8 @@ class TestWeights:
         DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j),
         LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
         ReciprocalShift(DigammaDiffSum(0.3 + 0.1j, 0.2)),
+        DigammaLog(0.25, 0.75, 1.2),
+        DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
         LinearCombo(((0.5j, ReciprocalShift(HarmonicSqPlusGen2())),
                      (2.0, DigammaDiffSum(0.25, 0.4)), (-1.0, Unit()))),
     ])

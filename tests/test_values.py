@@ -16,8 +16,8 @@ from hyperharmonic.catalog import Identity, PointCheck, VerifyReport
 from hyperharmonic.expr import (C, Add, Const, Cos, Digamma, Div, EllipticK,
                                 Gamma, GammaRatio, Hyp2F1, Log, Mul, Neg, P,
                                 Param, Pow, Series, Sin, Sqrt, Sub)
-from hyperharmonic.series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
-                                  LinearCombo, PochhammerRatioSeries,
+from hyperharmonic.series import (DigammaDiffSum, DigammaLog, Harmonic,
+                                  HarmonicSqPlusGen2, LinearCombo, PochhammerRatioSeries,
                                   ReciprocalShift, SeriesResult, Unit)
 
 
@@ -48,6 +48,7 @@ BUILDERS = [
     lambda: HarmonicSqPlusGen2(),
     lambda: ReciprocalShift(inner=Harmonic()),
     lambda: DigammaDiffSum(0.3 + 0.1j, 0.2),
+    lambda: DigammaLog(0.25, 0.75 - 0.1j, -1.5 + 0.2j),
     lambda: LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
     lambda: PochhammerRatioSeries((0.5, 0.25j), (1.5,), 1, -0.5, 1),
     lambda: SeriesResult(1.25 + 0j, 4096, 3e-13, True, "extrapolated"),
@@ -77,7 +78,7 @@ def _frozen_classes():
 
 
 def test_every_value_class_is_covered():
-    assert len(BUILDERS) == 29
+    assert len(BUILDERS) == 30
     assert {type(build()) for build in BUILDERS} == _frozen_classes()
 
 
