@@ -249,7 +249,16 @@ class Hyp2F1(Expr):
         return eval_weighted(spec, Unit(), x, tol=1e-12).value
 
 
-class Series(Expr):
+class _SpecSlot:
+    """Holds a Series node's PochhammerRatioSeries once it is bound, if no
+    shift depends on the point. The slot is not one of the node's fields
+    (those are Series.__slots__), so reprs, equality, hashing and pickles
+    see only the formula."""
+
+    __slots__ = ("_spec",)
+
+
+class Series(Expr, _SpecSlot):
     """sum_{n >= start_index} w_n u_n(x): the weighted series of
     series.PochhammerRatioSeries(numerator_shifts, denominator_shifts,
     factorial_power, geometric_ratio, start_index) with weight w at the
@@ -272,13 +281,21 @@ class Series(Expr):
         Frozen.__init__(self, tuple(map(_wrap, numerator_shifts)),
                         tuple(map(_wrap, denominator_shifts)), factorial_power,
                         geometric_ratio, start_index, weight, _wrap(x))
+        object.__setattr__(self, "_spec", None)
 
     def bind(self, env):
-        """(spec, weight, x) at the point env: eval_weighted's arguments."""
-        spec = PochhammerRatioSeries(
-            [e.eval(env) for e in self.numerator_shifts],
-            [e.eval(env) for e in self.denominator_shifts],
-            self.factorial_power, self.geometric_ratio, self.start_index)
+        """(spec, weight, x) at the point env: eval_weighted's arguments.
+        A spec whose shifts are all constants is built at the first bind
+        and kept."""
+        spec = self._spec
+        if spec is None:
+            spec = PochhammerRatioSeries(
+                [e.eval(env) for e in self.numerator_shifts],
+                [e.eval(env) for e in self.denominator_shifts],
+                self.factorial_power, self.geometric_ratio, self.start_index)
+            if all(type(e) is Const for e in
+                   self.numerator_shifts + self.denominator_shifts):
+                object.__setattr__(self, "_spec", spec)
         weight = self.weight
         if not isinstance(weight, WeightKind):
             weight = weight[0](*(e.eval(env) for e in weight[1:]))

@@ -9,8 +9,9 @@ The spec, the SeriesResult and the weights are Frozen value classes.
 Each weight family is one WeightKind subclass: value(n) evaluates w_n
 from scratch, steps(n0) walks w_n0, w_n0+1, ... with compensated
 accumulation so that a million steps stay within a couple of ulps of
-value(n), and asymptotics() gives its growth n^shift (log n)^L. Terms
-advance by one multiply-divide recurrence per index.
+value(n), asymptotics() gives its growth n^shift (log n)^L, and
+expansion(K), where a weight has one, its expansion in powers of 1/n.
+Terms advance by one multiply-divide recurrence per index.
 
 Before summing, the engine refuses terms that grow factorially (more
 numerator than denominator shifts, the n! factors counted as shifts,
@@ -19,15 +20,33 @@ refuses a balanced sum (as many numerator as denominator shifts, none
 terminating) whose complex exponent sigma = sum(a) - sum(b) - p + shift
 has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere.
 
-The argument and the shift counts pick the rule. Inside the unit
-circle, and on it for terminating sums and for sums with more
+The argument, the shift counts and the weight pick the rule. Inside the
+unit circle, and on it for terminating sums and for sums with more
 denominator than numerator shifts (terms decaying factorially), the
 engine sums directly with a geometric tail bound. On the circle
 (|r*x| = 1) the terms of balanced sums decay only algebraically, like
-n^sigma (log n)^L. There the engine keeps the partial sums at the
-checkpoints N = round(2^(j/4)), j = 24..56, and at each top T = 2^12,
-2^13, 2^14 fits the 25 checkpoints T/64..T by least squares to the tail
-model
+n^sigma (log n)^L.
+
+At r*x = 1, with a weight that gives its expansion in powers of 1/n
+(WeightKind.expansion; the unit weight, L = 0), the anchored rule sums
+2N terms, N = 64, and adds the tail in closed form: by DLMF 5.11.13 the
+terms w_n u_n ~ C n^sigma sum_{k<=K} f_k n^-k (K = 10, the f_k from
+Bernoulli polynomials of the shifts), so the tail from index M is
+C sum_k f_k zeta(k - sigma, M), with C anchored at the computed term at
+M (no Gamma value enters) and the Hurwitz zeta by Euler-Maclaurin
+(Johansson, ACM TOMS 45(3) 2019). With S(N, K) the sum of the first N
+terms plus that tail from the next index, the error estimate is
+
+    |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + 2N * eps * sum |t_n|,
+
+the last part for rounding in the 2N terms t_n summed; the rule returns
+S(2N,K), which the first two parts bound by the triangle inequality, and
+doubles N while the estimate misses the tolerance, up to the budget.
+
+Every other balanced sum on the circle (log weights, r*x != 1) takes
+the ladder: the engine keeps the partial sums at the checkpoints
+N = round(2^(j/4)), j = 24..56, and at each top T = 2^12, 2^13, 2^14
+fits the 25 checkpoints T/64..T by least squares to the tail model
 
     S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
 
@@ -93,6 +112,20 @@ _WIDEN = 2.0                 # safety factor on the fits' disagreement
 _SINGULAR = 1e-13            # QR pivot below which a model column is dropped
 _EPS = 2.0 ** -52
 
+# r*x = 1 with a weight of log power 0: 2N terms, N = 64, 128, ..., plus
+# the anchored tail to order K in 1/n
+_ANCHOR_N = 64
+_EXPANSION_ORDER = 10        # K
+# Bernoulli numbers B_0 .. B_20 (float literals: no fractions import)
+_BERNOULLI = (
+    1.0, -1.0 / 2.0, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0,
+    -1.0 / 30.0, 0.0, 5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0, 7.0 / 6.0, 0.0,
+    -3617.0 / 510.0, 0.0, 43867.0 / 798.0, 0.0, -174611.0 / 330.0,
+)
+# B_2j / (2j)!, j = 1..10: the Euler-Maclaurin coefficients
+_EULER_MACLAURIN = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j)
+                         for j in range(1, 11))
+
 
 # ---------------------------------------------------------------------------
 # series specification
@@ -148,7 +181,7 @@ class PochhammerRatioSeries(Frozen):
 
 class SeriesResult(Frozen):
     """A certified sum: value, terms_used, tail_bound, converged and method
-    ("direct" or "extrapolated")."""
+    ("direct", "anchored" or "extrapolated", the rule that summed it)."""
 
     __slots__ = ("value", "terms_used", "tail_bound", "converged", "method")
 
@@ -180,6 +213,14 @@ class WeightKind:
     def asymptotics(self) -> tuple[int, int]:
         return 0, 0
 
+    def expansion(self, order: int):
+        """Coefficients (c_0, ..., c_order) with
+        w_n ~ W n^shift sum_k c_k n^-k for some constant W, the shift of
+        asymptotics(), or None where no such expansion is given (a weight
+        with log terms). The anchored rule at r*x = 1 fixes W from the
+        computed w_n, so only the ratios of the c_k matter."""
+        return None
+
 
 class Unit(Frozen, WeightKind):
     """w_n = 1."""
@@ -191,6 +232,9 @@ class Unit(Frozen, WeightKind):
 
     def steps(self, n0):
         return itertools.repeat(1.0)
+
+    def expansion(self, order):
+        return (1.0,) + (0.0,) * order
 
 
 class Harmonic(Frozen, WeightKind):
@@ -499,15 +543,32 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     On the unit circle (|r*x| = 1) a sum with a numerator shift at a
     non-positive integer terminates, and a sum with more denominator than
     numerator shifts has factorially decaying terms: both take the direct
-    rule. A balanced sum is extrapolated from a ladder: partial sums at
+    rule. The balanced sums left are refused if sigma, the spec's complex
+    exponent plus the weight's shift (WeightKind.asymptotics), has
+    Re sigma >= -1 at r*x = 1 or >= 0 elsewhere on the circle; the same
+    sigma drives the direct rule's drift clause.
+
+    At r*x = 1, a weight with an expansion (WeightKind.expansion, so far
+    the unit weight) takes the anchored rule (method "anchored"; see the
+    module docstring): 2N terms, N = 64, plus the anchored
+    Euler-Maclaurin tail, with the estimate
+
+        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + 2N * eps * sum |t_n|.
+
+    It returns S(2N,K) with terms_used = 2N once the estimate meets
+    tol * max(1, |S|), and otherwise doubles N. A budget below 128 terms,
+    or an estimate above the tolerance when the next doubling would
+    overrun the budget or its rounding part alone would miss the
+    tolerance, raises NonConvergentError; an expansion that overflows
+    (shifts near 1e30) raises AccelerationBreakdown.
+
+    Every other balanced sum on the circle (log weights, r*x != 1) is
+    extrapolated from a ladder (method "extrapolated"): partial sums at
     the _GRID checkpoints, and at each top T in _TOPS = (2^12, 2^13, 2^14)
     the limit of the tail model fitted to the 25 checkpoints ending at T
     (see _limit_weights; model order _MODEL_ORDER = 4). The exponent s is
-    sigma + 1 at r*x = 1 and sigma elsewhere on the circle, where
-    sigma is the spec's complex exponent plus the weight's shift; the log
-    power is the weight's (WeightKind.asymptotics). The same sigma drives
-    the pre-check and the direct rule's drift clause. The error estimate
-    at top T is
+    sigma + 1 at r*x = 1 and sigma elsewhere on the circle; the log power
+    is the weight's. The error estimate at top T is
 
         2 * max(|fit - fit of order 3|, |fit - fit on the marks <= T/2|)
           + (T + sum |w_k|) * eps * sum |t_n|,
@@ -551,11 +612,16 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         if all(_pole_index(a) is None for a in nums):
             # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
             # circle the terms need sigma < 0
-            limit = -1.0 if abs(rx - 1.0) <= 1e-9 else 0.0
+            at_one = abs(rx - 1.0) <= 1e-9
+            limit = -1.0 if at_one else 0.0
             if sigma.real >= limit:
                 raise NonConvergentError(
                     f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
                     f"(r*x = {rx:.6g}); sum diverges")
+            coeffs = weight.expansion(_EXPANSION_ORDER) if at_one else None
+            if coeffs is not None:
+                return _eval_anchored(spec, weight, coeffs, rx, tol, sigma,
+                                      max_terms)
             if max_terms < _TOPS[-1]:
                 raise NonConvergentError(
                     f"unit-argument series sums up to {_TOPS[-1]} terms; "
@@ -647,38 +713,40 @@ def _dot(weights, sums) -> complex:
     return ref + sum(w * (x - ref) for w, x in zip(weights, sums))
 
 
-def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
-               tol: float, sigma: complex, logs: int) -> SeriesResult:
-    """The unit-circle rule of eval_weighted: a ladder of partial sums,
-    cut at the first top whose fitted limit certifies.
+class _Walk:
+    """Compensated partial sums of w_n u_n at |r*x| = 1, shared by the
+    unit-circle rules: run(count) adds the next count terms to S and
+    their moduli to abs_sum, and leaves u_n, the first term not yet
+    added, in t.
 
-    The fit amplifies noise in the partial sums, so the term recurrence
-    here is compensated: each numerator shift a is paired with a
-    denominator shift d (the n! factors count as d = 1; a balanced spec
-    pairs every shift), the step factor prod (a + n)/(d + n) is formed as
-    1 + g with g accumulated from the small ratios (a - d)/(d + n), and
-    t + t*g is added with an error term.
+    The rules amplify or extrapolate noise in the partial sums, so the
+    term recurrence is compensated: each numerator shift a is paired
+    with a denominator shift d (the n! factors count as d = 1; a
+    balanced spec pairs every shift), the step factor prod (a + n)/(d + n)
+    is formed as 1 + g with g accumulated from the small ratios
+    (a - d)/(d + n), and t + t*g is added with an error term.
     """
-    dens = spec.denominator_shifts + (1.0,) * spec.factorial_power
-    pairs = tuple((a - d, d) for a, d in zip(spec.numerator_shifts, dens))
-    n = spec.start_index
-    step = weight.steps(n).__next__
-    t = _first_term(spec, rx)
-    tc = 0j
 
-    s = sigma
-    theta = 0.0
-    if abs(rx - 1.0) <= 1e-9:
-        s += 1.0
-    else:
-        theta = cmath.phase(rx)
+    __slots__ = ("pairs", "rx", "step", "n", "t", "tc", "S", "comp",
+                 "abs_sum")
 
-    S = comp = 0j
-    abs_sum = 0.0
-    sums = []
-    done = 0
-    for mark in _GRID:
-        for _ in range(mark - done):
+    def __init__(self, spec: PochhammerRatioSeries, weight: WeightKind,
+                 rx: complex):
+        dens = spec.denominator_shifts + (1.0,) * spec.factorial_power
+        self.pairs = tuple((a - d, d)
+                           for a, d in zip(spec.numerator_shifts, dens))
+        self.rx = rx
+        self.n = spec.start_index
+        self.step = weight.steps(self.n).__next__
+        self.t = _first_term(spec, rx)
+        self.tc = self.S = self.comp = 0j
+        self.abs_sum = 0.0
+
+    def run(self, count: int) -> None:
+        pairs, rx, step, n = self.pairs, self.rx, self.step, self.n
+        t, tc, S, comp = self.t, self.tc, self.S, self.comp
+        abs_sum = self.abs_sum
+        for _ in range(count):
             term = t * step()
             y = term - comp
             hi = S + y
@@ -697,7 +765,27 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
             t = hi * rx
             tc *= rx
             n += 1
-        sums.append(S)
+        self.n, self.t, self.tc, self.S, self.comp = n, t, tc, S, comp
+        self.abs_sum = abs_sum
+
+
+def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
+               tol: float, sigma: complex, logs: int) -> SeriesResult:
+    """The ladder rule of eval_weighted: partial sums at the _GRID
+    checkpoints, cut at the first top whose fitted limit certifies."""
+    walk = _Walk(spec, weight, rx)
+    s = sigma
+    theta = 0.0
+    if abs(rx - 1.0) <= 1e-9:
+        s += 1.0
+    else:
+        theta = cmath.phase(rx)
+
+    sums = []
+    done = 0
+    for mark in _GRID:
+        walk.run(mark - done)
+        sums.append(walk.S)
         done = mark
         if mark not in _TOPS:
             continue
@@ -711,13 +799,145 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
                                     _MODEL_ORDER), window[:_SHORT])
         gain = math.fsum(map(abs, weights))
         tail = (_WIDEN * max(abs(best - lower), abs(best - short))
-                + (mark + gain) * _EPS * abs_sum)
+                + (mark + gain) * _EPS * walk.abs_sum)
         if tail <= tol * max(1.0, abs(best)):
             return SeriesResult(best, mark, tail, True, "extrapolated")
     raise NonConvergentError(
         f"extrapolated error estimate {tail:.3g} exceeds tolerance {tol:g} "
         f"after {done} terms (|r*x| = {abs(rx):.6g}, "
         f"exponent {s:.3g}, log power {logs})")
+
+
+# ---------------------------------------------------------------------------
+# anchored Euler-Maclaurin tail at r*x = 1
+
+
+def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
+    """d_0 = 1, d_1, ..., d_order with u_n ~ C n^sigma sum_k d_k n^-k for a
+    balanced spec at r*x = 1 (sigma its effective exponent).
+
+    By DLMF 5.11.8, log Gamma(n + a) - log Gamma(n + b) has the expansion
+    (a - b) log n + sum_k (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(b)) / (k(k+1)) n^-k
+    (the ratio form is DLMF 5.11.13); summed over the shifts (n! as b = 1)
+    the Bernoulli polynomials B_m(a) = sum_j binom(m, j) B_j a^(m-j) need
+    only the power sums sum a^q - sum b^q, and d is the exponential of
+    that series in 1/n.
+    """
+    dens = spec.denominator_shifts + (1.0,) * spec.factorial_power
+    power = [0j] * (order + 2)
+    for shifts, sign in ((spec.numerator_shifts, 1.0), (dens, -1.0)):
+        for a in shifts:
+            v = sign
+            for q in range(order + 2):
+                power[q] += v
+                v *= a
+    c = [0j]
+    for k in range(1, order + 1):
+        m = k + 1
+        bern = sum(math.comb(m, j) * _BERNOULLI[j] * power[m - j]
+                   for j in range(m + 1))
+        c.append((-1) ** (k + 1) * bern / (k * m))
+    d = [1.0 + 0j]
+    for k in range(1, order + 1):
+        d.append(sum(j * c[j] * d[k - j] for j in range(1, k + 1)) / k)
+    return d
+
+
+def _hurwitz_scaled(s: complex, M: int) -> complex:
+    """M^s * zeta(s, M) = sum_{m >= 0} (1 + m/M)^-s, for Re s > 1.
+
+    The first L terms are summed directly, L just large enough that
+    M + L >= |s| + 20, and the rest by Euler-Maclaurin at M' = M + L:
+    M'/(s - 1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M'^(1-2j), whose terms
+    then shrink by at least (2 pi)^-2 each. Scaling by M^s keeps every
+    part within range for any Re s > 1. The moduli of the terms fall, so
+    the sum from term m on is at most |term m| (1 + (M + m)/(Re s - 1)),
+    and the direct part stops once that is below eps of the sum.
+    """
+    skip = max(0, math.ceil(abs(s)) + 20 - M)
+    head = 0j
+    for m in range(skip):
+        term = cmath.exp(-s * math.log1p(m / M))
+        head += term
+        if abs(term) * (1.0 + (M + m) / (s.real - 1.0)) <= _EPS * abs(head):
+            return head
+    top = M + skip
+    z = top / (s - 1.0) + 0.5
+    rise = s / top          # (s)_{2j-1} M'^(1-2j)
+    for j, coeff in enumerate(_EULER_MACLAURIN, 1):
+        inc = coeff * rise
+        z += inc
+        if abs(inc) <= _EPS * abs(z):
+            break
+        rise *= (s + 2 * j - 1) * (s + 2 * j) / (top * top)
+    if skip:
+        z *= cmath.exp(-s * math.log(top / M))
+    return head + z
+
+
+def _anchored_tail(coeffs, sigma: complex, M: int, anchor: complex):
+    """sum_{n >= M} w_n u_n for w_n u_n ~ C n^sigma sum_k f_k n^-k, with C
+    fixed by the computed first term anchor = w_M u_M, to the full order
+    and to two orders less.
+
+    sum_{n >= M} n^(sigma-k) = zeta(k - sigma, M), so with e_k = f_k M^-k
+    the tail is anchor * sum_k e_k Z_k / sum_k e_k, Z_k = M^(k-sigma)
+    zeta(k - sigma, M) (_hurwitz_scaled): C and M^sigma drop out, and no
+    Gamma value is needed.
+    """
+    low = len(coeffs) - 3
+    num = den = 0j
+    scale = 1.0
+    for k, f in enumerate(coeffs):
+        e = f * scale
+        num += e * _hurwitz_scaled(k - sigma, M)
+        den += e
+        if k == low:
+            num_low, den_low = num, den
+        scale /= M
+    return anchor * num / den, anchor * num_low / den_low
+
+
+def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
+                   coeffs, rx: complex, tol: float, sigma: complex,
+                   max_terms: int) -> SeriesResult:
+    """The anchored rule of eval_weighted at r*x = 1: 2N partial terms
+    plus an Euler-Maclaurin tail, with N doubled until the error
+    estimate certifies."""
+    d = _term_expansion(spec, _EXPANSION_ORDER)
+    # times the weight's expansion, truncated at the same order
+    f = [sum(d[j] * coeffs[k - j] for j in range(k + 1))
+         for k in range(_EXPANSION_ORDER + 1)]
+    if not all(map(cmath.isfinite, f)):
+        raise AccelerationBreakdown(
+            "asymptotic expansion of the terms overflows")
+    N = _ANCHOR_N
+    if max_terms < 2 * N:
+        raise NonConvergentError(
+            f"unit-argument series sums at least {2 * N} terms; "
+            f"budget {max_terms} is too small")
+    walk = _Walk(spec, weight, rx)
+    walk.run(N)
+    S, (tail, tail_low) = walk.S, _anchored_tail(
+        f, sigma, walk.n, walk.t * weight.value(walk.n))
+    while True:
+        walk.run(N)
+        N *= 2
+        S2, (tail2, tail2_low) = walk.S, _anchored_tail(
+            f, sigma, walk.n, walk.t * weight.value(walk.n))
+        best = S2 + tail2
+        est = (abs(tail - tail_low) + abs(S + tail - best)
+               + N * _EPS * walk.abs_sum)
+        if est <= tol * max(1.0, abs(best)):
+            return SeriesResult(best, N, est, True, "anchored")
+        # the rounding part alone only grows with N
+        if (2 * N > max_terms
+                or 2 * N * _EPS * walk.abs_sum > tol * max(1.0, abs(best))):
+            break
+        S, tail, tail_low = S2, tail2, tail2_low
+    raise NonConvergentError(
+        f"anchored error estimate {est:.3g} exceeds tolerance {tol:g} "
+        f"after {N} terms (exponent {sigma:.3g})")
 
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,

@@ -395,6 +395,31 @@ def _half_side_mp(a, b, squared: bool) -> complex:
         n += 1
 
 
+def _anchored_sum_mp(ident_id, point) -> complex:
+    """At 30 digits, the unit-weight series at r*x = 1 of these
+    identities: Gauss's sum, Watson's sum and its half-step variant by
+    their gamma forms, and THM-D's sum_{n>=1} (1/2)_n (a+b)_n /
+    ((1+a)_n (1+b)_n) as a 3F2 at 1."""
+    mpmath.mp.dps = 30
+    p = {k: mpmath.mpc(v) for k, v in point.items()}
+    g = mpmath.gamma
+    if ident_id == "SUM-2.8.46":
+        a, b, c = p["a"], p["b"], p["c"]
+        return complex(g(c) * g(c - a - b) / (g(c - a) * g(c - b)))
+    if ident_id == "THM-D":
+        a, b = p["a"], p["b"]
+        return complex(mpmath.hyper([0.5, a + b, 1], [1 + a, 1 + b], 1) - 1)
+    a, b, c = p["a"], p["b"], p["c"]
+    if ident_id == "WATSON":
+        return complex(g(0.5) * g(a + b + 0.5) * g(c + 0.5) * g(0.5 - a - b + c)
+                       / (g(a + 0.5) * g(b + 0.5) * g(0.5 - a + c)
+                          * g(0.5 - b + c)))
+    common = g(0.5) * g(c) * g(a + b + 0.5) * g(c - a - b)
+    return complex(common / (g(a + 0.5) * g(b + 0.5) * g(c - a) * g(c - b))
+                   + p["eps"] * common
+                   / (g(a) * g(b) * g(c - a + 0.5) * g(c - b + 0.5)))
+
+
 class TestUnitArgumentExtrapolation:
     @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 8, 9, 10, 11])
     def test_doubling_identities_certify_at_registry_seed(self, seed):
@@ -446,8 +471,10 @@ class TestUnitArgumentExtrapolation:
 
     def test_registry_term_budget(self, monkeypatch):
         # term counts are deterministic: gate the whole registry at its
-        # default seed; every extrapolated unit-argument sum stops at a
-        # ladder top, and terminating ones take a few direct terms
+        # default seed; the 17 unit-weight sums at r*x = 1 take the
+        # anchored rule's 128 terms, every other extrapolated
+        # unit-argument sum stops at a ladder top, and terminating ones
+        # take a few direct terms
         unit_terms = []
 
         def spy(spec, weight, x, **kwargs):
@@ -459,10 +486,37 @@ class TestUnitArgumentExtrapolation:
         monkeypatch.setattr(expr, "eval_weighted", spy)
         total = sum(chk.terms_used for ident_id in REGISTRY
                     for chk in verify(ident_id).checks)
-        assert total <= 285_154
+        assert total <= 217_698
         assert len(unit_terms) == 69
+        assert sum(method == "anchored" for method, _ in unit_terms) == 17
         for method, terms in unit_terms:
             if method == "extrapolated":
                 assert terms in (4096, 8192, 16384)
+            elif method == "anchored":
+                assert terms == 128
             else:
                 assert method == "direct" and terms <= 10
+
+    def test_anchored_sums_against_mpmath(self, monkeypatch):
+        # every unit-weight sum at r*x = 1 of the default registry lies
+        # within its bound of its value at 30 digits
+        anchored = []
+
+        def spy(spec, weight, x, **kwargs):
+            res = eval_weighted(spec, weight, x, **kwargs)
+            if res.method == "anchored":
+                anchored.append(res)
+            return res
+
+        monkeypatch.setattr(expr, "eval_weighted", spy)
+        checked = 0
+        for ident_id in ("SUM-2.8.46", "WATSON", "WATSON-PM", "THM-D"):
+            for point in REGISTRY[ident_id].sample_points:
+                anchored.clear()
+                assert verify(ident_id, points=[point]).passed
+                (res,) = anchored
+                want = _anchored_sum_mp(ident_id, point)
+                assert abs(res.value - want) <= res.tail_bound, (ident_id, point)
+                assert res.terms_used == 128
+                checked += 1
+        assert checked == 17

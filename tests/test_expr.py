@@ -1,15 +1,17 @@
 """Closed-form Gauss 2F1 nodes: Kummer's connection formulas near x = 1
 against mpmath, the direct sum everywhere else, and the calls the node
-makes through the module attributes of `expr`."""
+makes through the module attributes of `expr`; and the spec a Series
+node binds."""
 
 import cmath
+import pickle
 
 import mpmath
 import pytest
 
-from hyperharmonic import (NonConvergentError, PoleError, digamma, expr,
-                           gamma_ratio, verify)
-from hyperharmonic.expr import C, Hyp2F1
+from hyperharmonic import (REGISTRY, NonConvergentError, PoleError, digamma,
+                           expr, gamma_ratio, verify)
+from hyperharmonic.expr import C, P, Hyp2F1, Series
 from hyperharmonic.series import (DigammaDiffSum, Harmonic, LinearCombo,
                                   PochhammerRatioSeries, Unit, eval_weighted)
 
@@ -143,7 +145,7 @@ class TestDirectSum:
     def test_unit_circle_rule_at_one(self, counted):
         got = node(0.3, 0.2, 2.0, 1.0)
         assert got == direct(0.3, 0.2, 2.0, 1.0)
-        assert counted["terms"] == 4096  # the ladder's first top
+        assert counted["terms"] == 128  # the anchored rule's 2N terms
 
     def test_outside_the_disk_raises(self):
         with pytest.raises(NonConvergentError):
@@ -152,3 +154,34 @@ class TestDirectSum:
     def test_pole_at_c_raises(self):
         with pytest.raises(PoleError):
             node(0.25, 0.75, -2.0, 0.95)
+
+
+class TestSeriesNode:
+    def test_constant_shifts_build_the_spec_once(self, monkeypatch):
+        # EX-1's shifts are constants: its first evaluation builds its spec,
+        # and later ones build none; a shift on a parameter is bound anew
+        node = REGISTRY["EX-1"].lhs
+        value = node.eval({})
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return PochhammerRatioSeries(*args)
+
+        monkeypatch.setattr(expr, "PochhammerRatioSeries", counting)
+        assert node.eval({}) == value
+        assert node.bind({})[0] is node.bind({})[0]
+        assert built == []
+        param = Series((P("a"), 0.5), (), 2, 0.5, 1, Harmonic(), 1.0)
+        assert param.eval({"a": 0.5}) == value
+        assert len(built) == 1
+
+    def test_cached_spec_is_not_a_field(self):
+        # repr, equality and pickles see only the formula, and a copy
+        # rebuilds the spec through the constructor
+        node = REGISTRY["EX-1"].lhs
+        twin = pickle.loads(pickle.dumps(node))
+        assert twin == node and hash(twin) == hash(node)
+        assert repr(twin) == repr(node) and "_spec" not in repr(node)
+        assert twin.bind({})[0] == node.bind({})[0]
+        assert twin.eval({}) == node.eval({})

@@ -1,5 +1,6 @@
-"""Series engine: term recurrences, weight steppers, unit-circle
-extrapolation, convergence guards, and the 2F1 wrapper."""
+"""Series engine: term recurrences, weight steppers, the unit-circle
+rules (anchored tail and ladder), convergence guards, and the 2F1
+wrapper."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            DomainError, Harmonic, HarmonicSqPlusGen2,
-                           LinearCombo, NonConvergentError,
+                           HyperharmonicError, LinearCombo, NonConvergentError,
                            PochhammerRatioSeries, PoleError, ReciprocalShift,
                            Unit, WeightKind, eval_weighted, harmonic, hyp2f1,
                            pochhammer)
@@ -170,11 +171,11 @@ class TestEvalWeighted:
             eval_weighted(spec, Unit(), 1.2)
 
     def test_unit_argument_needs_no_flag(self):
-        # 2F1(1/2, 1/2; 3/2; 1) = arcsin(1) = pi/2: on the unit circle the
-        # argument alone picks the ladder
+        # 2F1(1/2, 1/2; 3/2; 1) = arcsin(1) = pi/2: at r*x = 1 the argument
+        # and the unit weight alone pick the anchored rule
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         res = eval_weighted(spec, Unit(), 1.0)
-        assert res.converged and res.method == "extrapolated"
+        assert res.converged and res.method == "anchored"
         assert abs(res.value - math.pi / 2.0) <= res.tail_bound
 
     def test_default_tolerance_near_the_circle_is_the_inside_one(self):
@@ -290,42 +291,176 @@ class TestEvalWeighted:
 LADDER_TOPS = (4096, 8192, 16384)
 
 
-class TestUnitLadder:
-    """The unit-circle rule: a ladder of partial sums cut at the first top
-    (2^12, 2^13 or 2^14) where the fitted limit of the known-exponent tail
-    model certifies."""
+def _gauss_mp(a, b, c):
+    """2F1(a, b; c; 1) at 30 digits."""
+    mpmath.mp.dps = 30
+    return complex(mpmath.hyp2f1(a, b, c, 1))
+
+
+class TestAnchoredTail:
+    """The rule at r*x = 1 for weights with an expansion (the unit weight):
+    2N terms plus the anchored Euler-Maclaurin tail, N doubled until the
+    estimate certifies; mpmath at 30 digits is the oracle."""
 
     def test_slowest_unit_weight_case_against_mpmath(self):
-        # 2F1(a, b; a+b+1/2; 1): terms ~ n^-3/2, so the tail model's
-        # exponent is s = -1/2
-        mpmath.mp.dps = 30
+        # 2F1(a, b; a+b+1/2; 1): terms ~ n^-3/2
         for a, b in ((0.3 + 0.1j, 0.2 - 0.2j), (0.25 - 0.3j, 0.4 + 0.15j)):
             spec = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 0)
             res = eval_weighted(spec, Unit(), 1.0, tol=1e-10)
-            want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
-            assert res.converged and res.method == "extrapolated"
-            assert res.terms_used in LADDER_TOPS
+            want = _gauss_mp(a, b, a + b + 0.5)
+            assert res.converged and res.method == "anchored"
+            assert res.terms_used == 128
             assert abs(res.value - want) <= res.tail_bound, (a, b)
             assert res.tail_bound <= 1e-10 * max(1.0, abs(res.value))
             assert hyp2f1(a, b, a + b + 0.5, 1.0, tol=1e-10) == res.value
 
+    def test_rounding_floor_case_certifies(self):
+        # the ladder's rounding term (2^12 eps sum |t_n|) read 3.84e-12
+        # here and raised; 128 terms keep it near 3e-14
+        spec = PochhammerRatioSeries((0.3, 0.4), (3.0,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-13)
+        want = _gauss_mp(0.3, 0.4, 3.0)
+        assert res.method == "anchored" and res.terms_used == 128
+        assert abs(res.value - want) <= res.tail_bound
+        assert res.tail_bound <= 1e-13 * abs(res.value)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.3, 0.4, 0.75),                      # Re(c - a - b) = 0.05
+        (0.3 + 0.2j, 0.4 - 0.1j, 0.75 + 0.1j),
+        (0.25 - 0.3j, 0.1, 0.45 - 0.3j),
+        (0.2, 0.5, 0.8),
+        (-0.4 + 0.3j, 0.6, 0.45 + 0.3j),
+    ])
+    def test_small_exponent_excess_and_complex_shifts(self, a, b, c):
+        # terms ~ n^-(1 + Re(c-a-b)) with complex shifts: the tail is most
+        # of the sum, and the anchored expansion still carries it
+        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-12)
+        want = _gauss_mp(a, b, c)
+        assert res.method == "anchored" and res.terms_used == 128
+        assert abs(res.value - want) <= res.tail_bound, (a, b, c)
+        assert res.tail_bound <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.4, 0.6, 2.0), (0.5, 2.0 / 3.0, 2.5), (0.3 + 0.2j, 0.5, 1.1),
+        (0.3, 0.4 - 0.2j, 1.8)])
+    def test_watson_3f2(self, a, b, c):
+        # 3F2(a, b, c; (a+b+1)/2, 2c; 1) by Watson's theorem (DLMF 16.4.6)
+        mpmath.mp.dps = 30
+        a, b, c = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c)
+        g = mpmath.gamma
+        want = complex(mpmath.sqrt(mpmath.pi) * g(c + 0.5) * g((a + b + 1) / 2)
+                       * g(c - (a + b) / 2 + 0.5)
+                       / (g((a + 1) / 2) * g((b + 1) / 2) * g(c - a / 2 + 0.5)
+                          * g(c - b / 2 + 0.5)))
+        spec = PochhammerRatioSeries((a, b, c), ((a + b + 1) / 2, 2 * c), 1,
+                                     1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-12)
+        assert res.method == "anchored" and res.terms_used == 128
+        assert abs(res.value - want) <= res.tail_bound
+        assert res.tail_bound <= 1e-12 * max(1.0, abs(want))
+
+    def test_bound_covers_a_grid(self):
+        # shifts, start index and tolerance varied together; where the
+        # expansion in a^2/N needs it, N doubles beyond 64
+        doubled = 0
+        for a in (-0.45, 0.1, 0.3 + 0.25j, 1.7, 4.0):
+            for b in (0.2, 0.5 - 0.15j, 2.5):
+                for excess in (0.1, 0.6, 1.5):
+                    c = a + b + excess
+                    for start, tol in ((0, 1e-6), (1, 1e-10), (0, 1e-12)):
+                        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0,
+                                                     start)
+                        res = eval_weighted(spec, Unit(), 1.0, tol=tol)
+                        want = _gauss_mp(a, b, c) - start
+                        assert abs(res.value - want) <= res.tail_bound, \
+                            (a, b, c, start, tol)
+                        assert res.tail_bound <= tol * max(1.0, abs(res.value))
+                        doubled += res.terms_used > 128
+        assert doubled > 0
+
+    def test_large_shift_doubles_until_it_certifies(self):
+        # 2F1(100, 1/2; 102; 1): the expansion is in 100^2/n, so N doubles
+        spec = PochhammerRatioSeries((100.0, 0.5), (102.0,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-10)
+        assert res.terms_used == 2048
+        assert abs(res.value - _gauss_mp(100, 0.5, 102)) <= res.tail_bound
+
+    def test_exponent_minus_400(self):
+        # sum (1/2)_n / (400.5)_n = 2F1(1/2, 1; 400.5; 1) = 399.5/399:
+        # N^sigma underflows and B_k(400.5) is huge, but the scaled tail
+        # needs neither
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
+        try:
+            res = eval_weighted(spec, Unit(), 1.0)
+        except HyperharmonicError:
+            return
+        assert math.isfinite(res.tail_bound)
+        assert abs(res.value - 399.5 / 399.0) <= res.tail_bound
+
+    def test_expansion_that_overflows_raises_breakdown(self):
+        # shifts of modulus 1e30: their powers overflow in the expansion
+        spec = PochhammerRatioSeries((1e30j, 0.5 - 1e30j), (2.0,), 1, 1.0, 0)
+        with pytest.raises(AccelerationBreakdown, match="overflows"):
+            eval_weighted(spec, Unit(), 1.0)
+
+    def test_budget_and_rounding_floor_raise(self):
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match="budget 127"):
+            eval_weighted(spec, Unit(), 1.0, max_terms=127)
+        # 2F1(5, 4.5; 10; 1) = 512 sums positive terms: 1e-13 is below the
+        # rounding part 2N eps sum |t_n| for every N that would meet the
+        # truncation part, so the rule raises without doubling on
+        spec = PochhammerRatioSeries((5.0, 4.5), (10.0,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match="after 512 terms"):
+            eval_weighted(spec, Unit(), 1.0, tol=1e-13)
+
+    def test_only_the_unit_weight_has_an_expansion(self):
+        assert Unit().expansion(3) == (1.0, 0.0, 0.0, 0.0)
+        for weight in (Harmonic(), ReciprocalShift(Unit()),
+                       LinearCombo(((1.0, Unit()),)), DigammaLog(0.2, 0.3, 1.0)):
+            assert weight.expansion(3) is None
+        # log weights, other weights and r*x != 1 keep the ladder
+        spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
+        for weight, x in ((Harmonic(), 1.0), (ReciprocalShift(Unit()), 1.0),
+                          (Unit(), -1.0), (Unit(), 1j)):
+            res = eval_weighted(spec, weight, x, tol=1e-8)
+            assert res.method == "extrapolated", (weight, x)
+
+
+def _reciprocal_gauss_mp(a, b, c):
+    """sum (a)_n (b)_n / ((c)_n (n+1)!) at 30 digits, which is
+    (c-1)/((a-1)(b-1)) (2F1(a-1, b-1; c-1; 1) - 1)."""
+    mpmath.mp.dps = 30
+    return complex((c - 1) / ((a - 1) * (b - 1))
+                   * (mpmath.hyp2f1(a - 1, b - 1, c - 1, 1) - 1))
+
+
+class TestUnitLadder:
+    """The ladder rule, which sums every balanced unit-circle series but
+    the anchored ones: a ladder of partial sums cut at the first top
+    (2^12, 2^13 or 2^14) where the fitted limit of the known-exponent
+    tail model certifies. The weight 1/(n+1) has no expansion hook yet,
+    so it stands in for the unit weight at r*x = 1."""
+
     @pytest.mark.parametrize("tol, top", [(1e-10, 8192), (1e-11, 16384)])
     def test_later_tops_against_mpmath(self, tol, top):
-        # 2F1(a, b; a+b+1/2; 1) needs more than 2^12 terms at these
-        # tolerances; the fit at the later top still bounds its error
-        mpmath.mp.dps = 30
+        # sum (a)_n (b)_n / ((a+b-1/2)_n (n+1)!): terms ~ n^-3/2, and more
+        # than 2^12 of them at these tolerances; the fit at the later top
+        # still bounds its error
         a, b = 0.1 - 0.25j, 0.35 + 0.05j
-        spec = PochhammerRatioSeries((a, b), (a + b + 0.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, Unit(), 1.0, tol=tol)
-        want = complex(mpmath.hyp2f1(a, b, a + b + 0.5, 1))
-        assert res.terms_used == top
+        spec = PochhammerRatioSeries((a, b), (a + b - 0.5,), 1, 1.0, 0)
+        res = eval_weighted(spec, ReciprocalShift(Unit()), 1.0, tol=tol)
+        want = _reciprocal_gauss_mp(a, b, a + b - 0.5)
+        assert res.method == "extrapolated" and res.terms_used == top
         assert abs(res.value - want) <= res.tail_bound
         assert res.tail_bound <= tol * max(1.0, abs(res.value))
 
     def test_every_unit_sum_stops_at_a_ladder_top(self):
         cases = [
             (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0), Unit(), -1.0),
-            (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0), Unit(), 1.0),
+            (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0),
+             ReciprocalShift(Unit()), 1.0),
             (PochhammerRatioSeries((0.25, 0.25), (1.0,), 1, 1.0, 1),
              HarmonicSqPlusGen2(), 1.0),
             (PochhammerRatioSeries((0.5, 0.6), (1.25, 1.5), 0, 1.0, 1),
@@ -404,10 +539,11 @@ class TestUnitLadder:
             eval_weighted(spec, Unit(), -1.0, max_terms=16383)
 
     def test_unrepresentable_model_raises_breakdown(self):
-        # a balanced spec with exponent -400: N^-399 overflows on the ladder
+        # a balanced spec with exponent -400 and a log weight: N^-399
+        # overflows on the ladder (the unit weight takes the anchored rule)
         spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
         with pytest.raises(AccelerationBreakdown, match="N\\^-399"):
-            eval_weighted(spec, Unit(), 1.0)
+            eval_weighted(spec, Harmonic(), 1.0)
 
     @pytest.mark.parametrize("spec, x, terms, oracle", [
         (PochhammerRatioSeries((), (), 1, 1.0, 0), 1.0, 18,

@@ -183,8 +183,9 @@ def test_replace_validates_again():
 
 def test_cli_import_loads_no_clock_and_no_generated_classes(child_env):
     # start-up gate: importing the CLI must not load datetime (only a JSON
-    # report needs the clock), nor dataclasses, inspect or typing, and no
-    # class of the package is a dataclass; every value class is Frozen.
+    # report needs the clock), nor dataclasses, inspect or typing, nor
+    # fractions or decimal (the series constants are float literals), and
+    # no class of the package is a dataclass; every value class is Frozen.
     # The child runs with -S, because site hooks may preload typing.
     code = """
 import json, sys
@@ -198,7 +199,8 @@ records = sorted(
     for obj in vars(mod).values()
     if isinstance(obj, type) and "__dataclass_fields__" in vars(obj))
 print(json.dumps({"loaded": sorted(loaded & {"dataclasses", "inspect",
-                                              "typing", "datetime"}),
+                                              "typing", "datetime",
+                                              "fractions", "decimal"}),
                   "dataclasses": records}))
 """
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env,
