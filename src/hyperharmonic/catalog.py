@@ -123,10 +123,13 @@ def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else None
     passed = (rel_err <= tol) if abs(rhs) >= 1.0 else (abs_err <= tol)
+    # "extrapolated" if any sum took the ladder, else "anchored" if any
+    # took the anchored tail, else "direct"
+    methods = {r.method for r in sums}
+    method = next((m for m in ("extrapolated", "anchored") if m in methods),
+                  "direct")
     return PointCheck(dict(env), lhs, rhs, abs_err, rel_err, passed,
-                      sum(r.terms_used for r in sums),
-                      "extrapolated" if any(r.method == "extrapolated"
-                                            for r in sums) else "direct")
+                      sum(r.terms_used for r in sums), method)
 
 
 def get_identity(identity, registry: dict | None = None) -> Identity:

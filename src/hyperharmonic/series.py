@@ -10,7 +10,8 @@ Each weight family is one WeightKind subclass: value(n) evaluates w_n
 from scratch, steps(n0) walks w_n0, w_n0+1, ... with compensated
 accumulation so that a million steps stay within a couple of ulps of
 value(n), asymptotics() gives its growth n^shift (log n)^L, and
-expansion(K), where a weight has one, its expansion in powers of 1/n.
+expansion(K, M), where a weight has one, its expansion in powers of 1/n
+and log n with the constant fixed by the computed w_M.
 Terms advance by one multiply-divide recurrence per index.
 
 Before summing, the engine refuses terms that grow factorially (more
@@ -27,26 +28,35 @@ engine sums directly with a geometric tail bound. On the circle
 (|r*x| = 1) the terms of balanced sums decay only algebraically, like
 n^sigma (log n)^L.
 
-At r*x = 1, with a weight that gives its expansion in powers of 1/n
-(WeightKind.expansion; the unit weight, L = 0), the anchored rule sums
-2N terms, N = 64, and adds the tail in closed form: by DLMF 5.11.13 the
-terms w_n u_n ~ C n^sigma sum_{k<=K} f_k n^-k (K = 10, the f_k from
-Bernoulli polynomials of the shifts), so the tail from index M is
-C sum_k f_k zeta(k - sigma, M), with C anchored at the computed term at
-M (no Gamma value enters) and the Hurwitz zeta by Euler-Maclaurin
-(Johansson, ACM TOMS 45(3) 2019). With S(N, K) the sum of the first N
-terms plus that tail from the next index, the error estimate is
+At r*x = 1, with a weight that gives its expansion in powers of 1/n and
+log n (WeightKind.expansion: the unit weight and Harmonic(stride,
+offset)), the anchored rule sums 2N terms, N = 64, and adds the tail in
+closed form. By DLMF 5.11.13, u_n ~ C n^sigma sum_{k<=K} d_k n^-k
+(K = 10, the d_k from Bernoulli polynomials of the shifts); by DLMF
+5.15.8, H_{sn+o} ~ log n + g + sum_k h_k n^-k with g taken from the
+computed H_{sM+o}, so w_n u_n ~ C n^sigma sum_l log^l n sum_k f_lk n^-k
+with at most one log power. Summed from index M, n^(sigma-k) gives the
+Hurwitz zeta(k - sigma, M) and n^(sigma-k) log n its s-derivative, both
+by Euler-Maclaurin (Johansson, ACM TOMS 45(3) 2019) as one jet, with C
+anchored at the computed u_M (no Gamma value enters). With S(N, K) the
+sum of the first N terms plus that tail from the next index, the error
+estimate is
 
-    |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + 2N * eps * sum |t_n|,
+    |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding,
 
-the last part for rounding in the 2N terms t_n summed; the rule returns
-S(2N,K), which the first two parts bound by the triangle inequality, and
-doubles N while the estimate misses the tolerance, up to the budget.
+where the rounding part bounds the walk's own error: each of the 2N
+terms and the anchor carry a relative drift of a few eps per step
+through the step factor, plus a few eps of their own, and the
+compensated sum about eps |S|. The rule returns S(2N,K), which the
+first two parts bound by the triangle inequality, and doubles N while
+the estimate misses the tolerance, up to the budget.
 
-Every other balanced sum on the circle (log weights, r*x != 1) takes
-the ladder: the engine keeps the partial sums at the checkpoints
-N = round(2^(j/4)), j = 24..56, and at each top T = 2^12, 2^13, 2^14
-fits the 25 checkpoints T/64..T by least squares to the tail model
+Every other balanced sum on the circle (weights without an expansion,
+such as H_n^2 + H_n^(2), H_n/(n+1) and their combinations, and
+r*x != 1) takes the ladder: the engine keeps the partial sums at the
+checkpoints N = round(2^(j/4)), j = 24..56, and at each top T = 2^12,
+2^13, 2^14 fits the 25 checkpoints T/64..T by least squares to the tail
+model
 
     S_N = S + e^{i theta N} N^s sum_{j<4} sum_{l<=L} c_jl N^-j log^l N
 
@@ -112,10 +122,15 @@ _WIDEN = 2.0                 # safety factor on the fits' disagreement
 _SINGULAR = 1e-13            # QR pivot below which a model column is dropped
 _EPS = 2.0 ** -52
 
-# r*x = 1 with a weight of log power 0: 2N terms, N = 64, 128, ..., plus
-# the anchored tail to order K in 1/n
+# r*x = 1 with a weight that has an expansion (log power 0 or 1): 2N
+# terms, N = 64, 128, ..., plus the anchored tail to order K in 1/n
 _ANCHOR_N = 64
 _EXPANSION_ORDER = 10        # K
+# rounding of the walk per step, in eps: a division, a product and a sum
+# (about 3 eps) per unit of _drift, and the term's own product, weight
+# and the dropped compensation (about 3 eps)
+_DRIFT_ULPS = 4.0
+_TERM_ULPS = 4.0
 # Bernoulli numbers B_0 .. B_20 (float literals: no fractions import)
 _BERNOULLI = (
     1.0, -1.0 / 2.0, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0,
@@ -201,6 +216,8 @@ class WeightKind:
     within ~2 ulp of the fsum reference. asymptotics() gives (shift, L)
     with w_n ~ n^shift * (log n)^L at large n, the weight's part of the
     exponent sigma and the log power of the unit-circle tail model.
+    expansion(K, M) refines that shape to an expansion in 1/n, where the
+    weight gives one; the anchored rule at r*x = 1 needs it.
     """
     __slots__ = ()
 
@@ -213,12 +230,13 @@ class WeightKind:
     def asymptotics(self) -> tuple[int, int]:
         return 0, 0
 
-    def expansion(self, order: int):
-        """Coefficients (c_0, ..., c_order) with
-        w_n ~ W n^shift sum_k c_k n^-k for some constant W, the shift of
-        asymptotics(), or None where no such expansion is given (a weight
-        with log terms). The anchored rule at r*x = 1 fixes W from the
-        computed w_n, so only the ratios of the c_k matter."""
+    def expansion(self, order: int, anchor: int):
+        """Rows (r_0, ..., r_L), one per log power l, of coefficients with
+        w_n ~ sum_l log^l n sum_{k<=order} r_l[k] n^-k at large n, its
+        constant fixed by the computed w_anchor; None where no expansion
+        is given. The anchored rule at r*x = 1 takes a weight with shift 0
+        and at most one log power (rows r_0 and r_1); every other weight
+        keeps None."""
         return None
 
 
@@ -233,8 +251,8 @@ class Unit(Frozen, WeightKind):
     def steps(self, n0):
         return itertools.repeat(1.0)
 
-    def expansion(self, order):
-        return (1.0,) + (0.0,) * order
+    def expansion(self, order, anchor):
+        return ((1.0,) + (0.0,) * order,)
 
 
 class Harmonic(Frozen, WeightKind):
@@ -273,6 +291,20 @@ class Harmonic(Frozen, WeightKind):
 
     def asymptotics(self):
         return 0, 1
+
+    def expansion(self, order, anchor):
+        # H_{sn+o} = psi(sn + o + 1) + gamma ~ log n + g + sum_k h_k n^-k,
+        # h_k = (-1)^(k+1) B_k(o+1) / (k s^k) (DLMF 5.15.8 at z = sn), and
+        # g = gamma + log s is taken from the computed w_anchor instead
+        h = [0.0]
+        shift = self.offset + 1
+        for k in range(1, order + 1):
+            bern = sum(math.comb(k, j) * _BERNOULLI[j] * shift ** (k - j)
+                       for j in range(k + 1))
+            h.append((-1) ** (k + 1) * bern / (k * self.stride ** k))
+        h[0] = (self.value(anchor) - math.log(anchor)
+                - sum(h[k] * float(anchor) ** -k for k in range(order, 0, -1)))
+        return tuple(h), (1.0,) + (0.0,) * order
 
 
 class HarmonicSqPlusGen2(Frozen, WeightKind):
@@ -548,27 +580,29 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     Re sigma >= -1 at r*x = 1 or >= 0 elsewhere on the circle; the same
     sigma drives the direct rule's drift clause.
 
-    At r*x = 1, a weight with an expansion (WeightKind.expansion, so far
-    the unit weight) takes the anchored rule (method "anchored"; see the
-    module docstring): 2N terms, N = 64, plus the anchored
+    At r*x = 1, a weight with an expansion (WeightKind.expansion: the
+    unit weight and Harmonic) takes the anchored rule (method "anchored";
+    see the module docstring): 2N terms, N = 64, plus the anchored
     Euler-Maclaurin tail, with the estimate
 
-        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + 2N * eps * sum |t_n|.
+        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding,
 
-    It returns S(2N,K) with terms_used = 2N once the estimate meets
+    the rounding part from the drift of the walk's terms (_rounding). It
+    returns S(2N,K) with terms_used = 2N once the estimate meets
     tol * max(1, |S|), and otherwise doubles N. A budget below 128 terms,
     or an estimate above the tolerance when the next doubling would
-    overrun the budget or its rounding part alone would miss the
-    tolerance, raises NonConvergentError; an expansion that overflows
-    (shifts near 1e30) raises AccelerationBreakdown.
+    overrun the budget or its rounding part alone misses the tolerance,
+    raises NonConvergentError; an expansion that overflows (shifts near
+    1e30) raises AccelerationBreakdown.
 
-    Every other balanced sum on the circle (log weights, r*x != 1) is
-    extrapolated from a ladder (method "extrapolated"): partial sums at
-    the _GRID checkpoints, and at each top T in _TOPS = (2^12, 2^13, 2^14)
-    the limit of the tail model fitted to the 25 checkpoints ending at T
-    (see _limit_weights; model order _MODEL_ORDER = 4). The exponent s is
-    sigma + 1 at r*x = 1 and sigma elsewhere on the circle; the log power
-    is the weight's. The error estimate at top T is
+    Every other balanced sum on the circle (weights without an expansion,
+    r*x != 1) is extrapolated from a ladder (method "extrapolated"):
+    partial sums at the _GRID checkpoints, and at each top T in _TOPS =
+    (2^12, 2^13, 2^14) the limit of the tail model fitted to the 25
+    checkpoints ending at T (see _limit_weights; model order
+    _MODEL_ORDER = 4). The exponent s is sigma + 1 at r*x = 1 and sigma
+    elsewhere on the circle; the log power is the weight's. The error
+    estimate at top T is
 
         2 * max(|fit - fit of order 3|, |fit - fit on the marks <= T/2|)
           + (T + sum |w_k|) * eps * sum |t_n|,
@@ -618,9 +652,11 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                 raise NonConvergentError(
                     f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
                     f"(r*x = {rx:.6g}); sum diverges")
-            coeffs = weight.expansion(_EXPANSION_ORDER) if at_one else None
-            if coeffs is not None:
-                return _eval_anchored(spec, weight, coeffs, rx, tol, sigma,
+            rows = (weight.expansion(_EXPANSION_ORDER,
+                                     spec.start_index + _ANCHOR_N)
+                    if at_one else None)
+            if rows is not None:
+                return _eval_anchored(spec, weight, rows, rx, tol, sigma,
                                       max_terms)
             if max_terms < _TOPS[-1]:
                 raise NonConvergentError(
@@ -843,55 +879,124 @@ def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
     return d
 
 
-def _hurwitz_scaled(s: complex, M: int) -> complex:
-    """M^s * zeta(s, M) = sum_{m >= 0} (1 + m/M)^-s, for Re s > 1.
+def _hurwitz_scaled(s: complex, M: int):
+    """The jet (Z, Y) of M^s * zeta(s, M) in s, for Re s > 1:
+
+        Z = sum_{m >= 0} (1 + m/M)^-s,
+        Y = sum_{m >= 0} (1 + m/M)^-s log(1 + m/M) = -dZ/ds,
+
+    so that sum_{n >= M} n^-s log n = M^-s (log M * Z + Y).
 
     The first L terms are summed directly, L just large enough that
     M + L >= |s| + 20, and the rest by Euler-Maclaurin at M' = M + L:
     M'/(s - 1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M'^(1-2j), whose terms
-    then shrink by at least (2 pi)^-2 each. Scaling by M^s keeps every
-    part within range for any Re s > 1. The moduli of the terms fall, so
-    the sum from term m on is at most |term m| (1 + (M + m)/(Re s - 1)),
-    and the direct part stops once that is below eps of the sum.
+    then shrink by at least (2 pi)^-2 each, carried with its s-derivative
+    as a dual number. Scaling by M^s keeps every part within range for any
+    Re s > 1. The moduli of the terms fall, so the sum from term m on is
+    at most |term m| (1 + (M + m)/(Re s - 1)), and once Re s log(1 + m/M)
+    >= 1 the log-weighted terms fall too, with the same integral bound
+    counting the log; the direct part stops once both rests are below eps
+    of their sums.
     """
     skip = max(0, math.ceil(abs(s)) + 20 - M)
-    head = 0j
+    head = head_log = 0j
+    excess = s.real - 1.0
     for m in range(skip):
-        term = cmath.exp(-s * math.log1p(m / M))
+        lg = math.log1p(m / M)
+        term = cmath.exp(-s * lg)
         head += term
-        if abs(term) * (1.0 + (M + m) / (s.real - 1.0)) <= _EPS * abs(head):
-            return head
+        head_log += term * lg
+        rest = (M + m) / excess
+        size = abs(term)
+        if (size * (1.0 + rest) <= _EPS * abs(head) and s.real * lg >= 1.0
+                and size * (lg + rest * (lg + 1.0 / excess))
+                <= _EPS * abs(head_log)):
+            return head, head_log
     top = M + skip
     z = top / (s - 1.0) + 0.5
-    rise = s / top          # (s)_{2j-1} M'^(1-2j)
+    y = top / (s - 1.0) ** 2    # -dz/ds
+    rise = s / top              # (s)_{2j-1} M'^(1-2j)
+    drise = 1.0 / top           # its s-derivative
+    # z stops where it would alone, so carrying y changes no bit of z
+    z_open = True
     for j, coeff in enumerate(_EULER_MACLAURIN, 1):
-        inc = coeff * rise
-        z += inc
-        if abs(inc) <= _EPS * abs(z):
+        if z_open:
+            inc = coeff * rise
+            z += inc
+            z_open = abs(inc) > _EPS * abs(z)
+        dinc = coeff * drise
+        y -= dinc
+        if not z_open and abs(dinc) <= _EPS * abs(y):
             break
-        rise *= (s + 2 * j - 1) * (s + 2 * j) / (top * top)
+        step = (s + 2 * j - 1) * (s + 2 * j) / (top * top)
+        drise = drise * step + rise * (2.0 * s + 4 * j - 1) / (top * top)
+        rise *= step
     if skip:
-        z *= cmath.exp(-s * math.log(top / M))
-    return head + z
+        log_top = math.log(top / M)
+        scale = cmath.exp(-s * log_top)
+        y = scale * (log_top * z + y)
+        z *= scale
+    return head + z, head_log + y
 
 
-def _anchored_tail(coeffs, sigma: complex, M: int, anchor: complex):
-    """sum_{n >= M} w_n u_n for w_n u_n ~ C n^sigma sum_k f_k n^-k, with C
-    fixed by the computed first term anchor = w_M u_M, to the full order
-    and to two orders less.
+def _drift(pairs, n0: int, M: int) -> float:
+    """A bound on sum_{n0 <= n < M} sum_i |a_i - d_i| / |a_i + n| for the
+    walk's pairs (a_i - d_i, d_i).
 
-    sum_{n >= M} n^(sigma-k) = zeta(k - sigma, M), so with e_k = f_k M^-k
-    the tail is anchor * sum_k e_k Z_k / sum_k e_k, Z_k = M^(k-sigma)
-    zeta(k - sigma, M) (_hurwitz_scaled): C and M^sigma drop out, and no
-    Gamma value is needed.
+    The walk forms the step factor prod (a_i + n)/(d_i + n) as 1 + g; its
+    rounding in g moves the factor by a few eps * sum_i |a_i - d_i| /
+    |a_i + n| relative, so eps times this sum bounds the relative drift
+    of u_M. Each inner sum is exact while n + Re a < 1, and beyond that
+    at most its first term plus the integral of 1/(n + Re a).
     """
-    low = len(coeffs) - 3
+    total = 0.0
+    for delta, d in pairs:
+        a = delta + d
+        n = n0
+        acc = 0.0
+        while n < M and n + a.real < 1.0:
+            acc += 1.0 / abs(a + n)
+            n += 1
+        if n < M:
+            acc += 1.0 / (n + a.real) + math.log((M - 1 + a.real)
+                                                 / (n + a.real))
+        total += abs(delta) * acc
+    return total
+
+
+def _rounding(walk: _Walk, n0: int, tail: complex) -> float:
+    """The rounding part of the anchored estimate, for a walk from n0 and
+    the tail anchored at its u_M: every term summed and the anchor carry
+    the drift of u_n (_drift) plus a few eps of their own, and the
+    compensated sum adds about eps |S|."""
+    rel = _EPS * (_DRIFT_ULPS * _drift(walk.pairs, n0, walk.n) + _TERM_ULPS)
+    return rel * (walk.abs_sum + abs(tail)) + _EPS * abs(walk.S)
+
+
+def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex):
+    """sum_{n >= M} w_n u_n for u_n ~ C n^sigma sum_k d_k n^-k and
+    w_n u_n ~ C n^sigma sum_l log^l n sum_k f_lk n^-k (rows f_0 and, for
+    a log weight, f_1), with C fixed by the computed first term
+    anchor = u_M, to the full order and to two orders less.
+
+    With e_k = d_k M^-k, C M^sigma = anchor / sum_k e_k. By
+    _hurwitz_scaled at s = k - sigma, sum_{n >= M} n^(sigma-k) is
+    M^(sigma-k) Z_k, and with log n it is M^(sigma-k) (log M Z_k + Y_k),
+    so the tail is anchor * sum_k M^-k (f_0k Z_k + f_1k (log M Z_k + Y_k))
+    / sum_k e_k: C and M^sigma drop out, and no Gamma value is needed.
+    """
+    low = len(d) - 3
+    log_m = math.log(M)
+    logs = len(rows) > 1
     num = den = 0j
     scale = 1.0
-    for k, f in enumerate(coeffs):
-        e = f * scale
-        num += e * _hurwitz_scaled(k - sigma, M)
-        den += e
+    for k, dk in enumerate(d):
+        z, y = _hurwitz_scaled(k - sigma, M)
+        part = rows[0][k] * scale * z
+        if logs:
+            part += rows[1][k] * scale * (log_m * z + y)
+        num += part
+        den += dk * scale
         if k == low:
             num_low, den_low = num, den
         scale /= M
@@ -899,42 +1004,46 @@ def _anchored_tail(coeffs, sigma: complex, M: int, anchor: complex):
 
 
 def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
-                   coeffs, rx: complex, tol: float, sigma: complex,
+                   rows, rx: complex, tol: float, sigma: complex,
                    max_terms: int) -> SeriesResult:
     """The anchored rule of eval_weighted at r*x = 1: 2N partial terms
     plus an Euler-Maclaurin tail, with N doubled until the error
-    estimate certifies."""
+    estimate certifies. rows is the weight's expansion at the first
+    anchor, n0 + N."""
     d = _term_expansion(spec, _EXPANSION_ORDER)
-    # times the weight's expansion, truncated at the same order
-    f = [sum(d[j] * coeffs[k - j] for j in range(k + 1))
-         for k in range(_EXPANSION_ORDER + 1)]
-    if not all(map(cmath.isfinite, f)):
-        raise AccelerationBreakdown(
-            "asymptotic expansion of the terms overflows")
+
+    def tail(walk, rows):
+        # the terms' rows: d times the weight's, truncated at the order
+        f = [[sum(d[j] * row[k - j] for j in range(k + 1))
+              for k in range(_EXPANSION_ORDER + 1)] for row in rows]
+        if not all(cmath.isfinite(v) for row in f for v in row):
+            raise AccelerationBreakdown(
+                "asymptotic expansion of the terms overflows")
+        return _anchored_tail(d, f, sigma, walk.n, walk.t)
+
     N = _ANCHOR_N
     if max_terms < 2 * N:
         raise NonConvergentError(
             f"unit-argument series sums at least {2 * N} terms; "
             f"budget {max_terms} is too small")
+    n0 = spec.start_index
     walk = _Walk(spec, weight, rx)
     walk.run(N)
-    S, (tail, tail_low) = walk.S, _anchored_tail(
-        f, sigma, walk.n, walk.t * weight.value(walk.n))
+    S, (tail1, tail1_low) = walk.S, tail(walk, rows)
     while True:
         walk.run(N)
         N *= 2
-        S2, (tail2, tail2_low) = walk.S, _anchored_tail(
-            f, sigma, walk.n, walk.t * weight.value(walk.n))
+        S2, (tail2, tail2_low) = walk.S, tail(
+            walk, weight.expansion(_EXPANSION_ORDER, walk.n))
         best = S2 + tail2
-        est = (abs(tail - tail_low) + abs(S + tail - best)
-               + N * _EPS * walk.abs_sum)
+        rounding = _rounding(walk, n0, tail2)
+        est = abs(tail1 - tail1_low) + abs(S + tail1 - best) + rounding
         if est <= tol * max(1.0, abs(best)):
             return SeriesResult(best, N, est, True, "anchored")
         # the rounding part alone only grows with N
-        if (2 * N > max_terms
-                or 2 * N * _EPS * walk.abs_sum > tol * max(1.0, abs(best))):
+        if 2 * N > max_terms or rounding > tol * max(1.0, abs(best)):
             break
-        S, tail, tail_low = S2, tail2, tail2_low
+        S, tail1, tail1_low = S2, tail2, tail2_low
     raise NonConvergentError(
         f"anchored error estimate {est:.3g} exceeds tolerance {tol:g} "
         f"after {N} terms (exponent {sigma:.3g})")

@@ -12,11 +12,13 @@ import pytest
 import hyperharmonic
 from hyperharmonic import (DEFAULT_SEED, Harmonic, Identity,
                            NonConvergentError, REGISTRY, UnknownIdentityError,
+                           Unit,
                            build_registry, eval_lhs, eval_rhs, eval_weighted,
                            get_identity, harmonic, ode_residual, verify,
                            with_perturbed_rhs)
 from hyperharmonic import catalog, errors, expr, series, specialfn
 from hyperharmonic.expr import C, Digamma, Hyp2F1, Log, P, PI, Sin
+from oracles import harmonic_gauss_mp
 
 # frozen at 40 digits: twice the weighted half-argument series of the
 # first doubling identity at a = 0.3+0.1i, b = 0.2
@@ -194,6 +196,25 @@ class TestVerifySemantics:
             assert c.method == "direct"
             assert c.rel_err is not None
             assert c.abs_err <= 1e-9 * max(1.0, abs(c.rhs))
+
+    @pytest.mark.parametrize("ident_id, method", [
+        ("SUM-2.8.46", "anchored"),     # one unit-weight sum at r*x = 1
+        ("THM-A1", "anchored"),         # a direct side and an anchored one
+        ("THM-D", "extrapolated"),      # anchored at +1, the ladder at -1
+        ("THM-C", "extrapolated"),
+        ("EX-1", "direct"),
+    ])
+    def test_check_method_names_its_sums_rules(self, ident_id, method):
+        # "extrapolated" if any sum took the ladder, else "anchored" if
+        # any took the anchored tail, else "direct"
+        point = REGISTRY[ident_id].sample_points[0]
+        (chk,) = verify(ident_id, points=[point]).checks
+        assert chk.method == method
+
+    def test_direct_sums_leave_an_anchored_check_anchored(self):
+        # THM-E at b = 2: its H_{2n} sum terminates after six direct terms
+        (chk,) = verify("THM-E", points=[{"b": 2.0}]).checks
+        assert chk.method == "anchored" and chk.terms_used == 134
 
     def test_anchor_value(self):
         got = eval_lhs("THM-A1", a=0.3 + 0.1j, b=0.2)
@@ -395,14 +416,59 @@ def _half_side_mp(a, b, squared: bool) -> complex:
         n += 1
 
 
-def _anchored_sum_mp(ident_id, point) -> complex:
-    """At 30 digits, the unit-weight series at r*x = 1 of these
-    identities: Gauss's sum, Watson's sum and its half-step variant by
+def _alternating_harmonic_mp(nums, dens) -> complex:
+    """sum_{n>=1} prod (a)_n / prod (b)_n H_n (-1)^n at 30 digits; nsum's
+    default acceleration suits the alternating sign (its Levin variant
+    does not: 1.166 against 1.4008 for THM-D's sum at +1)."""
+    mpmath.mp.dps = 30
+    nums = [mpmath.mpc(v) for v in nums]
+    dens = [mpmath.mpc(v) for v in dens]
+
+    def term(n):
+        n = int(n)
+        t = mpmath.harmonic(n) * (-1) ** n
+        for a in nums:
+            t *= mpmath.rf(a, n)
+        for b in dens:
+            t /= mpmath.rf(b, n)
+        return t
+
+    return complex(mpmath.nsum(term, [1, mpmath.inf]))
+
+
+def _anchored_sum_mp(ident_id, point, weight) -> complex:
+    """At 30 digits, the series at r*x = 1 of these identities that take
+    the anchored rule.
+
+    Unit weight: Gauss's sum, Watson's sum and its half-step variant by
     their gamma forms, and THM-D's sum_{n>=1} (1/2)_n (a+b)_n /
-    ((1+a)_n (1+b)_n) as a 3F2 at 1."""
+    ((1+a)_n (1+b)_n) as a 3F2 at 1. H_n weights: THM-A1 as twice its
+    half-argument side; THM-E's Gauss-type sums by their integral
+    (oracles.harmonic_gauss_mp); THM-D and COR-D by their closed forms,
+    with the sum at -1 from nsum.
+    """
     mpmath.mp.dps = 30
     p = {k: mpmath.mpc(v) for k, v in point.items()}
     g = mpmath.gamma
+    if isinstance(weight, Harmonic):
+        if ident_id == "THM-A1":
+            return 2.0 * _half_side_mp(point["a"], point["b"], False)
+        if ident_id == "THM-E":
+            b = complex(point["b"])
+            if weight.stride == 1:
+                return harmonic_gauss_mp(0.5, b, 2 * b, 1, 0, 1)
+            return harmonic_gauss_mp(0.5, 1 - b, b + 0.5, 2, 0, 1)
+        if ident_id == "COR-D":
+            minus = _alternating_harmonic_mp((0.75, 0.5), (1.25, 1.5))
+            mpmath.mp.dps = 30
+            rhs = g(mpmath.mpf(1) / 4) ** 4 * mpmath.log(2) / (64 * mpmath.pi)
+            return complex(4 * (rhs + minus))
+        # THM-D: sum_H(+1) - 4 sum_H(-1) - log 4 sum_1(+1) = log 4
+        a, b = complex(point["a"]), complex(point["b"])
+        minus = _alternating_harmonic_mp((1 - a, 1 - b), (1 + a, 1 + b))
+        ln4 = math.log(4.0)
+        return (ln4 + 4 * minus
+                + ln4 * _anchored_sum_mp(ident_id, point, Unit()))
     if ident_id == "SUM-2.8.46":
         a, b, c = p["a"], p["b"], p["c"]
         return complex(g(c) * g(c - a - b) / (g(c - a) * g(c - b)))
@@ -471,8 +537,8 @@ class TestUnitArgumentExtrapolation:
 
     def test_registry_term_budget(self, monkeypatch):
         # term counts are deterministic: gate the whole registry at its
-        # default seed; the 17 unit-weight sums at r*x = 1 take the
-        # anchored rule's 128 terms, every other extrapolated
+        # default seed; the 41 unit and H_n weighted sums at r*x = 1 take
+        # the anchored rule's 128 terms, every other extrapolated
         # unit-argument sum stops at a ladder top, and terminating ones
         # take a few direct terms
         unit_terms = []
@@ -486,9 +552,9 @@ class TestUnitArgumentExtrapolation:
         monkeypatch.setattr(expr, "eval_weighted", spy)
         total = sum(chk.terms_used for ident_id in REGISTRY
                     for chk in verify(ident_id).checks)
-        assert total <= 217_698
+        assert total <= 118_370
         assert len(unit_terms) == 69
-        assert sum(method == "anchored" for method, _ in unit_terms) == 17
+        assert sum(method == "anchored" for method, _ in unit_terms) == 41
         for method, terms in unit_terms:
             if method == "extrapolated":
                 assert terms in (4096, 8192, 16384)
@@ -498,25 +564,27 @@ class TestUnitArgumentExtrapolation:
                 assert method == "direct" and terms <= 10
 
     def test_anchored_sums_against_mpmath(self, monkeypatch):
-        # every unit-weight sum at r*x = 1 of the default registry lies
-        # within its bound of its value at 30 digits
+        # every unit and H_n weighted sum at r*x = 1 of the default
+        # registry lies within its bound of its value at 30 digits
         anchored = []
 
         def spy(spec, weight, x, **kwargs):
             res = eval_weighted(spec, weight, x, **kwargs)
             if res.method == "anchored":
-                anchored.append(res)
+                anchored.append((weight, res))
             return res
 
         monkeypatch.setattr(expr, "eval_weighted", spy)
         checked = 0
-        for ident_id in ("SUM-2.8.46", "WATSON", "WATSON-PM", "THM-D"):
+        for ident_id in ("SUM-2.8.46", "WATSON", "WATSON-PM", "THM-D",
+                         "THM-A1", "COR-D", "THM-E"):
             for point in REGISTRY[ident_id].sample_points:
                 anchored.clear()
                 assert verify(ident_id, points=[point]).passed
-                (res,) = anchored
-                want = _anchored_sum_mp(ident_id, point)
-                assert abs(res.value - want) <= res.tail_bound, (ident_id, point)
-                assert res.terms_used == 128
-                checked += 1
-        assert checked == 17
+                for weight, res in anchored:
+                    want = _anchored_sum_mp(ident_id, point, weight)
+                    assert abs(res.value - want) <= res.tail_bound, \
+                        (ident_id, point, weight)
+                    assert res.terms_used == 128
+                    checked += 1
+        assert checked == 41

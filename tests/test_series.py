@@ -16,6 +16,8 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            Unit, WeightKind, eval_weighted, harmonic, hyp2f1,
                            pochhammer)
 from hyperharmonic.catalog import _derivative_sums
+from hyperharmonic.series import _hurwitz_scaled, _rounding, _Walk
+from oracles import harmonic_gauss_mp, mp_number
 
 # frozen at 40 digits
 EX1_VALUE = 0.2177751606844838071823350370302293726395
@@ -408,24 +410,141 @@ class TestAnchoredTail:
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError, match="budget 127"):
             eval_weighted(spec, Unit(), 1.0, max_terms=127)
-        # 2F1(5, 4.5; 10; 1) = 512 sums positive terms: 1e-13 is below the
-        # rounding part 2N eps sum |t_n| for every N that would meet the
-        # truncation part, so the rule raises without doubling on
+        # 2F1(5, 4.5; 10; 1) = 512: tol 1e-17 is below the rounding part's
+        # eps |S| at every N, so the rule raises without doubling on
         spec = PochhammerRatioSeries((5.0, 4.5), (10.0,), 1, 1.0, 0)
-        with pytest.raises(NonConvergentError, match="after 512 terms"):
-            eval_weighted(spec, Unit(), 1.0, tol=1e-13)
+        with pytest.raises(NonConvergentError, match="after 128 terms"):
+            eval_weighted(spec, Unit(), 1.0, tol=1e-17)
 
-    def test_only_the_unit_weight_has_an_expansion(self):
-        assert Unit().expansion(3) == (1.0, 0.0, 0.0, 0.0)
-        for weight in (Harmonic(), ReciprocalShift(Unit()),
-                       LinearCombo(((1.0, Unit()),)), DigammaLog(0.2, 0.3, 1.0)):
-            assert weight.expansion(3) is None
-        # log weights, other weights and r*x != 1 keep the ladder
+    def test_doubled_sum_certifies_a_tight_tolerance(self):
+        # 2F1(5, 4.5; 10; 1) = 512 needs N > 64; a rounding part of
+        # 2N eps sum |t_n| raised here after 512 terms (estimate 5.6e-10)
+        spec = PochhammerRatioSeries((5.0, 4.5), (10.0,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-13)
+        assert res.method == "anchored" and res.terms_used <= 1024
+        assert abs(res.value - _gauss_mp(5, 4.5, 10)) <= res.tail_bound
+        assert res.tail_bound <= 1e-13 * 512
+
+    @pytest.mark.parametrize("nums, dens, weight", [
+        ((40.3, 0.5), (41.7,), Unit()),
+        ((0.5, 40.2), (41.5,), Harmonic()),
+        ((39.5 + 0.5j, 1.2), (41.3 + 0.5j,), Harmonic(2, 1)),
+        ((0.3 + 0.2j, 0.4 - 0.1j), (0.75 + 0.1j,), Harmonic(3, 2)),
+        ((0.3, 0.4), (0.75,), Unit()),
+    ])
+    def test_rounding_part_bounds_the_walk(self, nums, dens, weight):
+        # shifts near 40, complex shifts and Re sigma = -1.05: at every N
+        # the rounding part covers the walk's partial sum and the relative
+        # error of u_N, the anchor, against the same walk at 30 digits
+        spec = PochhammerRatioSeries(nums, dens, 1, 1.0, 0)
+        walk = _Walk(spec, weight, 1.0)
+        mpmath.mp.dps = 30
+        pairs = [(mp_number(a), mp_number(d))
+                 for a, d in zip(nums, dens + (1.0,))]
+        stride, offset = ((weight.stride, weight.offset)
+                          if isinstance(weight, Harmonic) else (0, 0))
+        u, S, n = mpmath.mpf(1), mpmath.mpf(0), 0
+        h = mpmath.fsum(mpmath.mpf(1) / k for k in range(1, offset + 1))
+        for top in (128 * 2 ** j for j in range(8)):
+            walk.run(top - n)
+            while n < top:
+                S += u * (h if stride else 1)
+                for a, d in pairs:
+                    u = u * (a + n) / (d + n)
+                n += 1
+                for k in range(stride * n + offset - stride + 1,
+                               stride * n + offset + 1):
+                    h += mpmath.mpf(1) / k
+            sum_part = _rounding(walk, 0, 0.0)
+            anchor_part = _rounding(walk, 0, 1.0) - sum_part
+            assert abs(walk.S - complex(S)) <= sum_part, top
+            assert abs(walk.t / complex(u) - 1.0) <= anchor_part, top
+
+    def test_only_unit_and_harmonic_weights_have_an_expansion(self):
+        assert Unit().expansion(3, 64) == ((1.0, 0.0, 0.0, 0.0),)
+        # H_n ~ log n + gamma + 1/(2n) - 1/(12 n^2), gamma from H_64
+        const, log_row = Harmonic().expansion(10, 64)
+        assert log_row == (1.0,) + (0.0,) * 10
+        assert const[:4] == pytest.approx(
+            (0.57721566490153286, 0.5, -1.0 / 12.0, 0.0), abs=2e-15)
+        # H_{2n+1} = H_{2n} + 1/(2n+1) ~ log n + gamma + log 2 + 3/(4n)
+        # - 13/(48 n^2)
+        const, _ = Harmonic(2, 1).expansion(10, 65)
+        assert const[:3] == pytest.approx(
+            (0.57721566490153286 + math.log(2.0), 0.75, -13.0 / 48.0),
+            abs=2e-15)
+        for weight in (HarmonicSqPlusGen2(), ReciprocalShift(Unit()),
+                       LinearCombo(((1.0, Unit()),)), DigammaLog(0.2, 0.3, 1.0),
+                       DigammaDiffSum(0.2, 0.3)):
+            assert weight.expansion(3, 64) is None
+        # weights without an expansion, and r*x != 1, keep the ladder
         spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
-        for weight, x in ((Harmonic(), 1.0), (ReciprocalShift(Unit()), 1.0),
-                          (Unit(), -1.0), (Unit(), 1j)):
+        for weight, x in ((HarmonicSqPlusGen2(), 1.0),
+                          (ReciprocalShift(Unit()), 1.0),
+                          (Unit(), -1.0), (Harmonic(), 1j)):
             res = eval_weighted(spec, weight, x, tol=1e-8)
             assert res.method == "extrapolated", (weight, x)
+
+
+class TestAnchoredHarmonic:
+    """The anchored rule for Harmonic(stride, offset) weights at r*x = 1:
+    the log row of the expansion summed with the s-derivative of the
+    Hurwitz zeta; mpmath at 30 digits is the oracle."""
+
+    @pytest.mark.parametrize("s, M", [
+        (1.05, 64), (2.5 + 0.3j, 64), (11.2 - 1.0j, 128), (5.25, 1024),
+        (60.3, 64), (120.5 + 2.0j, 64), (420.5, 65)])
+    def test_zeta_jet_against_mpmath(self, s, M):
+        # Z = M^s zeta(s, M), and sum_{n>=M} n^-s log n = -zeta'(s, M) =
+        # M^-s (log M Z + Y); 50 digits, because 30 lose digits to M^s at
+        # s = 11.2 - 1i (and mpmath's zeta needs a real s as an mpf)
+        z, y = _hurwitz_scaled(complex(s), M)
+        mpmath.mp.dps = 50
+        sm, mm = mp_number(s), mpmath.mpf(M)
+        z_want = mpmath.zeta(sm, mm) * mm ** sm
+        y_want = (-mpmath.zeta(sm, mm, derivative=1) * mm ** sm
+                  - mpmath.log(mm) * z_want)
+        assert abs(z - complex(z_want)) <= 4e-16 * abs(complex(z_want))
+        assert abs(y - complex(y_want)) <= 4e-15 * abs(complex(y_want))
+
+    @pytest.mark.parametrize("stride, offset, a, b, c, start", [
+        (1, -1, 0.3, 0.4, 0.75, 1),                  # Re sigma = -1.05
+        (1, 0, 0.3 + 0.2j, 0.4 - 0.1j, 1.7 + 0.1j, 0),
+        (1, 1, -0.4 + 0.3j, 0.6, 2.2 + 0.3j, 1),
+        (1, 2, 0.25, 1.5, 5.73, 0),                  # Re sigma = -3.98
+        (2, -1, 0.5, 0.2 - 0.3j, 0.8 - 0.3j, 1),
+        (2, 0, 0.5, -0.2, 1.7, 1),
+        (2, 1, 0.3, 0.4 + 0.2j, 2.4 + 0.2j, 0),
+        (2, 2, 1.2, 0.7, 3.0, 0),
+        (3, -1, 0.3, 0.4, 0.8, 1),
+        (3, 0, 0.1 - 0.25j, 0.35 + 0.05j, 0.95 - 0.2j, 0),
+        (3, 1, 0.45, 1 / 3, 3.8, 1),
+        (3, 2, 0.3 + 0.2j, 0.4 - 0.1j, 0.75 + 0.1j, 0),
+    ])
+    def test_grid_against_mpmath(self, stride, offset, a, b, c, start):
+        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, start)
+        res = eval_weighted(spec, Harmonic(stride, offset), 1.0, tol=1e-12)
+        want = harmonic_gauss_mp(a, b, c, stride, offset, start)
+        assert res.method == "anchored" and res.terms_used == 128
+        assert abs(res.value - want) <= res.tail_bound, (stride, offset)
+        assert res.tail_bound <= 1e-12 * max(1.0, abs(res.value))
+
+    def test_exponent_minus_400(self):
+        # sum (1/2)_n / (400.5)_n H_n: the terms fall by 1/800 at once, so
+        # 400 terms at 30 digits are the whole sum
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
+        try:
+            res = eval_weighted(spec, Harmonic(), 1.0)
+        except HyperharmonicError:
+            return
+        mpmath.mp.dps = 30
+        u, h, want = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(400):
+            want += u * h
+            u *= (n + mpmath.mpf(0.5)) / (n + mpmath.mpf(400.5))
+            h += mpmath.mpf(1) / (n + 1)
+        assert math.isfinite(res.tail_bound)
+        assert abs(res.value - complex(want)) <= res.tail_bound
 
 
 def _reciprocal_gauss_mp(a, b, c):
@@ -539,11 +658,12 @@ class TestUnitLadder:
             eval_weighted(spec, Unit(), -1.0, max_terms=16383)
 
     def test_unrepresentable_model_raises_breakdown(self):
-        # a balanced spec with exponent -400 and a log weight: N^-399
-        # overflows on the ladder (the unit weight takes the anchored rule)
+        # a balanced spec with exponent -400 and a log^2 weight: N^-399
+        # overflows on the ladder (the unit and H_n weights take the
+        # anchored rule)
         spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
         with pytest.raises(AccelerationBreakdown, match="N\\^-399"):
-            eval_weighted(spec, Harmonic(), 1.0)
+            eval_weighted(spec, HarmonicSqPlusGen2(), 1.0)
 
     @pytest.mark.parametrize("spec, x, terms, oracle", [
         (PochhammerRatioSeries((), (), 1, 1.0, 0), 1.0, 18,
