@@ -29,15 +29,17 @@ engine sums directly with a geometric tail bound. On the circle
 n^sigma (log n)^L.
 
 At r*x = 1, with a weight that gives its expansion in powers of 1/n and
-log n (WeightKind.expansion: the unit weight and Harmonic(stride,
-offset)), the anchored rule sums 2N terms, N = 64, and adds the tail in
-closed form. By DLMF 5.11.13, u_n ~ C n^sigma sum_{k<=K} d_k n^-k
-(K = 10, the d_k from Bernoulli polynomials of the shifts); by DLMF
-5.15.8, H_{sn+o} ~ log n + g + sum_k h_k n^-k with g taken from the
-computed H_{sM+o}, so w_n u_n ~ C n^sigma sum_l log^l n sum_k f_lk n^-k
-with at most one log power. Summed from index M, n^(sigma-k) gives the
-Hurwitz zeta(k - sigma, M) and n^(sigma-k) log n its s-derivative, both
-by Euler-Maclaurin (Johansson, ACM TOMS 45(3) 2019) as one jet, with C
+log n (WeightKind.expansion: the unit weight, Harmonic(stride, offset)
+and H_n^2 + H_n^(2)), the anchored rule sums 2N terms, N = 64, and adds
+the tail in closed form. By DLMF 5.11.13, u_n ~ C n^sigma sum_{k<=K}
+d_k n^-k (K = 10, the d_k from Bernoulli polynomials of the shifts); by
+DLMF 5.15.8, H_{sn+o} ~ log n + g + sum_k h_k n^-k with g taken from the
+computed H_{sM+o}, and H_n^(2) ~ c - sum_k B_{k-1} n^-k with c taken
+from the computed H_M^(2), so w_n u_n ~ C n^sigma sum_l log^l n sum_k
+f_lk n^-k with at most two log powers. Summed from index M, n^(sigma-k)
+gives the Hurwitz zeta(k - sigma, M), and n^(sigma-k) log n and
+n^(sigma-k) log^2 n its first and second s-derivatives, all by
+Euler-Maclaurin (Johansson, ACM TOMS 45(3) 2019) as one jet, with C
 anchored at the computed u_M (no Gamma value enters). With S(N, K) the
 sum of the first N terms plus that tail from the next index, the error
 estimate is
@@ -52,8 +54,8 @@ first two parts bound by the triangle inequality, and doubles N while
 the estimate misses the tolerance, up to the budget.
 
 Every other balanced sum on the circle (weights without an expansion,
-such as H_n^2 + H_n^(2), H_n/(n+1) and their combinations, and
-r*x != 1) takes the ladder: the engine keeps the partial sums at the
+such as H_n/(n+1) and linear combinations, and r*x != 1) takes the
+ladder: the engine keeps the partial sums at the
 checkpoints N = round(2^(j/4)), j = 24..56, and at each top T = 2^12,
 2^13, 2^14 fits the 25 checkpoints T/64..T by least squares to the tail
 model
@@ -122,7 +124,7 @@ _WIDEN = 2.0                 # safety factor on the fits' disagreement
 _SINGULAR = 1e-13            # QR pivot below which a model column is dropped
 _EPS = 2.0 ** -52
 
-# r*x = 1 with a weight that has an expansion (log power 0 or 1): 2N
+# r*x = 1 with a weight that has an expansion (log power 0, 1 or 2): 2N
 # terms, N = 64, 128, ..., plus the anchored tail to order K in 1/n
 _ANCHOR_N = 64
 _EXPANSION_ORDER = 10        # K
@@ -235,8 +237,8 @@ class WeightKind:
         w_n ~ sum_l log^l n sum_{k<=order} r_l[k] n^-k at large n, its
         constant fixed by the computed w_anchor; None where no expansion
         is given. The anchored rule at r*x = 1 takes a weight with shift 0
-        and at most one log power (rows r_0 and r_1); every other weight
-        keeps None."""
+        and at most two log powers (rows r_0, r_1 and r_2); every other
+        weight keeps None."""
         return None
 
 
@@ -333,6 +335,20 @@ class HarmonicSqPlusGen2(Frozen, WeightKind):
 
     def asymptotics(self):
         return 0, 2
+
+    def expansion(self, order, anchor):
+        # H_n = log n + A(n), A ~ g + sum_k h_k n^-k (Harmonic), so H_n^2 =
+        # log^2 n + 2 A log n + A^2; H_n^(2) = zeta(2) - psi'(n + 1) ~ c_2
+        # - sum_k B_{k-1} n^-k (DLMF 5.15.8, B_1 = -1/2), with c_2 taken
+        # from the computed H_anchor^(2)
+        a, log_row = Harmonic().expansion(order, anchor)
+        gen2 = [0.0] + [-_BERNOULLI[k - 1] for k in range(1, order + 1)]
+        gen2[0] = (generalized_harmonic(anchor, 2.0)
+                   - sum(gen2[k] * float(anchor) ** -k
+                         for k in range(order, 0, -1)))
+        const = tuple(gen2[k] + sum(a[j] * a[k - j] for j in range(k + 1))
+                      for k in range(order + 1))
+        return const, tuple(2.0 * v for v in a), log_row
 
 
 class ReciprocalShift(Frozen, WeightKind):
@@ -581,7 +597,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     sigma drives the direct rule's drift clause.
 
     At r*x = 1, a weight with an expansion (WeightKind.expansion: the
-    unit weight and Harmonic) takes the anchored rule (method "anchored";
+    unit weight, Harmonic and HarmonicSqPlusGen2, up to log^2 n) takes
+    the anchored rule (method "anchored";
     see the module docstring): 2N terms, N = 64, plus the anchored
     Euler-Maclaurin tail, with the estimate
 
@@ -760,7 +777,10 @@ class _Walk:
     with a denominator shift d (the n! factors count as d = 1; a
     balanced spec pairs every shift), the step factor prod (a + n)/(d + n)
     is formed as 1 + g with g accumulated from the small ratios
-    (a - d)/(d + n), and t + t*g is added with an error term.
+    (a - d)/(d + n), and t + t*g is added with an error term. The
+    closest pair of unused shifts is taken first, ties broken by value,
+    so the factors stay near 1 and the walk does not depend on the order
+    in which the spec gives its shifts.
     """
 
     __slots__ = ("pairs", "rx", "step", "n", "t", "tc", "S", "comp",
@@ -768,9 +788,17 @@ class _Walk:
 
     def __init__(self, spec: PochhammerRatioSeries, weight: WeightKind,
                  rx: complex):
-        dens = spec.denominator_shifts + (1.0,) * spec.factorial_power
-        self.pairs = tuple((a - d, d)
-                           for a, d in zip(spec.numerator_shifts, dens))
+        nums = list(spec.numerator_shifts)
+        dens = list(spec.denominator_shifts + (1.0,) * spec.factorial_power)
+        pairs = []
+        while nums and dens:
+            a, d = min(itertools.product(nums, dens), key=lambda ad: (
+                abs(ad[0] - ad[1]), ad[0].real, ad[0].imag, ad[1].real,
+                ad[1].imag))
+            nums.remove(a)
+            dens.remove(d)
+            pairs.append((a - d, d))
+        self.pairs = tuple(pairs)
         self.rx = rx
         self.n = spec.start_index
         self.step = weight.steps(self.n).__next__
@@ -879,27 +907,31 @@ def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
     return d
 
 
-def _hurwitz_scaled(s: complex, M: int):
-    """The jet (Z, Y) of M^s * zeta(s, M) in s, for Re s > 1:
+def _hurwitz_scaled(s: complex, M: int, second: bool = False):
+    """The jet (Z, Y) of M^s * zeta(s, M) in s, for Re s > 1, and with
+    second also X:
 
         Z = sum_{m >= 0} (1 + m/M)^-s,
         Y = sum_{m >= 0} (1 + m/M)^-s log(1 + m/M) = -dZ/ds,
+        X = sum_{m >= 0} (1 + m/M)^-s log^2(1 + m/M) = d^2Z/ds^2,
 
-    so that sum_{n >= M} n^-s log n = M^-s (log M * Z + Y).
+    so that sum_{n >= M} n^-s log n = M^-s (log M * Z + Y) and
+    sum_{n >= M} n^-s log^2 n = M^-s (log^2 M * Z + 2 log M * Y + X).
 
     The first L terms are summed directly, L just large enough that
     M + L >= |s| + 20, and the rest by Euler-Maclaurin at M' = M + L:
     M'/(s - 1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M'^(1-2j), whose terms
-    then shrink by at least (2 pi)^-2 each, carried with its s-derivative
-    as a dual number. Scaling by M^s keeps every part within range for any
-    Re s > 1. The moduli of the terms fall, so the sum from term m on is
-    at most |term m| (1 + (M + m)/(Re s - 1)), and once Re s log(1 + m/M)
-    >= 1 the log-weighted terms fall too, with the same integral bound
-    counting the log; the direct part stops once both rests are below eps
-    of their sums.
+    then shrink by at least (2 pi)^-2 each, carried with its first and
+    second s-derivatives (Leibniz's rule on the step factor of (s)_{2j-1}).
+    Scaling by M^s keeps every part within range for any Re s > 1. The
+    moduli of the terms fall, so the sum from term m on is at most
+    |term m| (1 + (M + m)/(Re s - 1)), and once Re s log(1 + m/M) >= l
+    the terms weighted by log^l fall too, with the same integral bound
+    counting the logs; the direct part stops once every rest is below eps
+    of its sum.
     """
     skip = max(0, math.ceil(abs(s)) + 20 - M)
-    head = head_log = 0j
+    head = head_log = head_sq = 0j
     excess = s.real - 1.0
     for m in range(skip):
         lg = math.log1p(m / M)
@@ -908,35 +940,58 @@ def _hurwitz_scaled(s: complex, M: int):
         head_log += term * lg
         rest = (M + m) / excess
         size = abs(term)
+        if second:
+            head_sq += term * lg * lg
+            if (s.real * lg < 2.0 or size * (lg * lg + rest * (
+                    lg * lg + 2.0 * lg / excess + 2.0 / excess ** 2))
+                    > _EPS * abs(head_sq)):
+                continue
         if (size * (1.0 + rest) <= _EPS * abs(head) and s.real * lg >= 1.0
                 and size * (lg + rest * (lg + 1.0 / excess))
                 <= _EPS * abs(head_log)):
-            return head, head_log
+            jet = (head, head_log)
+            return jet + (head_sq,) if second else jet
     top = M + skip
     z = top / (s - 1.0) + 0.5
     y = top / (s - 1.0) ** 2    # -dz/ds
+    x = 2.0 * top / (s - 1.0) ** 3    # d^2z/ds^2
     rise = s / top              # (s)_{2j-1} M'^(1-2j)
     drise = 1.0 / top           # its s-derivative
-    # z stops where it would alone, so carrying y changes no bit of z
-    z_open = True
+    d2rise = 0j                 # and its second
+    # each part stops where it would alone (z first, then y, then x), so
+    # carrying the derivatives changes no bit of the parts before them
+    z_open = y_open = True
     for j, coeff in enumerate(_EULER_MACLAURIN, 1):
         if z_open:
             inc = coeff * rise
             z += inc
             z_open = abs(inc) > _EPS * abs(z)
-        dinc = coeff * drise
-        y -= dinc
-        if not z_open and abs(dinc) <= _EPS * abs(y):
+        if y_open:
+            inc = coeff * drise
+            y -= inc
+            y_open = z_open or abs(inc) > _EPS * abs(y)
+        if second:
+            inc = coeff * d2rise
+            x += inc
+            if not y_open and abs(inc) <= _EPS * abs(x):
+                break
+        elif not y_open:
             break
-        step = (s + 2 * j - 1) * (s + 2 * j) / (top * top)
-        drise = drise * step + rise * (2.0 * s + 4 * j - 1) / (top * top)
+        sq = top * top
+        step = (s + 2 * j - 1) * (s + 2 * j) / sq
+        dstep = 2.0 * s + 4 * j - 1     # sq * d(step)/ds
+        if second:
+            d2rise = d2rise * step + (2.0 * drise * dstep + 2.0 * rise) / sq
+        drise = drise * step + rise * dstep / sq
         rise *= step
     if skip:
         log_top = math.log(top / M)
         scale = cmath.exp(-s * log_top)
+        x = scale * (log_top * log_top * z + 2.0 * log_top * y + x)
         y = scale * (log_top * z + y)
         z *= scale
-    return head + z, head_log + y
+    jet = (head + z, head_log + y)
+    return jet + (head_sq + x,) if second else jet
 
 
 def _drift(pairs, n0: int, M: int) -> float:
@@ -976,25 +1031,31 @@ def _rounding(walk: _Walk, n0: int, tail: complex) -> float:
 def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex):
     """sum_{n >= M} w_n u_n for u_n ~ C n^sigma sum_k d_k n^-k and
     w_n u_n ~ C n^sigma sum_l log^l n sum_k f_lk n^-k (rows f_0 and, for
-    a log weight, f_1), with C fixed by the computed first term
-    anchor = u_M, to the full order and to two orders less.
+    a weight with log powers, f_1 and f_2), with C fixed by the computed
+    first term anchor = u_M, to the full order and to two orders less.
 
     With e_k = d_k M^-k, C M^sigma = anchor / sum_k e_k. By
     _hurwitz_scaled at s = k - sigma, sum_{n >= M} n^(sigma-k) is
-    M^(sigma-k) Z_k, and with log n it is M^(sigma-k) (log M Z_k + Y_k),
-    so the tail is anchor * sum_k M^-k (f_0k Z_k + f_1k (log M Z_k + Y_k))
-    / sum_k e_k: C and M^sigma drop out, and no Gamma value is needed.
+    M^(sigma-k) Z_k, with log n it is M^(sigma-k) (log M Z_k + Y_k), and
+    with log^2 n M^(sigma-k) (log^2 M Z_k + 2 log M Y_k + X_k), so the
+    tail is anchor * sum_k M^-k (f_0k Z_k + f_1k (log M Z_k + Y_k) +
+    f_2k (log^2 M Z_k + 2 log M Y_k + X_k)) / sum_k e_k: C and M^sigma
+    drop out, and no Gamma value is needed.
     """
     low = len(d) - 3
     log_m = math.log(M)
-    logs = len(rows) > 1
+    logs = len(rows) - 1
     num = den = 0j
     scale = 1.0
     for k, dk in enumerate(d):
-        z, y = _hurwitz_scaled(k - sigma, M)
+        jet = _hurwitz_scaled(k - sigma, M, logs == 2)
+        z, y = jet[0], jet[1]
         part = rows[0][k] * scale * z
         if logs:
             part += rows[1][k] * scale * (log_m * z + y)
+        if logs == 2:
+            part += rows[2][k] * scale * (log_m * log_m * z
+                                          + 2.0 * log_m * y + jet[2])
         num += part
         den += dk * scale
         if k == low:

@@ -10,9 +10,9 @@ import mpmath
 import pytest
 
 import hyperharmonic
-from hyperharmonic import (DEFAULT_SEED, Harmonic, Identity,
-                           NonConvergentError, REGISTRY, UnknownIdentityError,
-                           Unit,
+from hyperharmonic import (DEFAULT_SEED, Harmonic, HarmonicSqPlusGen2,
+                           Identity, NonConvergentError, REGISTRY,
+                           UnknownIdentityError, Unit,
                            build_registry, eval_lhs, eval_rhs, eval_weighted,
                            get_identity, harmonic, ode_residual, verify,
                            with_perturbed_rhs)
@@ -445,11 +445,14 @@ def _anchored_sum_mp(ident_id, point, weight) -> complex:
     ((1+a)_n (1+b)_n) as a 3F2 at 1. H_n weights: THM-A1 as twice its
     half-argument side; THM-E's Gauss-type sums by their integral
     (oracles.harmonic_gauss_mp); THM-D and COR-D by their closed forms,
-    with the sum at -1 from nsum.
+    with the sum at -1 from nsum. H_n^2 + H_n^(2) weights: THM-A2 as four
+    times its half-argument side.
     """
     mpmath.mp.dps = 30
     p = {k: mpmath.mpc(v) for k, v in point.items()}
     g = mpmath.gamma
+    if isinstance(weight, HarmonicSqPlusGen2):
+        return 4.0 * _half_side_mp(point["a"], point["b"], True)
     if isinstance(weight, Harmonic):
         if ident_id == "THM-A1":
             return 2.0 * _half_side_mp(point["a"], point["b"], False)
@@ -516,29 +519,45 @@ class TestUnitArgumentExtrapolation:
 
     @pytest.mark.parametrize("a, b", [(0.45, 0.25), (0.25, 0.3 + 0.1j)])
     def test_tighter_tolerance_never_stops_at_a_lower_top(self, a, b):
-        # THM-A2's unit side from tol/4 to tol/40: the stop moves up the
-        # ladder tops (inf: not certified even at 2^14), and every fit it
-        # returns lies within its bound of 4 x the half-argument side
+        # THM-A2's unit side from tol/4 to tol/40: the anchored rule
+        # certifies every tolerance, its stop never moves down, and every
+        # value lies within its bound of 4 x the half-argument side
         ident = REGISTRY["THM-A2"]
         spec, weight, x = ident.rhs.bind({"a": a, "b": b})
         want = 4.0 * _half_side_mp(a, b, True)
         stops = []
         for div in (4.0, 8.0, 12.0, 16.0, 24.0, 40.0):
-            try:
-                res = eval_weighted(spec, weight, x, tol=ident.tol / div)
-            except NonConvergentError:
-                stops.append(math.inf)
-                continue
+            res = eval_weighted(spec, weight, x, tol=ident.tol / div)
+            assert res.method == "anchored", (div, res)
             assert abs(res.value - want) <= res.tail_bound, (div, res)
+            assert res.tail_bound <= ident.tol / div * max(1.0, abs(res.value))
             stops.append(res.terms_used)
         assert stops == sorted(stops)
-        assert set(stops) <= {4096, 8192, 16384, math.inf}
-        assert stops[0] == 4096 and 16384 in stops and stops[-1] == math.inf
 
-    def test_registry_term_budget(self, monkeypatch):
-        # term counts are deterministic: gate the whole registry at its
-        # default seed; the 41 unit and H_n weighted sums at r*x = 1 take
-        # the anchored rule's 128 terms, every other extrapolated
+    @pytest.mark.parametrize("seed", [*range(13), 202])
+    def test_thm_a2_unit_side_is_anchored_at_registry_seed(self, seed):
+        # every point's unit side takes the anchored rule and lies within
+        # its bound of 4 x the half-argument side
+        ident = build_registry(seed)["THM-A2"]
+        for point in ident.sample_points:
+            spec, weight, x = ident.rhs.bind(point)
+            res = eval_weighted(spec, weight, x, tol=ident.tol)
+            want = 4.0 * _half_side_mp(point["a"], point["b"], True)
+            assert res.method == "anchored" and res.terms_used == 128
+            assert abs(res.value - want) <= res.tail_bound, (seed, point)
+
+    @pytest.mark.parametrize("tol", [2e-9, 1e-12])
+    def test_thm_a2_verifies_below_the_ladder_floor(self, tol):
+        # the ladder could not certify THM-A2 below tol ~ 4e-9
+        report = verify(REGISTRY["THM-A2"].replace(tol=tol))
+        assert report.passed, report.failures
+        assert {chk.method for chk in report.checks} == {"anchored"}
+
+    @staticmethod
+    def _gate_registry_terms(monkeypatch, seed, budget):
+        # term counts are deterministic: the 49 sums at r*x = 1 whose
+        # weights have an expansion (unit, H_n, H_n^2 + H_n^(2)) take the
+        # anchored rule's 128 terms, every other extrapolated
         # unit-argument sum stops at a ladder top, and terminating ones
         # take a few direct terms
         unit_terms = []
@@ -550,11 +569,12 @@ class TestUnitArgumentExtrapolation:
             return res
 
         monkeypatch.setattr(expr, "eval_weighted", spy)
-        total = sum(chk.terms_used for ident_id in REGISTRY
-                    for chk in verify(ident_id).checks)
-        assert total <= 118_370
+        registry = build_registry(seed)
+        total = sum(chk.terms_used for ident_id in registry
+                    for chk in verify(ident_id, registry=registry).checks)
+        assert total == budget
         assert len(unit_terms) == 69
-        assert sum(method == "anchored" for method, _ in unit_terms) == 41
+        assert sum(method == "anchored" for method, _ in unit_terms) == 49
         for method, terms in unit_terms:
             if method == "extrapolated":
                 assert terms in (4096, 8192, 16384)
@@ -563,9 +583,15 @@ class TestUnitArgumentExtrapolation:
             else:
                 assert method == "direct" and terms <= 10
 
+    def test_registry_term_budget(self, monkeypatch):
+        self._gate_registry_terms(monkeypatch, DEFAULT_SEED, 86_626)
+
+    def test_registry_term_budget_at_held_out_seed(self, monkeypatch):
+        self._gate_registry_terms(monkeypatch, 202, 87_236)
+
     def test_anchored_sums_against_mpmath(self, monkeypatch):
-        # every unit and H_n weighted sum at r*x = 1 of the default
-        # registry lies within its bound of its value at 30 digits
+        # every anchored sum at r*x = 1 of the default registry lies
+        # within its bound of its value at 30 digits
         anchored = []
 
         def spy(spec, weight, x, **kwargs):
@@ -577,7 +603,7 @@ class TestUnitArgumentExtrapolation:
         monkeypatch.setattr(expr, "eval_weighted", spy)
         checked = 0
         for ident_id in ("SUM-2.8.46", "WATSON", "WATSON-PM", "THM-D",
-                         "THM-A1", "COR-D", "THM-E"):
+                         "THM-A1", "THM-A2", "COR-D", "THM-E"):
             for point in REGISTRY[ident_id].sample_points:
                 anchored.clear()
                 assert verify(ident_id, points=[point]).passed
@@ -587,4 +613,4 @@ class TestUnitArgumentExtrapolation:
                         (ident_id, point, weight)
                     assert res.terms_used == 128
                     checked += 1
-        assert checked == 41
+        assert checked == 49

@@ -2,6 +2,7 @@
 rules (anchored tail and ladder), convergence guards, and the 2F1
 wrapper."""
 
+import itertools
 import math
 
 import mpmath
@@ -473,13 +474,12 @@ class TestAnchoredTail:
         assert const[:3] == pytest.approx(
             (0.57721566490153286 + math.log(2.0), 0.75, -13.0 / 48.0),
             abs=2e-15)
-        for weight in (HarmonicSqPlusGen2(), ReciprocalShift(Unit()),
-                       LinearCombo(((1.0, Unit()),)), DigammaLog(0.2, 0.3, 1.0),
-                       DigammaDiffSum(0.2, 0.3)):
+        for weight in (ReciprocalShift(Unit()), LinearCombo(((1.0, Unit()),)),
+                       DigammaLog(0.2, 0.3, 1.0), DigammaDiffSum(0.2, 0.3)):
             assert weight.expansion(3, 64) is None
         # weights without an expansion, and r*x != 1, keep the ladder
         spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
-        for weight, x in ((HarmonicSqPlusGen2(), 1.0),
+        for weight, x in ((LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
                           (ReciprocalShift(Unit()), 1.0),
                           (Unit(), -1.0), (Harmonic(), 1j)):
             res = eval_weighted(spec, weight, x, tol=1e-8)
@@ -495,17 +495,25 @@ class TestAnchoredHarmonic:
         (1.05, 64), (2.5 + 0.3j, 64), (11.2 - 1.0j, 128), (5.25, 1024),
         (60.3, 64), (120.5 + 2.0j, 64), (420.5, 65)])
     def test_zeta_jet_against_mpmath(self, s, M):
-        # Z = M^s zeta(s, M), and sum_{n>=M} n^-s log n = -zeta'(s, M) =
-        # M^-s (log M Z + Y); 50 digits, because 30 lose digits to M^s at
-        # s = 11.2 - 1i (and mpmath's zeta needs a real s as an mpf)
+        # Z = M^s zeta(s, M), sum_{n>=M} n^-s log n = -zeta'(s, M) =
+        # M^-s (log M Z + Y) and sum_{n>=M} n^-s log^2 n = zeta''(s, M) =
+        # M^-s (log^2 M Z + 2 log M Y + X); 50 digits, because 30 lose
+        # digits to M^s at s = 11.2 - 1i (and mpmath's zeta needs a real s
+        # as an mpf)
         z, y = _hurwitz_scaled(complex(s), M)
+        z2, y2, x = _hurwitz_scaled(complex(s), M, True)
         mpmath.mp.dps = 50
         sm, mm = mp_number(s), mpmath.mpf(M)
+        log_m = mpmath.log(mm)
         z_want = mpmath.zeta(sm, mm) * mm ** sm
         y_want = (-mpmath.zeta(sm, mm, derivative=1) * mm ** sm
-                  - mpmath.log(mm) * z_want)
-        assert abs(z - complex(z_want)) <= 4e-16 * abs(complex(z_want))
-        assert abs(y - complex(y_want)) <= 4e-15 * abs(complex(y_want))
+                  - log_m * z_want)
+        x_want = (mpmath.zeta(sm, mm, derivative=2) * mm ** sm
+                  - log_m ** 2 * z_want - 2 * log_m * y_want)
+        for got_z, got_y in ((z, y), (z2, y2)):
+            assert abs(got_z - complex(z_want)) <= 4e-16 * abs(complex(z_want))
+            assert abs(got_y - complex(y_want)) <= 4e-15 * abs(complex(y_want))
+        assert abs(x - complex(x_want)) <= 4e-15 * abs(complex(x_want))
 
     @pytest.mark.parametrize("stride, offset, a, b, c, start", [
         (1, -1, 0.3, 0.4, 0.75, 1),                  # Re sigma = -1.05
@@ -547,6 +555,76 @@ class TestAnchoredHarmonic:
         assert abs(res.value - complex(want)) <= res.tail_bound
 
 
+class TestAnchoredLogSquared:
+    """The anchored rule for the weight H_n^2 + H_n^(2) at r*x = 1: rows
+    up to log^2 n, summed with the second s-derivative of the Hurwitz
+    zeta; mpmath at 30 digits is the oracle."""
+
+    def test_expansion_rows(self):
+        const, log_row, sq_row = HarmonicSqPlusGen2().expansion(10, 64)
+        assert sq_row == (1.0,) + (0.0,) * 10
+        # the constant is gamma^2 + zeta(2), from H_64 and H_64^(2)
+        assert const[0] == pytest.approx(
+            0.57721566490153286 ** 2 + math.pi ** 2 / 6.0, abs=4e-15)
+        # 2 (gamma + 1/(2n) - 1/(12 n^2) + ...)
+        assert log_row[:4] == pytest.approx(
+            (2.0 * 0.57721566490153286, 1.0, -1.0 / 6.0, 0.0), abs=4e-15)
+        n = 10 ** 4
+        log_n = math.log(n)
+        rows = (const, log_row, sq_row)
+        got = math.fsum(log_n ** l * row[k] * float(n) ** -k
+                        for l, row in enumerate(rows) for k in range(11))
+        want = HarmonicSqPlusGen2().value(n)
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+    def test_exponent_minus_400(self):
+        # sum (1/2)_n / (400.5)_n (H_n^2 + H_n^(2)): the ladder's tail
+        # model N^-399 overflowed here; the terms fall by 1/800 at once,
+        # so 400 terms at 30 digits are the whole sum
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
+        res = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0)
+        mpmath.mp.dps = 30
+        u, h, h2, want = mpmath.mpf(1), 0, 0, 0
+        for n in range(400):
+            want += u * (h * h + h2)
+            u *= (n + mpmath.mpf(0.5)) / (n + mpmath.mpf(400.5))
+            h += mpmath.mpf(1) / (n + 1)
+            h2 += mpmath.mpf(1) / (n + 1) ** 2
+        assert res.method == "anchored"
+        assert abs(res.value - complex(want)) <= res.tail_bound
+        assert res.tail_bound <= 1e-6 * abs(res.value)
+
+
+class TestWalkPairing:
+    """_Walk pairs each numerator shift with the nearest unused
+    denominator shift, whatever the order in which they are given."""
+
+    def test_far_pairs_in_given_order_certify(self):
+        # 2F1(1/2, 40.2; 41.5; 1): paired in the given order, the step
+        # factors (1/2+n)/(41.5+n) and (40.2+n)/(1+n) drift, and tol 1e-13
+        # raised; paired by distance the sum certifies
+        want = _gauss_mp(0.5, 40.2, 41.5)
+        values = set()
+        for nums in ((0.5, 40.2), (40.2, 0.5)):
+            spec = PochhammerRatioSeries(nums, (41.5,), 1, 1.0, 0)
+            res = eval_weighted(spec, Unit(), 1.0, tol=1e-13)
+            assert res.method == "anchored" and res.terms_used == 2048
+            assert abs(res.value - want) <= res.tail_bound
+            assert res.tail_bound <= 1e-13 * abs(want)
+            values.add((res.value, res.tail_bound))
+        assert len(values) == 1
+
+    def test_pairs_do_not_depend_on_the_order_given(self):
+        # the two pairs at distance 1/2 tie, and the smaller numerator
+        # goes first; 3.5 is left with the n! factor's d = 1
+        pairs = set()
+        for nums in itertools.permutations((0.25 + 0.1j, 3.5, 7.0)):
+            for dens in ((7.5, 0.75 + 0.1j), (0.75 + 0.1j, 7.5)):
+                spec = PochhammerRatioSeries(nums, dens, 1, 1.0, 0)
+                pairs.add(_Walk(spec, Unit(), 1.0).pairs)
+        assert pairs == {((-0.5, 0.75 + 0.1j), (-0.5, 7.5), (2.5, 1.0))}
+
+
 def _reciprocal_gauss_mp(a, b, c):
     """sum (a)_n (b)_n / ((c)_n (n+1)!) at 30 digits, which is
     (c-1)/((a-1)(b-1)) (2F1(a-1, b-1; c-1; 1) - 1)."""
@@ -581,7 +659,7 @@ class TestUnitLadder:
             (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0),
              ReciprocalShift(Unit()), 1.0),
             (PochhammerRatioSeries((0.25, 0.25), (1.0,), 1, 1.0, 1),
-             HarmonicSqPlusGen2(), 1.0),
+             LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
             (PochhammerRatioSeries((0.5, 0.6), (1.25, 1.5), 0, 1.0, 1),
              Harmonic(), 1.0j),
         ]
@@ -607,9 +685,15 @@ class TestUnitLadder:
 
     def test_fast_decaying_tail_drops_dependent_columns(self):
         # s = -5 at log power 2: some model columns are numerically
-        # dependent on the ladder, yet the sum plainly converges
+        # dependent on the ladder, yet the sum plainly converges (the
+        # weight inside LinearCombo has no expansion, so it keeps the
+        # ladder; alone it takes the anchored rule)
         spec = PochhammerRatioSeries((0.5, 0.5), (6.0,), 1, 1.0, 1)
-        res = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11)
+        ladder = eval_weighted(
+            spec, LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0, tol=1e-11)
+        anchored = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11)
+        assert ladder.method == "extrapolated"
+        assert anchored.method == "anchored"
         mpmath.mp.dps = 25
         half = mpmath.mpf(0.5)
         term, h, h2, want = half * half / 6, 0, 0, 0
@@ -618,7 +702,8 @@ class TestUnitLadder:
             h2 += mpmath.mpf(1) / n ** 2
             want += term * (h * h + h2)
             term *= (half + n) ** 2 / ((6 + n) * (n + 1))
-        assert abs(res.value - complex(want)) <= res.tail_bound
+        for res in (ladder, anchored):
+            assert abs(res.value - complex(want)) <= res.tail_bound
 
     def test_unpaired_shifts_multiply_in_directly(self):
         # sum (-1)^n / n! and sum (1/2)_n / (n!)^2: more denominator
@@ -658,12 +743,13 @@ class TestUnitLadder:
             eval_weighted(spec, Unit(), -1.0, max_terms=16383)
 
     def test_unrepresentable_model_raises_breakdown(self):
-        # a balanced spec with exponent -400 and a log^2 weight: N^-399
-        # overflows on the ladder (the unit and H_n weights take the
-        # anchored rule)
+        # a balanced spec with exponent -400 and a log^2 weight without an
+        # expansion: N^-399 overflows on the ladder (the weights with an
+        # expansion take the anchored rule)
         spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
         with pytest.raises(AccelerationBreakdown, match="N\\^-399"):
-            eval_weighted(spec, HarmonicSqPlusGen2(), 1.0)
+            eval_weighted(spec, LinearCombo(((1.0, HarmonicSqPlusGen2()),)),
+                          1.0)
 
     @pytest.mark.parametrize("spec, x, terms, oracle", [
         (PochhammerRatioSeries((), (), 1, 1.0, 0), 1.0, 18,
