@@ -48,14 +48,25 @@ estimate is
 
 where the rounding part bounds the walk's own error: each of the 2N
 terms and the anchor carry a relative drift of a few eps per step
-through the step factor, plus a few eps of their own, and the
-compensated sum about eps |S|. The rule returns S(2N,K), which the
-first two parts bound by the triangle inequality, and doubles N while
-the estimate misses the tolerance, up to the budget.
+through the step factor, each term only the drift of the steps before
+it (to the end of its power-of-four block), plus a few eps of their own,
+and the compensated sum about eps |S|. The rule returns S(2N,K), which
+the first two parts bound by the triangle inequality, and doubles N
+while the estimate misses the tolerance, up to the budget.
+
+At r*x = -1 the same weights take the same rule with a Boole tail
+(DLMF 24.17; Johansson, arXiv:1606.06977): with u_M carrying the sign,
+the tail is u_M sum_{m>=0} (-1)^m f(m), f(h) the anchored expansion of
+w_(M+h) u_(M+h) / u_M, and sum_{m>=0} (-1)^m f(m) = 1/2 sum_{j<J} E_j(0)
+c_j with J = 14, the c_j the Taylor coefficients of f at 0 (binomial
+series of (1 + h/M)^(sigma-k) times powers of log M + log(1 + h/M)) and
+E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1). The estimate adds the size of
+the last Boole term to the three parts. The tail takes the sign as
+exactly (-1)^m, so r*x must lie within a few ulps of -1.
 
 Every other balanced sum on the circle (weights without an expansion,
-such as H_n/(n+1) and linear combinations, and r*x != 1) takes the
-ladder: the engine keeps the partial sums at the
+such as H_n/(n+1) and linear combinations, and r*x other than 1 and -1)
+takes the ladder: the engine keeps the partial sums at the
 checkpoints N = round(2^(j/4)), j = 24..56, and at each top T = 2^12,
 2^13, 2^14 fits the 25 checkpoints T/64..T by least squares to the tail
 model
@@ -75,6 +86,7 @@ tail_bound <= tol * max(1, |value|); otherwise the call raises.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -124,8 +136,8 @@ _WIDEN = 2.0                 # safety factor on the fits' disagreement
 _SINGULAR = 1e-13            # QR pivot below which a model column is dropped
 _EPS = 2.0 ** -52
 
-# r*x = 1 with a weight that has an expansion (log power 0, 1 or 2): 2N
-# terms, N = 64, 128, ..., plus the anchored tail to order K in 1/n
+# r*x = 1 or -1 with a weight that has an expansion (log power 0, 1 or
+# 2): 2N terms, N = 64, 128, ..., plus the anchored tail to order K in 1/n
 _ANCHOR_N = 64
 _EXPANSION_ORDER = 10        # K
 # rounding of the walk per step, in eps: a division, a product and a sum
@@ -139,9 +151,19 @@ _BERNOULLI = (
     -1.0 / 30.0, 0.0, 5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0, 7.0 / 6.0, 0.0,
     -3617.0 / 510.0, 0.0, 43867.0 / 798.0, 0.0, -174611.0 / 330.0,
 )
+# binom(m, j) B_j, j <= m: the Bernoulli polynomials' coefficients
+_BINOM_BERNOULLI = tuple(tuple(math.comb(m, j) * _BERNOULLI[j]
+                               for j in range(m + 1))
+                         for m in range(len(_BERNOULLI)))
 # B_2j / (2j)!, j = 1..10: the Euler-Maclaurin coefficients
 _EULER_MACLAURIN = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j)
                          for j in range(1, 11))
+# r*x = -1: Boole summation on the Taylor coefficients c_j, j < J, of the
+# terms at the anchor, with the Euler polynomials at 0 (DLMF 24.4(iv))
+# E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1)
+_BOOLE_ORDER = 14            # J
+_EULER_AT_ZERO = tuple(-2.0 * (2 ** (j + 1) - 1) * _BERNOULLI[j + 1] / (j + 1)
+                       for j in range(_BOOLE_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +241,7 @@ class WeightKind:
     with w_n ~ n^shift * (log n)^L at large n, the weight's part of the
     exponent sigma and the log power of the unit-circle tail model.
     expansion(K, M) refines that shape to an expansion in 1/n, where the
-    weight gives one; the anchored rule at r*x = 1 needs it.
+    weight gives one; the anchored rule at r*x = 1 and -1 needs it.
     """
     __slots__ = ()
 
@@ -236,9 +258,9 @@ class WeightKind:
         """Rows (r_0, ..., r_L), one per log power l, of coefficients with
         w_n ~ sum_l log^l n sum_{k<=order} r_l[k] n^-k at large n, its
         constant fixed by the computed w_anchor; None where no expansion
-        is given. The anchored rule at r*x = 1 takes a weight with shift 0
-        and at most two log powers (rows r_0, r_1 and r_2); every other
-        weight keeps None."""
+        is given. The anchored rule at r*x = 1 and -1 takes a weight with
+        shift 0 and at most two log powers (rows r_0, r_1 and r_2); every
+        other weight keeps None."""
         return None
 
 
@@ -295,18 +317,24 @@ class Harmonic(Frozen, WeightKind):
         return 0, 1
 
     def expansion(self, order, anchor):
-        # H_{sn+o} = psi(sn + o + 1) + gamma ~ log n + g + sum_k h_k n^-k,
-        # h_k = (-1)^(k+1) B_k(o+1) / (k s^k) (DLMF 5.15.8 at z = sn), and
-        # g = gamma + log s is taken from the computed w_anchor instead
-        h = [0.0]
-        shift = self.offset + 1
-        for k in range(1, order + 1):
-            bern = sum(math.comb(k, j) * _BERNOULLI[j] * shift ** (k - j)
-                       for j in range(k + 1))
-            h.append((-1) ** (k + 1) * bern / (k * self.stride ** k))
+        # H_{sn+o} = psi(sn + o + 1) + gamma ~ log n + g + sum_k h_k n^-k
+        # (_harmonic_coefficients), and g = gamma + log s is taken from the
+        # computed w_anchor instead
+        h = [0.0, *_harmonic_coefficients(self.stride, self.offset, order)]
         h[0] = (self.value(anchor) - math.log(anchor)
                 - sum(h[k] * float(anchor) ** -k for k in range(order, 0, -1)))
         return tuple(h), (1.0,) + (0.0,) * order
+
+
+@functools.lru_cache(maxsize=64)
+def _harmonic_coefficients(stride: int, offset: int, order: int) -> tuple:
+    """h_1, ..., h_order with H_{sn+o} ~ log n + g + sum_k h_k n^-k:
+    h_k = (-1)^(k+1) B_k(o+1) / (k s^k) (DLMF 5.15.8 at z = sn). They
+    depend on the weight and the order only, so each anchor reuses them."""
+    shift = offset + 1
+    return tuple((-1) ** (k + 1) * sum(
+        cb * shift ** (k - j) for j, cb in enumerate(_BINOM_BERNOULLI[k]))
+        / (k * stride ** k) for k in range(1, order + 1))
 
 
 class HarmonicSqPlusGen2(Frozen, WeightKind):
@@ -596,15 +624,17 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     Re sigma >= -1 at r*x = 1 or >= 0 elsewhere on the circle; the same
     sigma drives the direct rule's drift clause.
 
-    At r*x = 1, a weight with an expansion (WeightKind.expansion: the
-    unit weight, Harmonic and HarmonicSqPlusGen2, up to log^2 n) takes
-    the anchored rule (method "anchored";
-    see the module docstring): 2N terms, N = 64, plus the anchored
-    Euler-Maclaurin tail, with the estimate
+    At r*x = 1 and r*x = -1, a weight with an expansion
+    (WeightKind.expansion: the unit weight, Harmonic and
+    HarmonicSqPlusGen2, up to log^2 n) takes the anchored rule (method
+    "anchored"; see the module docstring): 2N terms, N = 64, plus the
+    anchored tail, by Euler-Maclaurin at 1 and by Boole summation at -1,
+    with the estimate
 
-        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding,
+        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding (+ Boole),
 
-    the rounding part from the drift of the walk's terms (_rounding). It
+    the rounding part from the drift of the walk's terms (_rounding), and
+    at -1 the size of the last Boole term of the tail at N. It
     returns S(2N,K) with terms_used = 2N once the estimate meets
     tol * max(1, |S|), and otherwise doubles N. A budget below 128 terms,
     or an estimate above the tolerance when the next doubling would
@@ -613,7 +643,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     1e30) raises AccelerationBreakdown.
 
     Every other balanced sum on the circle (weights without an expansion,
-    r*x != 1) is extrapolated from a ladder (method "extrapolated"):
+    r*x other than 1 and -1) is extrapolated from a ladder (method
+    "extrapolated"):
     partial sums at the _GRID checkpoints, and at each top T in _TOPS =
     (2^12, 2^13, 2^14) the limit of the tail model fitted to the 25
     checkpoints ending at T (see _limit_weights; model order
@@ -669,12 +700,17 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                 raise NonConvergentError(
                     f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
                     f"(r*x = {rx:.6g}); sum diverges")
+            # the anchored rule at r*x = 1 and -1, the ladder elsewhere; the
+            # Boole tail takes the sign as exactly (-1)^m, and a phase off
+            # by e moves it by about e |u_M|, so -1 is held to a few ulps
+            moments = (_zeta_moments if at_one else _boole_moments
+                       if abs(rx + 1.0) <= 4.0 * _EPS else None)
             rows = (weight.expansion(_EXPANSION_ORDER,
                                      spec.start_index + _ANCHOR_N)
-                    if at_one else None)
+                    if moments else None)
             if rows is not None:
                 return _eval_anchored(spec, weight, rows, rx, tol, sigma,
-                                      max_terms)
+                                      max_terms, moments)
             if max_terms < _TOPS[-1]:
                 raise NonConvergentError(
                     f"unit-argument series sums up to {_TOPS[-1]} terms; "
@@ -770,7 +806,11 @@ class _Walk:
     """Compensated partial sums of w_n u_n at |r*x| = 1, shared by the
     unit-circle rules: run(count) adds the next count terms to S and
     their moduli to abs_sum, and leaves u_n, the first term not yet
-    added, in t.
+    added, in t. It also keeps the moduli by block, (last index, sum of
+    |t_n|) in blocks, a block ending before each power of four of n - n0
+    and at the end of each run, so that _rounding can charge each term
+    the drift of the steps before the end of its block (at most about
+    four times its own index) without work in the term loop.
 
     The rules amplify or extrapolate noise in the partial sums, so the
     term recurrence is compensated: each numerator shift a is paired
@@ -783,8 +823,8 @@ class _Walk:
     in which the spec gives its shifts.
     """
 
-    __slots__ = ("pairs", "rx", "step", "n", "t", "tc", "S", "comp",
-                 "abs_sum")
+    __slots__ = ("pairs", "rx", "step", "n0", "n", "t", "tc", "S", "comp",
+                 "abs_sum", "blocks")
 
     def __init__(self, spec: PochhammerRatioSeries, weight: WeightKind,
                  rx: complex):
@@ -800,35 +840,43 @@ class _Walk:
             pairs.append((a - d, d))
         self.pairs = tuple(pairs)
         self.rx = rx
-        self.n = spec.start_index
+        self.n0 = self.n = spec.start_index
         self.step = weight.steps(self.n).__next__
         self.t = _first_term(spec, rx)
         self.tc = self.S = self.comp = 0j
         self.abs_sum = 0.0
+        self.blocks = []
 
     def run(self, count: int) -> None:
-        pairs, rx, step, n = self.pairs, self.rx, self.step, self.n
+        pairs, rx, step, n0, n = (self.pairs, self.rx, self.step, self.n0,
+                                  self.n)
         t, tc, S, comp = self.t, self.tc, self.S, self.comp
         abs_sum = self.abs_sum
-        for _ in range(count):
-            term = t * step()
-            y = term - comp
-            hi = S + y
-            comp = (hi - S) - y
-            S = hi
-            abs_sum += abs(term)
-            # advance u_n -> u_{n+1} = r * u_n * (1 + g)
-            g = 0j
-            for delta, d in pairs:
-                e = delta / (d + n)
-                g += e + g * e
-            inc = t * g + tc
-            hi = t + inc
-            back = hi - t
-            tc = (t - (hi - back)) + (inc - back)
-            t = hi * rx
-            tc *= rx
-            n += 1
+        end = n + count
+        while n < end:
+            block = abs_sum
+            # the block ends before the next power of four above n - n0
+            stop = n0 + 4 ** (((n - n0).bit_length() + 1) // 2)
+            for _ in range(min(end, stop) - n):
+                term = t * step()
+                y = term - comp
+                hi = S + y
+                comp = (hi - S) - y
+                S = hi
+                abs_sum += abs(term)
+                # advance u_n -> u_{n+1} = r * u_n * (1 + g)
+                g = 0j
+                for delta, d in pairs:
+                    e = delta / (d + n)
+                    g += e + g * e
+                inc = t * g + tc
+                hi = t + inc
+                back = hi - t
+                tc = (t - (hi - back)) + (inc - back)
+                t = hi * rx
+                tc *= rx
+                n += 1
+            self.blocks.append((n - 1, abs_sum - block))
         self.n, self.t, self.tc, self.S, self.comp = n, t, tc, S, comp
         self.abs_sum = abs_sum
 
@@ -873,12 +921,13 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
 
 
 # ---------------------------------------------------------------------------
-# anchored Euler-Maclaurin tail at r*x = 1
+# anchored tail at r*x = 1 (Euler-Maclaurin) and r*x = -1 (Boole)
 
 
 def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
-    """d_0 = 1, d_1, ..., d_order with u_n ~ C n^sigma sum_k d_k n^-k for a
-    balanced spec at r*x = 1 (sigma its effective exponent).
+    """d_0 = 1, d_1, ..., d_order with u_n ~ C (r*x)^n n^sigma sum_k d_k
+    n^-k for a balanced spec on the circle (sigma its effective
+    exponent).
 
     By DLMF 5.11.8, log Gamma(n + a) - log Gamma(n + b) has the expansion
     (a - b) log n + sum_k (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(b)) / (k(k+1)) n^-k
@@ -895,15 +944,14 @@ def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
             for q in range(order + 2):
                 power[q] += v
                 v *= a
-    c = [0j]
+    jc = [0j]                   # j c_j
     for k in range(1, order + 1):
         m = k + 1
-        bern = sum(math.comb(m, j) * _BERNOULLI[j] * power[m - j]
-                   for j in range(m + 1))
-        c.append((-1) ** (k + 1) * bern / (k * m))
+        bern = sum(map(operator.mul, _BINOM_BERNOULLI[m], power[m::-1]))
+        jc.append(k * ((-1) ** (k + 1) * bern / (k * m)))
     d = [1.0 + 0j]
     for k in range(1, order + 1):
-        d.append(sum(j * c[j] * d[k - j] for j in range(1, k + 1)) / k)
+        d.append(sum(map(operator.mul, jc[1:k + 1], d[k - 1::-1])) / k)
     return d
 
 
@@ -994,120 +1042,192 @@ def _hurwitz_scaled(s: complex, M: int, second: bool = False):
     return jet + (head_sq + x,) if second else jet
 
 
-def _drift(pairs, n0: int, M: int) -> float:
-    """A bound on sum_{n0 <= n < M} sum_i |a_i - d_i| / |a_i + n| for the
-    walk's pairs (a_i - d_i, d_i).
+def _drift(pairs, n0: int, ends) -> list:
+    """Bounds D(M) on sum_{n0 <= n < M} sum_i |a_i - d_i| / |a_i + n| for
+    the walk's pairs (a_i - d_i, d_i), one for each M of the increasing
+    ends.
 
     The walk forms the step factor prod (a_i + n)/(d_i + n) as 1 + g; its
     rounding in g moves the factor by a few eps * sum_i |a_i - d_i| /
-    |a_i + n| relative, so eps times this sum bounds the relative drift
-    of u_M. Each inner sum is exact while n + Re a < 1, and beyond that
-    at most its first term plus the integral of 1/(n + Re a).
+    |a_i + n| relative, so eps times D(M) bounds the relative drift of
+    u_M. Each inner sum is exact while n + Re a < 1, and beyond that at
+    most its first term plus the integral of 1/(n + Re a).
     """
-    total = 0.0
+    totals = [0.0] * len(ends)
     for delta, d in pairs:
         a = delta + d
+        re_a = a.real
+        size = abs(delta)
         n = n0
         acc = 0.0
-        while n < M and n + a.real < 1.0:
-            acc += 1.0 / abs(a + n)
-            n += 1
-        if n < M:
-            acc += 1.0 / (n + a.real) + math.log((M - 1 + a.real)
-                                                 / (n + a.real))
-        total += abs(delta) * acc
-    return total
+        for i, M in enumerate(ends):
+            while n < M and n + re_a < 1.0:
+                acc += 1.0 / abs(a + n)
+                n += 1
+            if n < M:
+                first = n + re_a
+                totals[i] += size * (acc + 1.0 / first
+                                     + math.log((M - 1 + re_a) / first))
+            else:
+                totals[i] += size * acc
+    return totals
 
 
-def _rounding(walk: _Walk, n0: int, tail: complex) -> float:
-    """The rounding part of the anchored estimate, for a walk from n0 and
-    the tail anchored at its u_M: every term summed and the anchor carry
-    the drift of u_n (_drift) plus a few eps of their own, and the
-    compensated sum adds about eps |S|."""
-    rel = _EPS * (_DRIFT_ULPS * _drift(walk.pairs, n0, walk.n) + _TERM_ULPS)
-    return rel * (walk.abs_sum + abs(tail)) + _EPS * abs(walk.S)
+def _rounding(walk: _Walk, tail: complex) -> float:
+    """The rounding part of the anchored estimate, for a walk and the tail
+    anchored at its u_M: the terms of each block carry the drift at the
+    block's last index, the tail the drift of u_M (_drift), all a few eps
+    of their own, and the compensated sum adds about eps |S|."""
+    *drifts, anchor = _drift(walk.pairs, walk.n0,
+                             [e for e, _ in walk.blocks] + [walk.n])
+    weighted = sum(D * size for D, (_, size) in zip(drifts, walk.blocks))
+    return _EPS * (_DRIFT_ULPS * (weighted + anchor * abs(tail))
+                   + _TERM_ULPS * (walk.abs_sum + abs(tail)) + abs(walk.S))
 
 
-def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex):
-    """sum_{n >= M} w_n u_n for u_n ~ C n^sigma sum_k d_k n^-k and
-    w_n u_n ~ C n^sigma sum_l log^l n sum_k f_lk n^-k (rows f_0 and, for
-    a weight with log powers, f_1 and f_2), with C fixed by the computed
-    first term anchor = u_M, to the full order and to two orders less.
+def _zeta_moments(exponents, M: int, logs: int) -> list:
+    """The moments of the tail at r*x = 1: for each s of the exponents,
+    ((m_0, ..., m_logs), ()) with m_l = sum_{m >= 0} (1 + m/M)^-s
+    log^l(M + m), from the jet of _hurwitz_scaled (m_1 = log M Z + Y, m_2
+    = log^2 M Z + 2 log M Y + X); no truncation part, since the jet is
+    summed to eps."""
+    log_m = math.log(M)
+    second = logs == 2
+    out = []
+    for s in exponents:
+        jet = _hurwitz_scaled(s, M, second)
+        z = jet[0]
+        if not logs:
+            out.append(((z,), ()))
+        elif second:
+            y = jet[1]
+            out.append(((z, log_m * z + y,
+                         log_m * log_m * z + 2.0 * log_m * y + jet[2]), ()))
+        else:
+            out.append(((z, log_m * z + jet[1]), ()))
+    return out
 
-    With e_k = d_k M^-k, C M^sigma = anchor / sum_k e_k. By
-    _hurwitz_scaled at s = k - sigma, sum_{n >= M} n^(sigma-k) is
-    M^(sigma-k) Z_k, with log n it is M^(sigma-k) (log M Z_k + Y_k), and
-    with log^2 n M^(sigma-k) (log^2 M Z_k + 2 log M Y_k + X_k), so the
-    tail is anchor * sum_k M^-k (f_0k Z_k + f_1k (log M Z_k + Y_k) +
-    f_2k (log^2 M Z_k + 2 log M Y_k + X_k)) / sum_k e_k: C and M^sigma
-    drop out, and no Gamma value is needed.
+
+def _boole_moments(exponents, M: int, logs: int) -> list:
+    """The moments of the tail at r*x = -1: for each s of the exponents,
+    ((m_0, ..., m_logs), (t_0, ..., t_logs)) with m_l = sum_{m >= 0}
+    (-1)^m (1 + m/M)^-s log^l(M + m) and t_l the last term of its Boole
+    sum.
+
+    Boole summation (DLMF 24.17.1, the sum running on to infinity) gives
+    sum_{m >= 0} (-1)^m f(m) = 1/2 sum_{j < J} E_j(0) c_j for the Taylor
+    coefficients c_j of f at 0, up to a remainder about the size of the
+    next term. Here f(h) = (1 + h/M)^-s P_l(h/M), with P_l(x) = (log M +
+    log(1 + x))^l as a power series truncated after x^(J-1), so c_j is
+    M^-j times the x^j coefficient of its product with the binomial
+    series of (1 + x)^-s. The weights 1/2 E_j(0) M^-j fold into each P_l
+    once per call, so each s costs the J binomial coefficients and two
+    dot products per moment. The terms shrink like (|s| / (pi M))^j, so
+    for |s| well below pi M the last term (j = J - 1; E_j(0) = 0 for
+    even j >= 2) bounds the truncation.
+    """
+    J = _BOOLE_ORDER
+    e = [0.5 * E * float(M) ** -j for j, E in enumerate(_EULER_AT_ZERO)]
+    # log M + log(1 + x) = log M + x - x^2/2 + x^3/3 - ...
+    first = [math.log(M)] + [(-1.0) ** (i + 1) / i for i in range(1, J)]
+    powers = [[1.0] + [0.0] * (J - 1)]
+    for _ in range(logs):
+        p = powers[-1]
+        powers.append([sum(p[i] * first[j - i] for i in range(j + 1))
+                       for j in range(J)])
+    # sum_j e_j [x^j](B P) = sum_i B_i sum_{j >= i} e_j P_(j-i)
+    full = [[sum(e[j] * p[j - i] for j in range(i, J)) for i in range(J)]
+            for p in powers]
+    last = [[e[J - 1] * p[J - 1 - i] for i in range(J)] for p in powers]
+    out = []
+    for s in exponents:
+        b = [1.0 + 0j]              # binom(-s, i), the series of (1 + x)^-s
+        for i in range(1, J):
+            b.append(b[-1] * (-s - (i - 1)) / i)
+        out.append(([sum(map(operator.mul, b, w)) for w in full],
+                    [sum(map(operator.mul, b, w)) for w in last]))
+    return out
+
+
+def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
+                   moments):
+    """sum_{n >= M} w_n u_n for u_n ~ C z^n n^sigma sum_k d_k n^-k (z = 1 or
+    -1) and w_n u_n ~ C z^n n^sigma sum_l log^l n sum_k f_lk n^-k (rows
+    f_0 and, for a weight with log powers, f_1 and f_2), with C fixed by
+    the computed first term anchor = u_M, to the full order and to two
+    orders less, and the size of the moments' truncation.
+
+    With e_k = d_k M^-k, C z^M M^sigma = anchor / sum_k e_k. With
+    moments the sums m_l(s) = sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m)
+    (_zeta_moments at z = 1, _boole_moments at z = -1) at s = k - sigma,
+    the tail is anchor * sum_k M^-k sum_l f_lk m_l(k - sigma) / sum_k
+    e_k: C and M^sigma drop out, and no Gamma value is needed.
     """
     low = len(d) - 3
-    log_m = math.log(M)
-    logs = len(rows) - 1
-    num = den = 0j
+    num = den = cut = 0j
     scale = 1.0
-    for k, dk in enumerate(d):
-        jet = _hurwitz_scaled(k - sigma, M, logs == 2)
-        z, y = jet[0], jet[1]
-        part = rows[0][k] * scale * z
-        if logs:
-            part += rows[1][k] * scale * (log_m * z + y)
-        if logs == 2:
-            part += rows[2][k] * scale * (log_m * log_m * z
-                                          + 2.0 * log_m * y + jet[2])
+    logs = range(1, len(rows))
+    jets = moments([k - sigma for k in range(len(d))], M, len(rows) - 1)
+    for k, (dk, (mom, last)) in enumerate(zip(d, jets)):
+        part = rows[0][k] * scale * mom[0]
+        for l in logs:
+            part += rows[l][k] * scale * mom[l]
         num += part
+        if last:
+            cut += scale * sum(row[k] * m for row, m in zip(rows, last))
         den += dk * scale
         if k == low:
             num_low, den_low = num, den
         scale /= M
-    return anchor * num / den, anchor * num_low / den_low
+    return (anchor * num / den, anchor * num_low / den_low,
+            abs(anchor * cut / den))
 
 
 def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
                    rows, rx: complex, tol: float, sigma: complex,
-                   max_terms: int) -> SeriesResult:
-    """The anchored rule of eval_weighted at r*x = 1: 2N partial terms
-    plus an Euler-Maclaurin tail, with N doubled until the error
-    estimate certifies. rows is the weight's expansion at the first
-    anchor, n0 + N."""
+                   max_terms: int, moments) -> SeriesResult:
+    """The anchored rule of eval_weighted at r*x = 1 and -1: 2N partial
+    terms plus the anchored tail from the next index, whose moments come
+    from moments (_zeta_moments at 1, _boole_moments at -1), with N
+    doubled until the error estimate certifies. rows is the weight's
+    expansion at the first anchor, n0 + N."""
     d = _term_expansion(spec, _EXPANSION_ORDER)
 
     def tail(walk, rows):
         # the terms' rows: d times the weight's, truncated at the order
-        f = [[sum(d[j] * row[k - j] for j in range(k + 1))
+        f = [[sum(map(operator.mul, d[:k + 1], row[k::-1]))
               for k in range(_EXPANSION_ORDER + 1)] for row in rows]
         if not all(cmath.isfinite(v) for row in f for v in row):
             raise AccelerationBreakdown(
                 "asymptotic expansion of the terms overflows")
-        return _anchored_tail(d, f, sigma, walk.n, walk.t)
+        return _anchored_tail(d, f, sigma, walk.n, walk.t, moments)
 
     N = _ANCHOR_N
     if max_terms < 2 * N:
         raise NonConvergentError(
             f"unit-argument series sums at least {2 * N} terms; "
             f"budget {max_terms} is too small")
-    n0 = spec.start_index
     walk = _Walk(spec, weight, rx)
     walk.run(N)
-    S, (tail1, tail1_low) = walk.S, tail(walk, rows)
+    S, (tail1, tail1_low, cut1) = walk.S, tail(walk, rows)
     while True:
         walk.run(N)
         N *= 2
-        S2, (tail2, tail2_low) = walk.S, tail(
+        S2, (tail2, tail2_low, cut2) = walk.S, tail(
             walk, weight.expansion(_EXPANSION_ORDER, walk.n))
         best = S2 + tail2
-        rounding = _rounding(walk, n0, tail2)
-        est = abs(tail1 - tail1_low) + abs(S + tail1 - best) + rounding
+        rounding = _rounding(walk, tail2)
+        est = (abs(tail1 - tail1_low) + abs(S + tail1 - best) + rounding
+               + cut1)
         if est <= tol * max(1.0, abs(best)):
             return SeriesResult(best, N, est, True, "anchored")
         # the rounding part alone only grows with N
         if 2 * N > max_terms or rounding > tol * max(1.0, abs(best)):
             break
-        S, tail1, tail1_low = S2, tail2, tail2_low
+        S, tail1, tail1_low, cut1 = S2, tail2, tail2_low, cut2
     raise NonConvergentError(
         f"anchored error estimate {est:.3g} exceeds tolerance {tol:g} "
-        f"after {N} terms (exponent {sigma:.3g})")
+        f"after {N} terms (r*x = {rx:.6g}, exponent {sigma:.3g})")
 
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,

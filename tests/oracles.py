@@ -55,3 +55,43 @@ def harmonic_gauss_mp(a, b, c, stride, offset, start):
         return value / y * m * t ** (m - 1)
 
     return complex(mpmath.quad(integrand, [0, 1]))
+
+
+def alternating_mp(nums, dens, factorial_power=0, start=0, weight=None):
+    """sum_{n >= start} (-1)^n prod (a)_n / (prod (b)_n (n!)^p) w_n at 30
+    digits, w_n = weight(n) (an mpf function of n; 1 without one).
+
+    The sign alternates, so the Cohen-Villegas-Zagier acceleration
+    (Experiment. Math. 9 (2000), algorithm 1) sums it from the first 60
+    terms, at 40 digits: for terms that are moments of a smooth measure
+    on [0, 1], such as n^sigma log^l n times a rational function, its
+    error falls like (3 + sqrt 8)^-60, about 1e-46.
+    """
+    terms = 60
+    mpmath.mp.dps = 30
+    with mpmath.workdps(40):
+        nums = [mp_number(a) for a in nums]
+        dens = [mp_number(b) for b in dens]
+        u = mpmath.mpf(1)
+        for n in range(start):
+            u = _next_term(u, n, nums, dens, factorial_power)
+        d = (3 + mpmath.sqrt(8)) ** terms
+        d = (d + 1 / d) / 2
+        b, c, s = mpmath.mpf(-1), -d, mpmath.mpf(0)
+        for k in range(terms):
+            n = start + k
+            c = b - c
+            s += c * u * (weight(n) if weight else 1)
+            b = (k + terms) * (k - terms) * b / ((k + mpmath.mpf(0.5))
+                                                 * (k + 1))
+            u = _next_term(u, n, nums, dens, factorial_power)
+        return complex((-1) ** start * s / d)
+
+
+def _next_term(u, n, nums, dens, factorial_power):
+    """u_{n+1} from u_n for prod (a)_n / (prod (b)_n (n!)^p)."""
+    for a in nums:
+        u *= a + n
+    for b in dens:
+        u /= b + n
+    return u / (n + 1) ** factorial_power

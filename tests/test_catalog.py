@@ -18,7 +18,7 @@ from hyperharmonic import (DEFAULT_SEED, Harmonic, HarmonicSqPlusGen2,
                            with_perturbed_rhs)
 from hyperharmonic import catalog, errors, expr, series, specialfn
 from hyperharmonic.expr import C, Digamma, Hyp2F1, Log, P, PI, Sin
-from oracles import harmonic_gauss_mp
+from oracles import alternating_mp, harmonic_gauss_mp
 
 # frozen at 40 digits: twice the weighted half-argument series of the
 # first doubling identity at a = 0.3+0.1i, b = 0.2
@@ -200,7 +200,7 @@ class TestVerifySemantics:
     @pytest.mark.parametrize("ident_id, method", [
         ("SUM-2.8.46", "anchored"),     # one unit-weight sum at r*x = 1
         ("THM-A1", "anchored"),         # a direct side and an anchored one
-        ("THM-D", "extrapolated"),      # anchored at +1, the ladder at -1
+        ("THM-D", "anchored"),          # anchored at +1 and at -1
         ("THM-C", "extrapolated"),
         ("EX-1", "direct"),
     ])
@@ -417,37 +417,28 @@ def _half_side_mp(a, b, squared: bool) -> complex:
 
 
 def _alternating_harmonic_mp(nums, dens) -> complex:
-    """sum_{n>=1} prod (a)_n / prod (b)_n H_n (-1)^n at 30 digits; nsum's
-    default acceleration suits the alternating sign (its Levin variant
-    does not: 1.166 against 1.4008 for THM-D's sum at +1)."""
-    mpmath.mp.dps = 30
-    nums = [mpmath.mpc(v) for v in nums]
-    dens = [mpmath.mpc(v) for v in dens]
-
-    def term(n):
-        n = int(n)
-        t = mpmath.harmonic(n) * (-1) ** n
-        for a in nums:
-            t *= mpmath.rf(a, n)
-        for b in dens:
-            t /= mpmath.rf(b, n)
-        return t
-
-    return complex(mpmath.nsum(term, [1, mpmath.inf]))
+    """sum_{n>=1} prod (a)_n / prod (b)_n H_n (-1)^n at 30 digits."""
+    return alternating_mp(nums, dens, 0, 1, mpmath.harmonic)
 
 
-def _anchored_sum_mp(ident_id, point, weight) -> complex:
-    """At 30 digits, the series at r*x = 1 of these identities that take
-    the anchored rule.
+def _anchored_sum_mp(ident_id, point, weight, rx=1.0) -> complex:
+    """At 30 digits, the series at r*x = 1 and -1 of these identities that
+    take the anchored rule.
 
     Unit weight: Gauss's sum, Watson's sum and its half-step variant by
     their gamma forms, and THM-D's sum_{n>=1} (1/2)_n (a+b)_n /
     ((1+a)_n (1+b)_n) as a 3F2 at 1. H_n weights: THM-A1 as twice its
     half-argument side; THM-E's Gauss-type sums by their integral
     (oracles.harmonic_gauss_mp); THM-D and COR-D by their closed forms,
-    with the sum at -1 from nsum. H_n^2 + H_n^(2) weights: THM-A2 as four
-    times its half-argument side.
+    with the sum at -1 from the alternating oracle, which also gives
+    their sums at -1. H_n^2 + H_n^(2) weights: THM-A2 as four times its
+    half-argument side.
     """
+    if rx == -1.0:
+        if ident_id == "COR-D":
+            return _alternating_harmonic_mp((0.75, 0.5), (1.25, 1.5))
+        a, b = complex(point["a"]), complex(point["b"])
+        return _alternating_harmonic_mp((1 - a, 1 - b), (1 + a, 1 + b))
     mpmath.mp.dps = 30
     p = {k: mpmath.mpc(v) for k, v in point.items()}
     g = mpmath.gamma
@@ -546,6 +537,34 @@ class TestUnitArgumentExtrapolation:
             assert res.method == "anchored" and res.terms_used == 128
             assert abs(res.value - want) <= res.tail_bound, (seed, point)
 
+    @pytest.mark.parametrize("seed", [*range(13), 101, 202])
+    def test_minus_one_sums_are_anchored_at_registry_seed(self, seed,
+                                                          monkeypatch):
+        # every sum at r*x = -1 (THM-D's and COR-D's H_n sums) takes the
+        # anchored rule's 128 terms and lies within its bound of the
+        # alternating oracle
+        minus = []
+
+        def spy(spec, weight, x, **kwargs):
+            res = eval_weighted(spec, weight, x, **kwargs)
+            if spec.geometric_ratio * x == -1.0:
+                minus.append((spec, weight, res))
+            return res
+
+        monkeypatch.setattr(expr, "eval_weighted", spy)
+        registry = build_registry(seed)
+        for ident_id in ("THM-D", "COR-D"):
+            assert verify(ident_id, registry=registry).passed
+        assert len(minus) == 6
+        for spec, weight, res in minus:
+            assert weight == Harmonic()
+            want = alternating_mp(spec.numerator_shifts,
+                                  spec.denominator_shifts,
+                                  spec.factorial_power, spec.start_index,
+                                  mpmath.harmonic)
+            assert res.method == "anchored" and res.terms_used == 128
+            assert abs(res.value - want) <= res.tail_bound, spec
+
     @pytest.mark.parametrize("tol", [2e-9, 1e-12])
     def test_thm_a2_verifies_below_the_ladder_floor(self, tol):
         # the ladder could not certify THM-A2 below tol ~ 4e-9
@@ -555,9 +574,9 @@ class TestUnitArgumentExtrapolation:
 
     @staticmethod
     def _gate_registry_terms(monkeypatch, seed, budget):
-        # term counts are deterministic: the 49 sums at r*x = 1 whose
-        # weights have an expansion (unit, H_n, H_n^2 + H_n^(2)) take the
-        # anchored rule's 128 terms, every other extrapolated
+        # term counts are deterministic: the 55 sums at r*x = 1 and -1
+        # whose weights have an expansion (unit, H_n, H_n^2 + H_n^(2)) take
+        # the anchored rule's 128 terms, every other extrapolated
         # unit-argument sum stops at a ladder top, and terminating ones
         # take a few direct terms
         unit_terms = []
@@ -574,7 +593,7 @@ class TestUnitArgumentExtrapolation:
                     for chk in verify(ident_id, registry=registry).checks)
         assert total == budget
         assert len(unit_terms) == 69
-        assert sum(method == "anchored" for method, _ in unit_terms) == 49
+        assert sum(method == "anchored" for method, _ in unit_terms) == 55
         for method, terms in unit_terms:
             if method == "extrapolated":
                 assert terms in (4096, 8192, 16384)
@@ -584,20 +603,20 @@ class TestUnitArgumentExtrapolation:
                 assert method == "direct" and terms <= 10
 
     def test_registry_term_budget(self, monkeypatch):
-        self._gate_registry_terms(monkeypatch, DEFAULT_SEED, 86_626)
+        self._gate_registry_terms(monkeypatch, DEFAULT_SEED, 62_818)
 
     def test_registry_term_budget_at_held_out_seed(self, monkeypatch):
-        self._gate_registry_terms(monkeypatch, 202, 87_236)
+        self._gate_registry_terms(monkeypatch, 202, 63_428)
 
     def test_anchored_sums_against_mpmath(self, monkeypatch):
-        # every anchored sum at r*x = 1 of the default registry lies
-        # within its bound of its value at 30 digits
+        # every anchored sum at r*x = 1 and -1 of the default registry
+        # lies within its bound of its value at 30 digits
         anchored = []
 
         def spy(spec, weight, x, **kwargs):
             res = eval_weighted(spec, weight, x, **kwargs)
             if res.method == "anchored":
-                anchored.append((weight, res))
+                anchored.append((weight, spec.geometric_ratio * x, res))
             return res
 
         monkeypatch.setattr(expr, "eval_weighted", spy)
@@ -607,10 +626,10 @@ class TestUnitArgumentExtrapolation:
             for point in REGISTRY[ident_id].sample_points:
                 anchored.clear()
                 assert verify(ident_id, points=[point]).passed
-                for weight, res in anchored:
-                    want = _anchored_sum_mp(ident_id, point, weight)
+                for weight, rx, res in anchored:
+                    want = _anchored_sum_mp(ident_id, point, weight, rx)
                     assert abs(res.value - want) <= res.tail_bound, \
-                        (ident_id, point, weight)
+                        (ident_id, point, weight, rx)
                     assert res.terms_used == 128
                     checked += 1
-        assert checked == 49
+        assert checked == 55

@@ -2,8 +2,10 @@
 rules (anchored tail and ladder), convergence guards, and the 2F1
 wrapper."""
 
+import cmath
 import itertools
 import math
+import random
 
 import mpmath
 import pytest
@@ -17,8 +19,9 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            Unit, WeightKind, eval_weighted, harmonic, hyp2f1,
                            pochhammer)
 from hyperharmonic.catalog import _derivative_sums
-from hyperharmonic.series import _hurwitz_scaled, _rounding, _Walk
-from oracles import harmonic_gauss_mp, mp_number
+from hyperharmonic.series import (_EULER_AT_ZERO, _hurwitz_scaled, _rounding,
+                                  _Walk)
+from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 
 # frozen at 40 digits
 EX1_VALUE = 0.2177751606844838071823350370302293726395
@@ -29,6 +32,11 @@ F21_NEG = 0.9205459388780172109453484311563885565609
 # sum_n ((1/2)_n / n!)^2 H_n / (n+1), frozen at 30 digits from
 # mpmath.nsum(..., method='e'); nsum's default r+s method is off by 2e-4
 RECIP_HARMONIC_SUM = "0.469830397557574505656697086112"
+# sum_{n>=1} (1/2)_n^2 / ((6)_n n!) (H_n^2 + H_n^(2)), frozen at 30 digits
+# as d^2/de^2 3F2(1/2, 1/2, 1; 6, 1 - e; 1) at e = 0, since (1)_n /
+# (1 - e)_n = exp(e H_n + e^2 H_n^(2) / 2 + ...); the first 4,000 terms
+# fall short of it by 6.2e-16
+FAST_DECAY_SQ_SUM = "0.122095709112727969333428035183"
 
 
 class TestSpecValidation:
@@ -270,9 +278,11 @@ class TestEvalWeighted:
             eval_weighted(spec, Unit(), 0.5, max_terms=0)
 
     def test_alternating_unit_argument_accelerated(self):
-        # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1)
+        # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1); the weight
+        # inside LinearCombo has no expansion, so it keeps the ladder
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, Unit(), -1.0, tol=1e-9)
+        res = eval_weighted(spec, LinearCombo(((1.0, Unit()),)), -1.0,
+                            tol=1e-9)
         assert res.method == "extrapolated"
         assert abs(res.value - math.asinh(1.0)) < 1e-9
 
@@ -294,10 +304,11 @@ class TestEvalWeighted:
 LADDER_TOPS = (4096, 8192, 16384)
 
 
-def _gauss_mp(a, b, c):
-    """2F1(a, b; c; 1) at 30 digits."""
+def _gauss_mp(a, b, c, start=0):
+    """2F1(a, b; c; 1) from the term n = start at 30 digits (the first
+    term is dropped before rounding, which keeps a small sum exact)."""
     mpmath.mp.dps = 30
-    return complex(mpmath.hyp2f1(a, b, c, 1))
+    return complex(mpmath.hyp2f1(a, b, c, 1) - start)
 
 
 class TestAnchoredTail:
@@ -375,7 +386,7 @@ class TestAnchoredTail:
                         spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0,
                                                      start)
                         res = eval_weighted(spec, Unit(), 1.0, tol=tol)
-                        want = _gauss_mp(a, b, c) - start
+                        want = _gauss_mp(a, b, c, start)
                         assert abs(res.value - want) <= res.tail_bound, \
                             (a, b, c, start, tol)
                         assert res.tail_bound <= tol * max(1.0, abs(res.value))
@@ -400,6 +411,19 @@ class TestAnchoredTail:
             return
         assert math.isfinite(res.tail_bound)
         assert abs(res.value - 399.5 / 399.0) <= res.tail_bound
+
+    def test_rounding_counts_each_terms_own_drift(self):
+        # sum (1/2)_n / (400.5)_n = 399.5/399: the step factors (1/2 + n) /
+        # (400.5 + n) drift u_n by about 2,840 eps by n = 128, but the sum
+        # is nearly all in u_0 = 1 (no drift) and u_1 = 1/801; charged the
+        # drift up to 128 on every term, the bound read 2.5e-12
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-14)
+        mpmath.mp.dps = 30
+        want = complex(mpmath.mpf(399.5) / 399)
+        assert res.method == "anchored" and res.terms_used == 128
+        assert abs(res.value - want) <= res.tail_bound
+        assert res.tail_bound < 1e-14
 
     def test_expansion_that_overflows_raises_breakdown(self):
         # shifts of modulus 1e30: their powers overflow in the expansion
@@ -426,19 +450,21 @@ class TestAnchoredTail:
         assert abs(res.value - _gauss_mp(5, 4.5, 10)) <= res.tail_bound
         assert res.tail_bound <= 1e-13 * 512
 
-    @pytest.mark.parametrize("nums, dens, weight", [
-        ((40.3, 0.5), (41.7,), Unit()),
-        ((0.5, 40.2), (41.5,), Harmonic()),
-        ((39.5 + 0.5j, 1.2), (41.3 + 0.5j,), Harmonic(2, 1)),
-        ((0.3 + 0.2j, 0.4 - 0.1j), (0.75 + 0.1j,), Harmonic(3, 2)),
-        ((0.3, 0.4), (0.75,), Unit()),
+    @pytest.mark.parametrize("nums, dens, weight, x", [
+        ((40.3, 0.5), (41.7,), Unit(), 1.0),
+        ((0.5, 40.2), (41.5,), Harmonic(), 1.0),
+        ((39.5 + 0.5j, 1.2), (41.3 + 0.5j,), Harmonic(2, 1), 1.0),
+        ((0.3 + 0.2j, 0.4 - 0.1j), (0.75 + 0.1j,), Harmonic(3, 2), 1.0),
+        ((0.3, 0.4), (0.75,), Unit(), 1.0),
+        ((0.5, 40.2), (41.5,), Harmonic(), -1.0),
     ])
-    def test_rounding_part_bounds_the_walk(self, nums, dens, weight):
-        # shifts near 40, complex shifts and Re sigma = -1.05: at every N
-        # the rounding part covers the walk's partial sum and the relative
-        # error of u_N, the anchor, against the same walk at 30 digits
+    def test_rounding_part_bounds_the_walk(self, nums, dens, weight, x):
+        # shifts near 40, complex shifts, Re sigma = -1.05 and an
+        # alternating sign: at every N the rounding part covers the walk's
+        # partial sum and the relative error of u_N, the anchor, against
+        # the same walk at 30 digits
         spec = PochhammerRatioSeries(nums, dens, 1, 1.0, 0)
-        walk = _Walk(spec, weight, 1.0)
+        walk = _Walk(spec, weight, x)
         mpmath.mp.dps = 30
         pairs = [(mp_number(a), mp_number(d))
                  for a, d in zip(nums, dens + (1.0,))]
@@ -452,12 +478,13 @@ class TestAnchoredTail:
                 S += u * (h if stride else 1)
                 for a, d in pairs:
                     u = u * (a + n) / (d + n)
+                u *= x
                 n += 1
                 for k in range(stride * n + offset - stride + 1,
                                stride * n + offset + 1):
                     h += mpmath.mpf(1) / k
-            sum_part = _rounding(walk, 0, 0.0)
-            anchor_part = _rounding(walk, 0, 1.0) - sum_part
+            sum_part = _rounding(walk, 0.0)
+            anchor_part = _rounding(walk, 1.0) - sum_part
             assert abs(walk.S - complex(S)) <= sum_part, top
             assert abs(walk.t / complex(u) - 1.0) <= anchor_part, top
 
@@ -477,11 +504,13 @@ class TestAnchoredTail:
         for weight in (ReciprocalShift(Unit()), LinearCombo(((1.0, Unit()),)),
                        DigammaLog(0.2, 0.3, 1.0), DigammaDiffSum(0.2, 0.3)):
             assert weight.expansion(3, 64) is None
-        # weights without an expansion, and r*x != 1, keep the ladder
+        # weights without an expansion, and r*x other than 1 and -1, keep
+        # the ladder
         spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
         for weight, x in ((LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
                           (ReciprocalShift(Unit()), 1.0),
-                          (Unit(), -1.0), (Harmonic(), 1j)):
+                          (LinearCombo(((1.0, Unit()),)), -1.0),
+                          (Unit(), cmath.exp(2j)), (Harmonic(), 1j)):
             res = eval_weighted(spec, weight, x, tol=1e-8)
             assert res.method == "extrapolated", (weight, x)
 
@@ -625,6 +654,108 @@ class TestWalkPairing:
         assert pairs == {((-0.5, 0.75 + 0.1j), (-0.5, 7.5), (2.5, 1.0))}
 
 
+def _gen2_mp(n):
+    """H_n^2 + H_n^(2) at 30 digits."""
+    return mpmath.harmonic(n) ** 2 + mpmath.fsum(
+        mpmath.mpf(1) / k ** 2 for k in range(1, n + 1))
+
+
+class TestAnchoredAlternating:
+    """The anchored rule at r*x = -1: the same walk of 2N terms plus a
+    Boole tail from the Taylor coefficients of the anchored expansion;
+    the alternating-series oracle at 30 digits is the reference."""
+
+    def test_euler_numbers_at_zero(self):
+        # E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1), checked against
+        # mpmath's Euler polynomials and Bernoulli numbers
+        mpmath.mp.dps = 30
+        assert len(_EULER_AT_ZERO) == 14
+        for j, value in enumerate(_EULER_AT_ZERO):
+            want = mpmath.eulerpoly(j, 0)
+            assert want == -2 * (2 ** (j + 1) - 1) * mpmath.bernoulli(
+                j + 1) / (j + 1)
+            assert value == float(want), j
+
+    def test_unit_weight_against_closed_form(self):
+        # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1), and
+        # 2F1(1, 1; 2; -1) = log 2
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), -1.0, tol=1e-13)
+        assert res.method == "anchored" and res.terms_used == 128
+        assert abs(res.value - math.asinh(1.0)) <= res.tail_bound
+        assert res.tail_bound <= 1e-13
+        assert abs(hyp2f1(1.0, 1.0, 2.0, -1.0, tol=1e-13)
+                   - math.log(2.0)) <= 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bound_covers_a_seeded_grid(self, seed):
+        # Re sigma from -0.2 to -3, complex shifts, start index 0 and 1,
+        # the three weights with an expansion and tol from 1e-13 to 1e-6:
+        # no bound misses; every tolerance down to 1e-10 certifies, and
+        # tighter ones may meet the rounding part and raise
+        weights = ((Unit(), None), (Harmonic(), mpmath.harmonic),
+                   (Harmonic(2, 1), lambda n: mpmath.harmonic(2 * n + 1)),
+                   (HarmonicSqPlusGen2(), _gen2_mp))
+        rng = random.Random(seed)
+        certified = 0
+        for i in range(40):
+            sigma = -rng.uniform(0.2, 3.0)
+            a = complex(rng.uniform(-0.45, 1.5),
+                        rng.choice((0.0, rng.uniform(-0.4, 0.4))))
+            b = complex(rng.uniform(0.1, 2.0),
+                        rng.choice((0.0, rng.uniform(-0.4, 0.4))))
+            c = a + b - 1.0 - sigma
+            start = rng.randint(0, 1)
+            tol = rng.choice((1e-13, 1e-12, 1e-10, 1e-8, 1e-6))
+            weight, weight_mp = weights[i % len(weights)]
+            spec = PochhammerRatioSeries((a, b), (c,), 1, -1.0, start)
+            case = (a, b, c, start, weight, tol)
+            try:
+                res = eval_weighted(spec, weight, 1.0, tol=tol)
+            except NonConvergentError:
+                assert tol < 1e-10, case
+                continue
+            want = alternating_mp((a, b), (c,), 1, start, weight_mp)
+            assert res.method == "anchored", case
+            assert abs(res.value - want) <= res.tail_bound, case
+            assert res.tail_bound <= tol * max(1.0, abs(res.value)), case
+            certified += 1
+        assert certified >= 36
+
+    def test_exponent_minus_400(self):
+        # sum (1/2)_n / (400.5)_n H_n (-1)^n: the anchor underflows to
+        # zero and the Boole tail with it, and 400 terms at 30 digits are
+        # the whole sum
+        spec = PochhammerRatioSeries((0.5,), (400.5,), 0, -1.0, 0)
+        res = eval_weighted(spec, Harmonic(), 1.0, tol=1e-13)
+        mpmath.mp.dps = 30
+        u, h, want = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(400):
+            want += u * h
+            u *= -(n + mpmath.mpf(0.5)) / (n + mpmath.mpf(400.5))
+            h += mpmath.mpf(1) / (n + 1)
+        assert res.method == "anchored"
+        assert abs(res.value - complex(want)) <= res.tail_bound
+        assert res.tail_bound <= 1e-13 * max(1.0, abs(res.value))
+
+    def test_only_minus_one_to_a_few_ulps_takes_the_boole_tail(self):
+        # the Boole tail takes the sign as exactly (-1)^m: e^{i pi} is -1
+        # to an ulp, while a phase 1e-9 off would move the tail by about
+        # 1e-9 |u_M| and keeps the ladder
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        res = eval_weighted(spec, Unit(), cmath.exp(1j * math.pi), tol=1e-8)
+        assert res.method == "anchored"
+        assert abs(res.value - math.asinh(1.0)) <= 1e-15
+        res = eval_weighted(spec, Unit(), cmath.exp(1j * (math.pi - 1e-9)),
+                            tol=1e-8)
+        assert res.method == "extrapolated"
+
+    def test_budget_below_two_blocks_raises(self):
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match="budget 127"):
+            eval_weighted(spec, Unit(), -1.0, max_terms=127)
+
+
 def _reciprocal_gauss_mp(a, b, c):
     """sum (a)_n (b)_n / ((c)_n (n+1)!) at 30 digits, which is
     (c-1)/((a-1)(b-1)) (2F1(a-1, b-1; c-1; 1) - 1)."""
@@ -655,7 +786,8 @@ class TestUnitLadder:
 
     def test_every_unit_sum_stops_at_a_ladder_top(self):
         cases = [
-            (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0), Unit(), -1.0),
+            (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0),
+             LinearCombo(((1.0, Unit()),)), -1.0),
             (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0),
              ReciprocalShift(Unit()), 1.0),
             (PochhammerRatioSeries((0.25, 0.25), (1.0,), 1, 1.0, 1),
@@ -694,16 +826,9 @@ class TestUnitLadder:
         anchored = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11)
         assert ladder.method == "extrapolated"
         assert anchored.method == "anchored"
-        mpmath.mp.dps = 25
-        half = mpmath.mpf(0.5)
-        term, h, h2, want = half * half / 6, 0, 0, 0
-        for n in range(1, 4001):  # the tail beyond is below 1e-17
-            h += mpmath.mpf(1) / n
-            h2 += mpmath.mpf(1) / n ** 2
-            want += term * (h * h + h2)
-            term *= (half + n) ** 2 / ((6 + n) * (n + 1))
+        want = complex(mpmath.mpf(FAST_DECAY_SQ_SUM))
         for res in (ladder, anchored):
-            assert abs(res.value - complex(want)) <= res.tail_bound
+            assert abs(res.value - want) <= res.tail_bound
 
     def test_unpaired_shifts_multiply_in_directly(self):
         # sum (-1)^n / n! and sum (1/2)_n / (n!)^2: more denominator
@@ -740,7 +865,8 @@ class TestUnitLadder:
     def test_budget_below_ladder_raises(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError):
-            eval_weighted(spec, Unit(), -1.0, max_terms=16383)
+            eval_weighted(spec, LinearCombo(((1.0, Unit()),)), -1.0,
+                          max_terms=16383)
 
     def test_unrepresentable_model_raises_breakdown(self):
         # a balanced spec with exponent -400 and a log^2 weight without an
