@@ -31,7 +31,6 @@ from .series import (
     HarmonicSqPlusGen2,
     LinearCombo,
     PochhammerRatioSeries,
-    ReciprocalShift,
     SeriesResult,
     Unit,
     WeightKind,
@@ -76,7 +75,6 @@ __all__ = [
     "HarmonicSqPlusGen2",
     "LinearCombo",
     "PochhammerRatioSeries",
-    "ReciprocalShift",
     "SeriesResult",
     "Unit",
     "WeightKind",

@@ -32,8 +32,8 @@ from .errors import DomainError, HyperharmonicError, UnknownIdentityError
 from .expr import (C, Cos, Digamma, EllipticK, Gamma, GammaRatio, Hyp2F1,
                    Log, Mul, P, PI, Pow, Series, Sin, Sqrt)
 from .series import (DigammaDiffSum, Harmonic, HarmonicSqPlusGen2,
-                     LinearCombo, PochhammerRatioSeries, ReciprocalShift, Unit,
-                     eval_weighted, hyp2f1)
+                     LinearCombo, PochhammerRatioSeries, Unit, eval_weighted,
+                     hyp2f1)
 
 __all__ = [
     "DEFAULT_SEED", "Identity", "PointCheck", "VerifyReport",
@@ -526,7 +526,9 @@ def _definitions() -> dict:
         description="H_n/(n+1) weight against the doubled kernel at unit "
                     "argument: trigonometric-digamma closed form",
         param_names=("a", "b"), sample_points=(),
-        lhs=Series(*_doubled, 1, 1.0, 1, ReciprocalShift(Harmonic()), 1.0),
+        # 1/(n+1) = (1)_n / (2)_n: the pair (1; 2) leaves the weight H_n
+        lhs=Series((2 * a, 2 * b, 1), (a + b + 0.5, 2), 1, 1.0, 1, Harmonic(),
+                   1.0),
         rhs=(2 * a + 2 * b - 1) * Sin(PI * a) * Sin(PI * b)
             / ((2 * a - 1) * (2 * b - 1) * Cos(PI * (a + b)))
             * (Digamma(C(0.5)) + Digamma(1.5 - a - b)

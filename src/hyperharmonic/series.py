@@ -61,12 +61,15 @@ w_(M+h) u_(M+h) / u_M, and sum_{m>=0} (-1)^m f(m) = 1/2 sum_{j<J} E_j(0)
 c_j with J = 14, the c_j the Taylor coefficients of f at 0 (binomial
 series of (1 + h/M)^(sigma-k) times powers of log M + log(1 + h/M)) and
 E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1). The estimate adds the size of
-the last Boole term to the three parts. The tail takes the sign as
-exactly (-1)^m, so r*x must lie within a few ulps of -1.
+the last Boole term to the three parts. Both tails take the sign as
+exactly (+-1)^m, so r*x must lie within a few ulps of 1 or -1; the same
+few ulps of |r*x| = 1 count as the unit circle. A weight with a factor
+1/(n+1), such as H_n/(n+1), is written as the spec pair (1; 2), since
+(1)_n / (2)_n = 1/(n+1), and takes the rule of its other factor.
 
 Every other balanced sum on the circle (weights without an expansion,
-such as H_n/(n+1) and linear combinations, and r*x other than 1 and -1)
-takes the ladder: the engine keeps the partial sums at the
+such as linear combinations, and r*x other than 1 and -1) takes the
+ladder: the engine keeps the partial sums at the
 checkpoints N = round(2^(j/4)), j = 24..56, and at each top T = 2^12,
 2^13, 2^14 fits the 25 checkpoints T/64..T by least squares to the tail
 model
@@ -108,7 +111,6 @@ __all__ = [
     "Unit",
     "Harmonic",
     "HarmonicSqPlusGen2",
-    "ReciprocalShift",
     "DigammaDiffSum",
     "DigammaLog",
     "LinearCombo",
@@ -120,7 +122,6 @@ __all__ = [
 DEFAULT_MAX_TERMS = 200000
 DEFAULT_TOL_INSIDE = 1e-10   # default tol inside the unit circle
 DEFAULT_TOL_UNIT = 1e-6      # default tol on the unit circle
-_UNIT_BAND = 1e-12           # |r*x| within this of 1 counts as unit argument
 _RATIO_TRUST = 0.99          # empirical ratio below this is always trusted
 _RATIO_HARD_CAP = 0.99995    # never trust a geometric bound beyond this
 
@@ -135,6 +136,12 @@ _MODEL_ORDER = 4             # J: powers N^-j, j < J, in the tail model
 _WIDEN = 2.0                 # safety factor on the fits' disagreement
 _SINGULAR = 1e-13            # QR pivot below which a model column is dropped
 _EPS = 2.0 ** -52
+# |r*x| within this of 1 is on the unit circle, and r*x within this of 1 or
+# -1 is at 1 or -1. The anchored tails take z^n as exactly (+-1)^n: a phase
+# off by e moves the sum at -1 by about e |u_M|, and at z = 1 - e the sum
+# differs from its value at 1 by the order of e^(-sigma - 1), far above e
+# for sigma near -1
+_UNIT_BAND = 4.0 * _EPS
 
 # r*x = 1 or -1 with a weight that has an expansion (log power 0, 1 or
 # 2): 2N terms, N = 64, 128, ..., plus the anchored tail to order K in 1/n
@@ -377,26 +384,6 @@ class HarmonicSqPlusGen2(Frozen, WeightKind):
         const = tuple(gen2[k] + sum(a[j] * a[k - j] for j in range(k + 1))
                       for k in range(order + 1))
         return const, tuple(2.0 * v for v in a), log_row
-
-
-class ReciprocalShift(Frozen, WeightKind):
-    """w_n = inner_n / (n + 1)."""
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner=Unit()):
-        object.__setattr__(self, "inner", inner)
-
-    def value(self, n):
-        return self.inner.value(n) / (n + 1.0)
-
-    def steps(self, n0):
-        for n, w in enumerate(self.inner.steps(n0), n0 + 1):
-            yield w / n
-
-    def asymptotics(self):
-        shift, logs = self.inner.asymptotics()
-        return shift - 1, logs
 
 
 class DigammaDiffSum(Frozen, WeightKind):
@@ -694,17 +681,15 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         if all(_pole_index(a) is None for a in nums):
             # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
             # circle the terms need sigma < 0
-            at_one = abs(rx - 1.0) <= 1e-9
+            at_one = abs(rx - 1.0) <= _UNIT_BAND
             limit = -1.0 if at_one else 0.0
             if sigma.real >= limit:
                 raise NonConvergentError(
                     f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
                     f"(r*x = {rx:.6g}); sum diverges")
-            # the anchored rule at r*x = 1 and -1, the ladder elsewhere; the
-            # Boole tail takes the sign as exactly (-1)^m, and a phase off
-            # by e moves it by about e |u_M|, so -1 is held to a few ulps
+            # the anchored rule at r*x = 1 and -1, the ladder elsewhere
             moments = (_zeta_moments if at_one else _boole_moments
-                       if abs(rx + 1.0) <= 4.0 * _EPS else None)
+                       if abs(rx + 1.0) <= _UNIT_BAND else None)
             rows = (weight.expansion(_EXPANSION_ORDER,
                                      spec.start_index + _ANCHOR_N)
                     if moments else None)
@@ -888,7 +873,7 @@ def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
     walk = _Walk(spec, weight, rx)
     s = sigma
     theta = 0.0
-    if abs(rx - 1.0) <= 1e-9:
+    if abs(rx - 1.0) <= _UNIT_BAND:
         s += 1.0
     else:
         theta = cmath.phase(rx)

@@ -43,13 +43,14 @@ def test_tracer_wraps_every_layer_and_unwinds():
 
 def test_accel_span_records_a_ladder_top():
     # the benchmark's series.accel.* metrics read each span's terms;
-    # THM-C's H_n / (n+1) weight has no expansion, so it takes the ladder
+    # SUM-GAUSSD's 2 H_2n - H_n weight has no expansion, so it takes the
+    # ladder
     spans = _load_spans()
     tracer = spans.Tracer()
     tracer.install(hyperharmonic)
     try:
-        point = REGISTRY["THM-C"].sample_points[0]
-        assert hyperharmonic.verify("THM-C", points=[point]).passed
+        point = REGISTRY["SUM-GAUSSD"].sample_points[0]
+        assert hyperharmonic.verify("SUM-GAUSSD", points=[point]).passed
     finally:
         tracer.uninstall()
     accel = [s.attrs for s in tracer.spans

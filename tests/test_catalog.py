@@ -64,7 +64,7 @@ REGISTRY_DIGEST_0_300 = \
 # sha256 over (id, repr(lhs), repr(rhs)) of each entry in registry order:
 # the formulas themselves, which the digests above do not see
 FORMULA_DIGEST = \
-    "dded8b2c42ff36e5b7e4a407b448a81dc7faeb239b9fbc928b347b272cb654cc"
+    "91546d4da562edbb07ae2e1261e4ccb3d64652adb599c1788afa6526ad2989b8"
 
 
 def registry_digest(registry) -> str:
@@ -201,7 +201,8 @@ class TestVerifySemantics:
         ("SUM-2.8.46", "anchored"),     # one unit-weight sum at r*x = 1
         ("THM-A1", "anchored"),         # a direct side and an anchored one
         ("THM-D", "anchored"),          # anchored at +1 and at -1
-        ("THM-C", "extrapolated"),
+        ("THM-C", "anchored"),          # H_n/(n+1) as H_n and the pair (1; 2)
+        ("SUM-GAUSSD", "extrapolated"),
         ("EX-1", "direct"),
     ])
     def test_check_method_names_its_sums_rules(self, ident_id, method):
@@ -429,7 +430,8 @@ def _anchored_sum_mp(ident_id, point, weight, rx=1.0) -> complex:
     their gamma forms, and THM-D's sum_{n>=1} (1/2)_n (a+b)_n /
     ((1+a)_n (1+b)_n) as a 3F2 at 1. H_n weights: THM-A1 as twice its
     half-argument side; THM-E's Gauss-type sums by their integral
-    (oracles.harmonic_gauss_mp); THM-D and COR-D by their closed forms,
+    (oracles.harmonic_gauss_mp); THM-C, whose H_n/(n+1) is H_n and the
+    pair (1; 2), and THM-D and COR-D by their closed forms, the latter
     with the sum at -1 from the alternating oracle, which also gives
     their sums at -1. H_n^2 + H_n^(2) weights: THM-A2 as four times its
     half-argument side.
@@ -452,6 +454,13 @@ def _anchored_sum_mp(ident_id, point, weight, rx=1.0) -> complex:
             if weight.stride == 1:
                 return harmonic_gauss_mp(0.5, b, 2 * b, 1, 0, 1)
             return harmonic_gauss_mp(0.5, 1 - b, b + 0.5, 2, 0, 1)
+        if ident_id == "THM-C":
+            a, b, pi, psi = p["a"], p["b"], mpmath.pi, mpmath.digamma
+            trig = (mpmath.sin(pi * a) * mpmath.sin(pi * b)
+                    / ((2 * a - 1) * (2 * b - 1) * mpmath.cos(pi * (a + b))))
+            return complex((2 * a + 2 * b - 1) * trig
+                           * (psi(mpmath.mpf(0.5)) + psi(1.5 - a - b)
+                              - psi(1 - a) - psi(1 - b)))
         if ident_id == "COR-D":
             minus = _alternating_harmonic_mp((0.75, 0.5), (1.25, 1.5))
             mpmath.mp.dps = 30
@@ -565,6 +574,29 @@ class TestUnitArgumentExtrapolation:
             assert res.method == "anchored" and res.terms_used == 128
             assert abs(res.value - want) <= res.tail_bound, spec
 
+    @pytest.mark.parametrize("seed", [*range(13), 101, 202])
+    def test_reciprocal_harmonic_sums_are_anchored_at_registry_seed(
+            self, seed, monkeypatch):
+        # every THM-C sum, its H_n/(n+1) written as H_n and the pair
+        # (1; 2), takes the anchored rule's 128 terms and lies within its
+        # bound of the closed form
+        sums = []
+
+        def spy(spec, weight, x, **kwargs):
+            res = eval_weighted(spec, weight, x, **kwargs)
+            sums.append(res)
+            return res
+
+        monkeypatch.setattr(expr, "eval_weighted", spy)
+        registry = build_registry(seed)
+        for point in registry["THM-C"].sample_points:
+            sums.clear()
+            assert verify("THM-C", points=[point], registry=registry).passed
+            (res,) = sums
+            want = _anchored_sum_mp("THM-C", point, Harmonic())
+            assert res.method == "anchored" and res.terms_used == 128
+            assert abs(res.value - want) <= res.tail_bound, (seed, point)
+
     @pytest.mark.parametrize("tol", [2e-9, 1e-12])
     def test_thm_a2_verifies_below_the_ladder_floor(self, tol):
         # the ladder could not certify THM-A2 below tol ~ 4e-9
@@ -574,7 +606,7 @@ class TestUnitArgumentExtrapolation:
 
     @staticmethod
     def _gate_registry_terms(monkeypatch, seed, budget):
-        # term counts are deterministic: the 55 sums at r*x = 1 and -1
+        # term counts are deterministic: the 61 sums at r*x = 1 and -1
         # whose weights have an expansion (unit, H_n, H_n^2 + H_n^(2)) take
         # the anchored rule's 128 terms, every other extrapolated
         # unit-argument sum stops at a ladder top, and terminating ones
@@ -593,7 +625,7 @@ class TestUnitArgumentExtrapolation:
                     for chk in verify(ident_id, registry=registry).checks)
         assert total == budget
         assert len(unit_terms) == 69
-        assert sum(method == "anchored" for method, _ in unit_terms) == 55
+        assert sum(method == "anchored" for method, _ in unit_terms) == 61
         for method, terms in unit_terms:
             if method == "extrapolated":
                 assert terms in (4096, 8192, 16384)
@@ -603,10 +635,10 @@ class TestUnitArgumentExtrapolation:
                 assert method == "direct" and terms <= 10
 
     def test_registry_term_budget(self, monkeypatch):
-        self._gate_registry_terms(monkeypatch, DEFAULT_SEED, 62_818)
+        self._gate_registry_terms(monkeypatch, DEFAULT_SEED, 39_010)
 
     def test_registry_term_budget_at_held_out_seed(self, monkeypatch):
-        self._gate_registry_terms(monkeypatch, 202, 63_428)
+        self._gate_registry_terms(monkeypatch, 202, 39_620)
 
     def test_anchored_sums_against_mpmath(self, monkeypatch):
         # every anchored sum at r*x = 1 and -1 of the default registry
@@ -622,7 +654,7 @@ class TestUnitArgumentExtrapolation:
         monkeypatch.setattr(expr, "eval_weighted", spy)
         checked = 0
         for ident_id in ("SUM-2.8.46", "WATSON", "WATSON-PM", "THM-D",
-                         "THM-A1", "THM-A2", "COR-D", "THM-E"):
+                         "THM-A1", "THM-A2", "COR-D", "THM-E", "THM-C"):
             for point in REGISTRY[ident_id].sample_points:
                 anchored.clear()
                 assert verify(ident_id, points=[point]).passed
@@ -632,4 +664,4 @@ class TestUnitArgumentExtrapolation:
                         (ident_id, point, weight, rx)
                     assert res.terms_used == 128
                     checked += 1
-        assert checked == 55
+        assert checked == 61

@@ -164,14 +164,14 @@ class TestVerifyJson:
         # a check reads the rule of its sums: "anchored" where they took
         # the anchored tail at r*x = 1 and none took the ladder
         rc, out, _ = run_cli(capsys, "verify", "--ids", "SUM-2.8.46",
-                             "THM-A1", "THM-C", "EX-1", "--quiet",
+                             "THM-A1", "SUM-GAUSSD", "EX-1", "--quiet",
                              "--json", "-")
         assert rc == 0
         payload = json.loads(out[out.index("{"):])
         methods = {result["id"]: {c["method"] for c in result["checks"]}
                    for result in payload["results"]}
         assert methods == {"SUM-2.8.46": {"anchored"}, "THM-A1": {"anchored"},
-                           "THM-C": {"extrapolated"}, "EX-1": {"direct"}}
+                           "SUM-GAUSSD": {"extrapolated"}, "EX-1": {"direct"}}
         rc, out, _ = run_cli(capsys, "verify", "--ids", "SUM-2.8.46")
         assert rc == 0 and "128 terms, anchored) ok" in out
 

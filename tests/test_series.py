@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            DomainError, Harmonic, HarmonicSqPlusGen2,
                            HyperharmonicError, LinearCombo, NonConvergentError,
-                           PochhammerRatioSeries, PoleError, ReciprocalShift,
-                           Unit, WeightKind, eval_weighted, harmonic, hyp2f1,
-                           pochhammer)
+                           PochhammerRatioSeries, PoleError, Unit, WeightKind,
+                           eval_weighted, harmonic, hyp2f1, pochhammer)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _hurwitz_scaled, _rounding,
                                   _Walk)
@@ -37,6 +36,38 @@ RECIP_HARMONIC_SUM = "0.469830397557574505656697086112"
 # (1 - e)_n = exp(e H_n + e^2 H_n^(2) / 2 + ...); the first 4,000 terms
 # fall short of it by 6.2e-16
 FAST_DECAY_SQ_SUM = "0.122095709112727969333428035183"
+# sum_{n>=1} (2a)_n (2b)_n / ((a+b+1/2)_n (n+1)!) H_n at the (a, b) that
+# TestReciprocalPair draws with the H_n weight at r*x = 1, frozen at 30
+# digits (real and imaginary part) as d/de 3F2(2a, 2b, 1 + e; a+b+1/2, 2; 1)
+# at e = 0, since (1 + e)_n / (1)_n = 1 + e H_n + O(e^2): mpmath.diff of
+# mpmath.hyper at 45 digits, about 150 s each. They agree with THM-C's
+# closed form to 1.2e-30.
+RECIPROCAL_HARMONIC_SUMS = {
+    ((-0.39-0.324j), (-0.373+0j)):
+        ("-0.943726275067496219146135670178", "0.320544264281042559871179521959"),
+    ((0.701-0.205j), (-0.862+0j)):
+        ("-0.535802439623182772154963333618", "-0.237144550727319010720446973088"),
+    ((-0.165+0j), (0.143-0.374j)):
+        ("-0.269603173598729355305695498942", "0.275044473219533426104752082843"),
+    ((-0.097+0j), (0.095+0j)):
+        ("-0.0688499310285620672612558145415", "0.0"),
+    ((-0.323+0j), (0.956+0j)):
+        ("-1.05246920272933395636494730818", "0.0"),
+    ((-0.363-0.27j), (0.703-0.306j)):
+        ("-0.89517756625058051444562586646", "-0.0133166981445717379508616852835"),
+    ((0.351+0.097j), (0.259-0.09j)):
+        ("0.835124006623367336231341226762", "-0.0631114717488402133600454423191"),
+    ((-0.6-0.369j), (0.627-0.15j)):
+        ("-1.04149205773368295409872447332", "-0.0279370589242887399266130331326"),
+    ((0.868-0.32j), (-1.392+0j)):
+        ("-0.572819108313106593952535044648", "1.62855014443939469157711765322"),
+    ((-0.041+0j), (0.13-0.1j)):
+        ("-0.038897983259942703897251656371", "0.0257236296172727194673898158626"),
+    ((-0.107+0j), (-0.207+0.049j)):
+        ("0.300692680315140366752270654202", "-0.142466860187308539422007079127"),
+    ((-0.165+0j), (0.111-0.062j)):
+        ("-0.146501193232730959217879466881", "0.0646020544740644043074938449204"),
+}
 
 
 class TestSpecValidation:
@@ -113,8 +144,6 @@ class TestWeights:
         g4 = 1.0 + 1.0 / 4 + 1.0 / 9 + 1.0 / 16
         assert HarmonicSqPlusGen2().value(4) == pytest.approx(
             h4 * h4 + g4, abs=1e-13)
-        assert ReciprocalShift(Harmonic()).value(3) == pytest.approx(
-            harmonic(3) / 4.0, abs=1e-14)
         combo = LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic())))
         assert combo.value(5) == pytest.approx(
             4.0 * harmonic(10) - 3.0 * harmonic(5), abs=1e-13)
@@ -133,14 +162,12 @@ class TestWeights:
         Harmonic(stride=2),
         Harmonic(stride=3),
         HarmonicSqPlusGen2(),
-        ReciprocalShift(Harmonic(stride=2)),
         DigammaDiffSum(0.25, 0.4),
         DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j),
         LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
-        ReciprocalShift(DigammaDiffSum(0.3 + 0.1j, 0.2)),
         DigammaLog(0.25, 0.75, 1.2),
         DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
-        LinearCombo(((0.5j, ReciprocalShift(HarmonicSqPlusGen2())),
+        LinearCombo(((0.5j, HarmonicSqPlusGen2()),
                      (2.0, DigammaDiffSum(0.25, 0.4)), (-1.0, Unit()))),
     ])
     @pytest.mark.parametrize("n0", [0, 1, 7])
@@ -198,6 +225,20 @@ class TestEvalWeighted:
         assert res.method == "direct"
         assert res.tail_bound <= 1e-10 * max(1.0, abs(res.value))
         want = complex(mpmath.hyp2f1(0.5, 0.5, 1, 0.97))
+        assert abs(res.value - want) <= res.tail_bound
+
+    @pytest.mark.parametrize("x", [1.0 - 1e-13, 1.0 - 2e-12])
+    def test_just_inside_the_circle_is_not_at_one(self, x):
+        # 2F1(0.3, 0.4; 0.75; x) falls short of its value 4.7612 at 1 by
+        # the order of (1 - x)^0.05, about 0.85 at 1 - 1e-13; summed as at
+        # x = 1, the first call returned 4.7612 with a bound of 1.9e-11
+        spec = PochhammerRatioSeries((0.3, 0.4), (0.75,), 1, 1.0, 0)
+        try:
+            res = eval_weighted(spec, Unit(), x, tol=1e-10)
+        except NonConvergentError:
+            return
+        mpmath.mp.dps = 30
+        want = complex(mpmath.hyp2f1(0.3, 0.4, 0.75, x))
         assert abs(res.value - want) <= res.tail_bound
 
     def test_no_rule_keyword(self):
@@ -501,14 +542,14 @@ class TestAnchoredTail:
         assert const[:3] == pytest.approx(
             (0.57721566490153286 + math.log(2.0), 0.75, -13.0 / 48.0),
             abs=2e-15)
-        for weight in (ReciprocalShift(Unit()), LinearCombo(((1.0, Unit()),)),
-                       DigammaLog(0.2, 0.3, 1.0), DigammaDiffSum(0.2, 0.3)):
+        for weight in (LinearCombo(((1.0, Unit()),)), DigammaLog(0.2, 0.3, 1.0),
+                       DigammaDiffSum(0.2, 0.3)):
             assert weight.expansion(3, 64) is None
         # weights without an expansion, and r*x other than 1 and -1, keep
         # the ladder
         spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
         for weight, x in ((LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
-                          (ReciprocalShift(Unit()), 1.0),
+                          (LinearCombo(((1.0, Unit()),)), 1.0),
                           (LinearCombo(((1.0, Unit()),)), -1.0),
                           (Unit(), cmath.exp(2j)), (Harmonic(), 1j)):
             res = eval_weighted(spec, weight, x, tol=1e-8)
@@ -756,20 +797,65 @@ class TestAnchoredAlternating:
             eval_weighted(spec, Unit(), -1.0, max_terms=127)
 
 
-def _reciprocal_gauss_mp(a, b, c):
-    """sum (a)_n (b)_n / ((c)_n (n+1)!) at 30 digits, which is
-    (c-1)/((a-1)(b-1)) (2F1(a-1, b-1; c-1; 1) - 1)."""
+class TestReciprocalPair:
+    """A weight w_n/(n+1) written as w_n and the spec pair (1; 2), since
+    (1)_n / (2)_n = 1/(n+1): THM-C's shape, sum_{n>=1} (2a)_n (2b)_n /
+    ((a+b+1/2)_n (n+1)!) w_n (+-1)^n, takes the anchored rule of w_n."""
+
+    def test_bound_covers_a_seeded_grid(self):
+        # complex a and b with Re(a+b) from -1 to 0.7, the unit and H_n
+        # weights at r*x = 1 and -1, tol from 1e-13 to 1e-6: no bound
+        # misses, and every tolerance down to 1e-10 certifies
+        rng = random.Random(0)
+        certified = 0
+        for i in range(48):
+            re_ab = rng.uniform(-1.0, 0.7)
+            re_a = rng.uniform(-0.6, 0.9)
+            a = complex(round(re_a, 3),
+                        round(rng.choice((0.0, rng.uniform(-0.4, 0.4))), 3))
+            b = complex(round(re_ab - re_a, 3),
+                        round(rng.choice((0.0, rng.uniform(-0.4, 0.4))), 3))
+            tol = rng.choice((1e-13, 1e-12, 1e-10, 1e-8, 1e-6))
+            harmonic_weight, minus = divmod(i % 4, 2)
+            z, c = (-1.0 if minus else 1.0), a + b + 0.5
+            weight = Harmonic() if harmonic_weight else Unit()
+            spec = PochhammerRatioSeries((2 * a, 2 * b, 1), (c, 2), 1, z, 1)
+            case = (a, b, z, weight, tol)
+            try:
+                res = eval_weighted(spec, weight, 1.0, tol=tol)
+            except NonConvergentError:
+                assert tol < 1e-10, case
+                continue
+            if minus:
+                want = alternating_mp(
+                    (2 * a, 2 * b, 1), (c, 2), 1, 1,
+                    mpmath.harmonic if harmonic_weight else None)
+            elif harmonic_weight:
+                want = complex(mpmath.mpc(*RECIPROCAL_HARMONIC_SUMS[a, b]))
+            else:
+                want = _reciprocal_gauss_mp(2 * a, 2 * b, c, start=1)
+            assert res.method == "anchored", case
+            assert abs(res.value - want) <= res.tail_bound, case
+            assert res.tail_bound <= tol * max(1.0, abs(res.value)), case
+            certified += 1
+        assert certified >= 44
+
+
+def _reciprocal_gauss_mp(a, b, c, start=0):
+    """sum_{n>=start} (a)_n (b)_n / ((c)_n (n+1)!) at 30 digits, start 0
+    or 1, which is (c-1)/((a-1)(b-1)) (2F1(a-1, b-1; c-1; 1) - 1) - start."""
     mpmath.mp.dps = 30
+    a, b, c = mp_number(a), mp_number(b), mp_number(c)
     return complex((c - 1) / ((a - 1) * (b - 1))
-                   * (mpmath.hyp2f1(a - 1, b - 1, c - 1, 1) - 1))
+                   * (mpmath.hyp2f1(a - 1, b - 1, c - 1, 1) - 1) - start)
 
 
 class TestUnitLadder:
     """The ladder rule, which sums every balanced unit-circle series but
     the anchored ones: a ladder of partial sums cut at the first top
     (2^12, 2^13 or 2^14) where the fitted limit of the known-exponent
-    tail model certifies. The weight 1/(n+1) has no expansion hook yet,
-    so it stands in for the unit weight at r*x = 1."""
+    tail model certifies. A one-part LinearCombo has no expansion, so it
+    stands in for its part at r*x = 1 and -1."""
 
     @pytest.mark.parametrize("tol, top", [(1e-10, 8192), (1e-11, 16384)])
     def test_later_tops_against_mpmath(self, tol, top):
@@ -777,8 +863,8 @@ class TestUnitLadder:
         # than 2^12 of them at these tolerances; the fit at the later top
         # still bounds its error
         a, b = 0.1 - 0.25j, 0.35 + 0.05j
-        spec = PochhammerRatioSeries((a, b), (a + b - 0.5,), 1, 1.0, 0)
-        res = eval_weighted(spec, ReciprocalShift(Unit()), 1.0, tol=tol)
+        spec = PochhammerRatioSeries((a, b, 1), (a + b - 0.5, 2), 1, 1.0, 0)
+        res = eval_weighted(spec, LinearCombo(((1.0, Unit()),)), 1.0, tol=tol)
         want = _reciprocal_gauss_mp(a, b, a + b - 0.5)
         assert res.method == "extrapolated" and res.terms_used == top
         assert abs(res.value - want) <= res.tail_bound
@@ -788,8 +874,8 @@ class TestUnitLadder:
         cases = [
             (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0),
              LinearCombo(((1.0, Unit()),)), -1.0),
-            (PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0),
-             ReciprocalShift(Unit()), 1.0),
+            (PochhammerRatioSeries((0.3, 0.2, 1), (2.0, 2), 1, 1.0, 0),
+             LinearCombo(((1.0, Unit()),)), 1.0),
             (PochhammerRatioSeries((0.25, 0.25), (1.0,), 1, 1.0, 1),
              LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
             (PochhammerRatioSeries((0.5, 0.6), (1.25, 1.5), 0, 1.0, 1),
@@ -851,14 +937,15 @@ class TestUnitLadder:
         assert abs(res.value - math.e) <= res.tail_bound
         assert res.tail_bound <= 1e-10 * math.e
 
-    def test_exponent_counts_the_weight_shift(self):
-        # sum ((1/2)_n / n!)^2 H_n / (n+1): the spec's exponent is -1, and
-        # the weight's 1/(n+1) brings it to -2
+    def test_exponent_counts_the_reciprocal_pair(self):
+        # sum ((1/2)_n / n!)^2 H_n / (n+1): the exponent of ((1/2)_n / n!)^2
+        # is -1, and the pair (1; 2), (1)_n / (2)_n = 1/(n+1), brings it to -2
         mpmath.mp.dps = 30
         want = mpmath.mpf(RECIP_HARMONIC_SUM)
         assert abs(want - (4 - 16 * mpmath.log(2) / mpmath.pi)) < 1e-28
-        spec = PochhammerRatioSeries((0.5, 0.5), (1.0,), 1, 1.0, 0)
-        res = eval_weighted(spec, ReciprocalShift(Harmonic()), 1.0, tol=1e-10)
+        spec = PochhammerRatioSeries((0.5, 0.5, 1), (1.0, 2), 1, 1.0, 0)
+        res = eval_weighted(spec, LinearCombo(((1.0, Harmonic()),)), 1.0,
+                            tol=1e-10)
         assert abs(res.value - complex(want)) <= res.tail_bound
         assert res.tail_bound <= 1e-10
 
