@@ -12,7 +12,8 @@ accumulation so that a million steps stay within a couple of ulps of
 value(n), asymptotics() gives its growth n^shift (log n)^L, and
 expansion(K, M), where a weight has one, its expansion in powers of 1/n
 and log n with the constant fixed by the computed w_M.
-Terms advance by one multiply-divide recurrence per index.
+Terms advance by one multiply-divide recurrence per index, run on floats
+for a real spec at a real argument, with results identical to complex.
 
 Before summing, the engine refuses terms that grow factorially (more
 numerator than denominator shifts, the n! factors counted as shifts,
@@ -93,7 +94,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
 
 from ._frozen import Frozen
 from .errors import (
@@ -576,16 +576,25 @@ def _reflect(refl, c) -> None:
 # the summation engine
 
 
-def _first_term(spec: PochhammerRatioSeries, rx: complex) -> complex:
-    """u_{n0}: (a)_1 = a, (a)_0 = 1, so both legal starts are cheap."""
+def _start(spec: PochhammerRatioSeries, rx: complex):
+    """(u_{n0}, r*x, numerator shifts, denominator shifts) for the term
+    loops; (a)_1 = a, (a)_0 = 1, so both legal starts are cheap. All real,
+    they come as floats: the loops then run the same recurrence in float
+    arithmetic, whose values are the real parts of the complex ones, until
+    a complex weight value makes the term complex."""
+    nums, dens = spec.numerator_shifts, spec.denominator_shifts
     t = 1.0 + 0j
     if spec.start_index == 1:
         t = rx
-        for a in spec.numerator_shifts:
+        for a in nums:
             t *= a
-        for b in spec.denominator_shifts:
+        for b in dens:
             t /= b
-    return t
+    if not (rx.imag or t.imag or any(v.imag for v in nums + dens)):
+        t, rx = t.real, rx.real
+        nums = tuple(v.real for v in nums)
+        dens = tuple(v.real for v in dens)
+    return t, rx, nums, dens
 
 
 def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
@@ -702,18 +711,14 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                     f"budget {max_terms} is too small")
             return _eval_unit(spec, weight, rx, tol, sigma, logs)
 
-    n0 = spec.start_index
-    step = weight.steps(n0).__next__
-    t = _first_term(spec, rx)
+    n = spec.start_index
+    step = weight.steps(n).__next__
+    t, rx, nums, dens = _start(spec, rx)
 
-    S = 0j
-    comp = 0j
-    n = n0
-    count = 0
-    consec = 0
-    prev_at = -1.0
-    r_hist = deque(maxlen=3)      # last 3 term ratios
-    at_hist = deque(maxlen=3)     # last 3 |term| values
+    S = comp = 0.0
+    count = consec = 0
+    # |t_n| of the three terms before this one, oldest first (-1 if none)
+    back3 = back2 = back1 = -1.0
 
     while True:
         w = step()
@@ -725,37 +730,32 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         count += 1
         at = abs(term)
 
-        if prev_at > 0.0:
-            r_hist.append(at / prev_at)
-        elif prev_at == 0.0:
-            # a nonzero term after an exact zero has no usable ratio; poison
-            # the window so the geometric bound is not trusted through it
-            r_hist.append(0.0 if at == 0.0 else 2.0)
-        prev_at = at
-        at_hist.append(at)
-
         scale = abs(S)
         if at <= tol * scale or at == 0.0:
             consec += 1
         else:
             consec = 0
 
-        if consec >= 3 and count >= 6 and r_hist:
-            r = max(r_hist)
+        if consec >= 3 and count >= 6:
+            ratios = (_ratio(back3, back2), _ratio(back2, back1),
+                      _ratio(back1, at))
+            r = max(ratios)
             if r < _RATIO_HARD_CAP:
-                tail = max(at_hist) * r / (1.0 - r)
+                tail = max(back2, back1, at) * r / (1.0 - r)
                 ok = r <= _RATIO_TRUST
                 if not ok and sigma.real < 0.0 and count >= 10:
                     # ratios of an algebraically decaying tail drift down
                     # toward |r*x|, so a non-increasing recent window makes
                     # the geometric bound safe beyond the usual trust cap
-                    ok = all(r_hist[i + 1] <= r_hist[i] * (1.0 + 1e-9)
-                             for i in range(len(r_hist) - 1))
+                    ok = all(ratios[i + 1] <= ratios[i] * (1.0 + 1e-9)
+                             for i in range(len(ratios) - 1))
                 if ok and tail <= tol * max(1.0, scale):
-                    return SeriesResult(S, count, tail, True, "direct")
+                    return SeriesResult(complex(S), count, tail, True,
+                                        "direct")
 
         if count >= max_terms:
             break
+        back3, back2, back1 = back2, back1, at
 
         # advance u_n -> u_{n+1}
         f = rx
@@ -768,16 +768,26 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             t /= float(n + 1) ** p
         n += 1
 
-    # budget exhausted: accept only if a trustworthy tail bound exists
-    if r_hist:
-        r = max(r_hist)
+    # budget exhausted: accept only if a trustworthy tail bound exists;
+    # the slice keeps the ratios between terms summed (at most four terms)
+    if count > 1:
+        r = max((_ratio(back3, back2), _ratio(back2, back1),
+                 _ratio(back1, at))[1 - count:])
         if 0.0 <= r < _RATIO_HARD_CAP:
-            tail = max(at_hist) * r / (1.0 - r)
+            tail = max(back2, back1, at) * r / (1.0 - r)
             if tail <= tol * max(1.0, abs(S)):
-                return SeriesResult(S, count, tail, True, "direct")
+                return SeriesResult(complex(S), count, tail, True, "direct")
     raise NonConvergentError(
         f"no tolerance-{tol:g} tail bound after {count} terms "
-        f"(|r*x| = {mag:.6g}, exponent {sigma.real:.3g})")
+        f"(|r*x| = {mag:.6g}, 1 - |r*x| = {1.0 - mag:.3g}, "
+        f"exponent {sigma.real:.3g})")
+
+
+def _ratio(prev: float, at: float) -> float:
+    """|t_n| / |t_(n-1)| from the moduli prev and at. A nonzero term after
+    an exact zero has no usable ratio: it gets 2.0, which poisons the
+    window so the geometric bound is not trusted through it."""
+    return at / prev if prev > 0.0 else 0.0 if at == 0.0 else 2.0
 
 
 def _dot(weights, sums) -> complex:
@@ -813,8 +823,9 @@ class _Walk:
 
     def __init__(self, spec: PochhammerRatioSeries, weight: WeightKind,
                  rx: complex):
-        nums = list(spec.numerator_shifts)
-        dens = list(spec.denominator_shifts + (1.0,) * spec.factorial_power)
+        self.t, self.rx, nums, dens = _start(spec, rx)
+        nums = list(nums)
+        dens = list(dens + (1.0,) * spec.factorial_power)
         pairs = []
         while nums and dens:
             a, d = min(itertools.product(nums, dens), key=lambda ad: (
@@ -824,11 +835,9 @@ class _Walk:
             dens.remove(d)
             pairs.append((a - d, d))
         self.pairs = tuple(pairs)
-        self.rx = rx
         self.n0 = self.n = spec.start_index
         self.step = weight.steps(self.n).__next__
-        self.t = _first_term(spec, rx)
-        self.tc = self.S = self.comp = 0j
+        self.tc = self.S = self.comp = 0.0
         self.abs_sum = 0.0
         self.blocks = []
 
@@ -850,7 +859,7 @@ class _Walk:
                 S = hi
                 abs_sum += abs(term)
                 # advance u_n -> u_{n+1} = r * u_n * (1 + g)
-                g = 0j
+                g = 0.0
                 for delta, d in pairs:
                     e = delta / (d + n)
                     g += e + g * e

@@ -217,6 +217,29 @@ class TestVerifySemantics:
         (chk,) = verify("THM-E", points=[{"b": 2.0}]).checks
         assert chk.method == "anchored" and chk.terms_used == 134
 
+    # terms of the lhs sum of each identity at x = 0.99, 0.995 and 0.998
+    # (k = sqrt(x) for the GF pair), THM-B at a = 1/2, 1/3, 1/4, 1/6: the
+    # 21 near-circle sums of the disk-sweep benchmark, 432,683 terms
+    NEAR_CIRCLE_TERMS = {
+        "THM-B": ((1650, 1650, 1649, 1649), (29997,) * 4, (29997,) * 4),
+        "EQ-H3N": ((1851,), (30163,), (30163,)),
+        "GF-K1": ((1869,), (29997,), (29997,)),
+        "GF-K2": ((1857,), (30106,), (30106,)),
+    }
+
+    @pytest.mark.parametrize("ident_id", sorted(NEAR_CIRCLE_TERMS))
+    def test_near_circle_stops_are_pinned(self, ident_id):
+        got = []
+        for x in (0.99, 0.995, 0.998):
+            envs = ([{"a": a, "x": x} for a in (0.5, 1 / 3, 0.25, 1 / 6)]
+                    if ident_id == "THM-B" else
+                    [{"k": math.sqrt(x)}] if ident_id.startswith("GF")
+                    else [{"x": x}])
+            got.append(tuple(
+                catalog._eval_side(REGISTRY[ident_id], env, "lhs")[1][0]
+                .terms_used for env in envs))
+        assert tuple(got) == self.NEAR_CIRCLE_TERMS[ident_id]
+
     def test_anchor_value(self):
         got = eval_lhs("THM-A1", a=0.3 + 0.1j, b=0.2)
         assert abs(got - A1_ANCHOR) < 1e-8

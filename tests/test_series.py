@@ -3,9 +3,11 @@ rules (anchored tail and ladder), convergence guards, and the 2F1
 wrapper."""
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -16,7 +18,7 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            DomainError, Harmonic, HarmonicSqPlusGen2,
                            HyperharmonicError, LinearCombo, NonConvergentError,
                            PochhammerRatioSeries, PoleError, Unit, WeightKind,
-                           eval_weighted, harmonic, hyp2f1, pochhammer)
+                           eval_weighted, harmonic, hyp2f1, pochhammer, verify)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _hurwitz_scaled, _rounding,
                                   _Walk)
@@ -241,6 +243,16 @@ class TestEvalWeighted:
         want = complex(mpmath.hyp2f1(0.3, 0.4, 0.75, x))
         assert abs(res.value - want) <= res.tail_bound
 
+    def test_refusal_inside_the_disk_gives_its_distance_to_the_circle(self):
+        # |r*x| = 1 - 1e-13 prints as 1 at six digits, which read as a
+        # point on the circle; 1 - |r*x| tells the two apart
+        spec = PochhammerRatioSeries((0.3, 0.4), (0.75,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match=(
+                r"^no tolerance-1e-10 tail bound after 200000 terms "
+                r"\(\|r\*x\| = 1, 1 - \|r\*x\| = 1e-13, "
+                r"exponent -1\.05\)$")):
+            eval_weighted(spec, Unit(), 1 - 1e-13, tol=1e-10)
+
     def test_no_rule_keyword(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         with pytest.raises(TypeError):
@@ -312,6 +324,25 @@ class TestEvalWeighted:
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError):
             eval_weighted(spec, Unit(), 0.5, tol=1e-10, max_terms=5)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_budget_below_the_ratio_window(self, budget):
+        # at x = 0 only u_0 = 1 is nonzero: two or more terms give ratios
+        # of 0 and a tail bound of 0, and one term gives no ratio at all
+        spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
+        if budget == 1:
+            with pytest.raises(NonConvergentError, match="after 1 terms"):
+                eval_weighted(spec, Unit(), 0.0, max_terms=budget)
+            return
+        res = eval_weighted(spec, Unit(), 0.0, max_terms=budget)
+        assert (res.value, res.terms_used, res.tail_bound) == (1, budget, 0)
+
+    def test_a_nonzero_term_after_a_zero_gives_no_ratio(self):
+        # w_0 = H_0 = 0, so the second term follows an exact zero: its
+        # ratio poisons the window instead of reading as 0 (a zero tail)
+        spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match="after 2 terms"):
+            eval_weighted(spec, Harmonic(), 1e-20, max_terms=2)
 
     def test_bad_budget(self):
         spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
@@ -1052,3 +1083,115 @@ class TestDerivativeSeries:
     def test_near_the_circle(self):
         for homogeneous in (False, True):
             self._check(1.0 / 3.0, 0.9, homogeneous, (0, 1, 2))
+
+
+# sha256 over the outcomes of _real_draws() (see _draw_outcome), frozen
+# from the kernels as they were before real specs ran on floats, when
+# every term was complex; error texts are hashed without the
+# "1 - |r*x| = ..." part that the direct rule's refusal has gained since
+REAL_DRAWS_DIGEST = \
+    "6f069ca72513f36577bc7fc6d5719c54ed7622124251afc36ea929fd6e12c90f"
+_GAP_CLAUSE = re.compile(r", 1 - \|r\*x\| = [^,]*")
+
+
+def _real_draws(count=300, seed=20181):
+    """(spec, weight, x, tol, max_terms) with a real spec and real x: every
+    weight kind (complex LinearCombo coefficients and a complex
+    DigammaDiffSum among them), p = 0, 1, 2, start index 0 and 1,
+    terminating shifts, x of both signs up to 0.97-0.999 and +-1, and
+    budgets from 5 to 2,000 terms (100 or more at +-1); then six draws at
+    +-1 with weights that have no expansion, five of them balanced sums
+    for the ladder, at its 16,384-term budget."""
+    rng = random.Random(seed)
+
+    def uni(lo, hi):
+        return round(rng.uniform(lo, hi), 3)
+
+    weights = (
+        lambda: Unit(),
+        lambda: Harmonic(rng.randint(1, 3), rng.randint(0, 2)),
+        lambda: HarmonicSqPlusGen2(),
+        lambda: DigammaDiffSum(uni(0.1, 2.0), uni(0.2, 2.0)),
+        lambda: DigammaDiffSum(complex(uni(0.1, 2.0), uni(-0.5, 0.5)),
+                               uni(0.2, 2.0)),
+        lambda: DigammaLog(uni(0.2, 2.5), uni(0.2, 2.5), uni(-1.0, 1.0)),
+        lambda: LinearCombo(((uni(-2.0, 2.0), Harmonic()),
+                             (uni(-2.0, 2.0), Unit()))),
+        lambda: LinearCombo(((complex(uni(-2.0, 2.0), uni(-1.0, 1.0)),
+                              Harmonic(2)), (1.0, Unit()))),
+    )
+    for _ in range(count):
+        p = rng.choice((0, 1, 2))
+        dens = [uni(0.2, 3.0) for _ in range(rng.choice((0, 1, 2)))]
+        # as many numerator as denominator shifts (n! counted), or one fewer
+        nums = [uni(-1.5, 2.5)
+                for _ in range(max(0, len(dens) + p - rng.choice((0, 0, 1))))]
+        if nums and rng.random() < 0.15:
+            nums[0] = -float(rng.randint(0, 6))     # terminating
+        start = rng.choice((0, 1))
+        weight = rng.choice(weights)()
+        budget = round(5 * 400 ** rng.random())
+        u = rng.random()
+        if u < 0.2:
+            rx = rng.choice((1.0, -1.0))
+            budget = round(100 * 20 ** rng.random())
+            if nums and rng.random() < 0.8:
+                # Re sigma in (-2.5, -1.1): a sum the unit-circle rules take
+                sigma = sum(nums) - sum(dens) - p
+                nums[-1] = round(nums[-1] + uni(-2.5, -1.1) - sigma, 3)
+        elif u < 0.5:
+            rx = rng.choice((1.0, -1.0)) * uni(0.97, 0.999)
+        else:
+            rx = uni(-0.95, 0.95)
+        ratio = rng.choice((1.0, 1.0, -1.0, 0.5))
+        yield (PochhammerRatioSeries(nums, dens, p, ratio, start), weight,
+               rx / ratio, rng.choice((None, 1e-6, 1e-9, 1e-12)), budget)
+    for rx, a, b, c in ((1.0, 0.5, 0.5, 2.5), (-1.0, 0.5, 0.5, 1.5),
+                        (1.0, -3.0, 0.5, 1.5), (-1.0, 0.25, 0.75, 2.0),
+                        (1.0, 0.3, 0.6, 2.2), (-1.0, 0.7, 0.2, 1.4)):
+        yield (PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0),
+               rng.choice(weights[3:])(), rx, 1e-6, 2 ** 14)
+
+
+def _draw_outcome(spec, weight, x, tol, max_terms) -> str:
+    try:
+        res = eval_weighted(spec, weight, x, tol=tol, max_terms=max_terms)
+    except HyperharmonicError as exc:
+        return f"{type(exc).__name__}: {_GAP_CLAUSE.sub('', str(exc))}"
+    return repr((res.value, res.terms_used, res.tail_bound, res.method))
+
+
+class TestRealSpecsOnFloats:
+    """Real specs and arguments run the term loops on floats: the values,
+    stops, bounds and errors must be those of the complex loops, bit for
+    bit, and every rule must still return a complex value."""
+
+    def test_real_draws_match_the_complex_kernels(self):
+        digest = hashlib.sha256()
+        for draw in _real_draws():
+            digest.update(_draw_outcome(*draw).encode())
+        assert digest.hexdigest() == REAL_DRAWS_DIGEST
+
+    @pytest.mark.parametrize("spec, weight, x, method", [
+        (PochhammerRatioSeries((0.5, 0.5), (1.0,), 1, 1.0, 0), Unit(), 0.5,
+         "direct"),
+        (PochhammerRatioSeries((-3.0, 0.5), (1.5,), 1, 1.0, 0), Unit(), 0.5,
+         "direct"),
+        (PochhammerRatioSeries((0.5, 0.5), (2.5,), 1, 1.0, 0), Harmonic(),
+         1.0, "anchored"),
+        (PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0), Harmonic(),
+         -1.0, "anchored"),
+        (PochhammerRatioSeries((0.5, 0.5), (2.5,), 1, 1.0, 0),
+         LinearCombo(((1.0, Harmonic()),)), 1.0, "extrapolated"),
+    ])
+    def test_every_rule_returns_a_complex_value(self, spec, weight, x,
+                                                method):
+        res = eval_weighted(spec, weight, x, tol=1e-8)
+        assert res.method == method
+        assert type(res.value) is complex
+
+    def test_hyp2f1_and_verify_give_complex_values(self):
+        assert type(hyp2f1(0.5, 0.5, 1.0, 0.5)) is complex
+        report = verify("THM-B", points=[{"a": 0.5, "x": 0.5}])
+        chk = report.checks[0]
+        assert type(chk.lhs) is complex and type(chk.rhs) is complex
