@@ -9,9 +9,14 @@ The spec, the SeriesResult and the weights are Frozen value classes.
 Each weight family is one WeightKind subclass: value(n) evaluates w_n
 from scratch, steps(n0) walks w_n0, w_n0+1, ... with compensated
 accumulation so that a million steps stay within a couple of ulps of
-value(n), asymptotics() gives its growth n^shift (log n)^L, and
+value(n), asymptotics() gives its growth n^shift (log n)^L,
 expansion(K, M), where a weight has one, its expansion in powers of 1/n
-and log n with the constant fixed by the computed w_M.
+and log n with the constant fixed by the computed w_M, and pairs(), for
+a first-order weight (a derivative of Pochhammer symbols (a_i + eps)_n
+in eps), its step as pairs (c_i, a_i) adding sum_i c_i / (a_i + n). One
+compensated walk steps DigammaDiffSum, DigammaLog and LinearCombo
+through their pairs; LinearCombo merges its parts' pairs, so the weight
+2 H_2n - H_n costs one division per step.
 Terms advance by one multiply-divide recurrence per index, run on floats
 for a real spec at a real argument, with results identical to complex.
 
@@ -124,6 +129,7 @@ DEFAULT_TOL_INSIDE = 1e-10   # default tol inside the unit circle
 DEFAULT_TOL_UNIT = 1e-6      # default tol on the unit circle
 _RATIO_TRUST = 0.99          # empirical ratio below this is always trusted
 _RATIO_HARD_CAP = 0.99995    # never trust a geometric bound beyond this
+_FINITE_EVERY = 256          # direct rule: terms between finiteness checks
 
 # unit circle: partial sums at N = round(2^(j/4)), j = 24, ..., 56 (64 to
 # 16384); the sum stops at the first top whose fit on the _MARKS marks
@@ -242,13 +248,18 @@ class WeightKind:
     fields are their __slots__; other subclasses need not be.
 
     value(n) recomputes w_n from scratch, the reference that tests compare
-    the walk against. steps(n0) yields w_n0, w_n0+1, ... incrementally;
-    running sums carry Kahan compensation so a 10^6-term walk stays
-    within ~2 ulp of the fsum reference. asymptotics() gives (shift, L)
-    with w_n ~ n^shift * (log n)^L at large n, the weight's part of the
-    exponent sigma and the log power of the unit-circle tail model.
+    the walk against. steps(n0) yields w_n0, w_n0+1, ... incrementally,
+    by default through pairs(); running sums carry Kahan compensation so
+    a 10^6-term walk stays within ~2 ulp of the fsum reference.
+    asymptotics() gives (shift, L) with w_n ~ n^shift * (log n)^L at
+    large n, the weight's part of the exponent sigma and the log power
+    of the unit-circle tail model.
     expansion(K, M) refines that shape to an expansion in 1/n, where the
     weight gives one; the anchored rule at r*x = 1 and -1 needs it.
+    pairs() states a first-order weight's step as pairs (c_i, a_i), the
+    step from w_n to w_n+1 adding sum_i c_i / (a_i + n): the derivative
+    in eps of (a_i + eps)_n at eps = 0 is (a_i)_n sum_{k<n} 1/(a_i + k).
+    _pair_steps walks any list of pairs; LinearCombo merges its parts'.
     """
     __slots__ = ()
 
@@ -256,7 +267,10 @@ class WeightKind:
         raise NotImplementedError
 
     def steps(self, n0: int):
-        raise NotImplementedError
+        pairs = self.pairs()
+        if pairs is None:
+            raise NotImplementedError
+        return _pair_steps(self.value(n0), pairs, n0)
 
     def asymptotics(self) -> tuple[int, int]:
         return 0, 0
@@ -270,6 +284,11 @@ class WeightKind:
         other weight keeps None."""
         return None
 
+    def pairs(self):
+        """The pairs (c_i, a_i) with w_n+1 - w_n = sum_i c_i / (a_i + n),
+        or None for a weight whose step is not such a sum."""
+        return None
+
 
 class Unit(Frozen, WeightKind):
     """w_n = 1."""
@@ -280,7 +299,11 @@ class Unit(Frozen, WeightKind):
         return 1.0
 
     def steps(self, n0):
+        # what the pair walk returns, without its set-up on every unit sum
         return itertools.repeat(1.0)
+
+    def pairs(self):
+        return ()
 
     def expansion(self, order, anchor):
         return ((1.0,) + (0.0,) * order,)
@@ -319,6 +342,12 @@ class Harmonic(Frozen, WeightKind):
                 t = h + y
                 c = (t - h) - y
                 h = t
+
+    def pairs(self):
+        # 1/(sn + o + r) = (1/s) / (n + (o + r)/s); steps keeps its own
+        # loop, one Kahan step per 1/idx, since 1/3 is not a binary fraction
+        s, o = self.stride, self.offset
+        return tuple((1.0 / s, (o + r) / s) for r in range(1, s + 1))
 
     def asymptotics(self):
         return 0, 1
@@ -406,16 +435,8 @@ class DigammaDiffSum(Frozen, WeightKind):
             acc += 2.0 / (b2 + k) - 1.0 / (ab + k)
         return acc
 
-    def steps(self, n0):
-        b2, ab = 2.0 * self.b, self.a + self.b + 0.5
-        acc, c, k = self.value(n0), 0j, n0
-        while True:
-            yield acc
-            y = (2.0 / (b2 + k) - 1.0 / (ab + k)) - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
-            k += 1
+    def pairs(self):
+        return (2.0, 2.0 * self.b), (-1.0, self.a + self.b + 0.5)
 
     def asymptotics(self):
         return 0, 1
@@ -441,23 +462,23 @@ class DigammaLog(Frozen, WeightKind):
         return (self.w0 + 2.0 * (digamma(n + 1.0) - digamma(1.0))
                 - (digamma(a + n) - digamma(a)) - (digamma(b + n) - digamma(b)))
 
-    def steps(self, n0):
-        a, b = self.a, self.b
-        acc, c, n = self.value(n0), 0j, n0
-        while True:
-            yield acc
-            y = (2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)) - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
-            n += 1
+    def pairs(self):
+        return (2.0, 1.0), (-1.0, self.a), (-1.0, self.b)
 
     def asymptotics(self):
         return 0, 1
 
 
 class LinearCombo(Frozen, WeightKind):
-    """w_n = sum_i coeff_i * inner_i(n)."""
+    """w_n = sum_i coeff_i * inner_i(n).
+
+    Where every part has pairs, the combination has their pairs scaled by
+    the coefficients, equal shifts merged and exact zeros dropped
+    (2 H_2n - H_n is the one pair (1, 1/2)), and steps walks them with
+    _pair_steps, one division per pair and index. A part without pairs
+    (HarmonicSqPlusGen2, a kind defined elsewhere) makes steps zip the
+    parts' own walks instead.
+    """
 
     __slots__ = ("parts",)  # of (coeff, WeightKind)
 
@@ -473,13 +494,55 @@ class LinearCombo(Frozen, WeightKind):
         return sum(c * kind.value(n) for c, kind in self.parts)
 
     def steps(self, n0):
+        pairs = self.pairs()
+        if pairs is not None:
+            return _pair_steps(self.value(n0), pairs, n0)
         coeffs = tuple(c for c, _ in self.parts)
-        for ws in zip(*(kind.steps(n0) for _, kind in self.parts)):
-            yield sum(map(operator.mul, coeffs, ws))
+        walks = zip(*(kind.steps(n0) for _, kind in self.parts))
+        return (sum(map(operator.mul, coeffs, ws)) for ws in walks)
+
+    def pairs(self):
+        merged = {}
+        for coeff, kind in self.parts:
+            inner = kind.pairs()
+            if inner is None:
+                return None
+            for c, a in inner:
+                merged[a] = merged.get(a, 0.0) + coeff * c
+        return tuple((c, a) for a, c in merged.items() if c != 0.0)
 
     def asymptotics(self):
         shapes = [kind.asymptotics() for _, kind in self.parts]
         return max(sh for sh, _ in shapes), max(lg for _, lg in shapes)
+
+
+def _pair_steps(w, pairs, n):
+    """w_n, w_n+1, ... from w = w_n, each step adding q = sum_i c_i /
+    (a_i + n), formed in pair order, by one Kahan step. With w and every
+    pair real the walk runs on floats, whose values are the real parts of
+    the complex ones."""
+    if not (w.imag or any(c.imag or a.imag for c, a in pairs)):
+        w = w.real
+        pairs = tuple((c.real, a.real) for c, a in pairs)
+    if not pairs:
+        return itertools.repeat(w)
+    return _walk_pairs(w, pairs, n)
+
+
+def _walk_pairs(acc, pairs, n):
+    """The walk of _pair_steps, for one pair or more."""
+    (c0, a0), *rest = pairs
+    comp = 0.0
+    while True:
+        yield acc
+        q = c0 / (a0 + n)
+        for c, a in rest:
+            q += c / (a + n)
+        y = q - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        n += 1
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +673,9 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
 
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
-    built from recent term ratios also meets the tolerance.
+    built from recent term ratios also meets the tolerance. Every
+    _FINITE_EVERY = 256 terms, and at the budget, the partial sum must
+    be finite; terms that overflow raise DomainError there.
 
     On the unit circle (|r*x| = 1) a sum with a numerator shift at a
     non-positive integer terminates, and a sum with more denominator than
@@ -717,6 +782,10 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
 
     S = comp = 0.0
     count = consec = 0
+    # the budget test also fires every _FINITE_EVERY terms, where the
+    # partial sum must still be finite; checked terms were finite
+    checked = 0
+    check = min(max_terms, _FINITE_EVERY)
     # |t_n| of the three terms before this one, oldest first (-1 if none)
     back3 = back2 = back1 = -1.0
 
@@ -753,8 +822,16 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                     return SeriesResult(complex(S), count, tail, True,
                                         "direct")
 
-        if count >= max_terms:
-            break
+        if count >= check:
+            if not cmath.isfinite(S):
+                raise DomainError(
+                    f"the terms overflowed: the partial sum stopped being "
+                    f"finite between indices {n - count + checked + 1} "
+                    f"and {n}")
+            if count >= max_terms:
+                break
+            checked = count
+            check = min(max_terms, count + _FINITE_EVERY)
         back3, back2, back1 = back2, back1, at
 
         # advance u_n -> u_{n+1}

@@ -688,3 +688,38 @@ class TestUnitArgumentExtrapolation:
                     assert res.terms_used == 128
                     checked += 1
         assert checked == 61
+
+    def test_linear_combo_sums_against_mpmath(self, monkeypatch):
+        # SUM-GAUSSD's six ladder sums and SUM-MIX's direct sum walk their
+        # LinearCombo weights' merged pairs; each lies within its bound of
+        # its value at 30 digits: minus SUM-GAUSSD's closed form (a Gamma
+        # ratio times digammas) and SUM-MIX's
+        sums = []
+
+        def spy(spec, weight, x, **kwargs):
+            res = eval_weighted(spec, weight, x, **kwargs)
+            sums.append(res)
+            return res
+
+        monkeypatch.setattr(expr, "eval_weighted", spy)
+        mpmath.mp.dps = 30
+        g, psi, half = mpmath.gamma, mpmath.digamma, mpmath.mpf(0.5)
+        points = REGISTRY["SUM-GAUSSD"].sample_points
+        assert len(points) == 6
+        for point in points:
+            sums.clear()
+            assert verify("SUM-GAUSSD", points=[point]).passed
+            (res,) = sums
+            a, b = mpmath.mpc(point["a"]), mpmath.mpc(point["b"])
+            want = -(g(half) * g(half - a - b) / (g(half - a) * g(half - b))
+                     * (psi(half) + psi(half - a - b) - psi(half - a)
+                        - psi(half - b)))
+            assert res.method == "extrapolated" and res.terms_used == 4096
+            assert abs(res.value - complex(want)) <= res.tail_bound, point
+        sums.clear()
+        assert verify("SUM-MIX").passed
+        (res,) = sums
+        want = (g(mpmath.mpf(0.25)) ** 2 / (4 * mpmath.sqrt(mpmath.pi))
+                * (6 * mpmath.log(2) / mpmath.pi - 1))
+        assert res.method == "direct"
+        assert abs(res.value - complex(want)) <= res.tail_bound

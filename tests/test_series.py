@@ -20,10 +20,11 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            PochhammerRatioSeries, PoleError, Unit, WeightKind,
                            eval_weighted, harmonic, hyp2f1, pochhammer, verify)
 from hyperharmonic.catalog import _derivative_sums
-from hyperharmonic.series import (_EULER_AT_ZERO, _hurwitz_scaled, _rounding,
-                                  _Walk)
+from hyperharmonic.series import (_EULER_AT_ZERO, _hurwitz_scaled,
+                                  _pair_steps, _rounding, _Walk)
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 
+_EPS = 2.0 ** -52
 # frozen at 40 digits
 EX1_VALUE = 0.2177751606844838071823350370302293726395
 F21_R = 1.1779196550701314091744402021002208716499
@@ -186,6 +187,100 @@ class TestWeights:
             assert next(steps) == pytest.approx(harmonic(2 * n - 1), abs=1e-13)
 
 
+def _weight_mp(kind, n):
+    """w_n at 30 digits from the definition of a first-order kind: harmonic
+    numbers, and the digamma differences that DigammaDiffSum's and
+    DigammaLog's sums telescope to."""
+    mpmath.mp.dps = 30
+    psi = mpmath.digamma
+    if isinstance(kind, Unit):
+        return mpmath.mpf(1)
+    if isinstance(kind, Harmonic):
+        return mpmath.harmonic(kind.stride * n + kind.offset)
+    if isinstance(kind, LinearCombo):
+        return sum(mp_number(c) * _weight_mp(part, n) for c, part in kind.parts)
+    a, b = mp_number(kind.a), mp_number(kind.b)
+    if isinstance(kind, DigammaDiffSum):
+        ab = a + b + mpmath.mpf(0.5)
+        return 2 * (psi(2 * b + n) - psi(2 * b)) - (psi(ab + n) - psi(ab))
+    return (mp_number(kind.w0) + 2 * (psi(n + 1) - psi(1))
+            - (psi(a + n) - psi(a)) - (psi(b + n) - psi(b)))
+
+
+_NESTED = LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic())))
+
+
+class TestPairs:
+    """pairs() states a first-order weight's step as sum_i c_i / (a_i + n),
+    and _pair_steps walks any list of them; LinearCombo merges its
+    parts' pairs and walks them as one."""
+
+    MARKS = (0, 1, 2, 3, 10, 100, 1000, 10 ** 4)
+
+    @pytest.mark.parametrize("weight", [
+        *(Harmonic(s, o) for s in (1, 2, 3) for o in (-1, 0, 1, 2)),
+        DigammaDiffSum(0.25, 0.4),
+        DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j),
+        DigammaLog(0.25, 0.75, 1.2),
+        DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
+        LinearCombo(((0.5j, _NESTED), (2.0, DigammaDiffSum(0.25, 0.4)),
+                     (-1.0, Unit()), (1.5, Harmonic(3, 1)))),
+        LinearCombo(((2.0, _NESTED), (1.0, LinearCombo(
+            ((1.0, DigammaLog(0.25, 0.75, 1.2)), (3.0, Harmonic(2, 1))))))),
+    ])
+    def test_pair_walk_reproduces_the_weight(self, weight):
+        # to 4 ulps of the 30-digit reference for n <= 10^4; value(n) of
+        # the digamma kinds is an uncompensated loop, off by up to 15 ulps
+        # of the reference there, so it is held to 16
+        n0 = 1 if isinstance(weight, Harmonic) and weight.offset < 0 else 0
+        walk = _pair_steps(weight.value(n0), weight.pairs(), n0)
+        for n, got in zip(range(n0, self.MARKS[-1] + 1), walk):
+            if n not in self.MARKS:
+                continue
+            want = complex(_weight_mp(weight, n))
+            ulp = _EPS * max(1.0, abs(want))
+            assert abs(got - want) <= 4.0 * ulp, (weight, n)
+            assert abs(got - weight.value(n)) <= 16.0 * ulp, (weight, n)
+
+    def test_gauss_weight_is_one_pair_on_floats(self):
+        # 2 H_2n - H_n = sum_{k<n} 1/(k + 1/2) = psi(n + 1/2) - psi(1/2)
+        w = LinearCombo(((2.0, Harmonic(stride=2)), (-1.0, Harmonic())))
+        assert w.pairs() == ((1.0, 0.5),)
+        mpmath.mp.dps = 30
+        half = mpmath.mpf(0.5)
+        for n, got in zip(range(1, 4097), w.steps(1)):
+            assert type(got) is float
+            if n in self.MARKS or n == 4096:
+                want = mpmath.digamma(n + half) - mpmath.digamma(half)
+                assert abs(got - float(want)) <= 2.0 * _EPS * float(want), n
+
+    def test_merging_drops_zeros_and_keeps_unit_constants(self):
+        assert _NESTED.pairs() == ((2.0, 0.5), (-1.0, 1.0))
+        assert Unit().pairs() == () and HarmonicSqPlusGen2().pairs() is None
+        w = LinearCombo(((2.0, Harmonic()), (3.0, Unit()),
+                         (-2.0, Harmonic())))
+        assert w.pairs() == ()
+        assert list(itertools.islice(w.steps(0), 3)) == [3.0] * 3
+        w = LinearCombo(((1.0, Harmonic(stride=3)), (-3.0, Harmonic())))
+        assert [a for _, a in w.pairs()] == [1.0 / 3.0, 2.0 / 3.0, 1.0]
+
+    def test_complex_coefficient_walks_in_complex(self):
+        w = LinearCombo(((0.5j, Harmonic()), (2.0, Unit())))
+        assert w.pairs() == ((0.5j, 1.0),)
+        for n, got in zip(range(30), w.steps(0)):
+            assert type(got) is complex
+            assert abs(got - (2.0 + 0.5j * harmonic(n))) <= 2.0 * _EPS * 4
+
+    def test_part_without_pairs_keeps_the_composed_walk(self):
+        inner = HarmonicSqPlusGen2()
+        w = LinearCombo(((1.0, inner),))
+        assert w.pairs() is None
+        for n, got, part in zip(range(500), w.steps(0), inner.steps(0)):
+            assert got == part
+            want = w.value(n)
+            assert abs(got - want) <= 4.0 * _EPS * max(1.0, abs(want)), n
+
+
 class TestEvalWeighted:
     def test_frozen_half_kernel_value(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (), 2, 0.5, 1)
@@ -343,6 +438,28 @@ class TestEvalWeighted:
         spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
         with pytest.raises(NonConvergentError, match="after 2 terms"):
             eval_weighted(spec, Harmonic(), 1e-20, max_terms=2)
+
+    def test_overflowing_terms_raise_at_a_checkpoint(self):
+        # 2F1(300, 300; 1; 0.9) is about 6e770: the terms overflow a float
+        # by n = 240, and the sum stops at the next finiteness checkpoint
+        # instead of walking its whole budget
+        class Counting(WeightKind):
+            def __init__(self):
+                self.steps_taken = 0
+
+            def value(self, n):
+                return 1.0
+
+            def steps(self, n0):
+                while True:
+                    yield 1.0
+                    self.steps_taken += 1
+
+        w = Counting()
+        spec = PochhammerRatioSeries((300.0, 300.0), (1.0,), 1, 1.0, 0)
+        with pytest.raises(DomainError, match="terms overflowed"):
+            eval_weighted(spec, w, 0.9, tol=1e-12)
+        assert w.steps_taken < 2000
 
     def test_bad_budget(self):
         spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
@@ -1085,12 +1202,18 @@ class TestDerivativeSeries:
             self._check(1.0 / 3.0, 0.9, homogeneous, (0, 1, 2))
 
 
-# sha256 over the outcomes of _real_draws() (see _draw_outcome), frozen
-# from the kernels as they were before real specs ran on floats, when
-# every term was complex; error texts are hashed without the
-# "1 - |r*x| = ..." part that the direct rule's refusal has gained since
+# sha256 over the outcomes of _real_draws() (see _draw_outcome) whose
+# weight is not a LinearCombo, frozen from the kernels as they were before
+# LinearCombo walked its merged pairs (they match the kernels from before
+# real specs ran on floats, when every term was complex); error texts are
+# hashed without the "1 - |r*x| = ..." part that the direct rule's refusal
+# has gained since
 REAL_DRAWS_DIGEST = \
-    "6f069ca72513f36577bc7fc6d5719c54ed7622124251afc36ea929fd6e12c90f"
+    "82935fb0c6af91ca17444f8444213b85b98b417ab4c269d2ef5c7750f99a38f8"
+# the same over the 57 LinearCombo draws, as the parts' zipped walks
+# (_Zipped) give them, frozen from LinearCombo before it merged its pairs
+ZIPPED_DRAWS_DIGEST = \
+    "52f106bba6dd79d00e86b10f96655b21d7917714735d8086b8e24845d27bde2d"
 _GAP_CLAUSE = re.compile(r", 1 - \|r\*x\| = [^,]*")
 
 
@@ -1153,24 +1276,66 @@ def _real_draws(count=300, seed=20181):
                rng.choice(weights[3:])(), rx, 1e-6, 2 ** 14)
 
 
-def _draw_outcome(spec, weight, x, tol, max_terms) -> str:
+def _draw_result(spec, weight, x, tol, max_terms):
+    """The SeriesResult of a draw, or the error it raises."""
     try:
-        res = eval_weighted(spec, weight, x, tol=tol, max_terms=max_terms)
+        return eval_weighted(spec, weight, x, tol=tol, max_terms=max_terms)
     except HyperharmonicError as exc:
-        return f"{type(exc).__name__}: {_GAP_CLAUSE.sub('', str(exc))}"
+        return exc
+
+
+def _draw_outcome(*draw) -> str:
+    res = _draw_result(*draw)
+    if isinstance(res, HyperharmonicError):
+        return f"{type(res).__name__}: {_GAP_CLAUSE.sub('', str(res))}"
     return repr((res.value, res.terms_used, res.tail_bound, res.method))
+
+
+class _Zipped(LinearCombo):
+    """A LinearCombo walked as its parts' zipped walks."""
+
+    __slots__ = ()
+
+    def pairs(self):
+        return None
 
 
 class TestRealSpecsOnFloats:
     """Real specs and arguments run the term loops on floats: the values,
     stops, bounds and errors must be those of the complex loops, bit for
-    bit, and every rule must still return a complex value."""
+    bit, and every rule must still return a complex value. LinearCombo
+    weights walk their merged pairs, whose last bits differ from the
+    zipped walks of their parts."""
 
     def test_real_draws_match_the_complex_kernels(self):
         digest = hashlib.sha256()
         for draw in _real_draws():
-            digest.update(_draw_outcome(*draw).encode())
+            if not isinstance(draw[1], LinearCombo):
+                digest.update(_draw_outcome(*draw).encode())
         assert digest.hexdigest() == REAL_DRAWS_DIGEST
+
+    def test_merged_pairs_keep_the_zipped_stops(self):
+        # same stop, rule and error class as the zipped walk, and a value
+        # within its bound plus 16 eps (the direct rule counts no rounding)
+        digest = hashlib.sha256()
+        count = 0
+        for spec, weight, *rest in _real_draws():
+            if not isinstance(weight, LinearCombo):
+                continue
+            count += 1
+            zipped = (spec, _Zipped(weight.parts), *rest)
+            digest.update(_draw_outcome(*zipped).encode())
+            want = _draw_result(*zipped)
+            got = _draw_result(spec, weight, *rest)
+            assert type(got) is type(want), (spec, weight)
+            if isinstance(want, HyperharmonicError):
+                continue
+            assert (got.terms_used, got.method) == (want.terms_used,
+                                                   want.method)
+            assert abs(got.value - want.value) <= (
+                want.tail_bound + 16 * _EPS * max(1.0, abs(want.value)))
+        assert count == 57
+        assert digest.hexdigest() == ZIPPED_DRAWS_DIGEST
 
     @pytest.mark.parametrize("spec, weight, x, method", [
         (PochhammerRatioSeries((0.5, 0.5), (1.0,), 1, 1.0, 0), Unit(), 0.5,
