@@ -18,8 +18,9 @@ class NonConvergentError(HyperharmonicError, ArithmeticError):
 
 
 class AccelerationBreakdown(HyperharmonicError, ArithmeticError):
-    """The unit-circle tail model cannot be formed on the ladder (it
-    overflows or is singular there)."""
+    """A unit-circle tail model cannot be formed: the ladder's overflows
+    or is singular, or the anchored rule's expansion of the terms
+    overflows (shifts near 1e30)."""
 
 
 class UnknownIdentityError(HyperharmonicError, KeyError):

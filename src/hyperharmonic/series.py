@@ -34,44 +34,41 @@ engine sums directly with a geometric tail bound. On the circle
 (|r*x| = 1) the terms of balanced sums decay only algebraically, like
 n^sigma (log n)^L.
 
-At r*x = 1, with a weight that gives its expansion in powers of 1/n and
-log n (WeightKind.expansion: the unit weight, Harmonic(stride, offset)
-and H_n^2 + H_n^(2)), the anchored rule sums 2N terms, N = 64, and adds
-the tail in closed form. By DLMF 5.11.13, u_n ~ C n^sigma sum_{k<=K}
-d_k n^-k (K = 10, the d_k from Bernoulli polynomials of the shifts); by
-DLMF 5.15.8, H_{sn+o} ~ log n + g + sum_k h_k n^-k with g taken from the
-computed H_{sM+o}, and H_n^(2) ~ c - sum_k B_{k-1} n^-k with c taken
-from the computed H_M^(2), so w_n u_n ~ C n^sigma sum_l log^l n sum_k
-f_lk n^-k with at most two log powers. Summed from index M, n^(sigma-k)
-gives the Hurwitz zeta(k - sigma, M), and n^(sigma-k) log n and
-n^(sigma-k) log^2 n its first and second s-derivatives, all by
-Euler-Maclaurin (Johansson, ACM TOMS 45(3) 2019) as one jet, with C
-anchored at the computed u_M (no Gamma value enters). With S(N, K) the
-sum of the first N terms plus that tail from the next index, the error
+At r*x = 1 and -1, with a weight that gives its expansion in powers of
+1/n and log n (WeightKind.expansion: the unit weight, Harmonic(stride,
+offset) and H_n^2 + H_n^(2)), the anchored rule sums 2N terms, N = 64,
+and adds the tail in closed form. By DLMF 5.11.13, u_n ~ C z^n n^sigma
+sum_{k<=K} d_k n^-k (z = r*x, K = 10, the d_k from Bernoulli
+polynomials of the shifts); by DLMF 5.15.8, H_{sn+o} ~ log n + g +
+sum_k h_k n^-k with g taken from the computed H_{sM+o}, and H_n^(2) ~ c
+- sum_k B_{k-1} n^-k with c taken from the computed H_M^(2), so w_n u_n
+~ C z^n n^sigma sum_l log^l n sum_k f_lk n^-k with at most two log
+powers. With C anchored at the computed u_M (no Gamma value enters),
+the tail from index M is u_M sum_{m>=0} z^m f(m), f(h) the anchored
+expansion of w_(M+h) u_(M+h) / u_M, and one routine sums it from the
+Taylor coefficients c_j, j < J = 14, of f at 0 (binomial series of
+(1 + h/M)^(sigma-k) times powers of log M + log(1 + h/M)): at -1 by
+Boole summation (DLMF 24.17; Johansson, arXiv:1606.06977),
+1/2 sum_j E_j(0) c_j with E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1),
+and at 1 by Euler-Maclaurin (DLMF 2.10; Johansson, ACM TOMS 45(3) 2019),
+the integral of f plus sum_j -B_(j+1) / (j+1) c_j. With S(N, K) the sum
+of the first N terms plus that tail from the next index, the error
 estimate is
 
-    |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding,
+    |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding + last term,
 
 where the rounding part bounds the walk's own error: each of the 2N
 terms and the anchor carry a relative drift of a few eps per step
 through the step factor, each term only the drift of the steps before
 it (to the end of its power-of-four block), plus a few eps of their own,
-and the compensated sum about eps |S|. The rule returns S(2N,K), which
-the first two parts bound by the triangle inequality, and doubles N
-while the estimate misses the tolerance, up to the budget.
-
-At r*x = -1 the same weights take the same rule with a Boole tail
-(DLMF 24.17; Johansson, arXiv:1606.06977): with u_M carrying the sign,
-the tail is u_M sum_{m>=0} (-1)^m f(m), f(h) the anchored expansion of
-w_(M+h) u_(M+h) / u_M, and sum_{m>=0} (-1)^m f(m) = 1/2 sum_{j<J} E_j(0)
-c_j with J = 14, the c_j the Taylor coefficients of f at 0 (binomial
-series of (1 + h/M)^(sigma-k) times powers of log M + log(1 + h/M)) and
-E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1). The estimate adds the size of
-the last Boole term to the three parts. Both tails take the sign as
-exactly (+-1)^m, so r*x must lie within a few ulps of 1 or -1; the same
-few ulps of |r*x| = 1 count as the unit circle. A weight with a factor
-1/(n+1), such as H_n/(n+1), is written as the spec pair (1; 2), since
-(1)_n / (2)_n = 1/(n+1), and takes the rule of its other factor.
+and the compensated sum about eps |S|; the last part is the size of the
+tail's last Taylor term (j = J - 1). The rule returns S(2N,K), which the
+first two parts bound by the triangle inequality, and doubles N while
+the estimate misses the tolerance, up to the budget. The tail takes the
+sign as exactly (+-1)^m, so r*x must lie within a few ulps of 1 or -1;
+the same few ulps of |r*x| = 1 count as the unit circle. A weight with a
+factor 1/(n+1), such as H_n/(n+1), is written as the spec pair (1; 2),
+since (1)_n / (2)_n = 1/(n+1), and takes the rule of its other factor.
 
 Every other balanced sum on the circle (weights without an expansion,
 such as linear combinations, and r*x other than 1 and -1) takes the
@@ -168,15 +165,17 @@ _BERNOULLI = (
 _BINOM_BERNOULLI = tuple(tuple(math.comb(m, j) * _BERNOULLI[j]
                                for j in range(m + 1))
                          for m in range(len(_BERNOULLI)))
-# B_2j / (2j)!, j = 1..10: the Euler-Maclaurin coefficients
-_EULER_MACLAURIN = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j)
-                         for j in range(1, 11))
-# r*x = -1: Boole summation on the Taylor coefficients c_j, j < J, of the
-# terms at the anchor, with the Euler polynomials at 0 (DLMF 24.4(iv))
-# E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1)
-_BOOLE_ORDER = 14            # J
+# r*x = 1 and -1: the tail sums the Taylor coefficients c_j, j < J, of the
+# terms at the anchor with weights W_j M^-j (_moments): Boole's at -1, with
+# the Euler polynomials at 0 (DLMF 24.4(iv)) E_j(0) = -2 (2^(j+1) - 1)
+# B_(j+1) / (j+1), and Euler-Maclaurin's at 1
+_TAYLOR_ORDER = 14           # J
 _EULER_AT_ZERO = tuple(-2.0 * (2 ** (j + 1) - 1) * _BERNOULLI[j + 1] / (j + 1)
-                       for j in range(_BOOLE_ORDER))
+                       for j in range(_TAYLOR_ORDER))
+_TAYLOR_WEIGHTS = {
+    -1: tuple(0.5 * E for E in _EULER_AT_ZERO),
+    1: tuple(-_BERNOULLI[j + 1] / (j + 1) for j in range(_TAYLOR_ORDER)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +665,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     """Sum w_n * u_n(x) for n >= spec.start_index.
 
     The argument picks the rule and the default tol: DEFAULT_TOL_UNIT on
-    the unit circle, DEFAULT_TOL_INSIDE elsewhere. A non-finite r*x raises
+    the unit circle, DEFAULT_TOL_INSIDE elsewhere. A non-finite r*x, a
+    tol that is not finite and positive or a max_terms below 1 raises
     DomainError, and factorially growing terms or a divergent sum on the
     circle raise NonConvergentError, before any term is summed (see the
     module docstring for the pre-checks).
@@ -689,13 +689,14 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     (WeightKind.expansion: the unit weight, Harmonic and
     HarmonicSqPlusGen2, up to log^2 n) takes the anchored rule (method
     "anchored"; see the module docstring): 2N terms, N = 64, plus the
-    anchored tail, by Euler-Maclaurin at 1 and by Boole summation at -1,
-    with the estimate
+    anchored tail, summed by _moments from the Taylor coefficients of
+    the anchored expansion (Euler-Maclaurin at 1, Boole at -1), with the
+    estimate
 
-        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding (+ Boole),
+        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding + last term,
 
     the rounding part from the drift of the walk's terms (_rounding), and
-    at -1 the size of the last Boole term of the tail at N. It
+    the last part the size of the last Taylor term of the tail at N. It
     returns S(2N,K) with terms_used = 2N once the estimate meets
     tol * max(1, |S|), and otherwise doubles N. A budget below 128 terms,
     or an estimate above the tolerance when the next doubling would
@@ -734,6 +735,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         tol = DEFAULT_TOL_UNIT if unit else DEFAULT_TOL_INSIDE
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be positive, got {max_terms!r}")
     if mag > 1.0 + _UNIT_BAND:
@@ -762,14 +765,13 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
                     f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
                     f"(r*x = {rx:.6g}); sum diverges")
             # the anchored rule at r*x = 1 and -1, the ladder elsewhere
-            moments = (_zeta_moments if at_one else _boole_moments
-                       if abs(rx + 1.0) <= _UNIT_BAND else None)
+            z = 1 if at_one else -1 if abs(rx + 1.0) <= _UNIT_BAND else 0
             rows = (weight.expansion(_EXPANSION_ORDER,
                                      spec.start_index + _ANCHOR_N)
-                    if moments else None)
+                    if z else None)
             if rows is not None:
-                return _eval_anchored(spec, weight, rows, rx, tol, sigma,
-                                      max_terms, moments)
+                return _eval_anchored(spec, weight, rows, rx, z, tol, sigma,
+                                      max_terms)
             if max_terms < _TOPS[-1]:
                 raise NonConvergentError(
                     f"unit-argument series sums up to {_TOPS[-1]} terms; "
@@ -1026,93 +1028,6 @@ def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
     return d
 
 
-def _hurwitz_scaled(s: complex, M: int, second: bool = False):
-    """The jet (Z, Y) of M^s * zeta(s, M) in s, for Re s > 1, and with
-    second also X:
-
-        Z = sum_{m >= 0} (1 + m/M)^-s,
-        Y = sum_{m >= 0} (1 + m/M)^-s log(1 + m/M) = -dZ/ds,
-        X = sum_{m >= 0} (1 + m/M)^-s log^2(1 + m/M) = d^2Z/ds^2,
-
-    so that sum_{n >= M} n^-s log n = M^-s (log M * Z + Y) and
-    sum_{n >= M} n^-s log^2 n = M^-s (log^2 M * Z + 2 log M * Y + X).
-
-    The first L terms are summed directly, L just large enough that
-    M + L >= |s| + 20, and the rest by Euler-Maclaurin at M' = M + L:
-    M'/(s - 1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M'^(1-2j), whose terms
-    then shrink by at least (2 pi)^-2 each, carried with its first and
-    second s-derivatives (Leibniz's rule on the step factor of (s)_{2j-1}).
-    Scaling by M^s keeps every part within range for any Re s > 1. The
-    moduli of the terms fall, so the sum from term m on is at most
-    |term m| (1 + (M + m)/(Re s - 1)), and once Re s log(1 + m/M) >= l
-    the terms weighted by log^l fall too, with the same integral bound
-    counting the logs; the direct part stops once every rest is below eps
-    of its sum.
-    """
-    skip = max(0, math.ceil(abs(s)) + 20 - M)
-    head = head_log = head_sq = 0j
-    excess = s.real - 1.0
-    for m in range(skip):
-        lg = math.log1p(m / M)
-        term = cmath.exp(-s * lg)
-        head += term
-        head_log += term * lg
-        rest = (M + m) / excess
-        size = abs(term)
-        if second:
-            head_sq += term * lg * lg
-            if (s.real * lg < 2.0 or size * (lg * lg + rest * (
-                    lg * lg + 2.0 * lg / excess + 2.0 / excess ** 2))
-                    > _EPS * abs(head_sq)):
-                continue
-        if (size * (1.0 + rest) <= _EPS * abs(head) and s.real * lg >= 1.0
-                and size * (lg + rest * (lg + 1.0 / excess))
-                <= _EPS * abs(head_log)):
-            jet = (head, head_log)
-            return jet + (head_sq,) if second else jet
-    top = M + skip
-    z = top / (s - 1.0) + 0.5
-    y = top / (s - 1.0) ** 2    # -dz/ds
-    x = 2.0 * top / (s - 1.0) ** 3    # d^2z/ds^2
-    rise = s / top              # (s)_{2j-1} M'^(1-2j)
-    drise = 1.0 / top           # its s-derivative
-    d2rise = 0j                 # and its second
-    # each part stops where it would alone (z first, then y, then x), so
-    # carrying the derivatives changes no bit of the parts before them
-    z_open = y_open = True
-    for j, coeff in enumerate(_EULER_MACLAURIN, 1):
-        if z_open:
-            inc = coeff * rise
-            z += inc
-            z_open = abs(inc) > _EPS * abs(z)
-        if y_open:
-            inc = coeff * drise
-            y -= inc
-            y_open = z_open or abs(inc) > _EPS * abs(y)
-        if second:
-            inc = coeff * d2rise
-            x += inc
-            if not y_open and abs(inc) <= _EPS * abs(x):
-                break
-        elif not y_open:
-            break
-        sq = top * top
-        step = (s + 2 * j - 1) * (s + 2 * j) / sq
-        dstep = 2.0 * s + 4 * j - 1     # sq * d(step)/ds
-        if second:
-            d2rise = d2rise * step + (2.0 * drise * dstep + 2.0 * rise) / sq
-        drise = drise * step + rise * dstep / sq
-        rise *= step
-    if skip:
-        log_top = math.log(top / M)
-        scale = cmath.exp(-s * log_top)
-        x = scale * (log_top * log_top * z + 2.0 * log_top * y + x)
-        y = scale * (log_top * z + y)
-        z *= scale
-    jet = (head + z, head_log + y)
-    return jet + (head_sq + x,) if second else jet
-
-
 def _drift(pairs, n0: int, ends) -> list:
     """Bounds D(M) on sum_{n0 <= n < M} sum_i |a_i - d_i| / |a_i + n| for
     the walk's pairs (a_i - d_i, d_i), one for each M of the increasing
@@ -1156,49 +1071,14 @@ def _rounding(walk: _Walk, tail: complex) -> float:
                    + _TERM_ULPS * (walk.abs_sum + abs(tail)) + abs(walk.S))
 
 
-def _zeta_moments(exponents, M: int, logs: int) -> list:
-    """The moments of the tail at r*x = 1: for each s of the exponents,
-    ((m_0, ..., m_logs), ()) with m_l = sum_{m >= 0} (1 + m/M)^-s
-    log^l(M + m), from the jet of _hurwitz_scaled (m_1 = log M Z + Y, m_2
-    = log^2 M Z + 2 log M Y + X); no truncation part, since the jet is
-    summed to eps."""
-    log_m = math.log(M)
-    second = logs == 2
-    out = []
-    for s in exponents:
-        jet = _hurwitz_scaled(s, M, second)
-        z = jet[0]
-        if not logs:
-            out.append(((z,), ()))
-        elif second:
-            y = jet[1]
-            out.append(((z, log_m * z + y,
-                         log_m * log_m * z + 2.0 * log_m * y + jet[2]), ()))
-        else:
-            out.append(((z, log_m * z + jet[1]), ()))
-    return out
-
-
-def _boole_moments(exponents, M: int, logs: int) -> list:
-    """The moments of the tail at r*x = -1: for each s of the exponents,
-    ((m_0, ..., m_logs), (t_0, ..., t_logs)) with m_l = sum_{m >= 0}
-    (-1)^m (1 + m/M)^-s log^l(M + m) and t_l the last term of its Boole
-    sum.
-
-    Boole summation (DLMF 24.17.1, the sum running on to infinity) gives
-    sum_{m >= 0} (-1)^m f(m) = 1/2 sum_{j < J} E_j(0) c_j for the Taylor
-    coefficients c_j of f at 0, up to a remainder about the size of the
-    next term. Here f(h) = (1 + h/M)^-s P_l(h/M), with P_l(x) = (log M +
-    log(1 + x))^l as a power series truncated after x^(J-1), so c_j is
-    M^-j times the x^j coefficient of its product with the binomial
-    series of (1 + x)^-s. The weights 1/2 E_j(0) M^-j fold into each P_l
-    once per call, so each s costs the J binomial coefficients and two
-    dot products per moment. The terms shrink like (|s| / (pi M))^j, so
-    for |s| well below pi M the last term (j = J - 1; E_j(0) = 0 for
-    even j >= 2) bounds the truncation.
-    """
-    J = _BOOLE_ORDER
-    e = [0.5 * E * float(M) ** -j for j, E in enumerate(_EULER_AT_ZERO)]
+@functools.lru_cache(maxsize=64)
+def _folded_weights(M: int, logs: int, z: int) -> tuple:
+    """The tables (full, last) of _moments: row l of full holds sum_{j >=
+    i} e_j P_l[j - i] and row l of last e_(J-1) P_l[J - 1 - i], i < J,
+    with e_j = _TAYLOR_WEIGHTS[z][j] M^-j; cached, as the doubling's
+    anchors and every sum at the same M reuse them."""
+    J = _TAYLOR_ORDER
+    e = [w * float(M) ** -j for j, w in enumerate(_TAYLOR_WEIGHTS[z])]
     # log M + log(1 + x) = log M + x - x^2/2 + x^3/3 - ...
     first = [math.log(M)] + [(-1.0) ** (i + 1) / i for i in range(1, J)]
     powers = [[1.0] + [0.0] * (J - 1)]
@@ -1207,21 +1087,58 @@ def _boole_moments(exponents, M: int, logs: int) -> list:
         powers.append([sum(p[i] * first[j - i] for i in range(j + 1))
                        for j in range(J)])
     # sum_j e_j [x^j](B P) = sum_i B_i sum_{j >= i} e_j P_(j-i)
-    full = [[sum(e[j] * p[j - i] for j in range(i, J)) for i in range(J)]
-            for p in powers]
-    last = [[e[J - 1] * p[J - 1 - i] for i in range(J)] for p in powers]
+    full = tuple(tuple(sum(e[j] * p[j - i] for j in range(i, J))
+                       for i in range(J)) for p in powers)
+    last = tuple(tuple(e[J - 1] * p[J - 1 - i] for i in range(J))
+                 for p in powers)
+    return full, last
+
+
+def _moments(exponents, M: int, logs: int, z: int) -> list:
+    """The moments of the tail at r*x = z, z = 1 or -1: for each s of the
+    exponents, ((m_0, ..., m_logs), (t_0, ..., t_logs)) with m_l =
+    sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m) and t_l the last term of
+    the sum that gives it.
+
+    With f(h) = (1 + h/M)^-s P_l(h/M), P_l(x) = (log M + log(1 + x))^l
+    as a power series truncated after x^(J-1), and c_j its Taylor
+    coefficients at 0, M^-j times the x^j coefficient of P_l and the
+    binomial series of (1 + x)^-s, both sums are dots of the c_j, j < J,
+    with weights W_j(z) M^-j (_folded_weights):
+
+        z = -1, Boole (DLMF 24.17.1): W_j = 1/2 E_j(0);
+        z = 1, Euler-Maclaurin (DLMF 2.10.1): W_j = -B_(j+1) / (j+1),
+        plus the integral of f from 0 to infinity,
+        I_l = (M log^l M + l I_(l-1)) / (s - 1), I_0 = M / (s - 1).
+
+    Each s costs the J binomial coefficients and two dot products per
+    moment, on floats for a real s (their values are the real parts of
+    the complex ones). The terms shrink like (|s| / (pi M))^j at -1 and
+    (|s| / (2 pi M))^j at 1, so for |s| well below those the last term
+    (j = J - 1, odd; both weights vanish at even j >= 2) bounds the
+    truncation.
+    """
+    full, last = _folded_weights(M, logs, z)
+    J = _TAYLOR_ORDER
+    log_m = math.log(M)
     out = []
     for s in exponents:
-        b = [1.0 + 0j]              # binom(-s, i), the series of (1 + x)^-s
+        s = s if s.imag else s.real
+        b = [1.0]                   # binom(-s, i), the series of (1 + x)^-s
         for i in range(1, J):
             b.append(b[-1] * (-s - (i - 1)) / i)
-        out.append(([sum(map(operator.mul, b, w)) for w in full],
-                    [sum(map(operator.mul, b, w)) for w in last]))
+        mom = [sum(map(operator.mul, b, w)) for w in full]
+        if z == 1:
+            integral = 0.0
+            for l in range(logs + 1):
+                integral = (M * log_m ** l + l * integral) / (s - 1.0)
+                mom[l] += integral
+        out.append((mom, [sum(map(operator.mul, b, w)) for w in last]))
     return out
 
 
 def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
-                   moments):
+                   z: int):
     """sum_{n >= M} w_n u_n for u_n ~ C z^n n^sigma sum_k d_k n^-k (z = 1 or
     -1) and w_n u_n ~ C z^n n^sigma sum_l log^l n sum_k f_lk n^-k (rows
     f_0 and, for a weight with log powers, f_1 and f_2), with C fixed by
@@ -1229,23 +1146,24 @@ def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
     orders less, and the size of the moments' truncation.
 
     With e_k = d_k M^-k, C z^M M^sigma = anchor / sum_k e_k. With
-    moments the sums m_l(s) = sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m)
-    (_zeta_moments at z = 1, _boole_moments at z = -1) at s = k - sigma,
-    the tail is anchor * sum_k M^-k sum_l f_lk m_l(k - sigma) / sum_k
-    e_k: C and M^sigma drop out, and no Gamma value is needed.
+    the moments m_l(s) = sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m)
+    (_moments) at s = k - sigma, the tail is anchor * sum_k M^-k sum_l
+    f_lk m_l(k - sigma) / sum_k e_k: C and M^sigma drop out, and no Gamma
+    value is needed. The truncation size is the modulus of the same sum
+    over the moments' last terms t_l.
     """
     low = len(d) - 3
     num = den = cut = 0j
     scale = 1.0
     logs = range(1, len(rows))
-    jets = moments([k - sigma for k in range(len(d))], M, len(rows) - 1)
-    for k, (dk, (mom, last)) in enumerate(zip(d, jets)):
+    moments = _moments([k - sigma for k in range(len(d))], M, len(rows) - 1,
+                       z)
+    for k, (dk, (mom, last)) in enumerate(zip(d, moments)):
         part = rows[0][k] * scale * mom[0]
         for l in logs:
             part += rows[l][k] * scale * mom[l]
         num += part
-        if last:
-            cut += scale * sum(row[k] * m for row, m in zip(rows, last))
+        cut += scale * sum(row[k] * m for row, m in zip(rows, last))
         den += dk * scale
         if k == low:
             num_low, den_low = num, den
@@ -1255,13 +1173,13 @@ def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
 
 
 def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
-                   rows, rx: complex, tol: float, sigma: complex,
-                   max_terms: int, moments) -> SeriesResult:
+                   rows, rx: complex, z: int, tol: float, sigma: complex,
+                   max_terms: int) -> SeriesResult:
     """The anchored rule of eval_weighted at r*x = 1 and -1: 2N partial
     terms plus the anchored tail from the next index, whose moments come
-    from moments (_zeta_moments at 1, _boole_moments at -1), with N
-    doubled until the error estimate certifies. rows is the weight's
-    expansion at the first anchor, n0 + N."""
+    from _moments at the sign z, with N doubled until the error estimate
+    certifies. rows is the weight's expansion at the first anchor,
+    n0 + N."""
     d = _term_expansion(spec, _EXPANSION_ORDER)
 
     def tail(walk, rows):
@@ -1271,7 +1189,7 @@ def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
         if not all(cmath.isfinite(v) for row in f for v in row):
             raise AccelerationBreakdown(
                 "asymptotic expansion of the terms overflows")
-        return _anchored_tail(d, f, sigma, walk.n, walk.t, moments)
+        return _anchored_tail(d, f, sigma, walk.n, walk.t, z)
 
     N = _ANCHOR_N
     if max_terms < 2 * N:

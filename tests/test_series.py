@@ -20,8 +20,8 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            PochhammerRatioSeries, PoleError, Unit, WeightKind,
                            eval_weighted, harmonic, hyp2f1, pochhammer, verify)
 from hyperharmonic.catalog import _derivative_sums
-from hyperharmonic.series import (_EULER_AT_ZERO, _hurwitz_scaled,
-                                  _pair_steps, _rounding, _Walk)
+from hyperharmonic.series import (_EULER_AT_ZERO, _moments, _pair_steps,
+                                  _rounding, _Walk)
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 
 _EPS = 2.0 ** -52
@@ -466,6 +466,19 @@ class TestEvalWeighted:
         with pytest.raises(DomainError):
             eval_weighted(spec, Unit(), 0.5, max_terms=0)
 
+    def test_bad_tolerance_raises_before_summing(self):
+        # a negative or nan tol ran the direct rule to its budget (200,000
+        # terms) and the anchored rule to 131,072 terms before raising, and
+        # tol = inf certified after 6 terms; the direct rule, the anchored
+        # rule at 1 and -1 and the ladder now refuse it first
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        for tol in (0.0, -1e-8, math.nan, math.inf):
+            for x in (0.5, 1.0, -1.0, cmath.exp(2j)):
+                with pytest.raises(DomainError, match="tol must be finite"):
+                    eval_weighted(spec, Unit(), x, tol=tol)
+            with pytest.raises(DomainError, match="tol must be finite"):
+                hyp2f1(0.5, 0.5, 1.5, 0.5, tol=tol)
+
     def test_alternating_unit_argument_accelerated(self):
         # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1); the weight
         # inside LinearCombo has no expansion, so it keeps the ladder
@@ -709,29 +722,38 @@ class TestAnchoredHarmonic:
     the log row of the expansion summed with the s-derivative of the
     Hurwitz zeta; mpmath at 30 digits is the oracle."""
 
-    @pytest.mark.parametrize("s, M", [
-        (1.05, 64), (2.5 + 0.3j, 64), (11.2 - 1.0j, 128), (5.25, 1024),
-        (60.3, 64), (120.5 + 2.0j, 64), (420.5, 65)])
-    def test_zeta_jet_against_mpmath(self, s, M):
-        # Z = M^s zeta(s, M), sum_{n>=M} n^-s log n = -zeta'(s, M) =
-        # M^-s (log M Z + Y) and sum_{n>=M} n^-s log^2 n = zeta''(s, M) =
-        # M^-s (log^2 M Z + 2 log M Y + X); 50 digits, because 30 lose
-        # digits to M^s at s = 11.2 - 1i (and mpmath's zeta needs a real s
-        # as an mpf)
-        z, y = _hurwitz_scaled(complex(s), M)
-        z2, y2, x = _hurwitz_scaled(complex(s), M, True)
-        mpmath.mp.dps = 50
+    @pytest.mark.parametrize("s, M, z", [
+        (1.05, 64, 1), (2.5 + 0.3j, 64, 1), (11.2 - 1.0j, 128, 1),
+        (5.25, 1024, 1), (60.3, 64, 1), (120.5 + 2.0j, 64, 1),
+        (420.5, 65, 1),
+        (1.05, 64, -1), (2.5 + 0.3j, 64, -1), (11.2 - 1.0j, 128, -1),
+        (5.25, 1024, -1), (60.3, 64, -1)])
+    def test_moments_against_mpmath(self, s, M, z):
+        # m_l = sum_{m>=0} z^m (1 + m/M)^-s log^l(M + m) is M^s times
+        # (-d/ds)^l of zeta(s, M) at 1 and of 2^-s (zeta(s, M/2) -
+        # zeta(s, (M+1)/2)) at -1; 60 digits, because fewer lose digits to
+        # M^s at s = 11.2 - 1i (and mpmath's zeta needs a real s as an
+        # mpf). Each error lies within the last term's size t_l (at s =
+        # 420.5, M = 65 Euler-Maclaurin's terms no longer shrink, and t_l
+        # says so); at -1 only |s| < pi M / 2, where Boole's terms shrink
+        (mom, last), = _moments([complex(s)], M, 2, z)
+        mpmath.mp.dps = 60
         sm, mm = mp_number(s), mpmath.mpf(M)
-        log_m = mpmath.log(mm)
-        z_want = mpmath.zeta(sm, mm) * mm ** sm
-        y_want = (-mpmath.zeta(sm, mm, derivative=1) * mm ** sm
-                  - log_m * z_want)
-        x_want = (mpmath.zeta(sm, mm, derivative=2) * mm ** sm
-                  - log_m ** 2 * z_want - 2 * log_m * y_want)
-        for got_z, got_y in ((z, y), (z2, y2)):
-            assert abs(got_z - complex(z_want)) <= 4e-16 * abs(complex(z_want))
-            assert abs(got_y - complex(y_want)) <= 4e-15 * abs(complex(y_want))
-        assert abs(x - complex(x_want)) <= 4e-15 * abs(complex(x_want))
+        log2 = mpmath.log(2)
+        for l in range(3):
+            if z == 1:
+                want = (-1) ** l * mpmath.zeta(sm, mm, derivative=l)
+            else:
+                want = sum(
+                    math.comb(l, k) * log2 ** (l - k) * (-1) ** k * 2 ** -sm
+                    * (mpmath.zeta(sm, mm / 2, derivative=k)
+                       - mpmath.zeta(sm, (mm + 1) / 2, derivative=k))
+                    for k in range(l + 1))
+            want = complex(want * mm ** sm)
+            err = abs(mom[l] - want)
+            assert err <= abs(last[l]) + 4 * _EPS * abs(want), (l, err)
+            if abs(s) <= 20:
+                assert err <= 4e-16 * abs(want), (l, err)
 
     @pytest.mark.parametrize("stride, offset, a, b, c, start", [
         (1, -1, 0.3, 0.4, 0.75, 1),                  # Re sigma = -1.05
@@ -1203,13 +1225,13 @@ class TestDerivativeSeries:
 
 
 # sha256 over the outcomes of _real_draws() (see _draw_outcome) whose
-# weight is not a LinearCombo, frozen from the kernels as they were before
-# LinearCombo walked its merged pairs (they match the kernels from before
-# real specs ran on floats, when every term was complex); error texts are
-# hashed without the "1 - |r*x| = ..." part that the direct rule's refusal
-# has gained since
+# weight is not a LinearCombo, frozen when the tail at r*x = 1 became
+# Euler-Maclaurin on Taylor coefficients (its values moved in their last
+# bits); the kernels with _start and _pair_steps forced to complex give the
+# same digest. Error texts are hashed without the "1 - |r*x| = ..." part
+# that the direct rule's refusal has gained since
 REAL_DRAWS_DIGEST = \
-    "82935fb0c6af91ca17444f8444213b85b98b417ab4c269d2ef5c7750f99a38f8"
+    "c9c0c155594c92d55b954b1707e22b698f13b40e9ee52e29c3fd4df97f9e0970"
 # the same over the 57 LinearCombo draws, as the parts' zipped walks
 # (_Zipped) give them, frozen from LinearCombo before it merged its pairs
 ZIPPED_DRAWS_DIGEST = \
