@@ -16,7 +16,9 @@ a first-order weight (a derivative of Pochhammer symbols (a_i + eps)_n
 in eps), its step as pairs (c_i, a_i) adding sum_i c_i / (a_i + n). One
 compensated walk steps DigammaDiffSum, DigammaLog and LinearCombo
 through their pairs; LinearCombo merges its parts' pairs, so the weight
-2 H_2n - H_n costs one division per step.
+2 H_2n - H_n costs one division per step. The unit-circle walk (_Walk)
+takes that step in its own term loop for every weight whose steps() is
+the walk of its pairs (inline_pairs).
 Terms advance by one multiply-divide recurrence per index, run on floats
 for a real spec at a real argument, with results identical to complex.
 
@@ -259,6 +261,8 @@ class WeightKind:
     step from w_n to w_n+1 adding sum_i c_i / (a_i + n): the derivative
     in eps of (a_i + eps)_n at eps = 0 is (a_i)_n sum_{k<n} 1/(a_i + k).
     _pair_steps walks any list of pairs; LinearCombo merges its parts'.
+    inline_pairs() gives the pairs of a weight whose steps() is that walk,
+    which the unit-circle walk then takes in its own term loop.
     """
     __slots__ = ()
 
@@ -288,6 +292,12 @@ class WeightKind:
         or None for a weight whose step is not such a sum."""
         return None
 
+    def inline_pairs(self):
+        """pairs() where steps(n0) is, bit for bit, their walk from
+        value(n0) (_pair_steps), as it is for a kind that keeps the
+        default steps; otherwise None. _Walk steps such a weight in line."""
+        return self.pairs() if type(self).steps is WeightKind.steps else None
+
 
 class Unit(Frozen, WeightKind):
     """w_n = 1."""
@@ -302,6 +312,9 @@ class Unit(Frozen, WeightKind):
         return itertools.repeat(1.0)
 
     def pairs(self):
+        return ()
+
+    def inline_pairs(self):
         return ()
 
     def expansion(self, order, anchor):
@@ -347,6 +360,11 @@ class Harmonic(Frozen, WeightKind):
         # loop, one Kahan step per 1/idx, since 1/3 is not a binary fraction
         s, o = self.stride, self.offset
         return tuple((1.0 / s, (o + r) / s) for r in range(1, s + 1))
+
+    def inline_pairs(self):
+        # with stride 1, 1.0 / idx is 1.0 / (o + 1 + n): steps is the walk
+        # of the one pair (1, o + 1)
+        return self.pairs() if self.stride == 1 else None
 
     def asymptotics(self):
         return 0, 1
@@ -510,19 +528,28 @@ class LinearCombo(Frozen, WeightKind):
                 merged[a] = merged.get(a, 0.0) + coeff * c
         return tuple((c, a) for a, c in merged.items() if c != 0.0)
 
+    def inline_pairs(self):
+        # steps is the walk of pairs() wherever they exist
+        return self.pairs()
+
     def asymptotics(self):
         shapes = [kind.asymptotics() for _, kind in self.parts]
         return max(sh for sh, _ in shapes), max(lg for _, lg in shapes)
 
 
+def _real_pairs(w, pairs):
+    """w and the pairs as floats where all are real, else as given."""
+    if w.imag or any(c.imag or a.imag for c, a in pairs):
+        return w, pairs
+    return w.real, tuple((c.real, a.real) for c, a in pairs)
+
+
 def _pair_steps(w, pairs, n):
     """w_n, w_n+1, ... from w = w_n, each step adding q = sum_i c_i /
     (a_i + n), formed in pair order, by one Kahan step. With w and every
-    pair real the walk runs on floats, whose values are the real parts of
-    the complex ones."""
-    if not (w.imag or any(c.imag or a.imag for c, a in pairs)):
-        w = w.real
-        pairs = tuple((c.real, a.real) for c, a in pairs)
+    pair real the walk runs on floats (_real_pairs), whose values are the
+    real parts of the complex ones."""
+    w, pairs = _real_pairs(w, pairs)
     if not pairs:
         return itertools.repeat(w)
     return _walk_pairs(w, pairs, n)
@@ -666,10 +693,10 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
 
     The argument picks the rule and the default tol: DEFAULT_TOL_UNIT on
     the unit circle, DEFAULT_TOL_INSIDE elsewhere. A non-finite r*x, a
-    tol that is not finite and positive or a max_terms below 1 raises
-    DomainError, and factorially growing terms or a divergent sum on the
-    circle raise NonConvergentError, before any term is summed (see the
-    module docstring for the pre-checks).
+    tol that is not finite and positive or a max_terms that is not a
+    whole number >= 1 raises DomainError, and factorially growing terms
+    or a divergent sum on the circle raise NonConvergentError, before
+    any term is summed (see the module docstring for the pre-checks).
 
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
@@ -700,9 +727,10 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     returns S(2N,K) with terms_used = 2N once the estimate meets
     tol * max(1, |S|), and otherwise doubles N. A budget below 128 terms,
     or an estimate above the tolerance when the next doubling would
-    overrun the budget or its rounding part alone misses the tolerance,
-    raises NonConvergentError; an expansion that overflows (shifts near
-    1e30) raises AccelerationBreakdown.
+    overrun the budget or its rounding part alone misses the tolerance
+    (the error then names that part), raises NonConvergentError; an
+    expansion that overflows (shifts near 1e30) raises
+    AccelerationBreakdown.
 
     Every other balanced sum on the circle (weights without an expansion,
     r*x other than 1 and -1) is extrapolated from a ladder (method
@@ -737,8 +765,11 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         max_terms = DEFAULT_MAX_TERMS
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be positive, got {max_terms!r}")
+    # nan and inf would never meet the budget tests, and 2.5 would stop
+    # after 3 terms
+    if not (1 <= max_terms < math.inf and max_terms == int(max_terms)):
+        raise DomainError(
+            f"max_terms must be a whole number >= 1, got {max_terms!r}")
     if mag > 1.0 + _UNIT_BAND:
         raise NonConvergentError(f"|ratio*x| = {mag:.6g} exceeds 1; series diverges")
     nums = spec.numerator_shifts
@@ -895,10 +926,19 @@ class _Walk:
     closest pair of unused shifts is taken first, ties broken by value,
     so the factors stay near 1 and the walk does not depend on the order
     in which the spec gives its shifts.
+
+    The term loop is fitted to the walk's shape and gives the values of
+    a plain loop over the pairs bit for bit: n runs as a float, g is
+    written out for 2 and 3 pairs (the counts the registry walks), and a
+    weight whose steps() is the walk of its pairs (inline_pairs: Unit,
+    Harmonic with stride 1, DigammaDiffSum, DigammaLog and LinearCombo
+    with pairs) takes that walk's Kahan step in the loop, on floats where
+    _pair_steps would. Other weights (Harmonic with stride 2 or 3,
+    HarmonicSqPlusGen2) keep their generators, one call per term.
     """
 
-    __slots__ = ("pairs", "rx", "step", "n0", "n", "t", "tc", "S", "comp",
-                 "abs_sum", "blocks")
+    __slots__ = ("pairs", "rx", "step", "w", "wpairs", "wc", "n0", "n", "t",
+                 "tc", "S", "comp", "abs_sum", "blocks")
 
     def __init__(self, spec: PochhammerRatioSeries, weight: WeightKind,
                  rx: complex):
@@ -915,8 +955,15 @@ class _Walk:
             pairs.append((a - d, d))
         self.pairs = tuple(pairs)
         self.n0 = self.n = spec.start_index
-        self.step = weight.steps(self.n).__next__
-        self.tc = self.S = self.comp = 0.0
+        # w holds w_n, the weight of the first term not yet added
+        wpairs = weight.inline_pairs()
+        if wpairs is None:
+            self.step = weight.steps(self.n).__next__
+            self.w, self.wpairs = self.step(), ()
+        else:
+            self.step = None
+            self.w, self.wpairs = _real_pairs(weight.value(self.n), wpairs)
+        self.wc = self.tc = self.S = self.comp = 0.0
         self.abs_sum = 0.0
         self.blocks = []
 
@@ -924,34 +971,68 @@ class _Walk:
         pairs, rx, step, n0, n = (self.pairs, self.rx, self.step, self.n0,
                                   self.n)
         t, tc, S, comp = self.t, self.tc, self.S, self.comp
-        abs_sum = self.abs_sum
+        w, wc, abs_sum = self.w, self.wc, self.abs_sum
+        two, three = len(pairs) == 2, len(pairs) == 3
+        if two:
+            (x0, d0), (x1, d1) = pairs
+        elif three:
+            (x0, d0), (x1, d1), (x2, d2) = pairs
+        wpairs = self.wpairs
+        if wpairs:
+            (c0, a0), *wrest = wpairs
         end = n + count
         while n < end:
             block = abs_sum
             # the block ends before the next power of four above n - n0
-            stop = n0 + 4 ** (((n - n0).bit_length() + 1) // 2)
-            for _ in range(min(end, stop) - n):
-                term = t * step()
+            stop = min(end, n0 + 4 ** (((n - n0).bit_length() + 1) // 2))
+            m = float(n)
+            for _ in range(stop - n):
+                term = t * w
                 y = term - comp
                 hi = S + y
                 comp = (hi - S) - y
                 S = hi
                 abs_sum += abs(term)
-                # advance u_n -> u_{n+1} = r * u_n * (1 + g)
-                g = 0.0
-                for delta, d in pairs:
-                    e = delta / (d + n)
+                # advance u_n -> u_{n+1} = r * u_n * (1 + g); written out,
+                # the loop's first step from g = 0.0, 0.0 + (e + 0.0 * e),
+                # is e + 0.0 for every finite e
+                if two:
+                    g = x0 / (d0 + m) + 0.0
+                    e = x1 / (d1 + m)
                     g += e + g * e
+                elif three:
+                    g = x0 / (d0 + m) + 0.0
+                    e = x1 / (d1 + m)
+                    g += e + g * e
+                    e = x2 / (d2 + m)
+                    g += e + g * e
+                else:
+                    g = 0.0
+                    for delta, d in pairs:
+                        e = delta / (d + m)
+                        g += e + g * e
                 inc = t * g + tc
                 hi = t + inc
                 back = hi - t
                 tc = (t - (hi - back)) + (inc - back)
                 t = hi * rx
                 tc *= rx
-                n += 1
+                # w_n -> w_{n+1}
+                if step is not None:
+                    w = step()
+                elif wpairs:
+                    q = c0 / (a0 + m)
+                    for c, a in wrest:
+                        q += c / (a + m)
+                    y = q - wc
+                    hi = w + y
+                    wc = (hi - w) - y
+                    w = hi
+                m += 1.0
+            n = stop
             self.blocks.append((n - 1, abs_sum - block))
         self.n, self.t, self.tc, self.S, self.comp = n, t, tc, S, comp
-        self.abs_sum = abs_sum
+        self.w, self.wc, self.abs_sum = w, wc, abs_sum
 
 
 def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,
@@ -1211,12 +1292,15 @@ def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
         if est <= tol * max(1.0, abs(best)):
             return SeriesResult(best, N, est, True, "anchored")
         # the rounding part alone only grows with N
-        if 2 * N > max_terms or rounding > tol * max(1.0, abs(best)):
+        floor = rounding > tol * max(1.0, abs(best))
+        if 2 * N > max_terms or floor:
             break
         S, tail1, tail1_low, cut1 = S2, tail2, tail2_low, cut2
+    cause = (f"rounding part {rounding:.3g} alone" if floor
+             else f"error estimate {est:.3g}")
     raise NonConvergentError(
-        f"anchored error estimate {est:.3g} exceeds tolerance {tol:g} "
-        f"after {N} terms (r*x = {rx:.6g}, exponent {sigma:.3g})")
+        f"anchored {cause} exceeds tolerance {tol:g} after {N} terms "
+        f"(r*x = {rx:.6g}, exponent {sigma:.3g})")
 
 
 def hyp2f1(a, b, c, x, *, tol: float = 1e-12,

@@ -242,6 +242,34 @@ class TestPairs:
             assert abs(got - want) <= 4.0 * ulp, (weight, n)
             assert abs(got - weight.value(n)) <= 16.0 * ulp, (weight, n)
 
+    @pytest.mark.parametrize("offset, n0", [
+        (o, n0) for o in (-1, 0, 1, 2) for n0 in (0, 1) if o + n0 >= 0])
+    def test_unit_stride_harmonic_steps_are_its_pair_walk(self, offset, n0):
+        # the premise of _Walk stepping Harmonic(1, o) in line: its own
+        # loop and the walk of its one pair (1, o + 1) agree bit for bit
+        w = Harmonic(1, offset)
+        own = w.steps(n0)
+        walk = _pair_steps(w.value(n0), w.pairs(), n0)
+        for _ in range(10 ** 4):
+            a, b = next(own), next(walk)
+            assert a == b and type(a) is type(b) is float
+
+    def test_inline_pairs_only_where_steps_is_their_walk(self):
+        class OwnSteps(DigammaDiffSum):
+            __slots__ = ()
+
+            def steps(self, n0):
+                return itertools.repeat(0.0)
+
+        # the generators of strides 2 and 3 add their reciprocals one by
+        # one, and a subclass's own steps or pairs win
+        for w in (Unit(), Harmonic(1, 2), DigammaLog(0.25, 0.75, 1.2),
+                  _NESTED):
+            assert w.inline_pairs() == w.pairs(), w
+        for w in (Harmonic(2), Harmonic(3, 1), HarmonicSqPlusGen2(),
+                  OwnSteps(0.25, 0.4), _Zipped(_NESTED.parts)):
+            assert w.inline_pairs() is None, w
+
     def test_gauss_weight_is_one_pair_on_floats(self):
         # 2 H_2n - H_n = sum_{k<n} 1/(k + 1/2) = psi(n + 1/2) - psi(1/2)
         w = LinearCombo(((2.0, Harmonic(stride=2)), (-1.0, Harmonic())))
@@ -466,6 +494,18 @@ class TestEvalWeighted:
         with pytest.raises(DomainError):
             eval_weighted(spec, Unit(), 0.5, max_terms=0)
 
+    def test_bad_budget_raises_before_summing(self):
+        # max_terms = nan never met the budget tests (sum x^n at x =
+        # 0.99999 ran without end), and 2.5 stopped after 3 terms; the
+        # direct rule, the anchored rule and the ladder now refuse them
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        for budget in (math.nan, math.inf, 2.5, 0):
+            for x in (0.5, 1.0, cmath.exp(2j)):
+                with pytest.raises(DomainError, match="whole number >= 1"):
+                    eval_weighted(spec, Unit(), x, max_terms=budget)
+            with pytest.raises(DomainError, match="whole number >= 1"):
+                hyp2f1(0.5, 0.5, 1.5, 0.5, max_terms=budget)
+
     def test_bad_tolerance_raises_before_summing(self):
         # a negative or nan tol ran the direct rule to its budget (200,000
         # terms) and the anchored rule to 131,072 terms before raising, and
@@ -642,6 +682,18 @@ class TestAnchoredTail:
         spec = PochhammerRatioSeries((5.0, 4.5), (10.0,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError, match="after 128 terms"):
             eval_weighted(spec, Unit(), 1.0, tol=1e-17)
+
+    def test_rounding_floor_refusal_names_the_rounding_part(self):
+        # the estimate of the last step (0.00188) is not what stops the
+        # doubling: the rounding part alone misses tol = 1e-12
+        spec = PochhammerRatioSeries((200.3, 0.5), (202.4,), 1, -1.0, 0)
+        with pytest.raises(NonConvergentError, match=re.escape(
+                "anchored rounding part 1.09e-12 alone exceeds tolerance "
+                "1e-12 after 512 terms")):
+            eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-12)
+        res = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-10)
+        assert (res.terms_used, res.tail_bound) == (4096,
+                                                    1.5044763875595675e-12)
 
     def test_doubled_sum_certifies_a_tight_tolerance(self):
         # 2F1(5, 4.5; 10; 1) = 512 needs N > 64; a rounding part of
@@ -1298,6 +1350,62 @@ def _real_draws(count=300, seed=20181):
                rng.choice(weights[3:])(), rx, 1e-6, 2 ** 14)
 
 
+def _complex_unit_draws(count=48, seed=20182):
+    """(spec, weight, x, tol, max_terms) on the unit circle with complex
+    terms: balanced sums of complex shifts at r*x = 1 and -1 with every
+    expansion weight (the anchored rule), 1 to 5 shift pairs, p = 0, 1,
+    2, start index 0 and 1, and r = +-1 or +-i; then twelve ladder sums
+    at r*x = e^(i theta) with the unit weight, the generator weights and
+    the pair weights (one to three pairs, complex among them), at the
+    ladder's 16,384-term budget."""
+    rng = random.Random(seed)
+
+    def uni(lo, hi):
+        return round(rng.uniform(lo, hi), 3)
+
+    def cplx(lo, hi):
+        return complex(uni(lo, hi), uni(-0.5, 0.5))
+
+    def spec(p, dens, target, ratio, start):
+        nums = [cplx(-1.5, 2.5) for _ in range(len(dens) + p)]
+        sigma = sum(nums) - sum(dens) - p
+        nums[-1] += complex(round((target - sigma).real, 3),
+                            round((target - sigma).imag, 3))
+        return PochhammerRatioSeries(nums, dens, p, ratio, start)
+
+    expansions = (
+        lambda: Unit(),
+        lambda: Harmonic(rng.randint(1, 3), rng.randint(0, 2)),
+        lambda: HarmonicSqPlusGen2(),
+    )
+    for _ in range(count):
+        p = rng.choice((0, 1, 2))
+        dens = [cplx(0.2, 3.0) for _ in range(rng.choice((1, 2, 3)))]
+        z = rng.choice((1.0, -1.0))
+        ratio = rng.choice((1.0, -1.0, 1j, -1j))
+        # Re sigma in (-2.5, -1.1)
+        yield (spec(p, dens, cplx(-2.5, -1.1), ratio, rng.choice((0, 1))),
+               rng.choice(expansions)(), z / ratio,
+               rng.choice((1e-6, 1e-9, 1e-12)), rng.choice((512, 4096)))
+    ladder = (
+        lambda: Unit(),
+        lambda: Harmonic(1, rng.randint(0, 2)),
+        lambda: Harmonic(2),
+        lambda: HarmonicSqPlusGen2(),
+        lambda: LinearCombo(((2.0, Harmonic(2)), (-1.0, Harmonic()))),
+        lambda: DigammaDiffSum(cplx(0.1, 2.0), uni(0.2, 2.0)),
+        lambda: DigammaLog(cplx(0.2, 2.5), uni(0.2, 2.5), uni(-1.0, 1.0)),
+    )
+    for i in range(12):
+        p = rng.choice((0, 1))
+        dens = [cplx(0.2, 3.0) for _ in range(rng.choice((1, 2)))]
+        theta = uni(0.3, 2.8) * rng.choice((1.0, -1.0))
+        # Re sigma in (-2.5, -0.6)
+        yield (spec(p, dens, cplx(-2.5, -0.6), 1.0, i % 2),
+               ladder[i % len(ladder)](), cmath.exp(1j * theta), 1e-6,
+               2 ** 14)
+
+
 def _draw_result(spec, weight, x, tol, max_terms):
     """The SeriesResult of a draw, or the error it raises."""
     try:
@@ -1382,3 +1490,25 @@ class TestRealSpecsOnFloats:
         report = verify("THM-B", points=[{"a": 0.5, "x": 0.5}])
         chk = report.checks[0]
         assert type(chk.lhs) is complex and type(chk.rhs) is complex
+
+
+# sha256 over the outcomes of _complex_unit_draws(), frozen from the walk
+# that called every weight's generator, before it stepped first-order
+# weights in line and wrote out its step factor for 2 and 3 pairs
+COMPLEX_UNIT_DRAWS_DIGEST = \
+    "c559ea3620c1c0d761f7e935c3f13afc37f7e4b5225e99224e9decfd96be61fe"
+
+
+class TestComplexWalk:
+    """Complex terms on the unit circle: the anchored rule and the ladder
+    give the values, stops, bounds and errors of the frozen digest, bit
+    for bit."""
+
+    def test_complex_unit_draws_keep_their_digest(self):
+        digest = hashlib.sha256()
+        methods = set()
+        for draw in _complex_unit_draws():
+            digest.update(_draw_outcome(*draw).encode())
+            methods.add(getattr(_draw_result(*draw), "method", None))
+        assert methods == {"anchored", "extrapolated"}
+        assert digest.hexdigest() == COMPLEX_UNIT_DRAWS_DIGEST
