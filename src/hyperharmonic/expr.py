@@ -23,7 +23,7 @@ import math
 from ._frozen import Frozen
 from .errors import DomainError, PoleError
 from .series import (DigammaLog, PochhammerRatioSeries, Unit, WeightKind,
-                     eval_weighted)
+                     _lsum, eval_weighted)
 from .specialfn import _pole_index
 from .specialfn import digamma as _digamma
 from .specialfn import elliptic_K as _elliptic_K
@@ -337,9 +337,9 @@ def _hyp2f1_near_one(a, b, c, y):
         sums = [(PochhammerRatioSeries((a, b), (1.0 - s,), 1, 1.0, 0), Unit()),
                 (PochhammerRatioSeries((c - a, c - b), (1.0 + s,), 1, 1.0, 0),
                  Unit())]
-    tol = 1e-12 / max(1.0, sum(map(abs, prefs)))
-    return sum(pref * eval_weighted(spec, weight, y, tol=tol).value
-               for pref, (spec, weight) in zip(prefs, sums) if pref != 0)
+    tol = 1e-12 / max(1.0, _lsum(map(abs, prefs)))
+    return _lsum(pref * eval_weighted(spec, weight, y, tol=tol).value
+                 for pref, (spec, weight) in zip(prefs, sums) if pref != 0)
 
 
 def C(v) -> Const:

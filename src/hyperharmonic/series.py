@@ -16,11 +16,14 @@ a first-order weight (a derivative of Pochhammer symbols (a_i + eps)_n
 in eps), its step as pairs (c_i, a_i) adding sum_i c_i / (a_i + n). One
 compensated walk steps DigammaDiffSum, DigammaLog and LinearCombo
 through their pairs; LinearCombo merges its parts' pairs, so the weight
-2 H_2n - H_n costs one division per step. The unit-circle walk (_Walk)
-takes that step in its own term loop for every weight whose steps() is
-the walk of its pairs (inline_pairs).
+2 H_2n - H_n costs one division per step. Both term loops, the direct
+rule's and the unit-circle walk's (_Walk), take that step in line for
+every weight whose steps() is the walk of its pairs (inline_pairs).
 Terms advance by one multiply-divide recurrence per index, run on floats
-for a real spec at a real argument, with results identical to complex.
+for a real spec at a real argument, with results identical to complex;
+each loop writes its step factor out for the shapes the registry sums.
+Floats are added in a fixed order (_lsum), so every supported
+interpreter gives the same values.
 
 Before summing, the engine refuses terms that grow factorially (more
 numerator than denominator shifts, the n! factors counted as shifts,
@@ -98,8 +101,9 @@ import functools
 import itertools
 import math
 import operator
+import sys
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _set
 from .errors import (
     AccelerationBreakdown,
     DomainError,
@@ -180,6 +184,21 @@ _TAYLOR_WEIGHTS = {
 }
 
 
+# _lsum(items) adds left to right. From Python 3.12 the builtin sum
+# compensates float sums, which would move the last bits of the verifier's
+# values with the interpreter; before 3.12 it adds in order, at about half
+# the cost of reduce
+if sys.version_info < (3, 12):
+    _lsum = sum
+else:
+    def _lsum(items):
+        return functools.reduce(operator.add, items, 0)
+
+
+_real = operator.attrgetter("real")
+_imag = operator.attrgetter("imag")
+
+
 # ---------------------------------------------------------------------------
 # series specification
 
@@ -198,8 +217,8 @@ class PochhammerRatioSeries(Frozen):
 
     def __init__(self, numerator_shifts, denominator_shifts,
                  factorial_power=1, geometric_ratio=1.0, start_index=0):
-        nums = tuple(complex(a) for a in numerator_shifts)
-        dens = tuple(complex(b) for b in denominator_shifts)
+        nums = tuple(map(complex, numerator_shifts))
+        dens = tuple(map(complex, denominator_shifts))
         ratio = complex(geometric_ratio)
         if factorial_power != int(factorial_power) or factorial_power < 0:
             raise DomainError(f"factorial_power must be a non-negative integer, "
@@ -209,15 +228,20 @@ class PochhammerRatioSeries(Frozen):
         for b in dens:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
-        Frozen.__init__(self, nums, dens, int(factorial_power), ratio,
-                        start_index)
+        # every series node builds a spec per evaluation: the fields are
+        # stored directly, without Frozen.__init__'s loop
+        _set(self, "numerator_shifts", nums)
+        _set(self, "denominator_shifts", dens)
+        _set(self, "factorial_power", int(factorial_power))
+        _set(self, "geometric_ratio", ratio)
+        _set(self, "start_index", start_index)
 
     def effective_exponent(self) -> complex:
         """Complex exponent of u_n at |r*x| = 1 for balanced shifts:
         u_n ~ n**sigma (r*x)**n with sigma = sum(a) - sum(b) - p, the n!
         factors counting as denominator shifts b = 1."""
-        return (sum(self.numerator_shifts)
-                - sum(self.denominator_shifts + (1.0,) * self.factorial_power))
+        return (_lsum(self.numerator_shifts)
+                - _lsum(self.denominator_shifts + (1.0,) * self.factorial_power))
 
     def term(self, n: int, x: complex = 1.0) -> complex:
         """Direct (non-recurrent) term value, for cross-checks."""
@@ -237,6 +261,14 @@ class SeriesResult(Frozen):
     ("direct", "anchored" or "extrapolated", the rule that summed it)."""
 
     __slots__ = ("value", "terms_used", "tail_bound", "converged", "method")
+
+    def __init__(self, value, terms_used, tail_bound, converged, method):
+        # one per sum: stored directly, without Frozen.__init__'s loop
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "tail_bound", tail_bound)
+        _set(self, "converged", converged)
+        _set(self, "method", method)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +294,7 @@ class WeightKind:
     in eps of (a_i + eps)_n at eps = 0 is (a_i)_n sum_{k<n} 1/(a_i + k).
     _pair_steps walks any list of pairs; LinearCombo merges its parts'.
     inline_pairs() gives the pairs of a weight whose steps() is that walk,
-    which the unit-circle walk then takes in its own term loop.
+    which the term loops then take in line.
     """
     __slots__ = ()
 
@@ -295,7 +327,8 @@ class WeightKind:
     def inline_pairs(self):
         """pairs() where steps(n0) is, bit for bit, their walk from
         value(n0) (_pair_steps), as it is for a kind that keeps the
-        default steps; otherwise None. _Walk steps such a weight in line."""
+        default steps; otherwise None. The direct rule and _Walk step such
+        a weight in line."""
         return self.pairs() if type(self).steps is WeightKind.steps else None
 
 
@@ -363,8 +396,8 @@ class Harmonic(Frozen, WeightKind):
 
     def inline_pairs(self):
         # with stride 1, 1.0 / idx is 1.0 / (o + 1 + n): steps is the walk
-        # of the one pair (1, o + 1)
-        return self.pairs() if self.stride == 1 else None
+        # of the one pair (1, o + 1), pairs() without its set-up
+        return ((1.0, self.offset + 1.0),) if self.stride == 1 else None
 
     def asymptotics(self):
         return 0, 1
@@ -375,7 +408,7 @@ class Harmonic(Frozen, WeightKind):
         # computed w_anchor instead
         h = [0.0, *_harmonic_coefficients(self.stride, self.offset, order)]
         h[0] = (self.value(anchor) - math.log(anchor)
-                - sum(h[k] * float(anchor) ** -k for k in range(order, 0, -1)))
+                - _lsum(h[k] * float(anchor) ** -k for k in range(order, 0, -1)))
         return tuple(h), (1.0,) + (0.0,) * order
 
 
@@ -385,7 +418,7 @@ def _harmonic_coefficients(stride: int, offset: int, order: int) -> tuple:
     h_k = (-1)^(k+1) B_k(o+1) / (k s^k) (DLMF 5.15.8 at z = sn). They
     depend on the weight and the order only, so each anchor reuses them."""
     shift = offset + 1
-    return tuple((-1) ** (k + 1) * sum(
+    return tuple((-1) ** (k + 1) * _lsum(
         cb * shift ** (k - j) for j, cb in enumerate(_BINOM_BERNOULLI[k]))
         / (k * stride ** k) for k in range(1, order + 1))
 
@@ -425,9 +458,9 @@ class HarmonicSqPlusGen2(Frozen, WeightKind):
         a, log_row = Harmonic().expansion(order, anchor)
         gen2 = [0.0] + [-_BERNOULLI[k - 1] for k in range(1, order + 1)]
         gen2[0] = (generalized_harmonic(anchor, 2.0)
-                   - sum(gen2[k] * float(anchor) ** -k
-                         for k in range(order, 0, -1)))
-        const = tuple(gen2[k] + sum(a[j] * a[k - j] for j in range(k + 1))
+                   - _lsum(gen2[k] * float(anchor) ** -k
+                           for k in range(order, 0, -1)))
+        const = tuple(gen2[k] + _lsum(a[j] * a[k - j] for j in range(k + 1))
                       for k in range(order + 1))
         return const, tuple(2.0 * v for v in a), log_row
 
@@ -446,11 +479,13 @@ class DigammaDiffSum(Frozen, WeightKind):
         object.__setattr__(self, "b", complex(b))
 
     def value(self, n):
+        # fsum over the real and the imaginary parts: a plain loop drifts by
+        # tens of ulps at n = 10^4. Adding to 0j keeps value(0) and value(1),
+        # where the walks start, as the loop gave them
         b2, ab = 2.0 * self.b, self.a + self.b + 0.5
-        acc = 0j
-        for k in range(n):
-            acc += 2.0 / (b2 + k) - 1.0 / (ab + k)
-        return acc
+        steps = [2.0 / (b2 + k) - 1.0 / (ab + k) for k in range(n)]
+        return 0j + complex(math.fsum(z.real for z in steps),
+                            math.fsum(z.imag for z in steps))
 
     def pairs(self):
         return (2.0, 2.0 * self.b), (-1.0, self.a + self.b + 0.5)
@@ -508,7 +543,7 @@ class LinearCombo(Frozen, WeightKind):
         object.__setattr__(self, "parts", tuple(norm))
 
     def value(self, n):
-        return sum(c * kind.value(n) for c, kind in self.parts)
+        return _lsum(c * kind.value(n) for c, kind in self.parts)
 
     def steps(self, n0):
         pairs = self.pairs()
@@ -516,7 +551,7 @@ class LinearCombo(Frozen, WeightKind):
             return _pair_steps(self.value(n0), pairs, n0)
         coeffs = tuple(c for c, _ in self.parts)
         walks = zip(*(kind.steps(n0) for _, kind in self.parts))
-        return (sum(map(operator.mul, coeffs, ws)) for ws in walks)
+        return (_lsum(map(operator.mul, coeffs, ws)) for ws in walks)
 
     def pairs(self):
         merged = {}
@@ -539,9 +574,14 @@ class LinearCombo(Frozen, WeightKind):
 
 def _real_pairs(w, pairs):
     """w and the pairs as floats where all are real, else as given."""
-    if w.imag or any(c.imag or a.imag for c, a in pairs):
+    if w.imag:
         return w, pairs
-    return w.real, tuple((c.real, a.real) for c, a in pairs)
+    real = []
+    for c, a in pairs:
+        if c.imag or a.imag:
+            return w, pairs
+        real.append((c.real, a.real))
+    return w.real, tuple(real)
 
 
 def _pair_steps(w, pairs, n):
@@ -657,7 +697,7 @@ def _reflect(refl, c) -> None:
     """Apply the Householder reflector I - 2 v v^H / |v|^2 to c[k:]."""
     k, v, vc, vv = refl
     tail = c[k:]
-    d = sum(map(operator.mul, vc, tail)) / vv
+    d = _lsum(map(operator.mul, vc, tail)) / vv
     c[k:] = [e - d * w for e, w in zip(tail, v)]
 
 
@@ -679,10 +719,11 @@ def _start(spec: PochhammerRatioSeries, rx: complex):
             t *= a
         for b in dens:
             t /= b
-    if not (rx.imag or t.imag or any(v.imag for v in nums + dens)):
+    if not (rx.imag or t.imag or any(map(_imag, nums))
+            or any(map(_imag, dens))):
         t, rx = t.real, rx.real
-        nums = tuple(v.real for v in nums)
-        dens = tuple(v.real for v in dens)
+        nums = tuple(map(_real, nums))
+        dens = tuple(map(_real, dens))
     return t, rx, nums, dens
 
 
@@ -702,7 +743,14 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     consecutive terms fall below tol*|S| and the geometric tail bound
     built from recent term ratios also meets the tolerance. Every
     _FINITE_EVERY = 256 terms, and at the budget, the partial sum must
-    be finite; terms that overflow raise DomainError there.
+    be finite; terms that overflow raise DomainError there. The term
+    loop is fitted to its shape and gives the values of the plain
+    recurrence bit for bit: a weight whose steps() is the walk of its
+    pairs (inline_pairs) takes that walk's Kahan step in the loop, on
+    floats where _pair_steps would, and the step factor r*x prod (a + n)
+    / prod (b + n), then 1 / (n + 1)^p, is written out for the shapes
+    (numerator shifts, denominator shifts, p) = (2, 1, 1), (2, 0, 2) and
+    (3, 2, 1), which carry every direct term of the registry's series.
 
     On the unit circle (|r*x| = 1) a sum with a numerator shift at a
     non-positive integer terminates, and a sum with more denominator than
@@ -781,37 +829,65 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         raise NonConvergentError(
             f"{len(nums)} numerator against {len(dens) + p} denominator shifts "
             "(n! counted as one) and no terminating shift; terms grow factorially")
-    shift, logs = weight.asymptotics()
-    sigma = spec.effective_exponent() + shift  # w_n u_n ~ n^sigma (r*x)^n
     # a terminating sum is finite, and factorially decaying terms (excess
     # < 0) leave a geometric tail: the direct rule below sums both
-    if unit and excess >= 0:
-        if all(_pole_index(a) is None for a in nums):
-            # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
-            # circle the terms need sigma < 0
-            at_one = abs(rx - 1.0) <= _UNIT_BAND
-            limit = -1.0 if at_one else 0.0
-            if sigma.real >= limit:
-                raise NonConvergentError(
-                    f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
-                    f"(r*x = {rx:.6g}); sum diverges")
-            # the anchored rule at r*x = 1 and -1, the ladder elsewhere
-            z = 1 if at_one else -1 if abs(rx + 1.0) <= _UNIT_BAND else 0
-            rows = (weight.expansion(_EXPANSION_ORDER,
-                                     spec.start_index + _ANCHOR_N)
-                    if z else None)
-            if rows is not None:
-                return _eval_anchored(spec, weight, rows, rx, z, tol, sigma,
-                                      max_terms)
-            if max_terms < _TOPS[-1]:
-                raise NonConvergentError(
-                    f"unit-argument series sums up to {_TOPS[-1]} terms; "
-                    f"budget {max_terms} is too small")
-            return _eval_unit(spec, weight, rx, tol, sigma, logs)
+    if unit and excess >= 0 and all(_pole_index(a) is None for a in nums):
+        sigma = _exponent(spec, weight)
+        # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
+        # circle the terms need sigma < 0
+        at_one = abs(rx - 1.0) <= _UNIT_BAND
+        limit = -1.0 if at_one else 0.0
+        if sigma.real >= limit:
+            raise NonConvergentError(
+                f"exponent {sigma.real:.3g} >= {limit:g} at |r*x| = 1 "
+                f"(r*x = {rx:.6g}); sum diverges")
+        # the anchored rule at r*x = 1 and -1, the ladder elsewhere
+        z = 1 if at_one else -1 if abs(rx + 1.0) <= _UNIT_BAND else 0
+        rows = (weight.expansion(_EXPANSION_ORDER,
+                                 spec.start_index + _ANCHOR_N)
+                if z else None)
+        if rows is not None:
+            return _eval_anchored(spec, weight, rows, rx, z, tol, sigma,
+                                  max_terms)
+        if max_terms < _TOPS[-1]:
+            raise NonConvergentError(
+                f"unit-argument series sums up to {_TOPS[-1]} terms; "
+                f"budget {max_terms} is too small")
+        return _eval_unit(spec, weight, rx, tol, sigma,
+                          weight.asymptotics()[1])
 
-    n = spec.start_index
-    step = weight.steps(n).__next__
+    # the direct rule. sigma is formed only where the drift clause or the
+    # refusal reads it
+    sigma = None
+    n0 = spec.start_index
+    # w holds w_n: in line for a weight whose steps() is the walk of its
+    # pairs, from its generator otherwise
+    wpairs = weight.inline_pairs()
+    if wpairs is None:
+        step = weight.steps(n0).__next__
+        w = step()
+    else:
+        step = None
+        w, wpairs = _real_pairs(weight.value(n0), wpairs)
+        if wpairs:
+            (c0, s0), *wrest = wpairs
+    wc = 0.0
     t, rx, nums, dens = _start(spec, rx)
+    # the step factor written out for the registry's shapes (numerator
+    # shifts, denominator shifts, p)
+    shape = (len(nums), len(dens), p)
+    if shape == (2, 1, 1):
+        form = 1
+        (a0, a1), (b0,) = nums, dens
+    elif shape == (2, 0, 2):
+        form = 2
+        a0, a1 = nums
+    elif shape == (3, 2, 1):
+        form = 3
+        (a0, a1, a2), (b0, b1) = nums, dens
+    else:
+        form = 0
+    m = float(n0)               # n, the index of the term being added
 
     S = comp = 0.0
     count = consec = 0
@@ -823,7 +899,6 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     back3 = back2 = back1 = -1.0
 
     while True:
-        w = step()
         term = t * w
         y = term - comp
         hi = S + y
@@ -845,12 +920,16 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             if r < _RATIO_HARD_CAP:
                 tail = max(back2, back1, at) * r / (1.0 - r)
                 ok = r <= _RATIO_TRUST
-                if not ok and sigma.real < 0.0 and count >= 10:
-                    # ratios of an algebraically decaying tail drift down
-                    # toward |r*x|, so a non-increasing recent window makes
-                    # the geometric bound safe beyond the usual trust cap
-                    ok = all(ratios[i + 1] <= ratios[i] * (1.0 + 1e-9)
-                             for i in range(len(ratios) - 1))
+                if not ok and count >= 10:
+                    if sigma is None:
+                        sigma = _exponent(spec, weight)
+                    if sigma.real < 0.0:
+                        # ratios of an algebraically decaying tail drift
+                        # down toward |r*x|, so a non-increasing recent
+                        # window makes the geometric bound safe beyond the
+                        # usual trust cap
+                        ok = all(ratios[i + 1] <= ratios[i] * (1.0 + 1e-9)
+                                 for i in range(len(ratios) - 1))
                 if ok and tail <= tol * max(1.0, scale):
                     return SeriesResult(complex(S), count, tail, True,
                                         "direct")
@@ -859,24 +938,52 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             if not cmath.isfinite(S):
                 raise DomainError(
                     f"the terms overflowed: the partial sum stopped being "
-                    f"finite between indices {n - count + checked + 1} "
-                    f"and {n}")
+                    f"finite between indices {n0 + checked} "
+                    f"and {n0 + count - 1}")
             if count >= max_terms:
                 break
             checked = count
             check = min(max_terms, count + _FINITE_EVERY)
         back3, back2, back1 = back2, back1, at
 
-        # advance u_n -> u_{n+1}
-        f = rx
-        for a in nums:
-            f *= a + n
-        for b in dens:
-            f /= b + n
-        t *= f
-        if p:
-            t /= float(n + 1) ** p
-        n += 1
+        # w_n -> w_{n+1}, by _walk_pairs's Kahan step where in line
+        if step is not None:
+            w = step()
+        elif wpairs:
+            q = c0 / (s0 + m)
+            if wrest:
+                for c, s in wrest:
+                    q += c / (s + m)
+            y = q - wc
+            hi = w + y
+            wc = (hi - w) - y
+            w = hi
+        # u_n -> u_{n+1}: t times r*x, each (a + n) and 1 / (b + n) in
+        # shift order, then over (n + 1)^p
+        if form == 1:
+            t *= rx * (a0 + m) * (a1 + m) / (b0 + m)
+            m += 1.0
+            t /= m
+        elif form == 2:
+            t *= rx * (a0 + m) * (a1 + m)
+            m += 1.0
+            # m * m is float(n + 1) ** 2 while exact: (n + 1)^2 < 2^53,
+            # the first 9.4e7 terms
+            t /= m * m
+        elif form == 3:
+            t *= rx * (a0 + m) * (a1 + m) * (a2 + m) / (b0 + m) / (b1 + m)
+            m += 1.0
+            t /= m
+        else:
+            f = rx
+            for a in nums:
+                f *= a + m
+            for b in dens:
+                f /= b + m
+            t *= f
+            m += 1.0
+            if p:
+                t /= m ** p
 
     # budget exhausted: accept only if a trustworthy tail bound exists;
     # the slice keeps the ratios between terms summed (at most four terms)
@@ -887,10 +994,18 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             tail = max(back2, back1, at) * r / (1.0 - r)
             if tail <= tol * max(1.0, abs(S)):
                 return SeriesResult(complex(S), count, tail, True, "direct")
+    if sigma is None:
+        sigma = _exponent(spec, weight)
     raise NonConvergentError(
         f"no tolerance-{tol:g} tail bound after {count} terms "
         f"(|r*x| = {mag:.6g}, 1 - |r*x| = {1.0 - mag:.3g}, "
         f"exponent {sigma.real:.3g})")
+
+
+def _exponent(spec: PochhammerRatioSeries, weight: WeightKind) -> complex:
+    """sigma, with w_n u_n ~ n^sigma (r*x)^n: the spec's effective exponent
+    plus the weight's shift."""
+    return spec.effective_exponent() + weight.asymptotics()[0]
 
 
 def _ratio(prev: float, at: float) -> float:
@@ -904,7 +1019,7 @@ def _dot(weights, sums) -> complex:
     """sum_k w_k S_k for weights summing to 1, centred on the last S_k so
     that rounding scales with the spread of the sums, not their size."""
     ref = sums[-1]
-    return ref + sum(w * (x - ref) for w, x in zip(weights, sums))
+    return ref + _lsum(w * (x - ref) for w, x in zip(weights, sums))
 
 
 class _Walk:
@@ -1101,11 +1216,11 @@ def _term_expansion(spec: PochhammerRatioSeries, order: int) -> list:
     jc = [0j]                   # j c_j
     for k in range(1, order + 1):
         m = k + 1
-        bern = sum(map(operator.mul, _BINOM_BERNOULLI[m], power[m::-1]))
+        bern = _lsum(map(operator.mul, _BINOM_BERNOULLI[m], power[m::-1]))
         jc.append(k * ((-1) ** (k + 1) * bern / (k * m)))
     d = [1.0 + 0j]
     for k in range(1, order + 1):
-        d.append(sum(map(operator.mul, jc[1:k + 1], d[k - 1::-1])) / k)
+        d.append(_lsum(map(operator.mul, jc[1:k + 1], d[k - 1::-1])) / k)
     return d
 
 
@@ -1147,7 +1262,7 @@ def _rounding(walk: _Walk, tail: complex) -> float:
     of their own, and the compensated sum adds about eps |S|."""
     *drifts, anchor = _drift(walk.pairs, walk.n0,
                              [e for e, _ in walk.blocks] + [walk.n])
-    weighted = sum(D * size for D, (_, size) in zip(drifts, walk.blocks))
+    weighted = _lsum(D * size for D, (_, size) in zip(drifts, walk.blocks))
     return _EPS * (_DRIFT_ULPS * (weighted + anchor * abs(tail))
                    + _TERM_ULPS * (walk.abs_sum + abs(tail)) + abs(walk.S))
 
@@ -1165,10 +1280,10 @@ def _folded_weights(M: int, logs: int, z: int) -> tuple:
     powers = [[1.0] + [0.0] * (J - 1)]
     for _ in range(logs):
         p = powers[-1]
-        powers.append([sum(p[i] * first[j - i] for i in range(j + 1))
+        powers.append([_lsum(p[i] * first[j - i] for i in range(j + 1))
                        for j in range(J)])
     # sum_j e_j [x^j](B P) = sum_i B_i sum_{j >= i} e_j P_(j-i)
-    full = tuple(tuple(sum(e[j] * p[j - i] for j in range(i, J))
+    full = tuple(tuple(_lsum(e[j] * p[j - i] for j in range(i, J))
                        for i in range(J)) for p in powers)
     last = tuple(tuple(e[J - 1] * p[J - 1 - i] for i in range(J))
                  for p in powers)
@@ -1208,13 +1323,13 @@ def _moments(exponents, M: int, logs: int, z: int) -> list:
         b = [1.0]                   # binom(-s, i), the series of (1 + x)^-s
         for i in range(1, J):
             b.append(b[-1] * (-s - (i - 1)) / i)
-        mom = [sum(map(operator.mul, b, w)) for w in full]
+        mom = [_lsum(map(operator.mul, b, w)) for w in full]
         if z == 1:
             integral = 0.0
             for l in range(logs + 1):
                 integral = (M * log_m ** l + l * integral) / (s - 1.0)
                 mom[l] += integral
-        out.append((mom, [sum(map(operator.mul, b, w)) for w in last]))
+        out.append((mom, [_lsum(map(operator.mul, b, w)) for w in last]))
     return out
 
 
@@ -1244,7 +1359,7 @@ def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
         for l in logs:
             part += rows[l][k] * scale * mom[l]
         num += part
-        cut += scale * sum(row[k] * m for row, m in zip(rows, last))
+        cut += scale * _lsum(row[k] * m for row, m in zip(rows, last))
         den += dk * scale
         if k == low:
             num_low, den_low = num, den
@@ -1265,7 +1380,7 @@ def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
 
     def tail(walk, rows):
         # the terms' rows: d times the weight's, truncated at the order
-        f = [[sum(map(operator.mul, d[:k + 1], row[k::-1]))
+        f = [[_lsum(map(operator.mul, d[:k + 1], row[k::-1]))
               for k in range(_EXPANSION_ORDER + 1)] for row in rows]
         if not all(cmath.isfinite(v) for row in f for v in row):
             raise AccelerationBreakdown(

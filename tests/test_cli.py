@@ -13,6 +13,7 @@ import pytest
 import hyperharmonic.cli as cli
 from hyperharmonic import REGISTRY
 from hyperharmonic.cli import BROKEN_PIPE, USAGE_ERROR, main
+from report_digest import ARGV, REPORT_DIGEST, digest
 
 
 @pytest.fixture(autouse=True)
@@ -140,6 +141,14 @@ class TestVerify:
 
 
 class TestVerifyJson:
+    def test_seeded_report_keeps_its_pinned_digest(self, capsys):
+        # the same digest on every supported interpreter: the smoke job
+        # runs tests/report_digest.py on the others
+        rc, out, err = run_cli(capsys, *ARGV)
+        assert rc == 0 and not err
+        assert '"timestamp": "' in out
+        assert digest(out) == REPORT_DIGEST
+
     def test_stdout_payload(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1", "--quiet",
                              "--json", "-")

@@ -242,6 +242,22 @@ class TestPairs:
             assert abs(got - want) <= 4.0 * ulp, (weight, n)
             assert abs(got - weight.value(n)) <= 16.0 * ulp, (weight, n)
 
+    @pytest.mark.parametrize("a, b", [(0.25, 0.4), (1.3, 0.2), (0.1, 1.9),
+                                      (0.3 + 0.1j, 0.2 - 0.2j),
+                                      (1.7 - 0.4j, 0.6)])
+    def test_digamma_diff_sum_value_within_two_ulps(self, a, b):
+        # value(n) is the reference the walks are held to; a plain loop
+        # over its n steps read 25 to 61 ulps off at n = 10^4 here
+        weight = DigammaDiffSum(a, b)
+        for n in self.MARKS[2:] + (4321,):
+            want = complex(_weight_mp(weight, n))
+            assert abs(weight.value(n) - want) <= 2 * math.ulp(abs(want)), n
+        # the walks start from value(0) and value(1), which stay the loop's
+        b2, ab = 2.0 * weight.b, weight.a + weight.b + 0.5
+        assert repr(weight.value(0)) == repr(0j)
+        assert repr(weight.value(1)) == repr(0j + (2.0 / (b2 + 0)
+                                                     - 1.0 / (ab + 0)))
+
     @pytest.mark.parametrize("offset, n0", [
         (o, n0) for o in (-1, 0, 1, 2) for n0 in (0, 1) if o + n0 >= 0])
     def test_unit_stride_harmonic_steps_are_its_pair_walk(self, offset, n0):
@@ -1512,3 +1528,94 @@ class TestComplexWalk:
             methods.add(getattr(_draw_result(*draw), "method", None))
         assert methods == {"anchored", "extrapolated"}
         assert digest.hexdigest() == COMPLEX_UNIT_DRAWS_DIGEST
+
+
+# sha256 over the outcomes of _complex_direct_draws(), frozen from the
+# direct rule's generic loop, before it stepped first-order weights in line,
+# wrote out its step factor for three shapes and trimmed its set-up
+COMPLEX_DIRECT_DRAWS_DIGEST = \
+    "923d8d8378d2cb738a3c44ce6c3e61b0a5ee9cadc81b97377bf5416b41a06fab"
+
+
+def _complex_direct_draws(count=240, seed=20183):
+    """(spec, weight, x, tol, max_terms) for the direct rule with complex
+    terms: 1 to 3 numerator and 0 to 2 denominator shifts, complex among
+    them, p = 0, 1, 2 (the registry's shapes (2, 1, 1), (2, 0, 2) and
+    (3, 2, 1) in half the draws), start index 0 and 1, terminating shifts,
+    complex r*x up to |r*x| = 0.999, and on the circle the terminating and
+    factorially decaying sums, with every weight kind and budgets of 1 to
+    2,000 terms; then one sum whose terms overflow."""
+    rng = random.Random(seed)
+
+    def uni(lo, hi):
+        return round(rng.uniform(lo, hi), 3)
+
+    def cplx(lo, hi):
+        return complex(uni(lo, hi), uni(-0.5, 0.5))
+
+    weights = (
+        lambda: Unit(),
+        lambda: Harmonic(rng.randint(1, 3), rng.randint(0, 2)),
+        lambda: HarmonicSqPlusGen2(),
+        lambda: DigammaDiffSum(cplx(0.1, 2.0), cplx(0.2, 2.0)),
+        lambda: DigammaLog(cplx(0.2, 2.5), uni(0.2, 2.5), cplx(-1.0, 1.0)),
+        lambda: LinearCombo(((cplx(-2.0, 2.0), Harmonic(2)),
+                             (uni(-2.0, 2.0), Harmonic()))),
+        lambda: LinearCombo(((cplx(-2.0, 2.0), HarmonicSqPlusGen2()),
+                             (1.0, Unit()))),
+    )
+    for _ in range(count):
+        if rng.random() < 0.5:
+            num_count, den_count, p = rng.choice(((2, 1, 1), (2, 0, 2),
+                                                  (3, 2, 1)))
+        else:
+            p, den_count = rng.randint(0, 2), rng.randint(0, 2)
+            num_count = rng.randint(1, max(1, min(3, den_count + p)))
+        dens = [rng.choice((uni, cplx))(0.2, 3.0) for _ in range(den_count)]
+        nums = [rng.choice((uni, cplx))(-1.5, 2.5) for _ in range(num_count)]
+        ratio = rng.choice((1.0, -1.0, 1j, 0.5 - 0.5j))
+        # on the circle only terminating sums and factorially decaying
+        # terms take the direct rule
+        circle = rng.random() < 0.15
+        mag = 1.0 if circle else rng.choice((uni(0.05, 0.95),
+                                             uni(0.95, 0.999)))
+        rx = cmath.rect(mag, uni(-3.1, 3.1))
+        if rng.random() < 0.1 or num_count > den_count + p or (
+                circle and num_count == den_count + p):
+            nums[0] = -float(rng.randint(0, 6))     # terminating
+        budget = rng.choice((2000, round(2000 ** rng.random())))
+        yield (PochhammerRatioSeries(nums, dens, p, ratio, rng.choice((0, 1))),
+               rng.choice(weights)(), rx / ratio,
+               rng.choice((None, 1e-6, 1e-9, 1e-12, 1e-15)), budget)
+    yield (PochhammerRatioSeries((300 + 1j, 300), (1.0,), 1, 1.0, 0),
+           Harmonic(), 0.9j, None, 2000)
+
+
+class TestComplexDirect:
+    """Complex terms inside the disk, and terminating or factorially
+    decaying ones on the circle: the direct rule gives the values, stops,
+    bounds and errors of the frozen digest, bit for bit, through every
+    branch of its loop."""
+
+    def test_complex_direct_draws_keep_their_digest(self):
+        digest = hashlib.sha256()
+        results = []
+        for draw in _complex_direct_draws():
+            digest.update(_draw_outcome(*draw).encode())
+            results.append((draw[-1], _draw_result(*draw)))
+        sums = [res for _, res in results
+                if not isinstance(res, HyperharmonicError)]
+        errors = [str(res) for _, res in results
+                  if isinstance(res, HyperharmonicError)]
+        assert {res.method for res in sums} == {"direct"}
+        assert any(type(res.value) is complex and res.value.imag
+                   for res in sums)
+        # past the first finiteness checkpoint, and certified or refused
+        # once the budget ran out
+        assert any(res.terms_used > 256 for res in sums)
+        assert any(res.terms_used == budget for budget, res in results
+                   if not isinstance(res, HyperharmonicError) and budget > 1)
+        assert any(e.startswith("no tolerance-") for e in errors)
+        assert errors[-1] == ("the terms overflowed: the partial sum stopped "
+                              "being finite between indices 0 and 255")
+        assert digest.hexdigest() == COMPLEX_DIRECT_DRAWS_DIGEST
