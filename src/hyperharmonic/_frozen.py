@@ -75,3 +75,10 @@ class Frozen:
         # rebuild through the constructor: the default slot-state restore
         # would assign attributes and hit the guard above
         return type(self), self._fields()
+
+
+def slot_setters(cls) -> tuple:
+    """The setters of cls's fields, in the order of its __slots__. A class
+    built once per sum or point stores its fields through them, past the
+    guard of Frozen.__setattr__ and without a lookup by name."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)

@@ -27,7 +27,7 @@ import cmath
 import math
 import random
 
-from ._frozen import Frozen
+from ._frozen import Frozen, slot_setters
 from .errors import DomainError, HyperharmonicError, UnknownIdentityError
 from .expr import (C, Cos, Digamma, EllipticK, Gamma, GammaRatio, Hyp2F1,
                    Log, Mul, P, PI, Pow, Series, Sin, Sqrt)
@@ -66,6 +66,22 @@ class PointCheck(Frozen):
 
     __slots__ = ("params", "lhs", "rhs", "abs_err", "rel_err", "passed",
                  "terms_used", "method")
+
+    def __init__(self, params, lhs, rhs, abs_err, rel_err, passed,
+                 terms_used, method):
+        # one per point: each field stored by its slot's setter
+        s0, s1, s2, s3, s4, s5, s6, s7 = _POINT_SETTERS
+        s0(self, params)
+        s1(self, lhs)
+        s2(self, rhs)
+        s3(self, abs_err)
+        s4(self, rel_err)
+        s5(self, passed)
+        s6(self, terms_used)
+        s7(self, method)
+
+
+_POINT_SETTERS = slot_setters(PointCheck)
 
 
 class VerifyReport(Frozen):
@@ -119,17 +135,20 @@ def _eval_side(ident: Identity, env: dict, side: str):
 def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
     lhs, sums = _eval_side(ident, env, "lhs")
     rhs, sums_r = _eval_side(ident, env, "rhs")
-    sums += sums_r
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else None
     passed = (rel_err <= tol) if abs(rhs) >= 1.0 else (abs_err <= tol)
-    # "extrapolated" if any sum took the ladder, else "anchored" if any
-    # took the anchored tail, else "direct"
-    methods = {r.method for r in sums}
-    method = next((m for m in ("extrapolated", "anchored") if m in methods),
-                  "direct")
-    return PointCheck(dict(env), lhs, rhs, abs_err, rel_err, passed,
-                      sum(r.terms_used for r in sums), method)
+    # the terms of both sides, and the method: "extrapolated" if any sum
+    # took the ladder, else "anchored" if any took the anchored tail, else
+    # "direct"
+    terms = 0
+    method = "direct"
+    for r in sums + sums_r:
+        terms += r.terms_used
+        if r.method != "direct" and method != "extrapolated":
+            method = r.method
+    return PointCheck(dict(env), lhs, rhs, abs_err, rel_err, passed, terms,
+                      method)
 
 
 def get_identity(identity, registry: dict | None = None) -> Identity:

@@ -13,14 +13,22 @@ functions and series sums are called through this module's attributes
 (_gamma_ratio, _digamma, eval_weighted, ...). A Hyp2F1 node near x = 1
 sums at 1 - x by Kummer's connection formulas, a few terms where the
 direct sum at x would take tens of thousands.
+
+A verify's points share most of what these nodes compute: digamma and
+gamma values on parameters alone, Gamma ratios, connection prefactors,
+series specs. Digamma, Gamma, GammaRatio, Hyp2F1 and Series keep their
+last result in a hidden slot (_Memo), keyed by the exact bits of their
+argument values, and reuse it while those repeat; the values are bit for
+bit those of a fresh node.
 """
 
 from __future__ import annotations
 
 import cmath
+import marshal
 import math
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _set
 from .errors import DomainError, PoleError
 from .series import (DigammaLog, PochhammerRatioSeries, Unit, WeightKind,
                      _lsum, eval_weighted)
@@ -35,6 +43,17 @@ __all__ = [
     "Sqrt", "Log", "Sin", "Cos", "Gamma", "Digamma",
     "GammaRatio", "EllipticK", "Hyp2F1", "Series", "C", "P", "PI",
 ]
+
+
+_UNIT = Unit()
+
+
+def _bits(values) -> bytes:
+    """A memo key: the exact bits of a complex number, or of a tuple or
+    list of them. marshal's version 2 writes each float as its 8 bytes and
+    keeps no back-references, so a -0.0 never matches a +0.0 and a NaN
+    matches only a NaN of the same bits."""
+    return marshal.dumps(values, 2)
 
 
 def _wrap(v) -> "Expr":
@@ -182,28 +201,61 @@ class Cos(Expr):
         return cmath.cos(self.arg.eval(env))
 
 
-class Gamma(Expr):
+class _Memo:
+    """The hidden slot of a node that reuses its last result: (key, result),
+    the key being the exact bits of the argument values (_bits) the result
+    was computed from, (None, None) before the first. The slot is not one
+    of the node's fields (those are its class's __slots__), so reprs,
+    equality, hashing and pickles see only the formula, and a copy starts
+    empty. A computation that raises stores nothing. The pair is read and
+    stored as one tuple, so threads that share a tree at worst compute a
+    result twice."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, *args, **kwargs):
+        Frozen.__init__(self, *args, **kwargs)
+        _set(self, "_memo", (None, None))
+
+    def _reuse(self, key, compute, *args):
+        """The result of compute(*args), reused while key repeats."""
+        memo = self._memo
+        if key == memo[0]:
+            return memo[1]
+        value = compute(*args)
+        _set(self, "_memo", (key, value))
+        return value
+
+
+def _gamma(z):
+    return cmath.exp(_ln_gamma(z))
+
+
+class Gamma(_Memo, Expr):
     __slots__ = ("arg",)
 
     def eval(self, env):
-        return cmath.exp(_ln_gamma(self.arg.eval(env)))
+        z = self.arg.eval(env)
+        return self._reuse(_bits(z), _gamma, z)
 
 
-class Digamma(Expr):
+class Digamma(_Memo, Expr):
     __slots__ = ("arg",)
 
     def eval(self, env):
-        return _digamma(self.arg.eval(env))
+        z = self.arg.eval(env)
+        return self._reuse(_bits(z), _digamma, z)
 
 
-class GammaRatio(Expr):
+class GammaRatio(_Memo, Expr):
     """prod Gamma(numerators) / prod Gamma(denominators), pole-paired."""
 
     __slots__ = ("numerators", "denominators")
 
     def eval(self, env):
-        return _gamma_ratio([e.eval(env) for e in self.numerators],
-                            [e.eval(env) for e in self.denominators])
+        nums = [e.eval(env) for e in self.numerators]
+        dens = [e.eval(env) for e in self.denominators]
+        return self._reuse(_bits((nums, dens)), _gamma_ratio, nums, dens)
 
 
 class EllipticK(Expr):
@@ -213,7 +265,7 @@ class EllipticK(Expr):
         return complex(_elliptic_K(self.arg.eval(env)))
 
 
-class Hyp2F1(Expr):
+class Hyp2F1(_Memo, Expr):
     """Gauss 2F1(a, b; c; x), summed to 1e-12 * max(1, |F|).
 
     Near x = 1 (|1 - x| < 1/4 and |x| < 1) the node sums at y = 1 - x
@@ -233,6 +285,10 @@ class Hyp2F1(Expr):
     other x take the direct sum at x (eval_weighted), which raises for
     |x| > 1 and takes the unit-circle rule at |x| = 1. A pole at c
     raises PoleError.
+
+    The memo, keyed by a, b and c, holds (direct spec, connection parts):
+    each is built at the first x that needs it (None until then), and
+    only what depends on x is computed at every point.
     """
 
     __slots__ = ("a", "b", "c", "x")
@@ -240,25 +296,24 @@ class Hyp2F1(Expr):
     def eval(self, env):
         a, b, c = self.a.eval(env), self.b.eval(env), self.c.eval(env)
         x = self.x.eval(env)
-        if (abs(1.0 - x) < 0.25 and abs(x) < 1.0
-                and _pole_index(a) is None and _pole_index(b) is None):
-            value = _hyp2f1_near_one(a, b, c, 1.0 - x)
-            if value is not None:
-                return value
-        spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
-        return eval_weighted(spec, Unit(), x, tol=1e-12).value
+        key = _bits((a, b, c))
+        memo = self._memo
+        spec, near = memo[1] if key == memo[0] else (None, None)
+        if abs(1.0 - x) < 0.25 and abs(x) < 1.0:
+            if near is None:
+                near = _connection(a, b, c)
+                _set(self, "_memo", (key, (spec, near)))
+            if near:
+                value = _hyp2f1_near_one(near, 1.0 - x)
+                if value is not None:
+                    return value
+        if spec is None:
+            spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
+            _set(self, "_memo", (key, (spec, near)))
+        return eval_weighted(spec, _UNIT, x, tol=1e-12).value
 
 
-class _SpecSlot:
-    """Holds a Series node's PochhammerRatioSeries once it is bound, if no
-    shift depends on the point. The slot is not one of the node's fields
-    (those are Series.__slots__), so reprs, equality, hashing and pickles
-    see only the formula."""
-
-    __slots__ = ("_spec",)
-
-
-class Series(Expr, _SpecSlot):
+class Series(_Memo, Expr):
     """sum_{n >= start_index} w_n u_n(x): the weighted series of
     series.PochhammerRatioSeries(numerator_shifts, denominator_shifts,
     factorial_power, geometric_ratio, start_index) with weight w at the
@@ -278,27 +333,30 @@ class Series(Expr, _SpecSlot):
 
     def __init__(self, numerator_shifts, denominator_shifts, factorial_power,
                  geometric_ratio, start_index, weight, x):
-        Frozen.__init__(self, tuple(map(_wrap, numerator_shifts)),
-                        tuple(map(_wrap, denominator_shifts)), factorial_power,
-                        geometric_ratio, start_index, weight, _wrap(x))
-        object.__setattr__(self, "_spec", None)
+        _Memo.__init__(self, tuple(map(_wrap, numerator_shifts)),
+                       tuple(map(_wrap, denominator_shifts)), factorial_power,
+                       geometric_ratio, start_index, weight, _wrap(x))
 
     def bind(self, env):
         """(spec, weight, x) at the point env: eval_weighted's arguments.
-        A spec whose shifts are all constants is built at the first bind
-        and kept."""
-        spec = self._spec
-        if spec is None:
-            spec = PochhammerRatioSeries(
-                [e.eval(env) for e in self.numerator_shifts],
-                [e.eval(env) for e in self.denominator_shifts],
-                self.factorial_power, self.geometric_ratio, self.start_index)
-            if all(type(e) is Const for e in
-                   self.numerator_shifts + self.denominator_shifts):
-                object.__setattr__(self, "_spec", spec)
+        The spec and a weight built from Exprs are kept, keyed by the
+        shifts and the weight's parameters, and reused while they repeat."""
+        nums = [e.eval(env) for e in self.numerator_shifts]
+        dens = [e.eval(env) for e in self.denominator_shifts]
         weight = self.weight
-        if not isinstance(weight, WeightKind):
-            weight = weight[0](*(e.eval(env) for e in weight[1:]))
+        params = (None if isinstance(weight, WeightKind)
+                  else [e.eval(env) for e in weight[1:]])
+        key = _bits((nums, dens, params))
+        memo = self._memo
+        if key == memo[0]:
+            spec, weight = memo[1]
+        else:
+            spec = PochhammerRatioSeries(nums, dens, self.factorial_power,
+                                         self.geometric_ratio,
+                                         self.start_index)
+            if params is not None:
+                weight = weight[0](*params)
+            _set(self, "_memo", (key, (spec, weight)))
         return spec, weight, self.x.eval(env)
 
     def eval(self, env):
@@ -313,33 +371,58 @@ class Series(Expr, _SpecSlot):
         return res.value
 
 
-def _hyp2f1_near_one(a, b, c, y):
-    """2F1(a, b; c; 1 - y) by the connection formulas of Hyp2F1, or None
-    where neither applies."""
+def _connection(a, b, c):
+    """What Hyp2F1's connection formulas take from a, b and c alone:
+    (True, (gamma ratio,), (a, b, 2 psi(1) - psi(a) - psi(b)), (spec,)) in
+    the logarithmic case, (False, (the two gamma ratios), s, (the two
+    specs)) in the other, or False where neither applies (a or b at a
+    pole, s near a nonzero integer, a gamma ratio that is not finite)."""
+    if _pole_index(a) is not None or _pole_index(b) is not None:
+        return False
     s = c - a - b
     log_case = abs(s) <= 1e-12
     if not log_case and abs(s - round(s.real)) < 0.1:
-        return None
+        return False
     try:
-        prefs = ([_gamma_ratio([a + b], [a, b])] if log_case else
-                 [_gamma_ratio([c, s], [c - a, c - b]),
-                  y ** s * _gamma_ratio([c, -s], [a, b])])
+        ratios = ((_gamma_ratio([a + b], [a, b]),) if log_case else
+                  (_gamma_ratio([c, s], [c - a, c - b]),
+                   _gamma_ratio([c, -s], [a, b])))
     except OverflowError:
-        return None
-    if not all(map(cmath.isfinite, prefs)):
-        return None
+        return False
+    # a ratio that is not finite leaves a prefactor that is not finite
+    if not all(map(cmath.isfinite, ratios)):
+        return False
+    if log_case:
+        # the weight at n = 0, less log y
+        psi0 = 2.0 * _digamma(1.0) - _digamma(a) - _digamma(b)
+        return (True, ratios, (a, b, psi0),
+                (PochhammerRatioSeries((a, b), (), 2, 1.0, 0),))
+    return (False, ratios, s,
+            (PochhammerRatioSeries((a, b), (1.0 - s,), 1, 1.0, 0),
+             PochhammerRatioSeries((c - a, c - b), (1.0 + s,), 1, 1.0, 0)))
+
+
+def _hyp2f1_near_one(near, y):
+    """2F1(a, b; c; 1 - y) by the connection formula whose parts near holds
+    (_connection), or None where a prefactor is not finite at y."""
+    log_case, ratios, extra, specs = near
     if log_case:
         # the weight at n = 0: 2 psi(1) - psi(a) - psi(b) - log y
-        w0 = 2.0 * _digamma(1.0) - _digamma(a) - _digamma(b) - cmath.log(y)
-        sums = [(PochhammerRatioSeries((a, b), (), 2, 1.0, 0),
-                 DigammaLog(a, b, w0))]
+        a, b, psi0 = extra
+        prefs = ratios
+        weights = (DigammaLog(a, b, psi0 - cmath.log(y)),)
     else:
-        sums = [(PochhammerRatioSeries((a, b), (1.0 - s,), 1, 1.0, 0), Unit()),
-                (PochhammerRatioSeries((c - a, c - b), (1.0 + s,), 1, 1.0, 0),
-                 Unit())]
+        try:
+            prefs = (ratios[0], y ** extra * ratios[1])
+        except OverflowError:
+            return None
+        if not cmath.isfinite(prefs[1]):
+            return None
+        weights = (_UNIT, _UNIT)
     tol = 1e-12 / max(1.0, _lsum(map(abs, prefs)))
     return _lsum(pref * eval_weighted(spec, weight, y, tol=tol).value
-                 for pref, (spec, weight) in zip(prefs, sums) if pref != 0)
+                 for pref, spec, weight in zip(prefs, specs, weights)
+                 if pref != 0)
 
 
 def C(v) -> Const:

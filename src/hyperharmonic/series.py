@@ -103,7 +103,7 @@ import math
 import operator
 import sys
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen, _set, slot_setters
 from .errors import (
     AccelerationBreakdown,
     DomainError,
@@ -203,7 +203,16 @@ _imag = operator.attrgetter("imag")
 # series specification
 
 
-class PochhammerRatioSeries(Frozen):
+class _RealShifts:
+    """The hidden slot of a PochhammerRatioSeries: its shifts as floats,
+    (numerators, denominators), where every one is real, else None. The
+    term loops read it in _start. It is not one of the spec's fields, so
+    reprs, equality, hashing and pickles see only those."""
+
+    __slots__ = ("_floats",)
+
+
+class PochhammerRatioSeries(_RealShifts, Frozen):
     """Term family u_n = prod (a_i)_n / (prod (b_j)_n (n!)**p) * r**n.
 
     factorial_power p >= 0, start_index in {0, 1}. Denominator shifts may
@@ -228,13 +237,15 @@ class PochhammerRatioSeries(Frozen):
         for b in dens:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
-        # every series node builds a spec per evaluation: the fields are
-        # stored directly, without Frozen.__init__'s loop
+        # a series node builds a spec wherever its shifts change: the
+        # fields are stored directly, without Frozen.__init__'s loop
         _set(self, "numerator_shifts", nums)
         _set(self, "denominator_shifts", dens)
         _set(self, "factorial_power", int(factorial_power))
         _set(self, "geometric_ratio", ratio)
         _set(self, "start_index", start_index)
+        _set(self, "_floats", None if any(map(_imag, nums + dens)) else
+             (tuple(map(_real, nums)), tuple(map(_real, dens))))
 
     def effective_exponent(self) -> complex:
         """Complex exponent of u_n at |r*x| = 1 for balanced shifts:
@@ -263,12 +274,16 @@ class SeriesResult(Frozen):
     __slots__ = ("value", "terms_used", "tail_bound", "converged", "method")
 
     def __init__(self, value, terms_used, tail_bound, converged, method):
-        # one per sum: stored directly, without Frozen.__init__'s loop
-        _set(self, "value", value)
-        _set(self, "terms_used", terms_used)
-        _set(self, "tail_bound", tail_bound)
-        _set(self, "converged", converged)
-        _set(self, "method", method)
+        # one per sum: each field stored by its slot's setter
+        sv, sn, st, sc, sm = _RESULT_SETTERS
+        sv(self, value)
+        sn(self, terms_used)
+        st(self, tail_bound)
+        sc(self, converged)
+        sm(self, method)
+
+
+_RESULT_SETTERS = slot_setters(SeriesResult)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +526,16 @@ class DigammaLog(Frozen, WeightKind):
         if n == 0:  # the walk from n = 0 starts without a digamma call
             return self.w0
         a, b = self.a, self.b
-        return (self.w0 + 2.0 * (digamma(n + 1.0) - digamma(1.0))
-                - (digamma(a + n) - digamma(a)) - (digamma(b + n) - digamma(b)))
+        if n == 1:  # where the walks from n = 1 start: these bits stay
+            return (self.w0 + 2.0 * (digamma(n + 1.0) - digamma(1.0))
+                    - (digamma(a + n) - digamma(a))
+                    - (digamma(b + n) - digamma(b)))
+        # w0 and the n steps, fsum'd over the real and the imaginary parts:
+        # a difference of digamma values reads up to 6.8 ulps off at n <= 10^4
+        terms = [self.w0] + [2.0 / (1.0 + k) - 1.0 / (a + k) - 1.0 / (b + k)
+                             for k in range(n)]
+        return complex(math.fsum(z.real for z in terms),
+                       math.fsum(z.imag for z in terms))
 
     def pairs(self):
         return (2.0, 1.0), (-1.0, self.a), (-1.0, self.b)
@@ -708,9 +731,10 @@ def _reflect(refl, c) -> None:
 def _start(spec: PochhammerRatioSeries, rx: complex):
     """(u_{n0}, r*x, numerator shifts, denominator shifts) for the term
     loops; (a)_1 = a, (a)_0 = 1, so both legal starts are cheap. All real,
-    they come as floats: the loops then run the same recurrence in float
-    arithmetic, whose values are the real parts of the complex ones, until
-    a complex weight value makes the term complex."""
+    they come as floats (the shifts from the spec's own float copies): the
+    loops then run the same recurrence in float arithmetic, whose values
+    are the real parts of the complex ones, until a complex weight value
+    makes the term complex."""
     nums, dens = spec.numerator_shifts, spec.denominator_shifts
     t = 1.0 + 0j
     if spec.start_index == 1:
@@ -719,12 +743,10 @@ def _start(spec: PochhammerRatioSeries, rx: complex):
             t *= a
         for b in dens:
             t /= b
-    if not (rx.imag or t.imag or any(map(_imag, nums))
-            or any(map(_imag, dens))):
-        t, rx = t.real, rx.real
-        nums = tuple(map(_real, nums))
-        dens = tuple(map(_real, dens))
-    return t, rx, nums, dens
+    floats = spec._floats
+    if floats is None or rx.imag or t.imag:
+        return t, rx, nums, dens
+    return t.real, rx.real, *floats
 
 
 def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
@@ -809,13 +831,13 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     unit = mag > 1.0 - _UNIT_BAND
     if tol is None:
         tol = DEFAULT_TOL_UNIT if unit else DEFAULT_TOL_INSIDE
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    # nan and inf would never meet the budget tests, and 2.5 would stop
-    # after 3 terms
-    if not (1 <= max_terms < math.inf and max_terms == int(max_terms)):
+    if max_terms is None:
+        max_terms = DEFAULT_MAX_TERMS
+    elif not (1 <= max_terms < math.inf and max_terms == int(max_terms)):
+        # nan and inf would never meet the budget tests, and 2.5 would
+        # stop after 3 terms
         raise DomainError(
             f"max_terms must be a whole number >= 1, got {max_terms!r}")
     if mag > 1.0 + _UNIT_BAND:

@@ -13,7 +13,7 @@ import pytest
 import hyperharmonic.cli as cli
 from hyperharmonic import REGISTRY
 from hyperharmonic.cli import BROKEN_PIPE, USAGE_ERROR, main
-from report_digest import ARGV, REPORT_DIGEST, digest
+from report_digest import ARGV, OUTPUT_DIGESTS, REPORT_DIGEST, digest
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +148,16 @@ class TestVerifyJson:
         assert rc == 0 and not err
         assert '"timestamp": "' in out
         assert digest(out) == REPORT_DIGEST
+
+    @pytest.mark.parametrize("argv, expected", OUTPUT_DIGESTS,
+                             ids=[" ".join(a[:3]) for a, _ in OUTPUT_DIGESTS])
+    def test_other_outputs_keep_their_pinned_digests(self, capsys, argv,
+                                                     expected):
+        # the listing, a quiet report and CSV sweeps, which the seeded
+        # report does not print
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0 and not err
+        assert digest(out) == expected
 
     def test_stdout_payload(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1", "--quiet",

@@ -18,7 +18,8 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            DomainError, Harmonic, HarmonicSqPlusGen2,
                            HyperharmonicError, LinearCombo, NonConvergentError,
                            PochhammerRatioSeries, PoleError, Unit, WeightKind,
-                           eval_weighted, harmonic, hyp2f1, pochhammer, verify)
+                           digamma, eval_weighted, harmonic, hyp2f1,
+                           pochhammer, verify)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _moments, _pair_steps,
                                   _rounding, _Walk)
@@ -257,6 +258,27 @@ class TestPairs:
         assert repr(weight.value(0)) == repr(0j)
         assert repr(weight.value(1)) == repr(0j + (2.0 / (b2 + 0)
                                                      - 1.0 / (ab + 0)))
+
+    @pytest.mark.parametrize("a, b, w0", [(0.25, 0.75, 1.2),
+                                          (1 / 6, 0.4, 0.3),
+                                          (0.1, 1.9, -2.0),
+                                          (0.3 + 0.1j, 0.7 - 0.1j,
+                                           -0.4 + 0.25j)])
+    def test_digamma_log_value_within_two_ulps(self, a, b, w0):
+        # differences of digamma values read up to 6.8 ulps off here
+        weight = DigammaLog(a, b, w0)
+        for n in range(2, 12):
+            want = complex(_weight_mp(weight, n))
+            assert abs(weight.value(n) - want) <= 2 * math.ulp(abs(want)), n
+        for n in self.MARKS[4:] + (4321,):
+            want = complex(_weight_mp(weight, n))
+            assert abs(weight.value(n) - want) <= 2 * math.ulp(abs(want)), n
+        # the walks start from value(0) and value(1), which keep their bits
+        assert repr(weight.value(0)) == repr(complex(w0))
+        a, b = complex(a), complex(b)
+        assert repr(weight.value(1)) == repr(
+            complex(w0) + 2.0 * (digamma(2.0) - digamma(1.0))
+            - (digamma(a + 1) - digamma(a)) - (digamma(b + 1) - digamma(b)))
 
     @pytest.mark.parametrize("offset, n0", [
         (o, n0) for o in (-1, 0, 1, 2) for n0 in (0, 1) if o + n0 >= 0])
