@@ -16,13 +16,13 @@ a first-order weight (a derivative of Pochhammer symbols (a_i + eps)_n
 in eps), its step as pairs (c_i, a_i) adding sum_i c_i / (a_i + n). One
 compensated walk steps DigammaDiffSum, DigammaLog and LinearCombo
 through their pairs; LinearCombo merges its parts' pairs, so the weight
-2 H_2n - H_n costs one division per step. Both term loops, the direct
-rule's and the unit-circle walk's (_Walk), take that step in line for
-every weight whose steps() is the walk of its pairs (inline_pairs).
-Terms advance by one multiply-divide recurrence per index, run on floats
-for a real spec at a real argument, with results identical to complex;
-each loop writes its step factor out for the shapes the registry sums.
-Floats are added in a fixed order (_lsum), so every supported
+2 H_2n - H_n costs one division per step; walk(n0) states steps(n0) as
+a form that the term loops write out. Both term loops, the direct rule's
+and the unit-circle walk's (_Walk), are generated per shape and weight
+walk from one template each (_kernel_source), so no term branches on
+either. Terms advance by one multiply-divide recurrence per index, run on
+floats for a real spec at a real argument, with results identical to
+complex. Floats are added in a fixed order (_lsum), so every supported
 interpreter gives the same values.
 
 Before summing, the engine refuses terms that grow factorially (more
@@ -308,8 +308,7 @@ class WeightKind:
     step from w_n to w_n+1 adding sum_i c_i / (a_i + n): the derivative
     in eps of (a_i + eps)_n at eps = 0 is (a_i)_n sum_{k<n} 1/(a_i + k).
     _pair_steps walks any list of pairs; LinearCombo merges its parts'.
-    inline_pairs() gives the pairs of a weight whose steps() is that walk,
-    which the term loops then take in line.
+    walk(n0) states steps(n0) as a walk that the term loops take in line.
     """
     __slots__ = ()
 
@@ -339,12 +338,17 @@ class WeightKind:
         or None for a weight whose step is not such a sum."""
         return None
 
-    def inline_pairs(self):
-        """pairs() where steps(n0) is, bit for bit, their walk from
-        value(n0) (_pair_steps), as it is for a kind that keeps the
-        default steps; otherwise None. The direct rule and _Walk step such
-        a weight in line."""
-        return self.pairs() if type(self).steps is WeightKind.steps else None
+    def walk(self, n0: int):
+        """(form, state): steps(n0), bit for bit, as a walk that the term
+        loops write out (_walk_code). form depends only on small integers;
+        state holds the walk's variables at n0, w_n0 first. A kind that
+        keeps the default steps walks its pairs; any other kind that
+        states no walk has its steps(n0) called per term (form "next")."""
+        pairs = self.pairs()
+        if pairs is not None and type(self).steps is WeightKind.steps:
+            return _pairs_walk(self.value(n0), pairs)
+        step = self.steps(n0).__next__
+        return ("next",), (step(), step)
 
 
 class Unit(Frozen, WeightKind):
@@ -355,14 +359,7 @@ class Unit(Frozen, WeightKind):
     def value(self, n):
         return 1.0
 
-    def steps(self, n0):
-        # what the pair walk returns, without its set-up on every unit sum
-        return itertools.repeat(1.0)
-
     def pairs(self):
-        return ()
-
-    def inline_pairs(self):
         return ()
 
     def expansion(self, order, anchor):
@@ -409,10 +406,9 @@ class Harmonic(Frozen, WeightKind):
         s, o = self.stride, self.offset
         return tuple((1.0 / s, (o + r) / s) for r in range(1, s + 1))
 
-    def inline_pairs(self):
-        # with stride 1, 1.0 / idx is 1.0 / (o + 1 + n): steps is the walk
-        # of the one pair (1, o + 1), pairs() without its set-up
-        return ((1.0, self.offset + 1.0),) if self.stride == 1 else None
+    def walk(self, n0):
+        idx = self.stride * n0 + self.offset
+        return ("harmonic", self.stride), (harmonic(idx), 0.0, float(idx))
 
     def asymptotics(self):
         return 0, 1
@@ -461,6 +457,10 @@ class HarmonicSqPlusGen2(Frozen, WeightKind):
             t = g + y
             gc = (t - g) - y
             g = t
+
+    def walk(self, n0):
+        h, g = harmonic(n0), generalized_harmonic(n0, 2.0)
+        return ("sqgen2",), (h * h + g, h, 0.0, g, 0.0, float(n0))
 
     def asymptotics(self):
         return 0, 2
@@ -586,9 +586,15 @@ class LinearCombo(Frozen, WeightKind):
                 merged[a] = merged.get(a, 0.0) + coeff * c
         return tuple((c, a) for a, c in merged.items() if c != 0.0)
 
-    def inline_pairs(self):
-        # steps is the walk of pairs() wherever they exist
-        return self.pairs()
+    def walk(self, n0):
+        # as steps: the merged pairs where they exist, else the parts' walks
+        pairs = self.pairs()
+        if pairs is not None:
+            return _pairs_walk(self.value(n0), pairs)
+        coeffs, kinds = zip(*self.parts)
+        forms, states = zip(*(kind.walk(n0) for kind in kinds))
+        value = _lsum(c * state[0] for c, state in zip(coeffs, states))
+        return ("sum", *forms), (value, *coeffs, *itertools.chain(*states))
 
     def asymptotics(self):
         shapes = [kind.asymptotics() for _, kind in self.parts]
@@ -605,6 +611,12 @@ def _real_pairs(w, pairs):
             return w, pairs
         real.append((c.real, a.real))
     return w.real, tuple(real)
+
+
+def _pairs_walk(w, pairs):
+    """The walk of _pair_steps from w, as WeightKind.walk states it."""
+    w, pairs = _real_pairs(w, pairs)
+    return ("pairs", len(pairs)), (w, 0.0, *itertools.chain(*pairs))
 
 
 def _pair_steps(w, pairs, n):
@@ -765,14 +777,9 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     consecutive terms fall below tol*|S| and the geometric tail bound
     built from recent term ratios also meets the tolerance. Every
     _FINITE_EVERY = 256 terms, and at the budget, the partial sum must
-    be finite; terms that overflow raise DomainError there. The term
-    loop is fitted to its shape and gives the values of the plain
-    recurrence bit for bit: a weight whose steps() is the walk of its
-    pairs (inline_pairs) takes that walk's Kahan step in the loop, on
-    floats where _pair_steps would, and the step factor r*x prod (a + n)
-    / prod (b + n), then 1 / (n + 1)^p, is written out for the shapes
-    (numerator shifts, denominator shifts, p) = (2, 1, 1), (2, 0, 2) and
-    (3, 2, 1), which carry every direct term of the registry's series.
+    be finite; terms that overflow raise DomainError there. The loop is
+    generated for the spec's shape and the weight's walk (_kernel_source),
+    bit for bit the plain recurrence and steps().
 
     On the unit circle (|r*x| = 1) a sum with a numerator shift at a
     non-positive integer terminates, and a sum with more denominator than
@@ -785,43 +792,24 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     At r*x = 1 and r*x = -1, a weight with an expansion
     (WeightKind.expansion: the unit weight, Harmonic and
     HarmonicSqPlusGen2, up to log^2 n) takes the anchored rule (method
-    "anchored"; see the module docstring): 2N terms, N = 64, plus the
-    anchored tail, summed by _moments from the Taylor coefficients of
-    the anchored expansion (Euler-Maclaurin at 1, Boole at -1), with the
-    estimate
-
-        |S(N,K) - S(N,K-2)| + |S(N,K) - S(2N,K)| + rounding + last term,
-
-    the rounding part from the drift of the walk's terms (_rounding), and
-    the last part the size of the last Taylor term of the tail at N. It
-    returns S(2N,K) with terms_used = 2N once the estimate meets
-    tol * max(1, |S|), and otherwise doubles N. A budget below 128 terms,
-    or an estimate above the tolerance when the next doubling would
-    overrun the budget or its rounding part alone misses the tolerance
-    (the error then names that part), raises NonConvergentError; an
-    expansion that overflows (shifts near 1e30) raises
-    AccelerationBreakdown.
+    "anchored"; the module docstring gives its tail and estimate): 2N
+    terms, N = 64, plus the anchored tail. It returns S(2N,K) with
+    terms_used = 2N once the estimate meets tol * max(1, |S|), and
+    otherwise doubles N. A budget below 128 terms, or an estimate above
+    the tolerance when the next doubling would overrun the budget or its
+    rounding part (_rounding) alone misses the tolerance (the error then
+    names that part), raises NonConvergentError; an expansion that
+    overflows (shifts near 1e30) raises AccelerationBreakdown.
 
     Every other balanced sum on the circle (weights without an expansion,
     r*x other than 1 and -1) is extrapolated from a ladder (method
-    "extrapolated"):
-    partial sums at the _GRID checkpoints, and at each top T in _TOPS =
-    (2^12, 2^13, 2^14) the limit of the tail model fitted to the 25
-    checkpoints ending at T (see _limit_weights; model order
-    _MODEL_ORDER = 4). The exponent s is sigma + 1 at r*x = 1 and sigma
-    elsewhere on the circle; the log power is the weight's. The error
-    estimate at top T is
-
-        2 * max(|fit - fit of order 3|, |fit - fit on the marks <= T/2|)
-          + (T + sum |w_k|) * eps * sum |t_n|,
-
-    the second part covering rounding in the partial sums of the T terms
-    t_n summed so far, as amplified by the fit weights w_k. The first top
-    whose estimate meets tol * max(1, |S|) returns its fit with
-    terms_used = T and the estimate as tail_bound. A budget below 2^14
-    terms, divergent or non-decaying terms, or an estimate above the
-    tolerance even at 2^14 raise NonConvergentError; a tail model that
-    cannot be formed on the ladder raises AccelerationBreakdown.
+    "extrapolated"; the module docstring gives its fit and estimate): the
+    first top T in _TOPS whose estimate meets tol * max(1, |S|) returns
+    its fit with terms_used = T and the estimate as tail_bound. A budget
+    below 2^14 terms, divergent or non-decaying terms, or an estimate
+    above the tolerance even at 2^14 raise NonConvergentError; a tail
+    model that cannot be formed on the ladder raises
+    AccelerationBreakdown.
     """
     x = complex(x)
     rx = spec.geometric_ratio * x
@@ -878,37 +866,19 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         return _eval_unit(spec, weight, rx, tol, sigma,
                           weight.asymptotics()[1])
 
-    # the direct rule. sigma is formed only where the drift clause or the
-    # refusal reads it
+    # the direct rule, written out for the shape and the weight's walk
+    form, state = weight.walk(spec.start_index)
+    t, rx, nums, dens = _start(spec, rx)
+    loop = _kernel("direct", (len(nums), len(dens), p), form)
+    return loop(spec, weight, tol, max_terms, mag, t, rx, *nums, *dens,
+                *state)
+
+
+_DIRECT_LOOP = """\
+def _direct_loop(spec, weight, tol, max_terms, mag, t, rx, %(args)s):
+    # sigma is formed only where the drift clause or the refusal reads it
     sigma = None
     n0 = spec.start_index
-    # w holds w_n: in line for a weight whose steps() is the walk of its
-    # pairs, from its generator otherwise
-    wpairs = weight.inline_pairs()
-    if wpairs is None:
-        step = weight.steps(n0).__next__
-        w = step()
-    else:
-        step = None
-        w, wpairs = _real_pairs(weight.value(n0), wpairs)
-        if wpairs:
-            (c0, s0), *wrest = wpairs
-    wc = 0.0
-    t, rx, nums, dens = _start(spec, rx)
-    # the step factor written out for the registry's shapes (numerator
-    # shifts, denominator shifts, p)
-    shape = (len(nums), len(dens), p)
-    if shape == (2, 1, 1):
-        form = 1
-        (a0, a1), (b0,) = nums, dens
-    elif shape == (2, 0, 2):
-        form = 2
-        a0, a1 = nums
-    elif shape == (3, 2, 1):
-        form = 3
-        (a0, a1, a2), (b0, b1) = nums, dens
-    else:
-        form = 0
     m = float(n0)               # n, the index of the term being added
 
     S = comp = 0.0
@@ -968,45 +938,22 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
             check = min(max_terms, count + _FINITE_EVERY)
         back3, back2, back1 = back2, back1, at
 
-        # w_n -> w_{n+1}, by _walk_pairs's Kahan step where in line
-        if step is not None:
-            w = step()
-        elif wpairs:
-            q = c0 / (s0 + m)
-            if wrest:
-                for c, s in wrest:
-                    q += c / (s + m)
-            y = q - wc
-            hi = w + y
-            wc = (hi - w) - y
-            w = hi
+        # w_n -> w_{n+1}
+        %(step)s
         # u_n -> u_{n+1}: t times r*x, each (a + n) and 1 / (b + n) in
         # shift order, then over (n + 1)^p
-        if form == 1:
-            t *= rx * (a0 + m) * (a1 + m) / (b0 + m)
-            m += 1.0
-            t /= m
-        elif form == 2:
-            t *= rx * (a0 + m) * (a1 + m)
-            m += 1.0
-            # m * m is float(n + 1) ** 2 while exact: (n + 1)^2 < 2^53,
-            # the first 9.4e7 terms
-            t /= m * m
-        elif form == 3:
-            t *= rx * (a0 + m) * (a1 + m) * (a2 + m) / (b0 + m) / (b1 + m)
-            m += 1.0
-            t /= m
-        else:
-            f = rx
-            for a in nums:
-                f *= a + m
-            for b in dens:
-                f /= b + m
-            t *= f
-            m += 1.0
-            if p:
-                t /= m ** p
+        t *= rx%(factor)s
+        m += 1.0
+        %(divide)s
 
+    return _past_budget(spec, weight, tol, mag, S, count, back3, back2,
+                        back1, at, sigma)
+"""
+
+
+def _past_budget(spec, weight, tol, mag, S, count, back3, back2, back1, at,
+                 sigma):
+    """The direct rule's result once its loop spent the budget."""
     # budget exhausted: accept only if a trustworthy tail bound exists;
     # the slice keeps the ratios between terms summed (at most four terms)
     if count > 1:
@@ -1064,18 +1011,12 @@ class _Walk:
     so the factors stay near 1 and the walk does not depend on the order
     in which the spec gives its shifts.
 
-    The term loop is fitted to the walk's shape and gives the values of
-    a plain loop over the pairs bit for bit: n runs as a float, g is
-    written out for 2 and 3 pairs (the counts the registry walks), and a
-    weight whose steps() is the walk of its pairs (inline_pairs: Unit,
-    Harmonic with stride 1, DigammaDiffSum, DigammaLog and LinearCombo
-    with pairs) takes that walk's Kahan step in the loop, on floats where
-    _pair_steps would. Other weights (Harmonic with stride 2 or 3,
-    HarmonicSqPlusGen2) keep their generators, one call per term.
+    The loop is generated for the pair count and the weight's walk
+    (_kernel_source), bit for bit a plain loop over the pairs and steps().
     """
 
-    __slots__ = ("pairs", "rx", "step", "w", "wpairs", "wc", "n0", "n", "t",
-                 "tc", "S", "comp", "abs_sum", "blocks")
+    __slots__ = ("pairs", "rx", "loop", "wstate", "n0", "n", "t", "tc", "S",
+                 "comp", "abs_sum", "blocks")
 
     def __init__(self, spec: PochhammerRatioSeries, weight: WeightKind,
                  rx: complex):
@@ -1092,84 +1033,139 @@ class _Walk:
             pairs.append((a - d, d))
         self.pairs = tuple(pairs)
         self.n0 = self.n = spec.start_index
-        # w holds w_n, the weight of the first term not yet added
-        wpairs = weight.inline_pairs()
-        if wpairs is None:
-            self.step = weight.steps(self.n).__next__
-            self.w, self.wpairs = self.step(), ()
-        else:
-            self.step = None
-            self.w, self.wpairs = _real_pairs(weight.value(self.n), wpairs)
-        self.wc = self.tc = self.S = self.comp = 0.0
-        self.abs_sum = 0.0
+        # wstate holds the weight's walk at n, the first term not yet added
+        form, self.wstate = weight.walk(self.n)
+        self.loop = _kernel("walk", (len(pairs),), form)
+        self.tc = self.S = self.comp = self.abs_sum = 0.0
         self.blocks = []
 
     def run(self, count: int) -> None:
-        pairs, rx, step, n0, n = (self.pairs, self.rx, self.step, self.n0,
-                                  self.n)
-        t, tc, S, comp = self.t, self.tc, self.S, self.comp
-        w, wc, abs_sum = self.w, self.wc, self.abs_sum
-        two, three = len(pairs) == 2, len(pairs) == 3
-        if two:
-            (x0, d0), (x1, d1) = pairs
-        elif three:
-            (x0, d0), (x1, d1), (x2, d2) = pairs
-        wpairs = self.wpairs
-        if wpairs:
-            (c0, a0), *wrest = wpairs
-        end = n + count
-        while n < end:
-            block = abs_sum
-            # the block ends before the next power of four above n - n0
-            stop = min(end, n0 + 4 ** (((n - n0).bit_length() + 1) // 2))
-            m = float(n)
-            for _ in range(stop - n):
-                term = t * w
-                y = term - comp
-                hi = S + y
-                comp = (hi - S) - y
-                S = hi
-                abs_sum += abs(term)
-                # advance u_n -> u_{n+1} = r * u_n * (1 + g); written out,
-                # the loop's first step from g = 0.0, 0.0 + (e + 0.0 * e),
-                # is e + 0.0 for every finite e
-                if two:
-                    g = x0 / (d0 + m) + 0.0
-                    e = x1 / (d1 + m)
-                    g += e + g * e
-                elif three:
-                    g = x0 / (d0 + m) + 0.0
-                    e = x1 / (d1 + m)
-                    g += e + g * e
-                    e = x2 / (d2 + m)
-                    g += e + g * e
-                else:
-                    g = 0.0
-                    for delta, d in pairs:
-                        e = delta / (d + m)
-                        g += e + g * e
-                inc = t * g + tc
-                hi = t + inc
-                back = hi - t
-                tc = (t - (hi - back)) + (inc - back)
-                t = hi * rx
-                tc *= rx
-                # w_n -> w_{n+1}
-                if step is not None:
-                    w = step()
-                elif wpairs:
-                    q = c0 / (a0 + m)
-                    for c, a in wrest:
-                        q += c / (a + m)
-                    y = q - wc
-                    hi = w + y
-                    wc = (hi - w) - y
-                    w = hi
-                m += 1.0
-            n = stop
-            self.blocks.append((n - 1, abs_sum - block))
-        self.n, self.t, self.tc, self.S, self.comp = n, t, tc, S, comp
-        self.w, self.wc, self.abs_sum = w, wc, abs_sum
+        self.loop(self, count)
+
+
+_WALK_LOOP = """\
+def _walk_loop(self, count):
+    rx, n0, n, abs_sum = self.rx, self.n0, self.n, self.abs_sum
+    t, tc, S, comp = self.t, self.tc, self.S, self.comp
+    [%(pairs)s] = self.pairs
+    %(state)s, = self.wstate
+    end = n + count
+    while n < end:
+        block = abs_sum
+        # the block ends before the next power of four above n - n0
+        stop = min(end, n0 + 4 ** (((n - n0).bit_length() + 1) // 2))
+        m = float(n)
+        for _ in range(stop - n):
+            term = t * w
+            y = term - comp
+            hi = S + y
+            comp = (hi - S) - y
+            S = hi
+            abs_sum += abs(term)
+            # advance u_n -> u_{n+1} = r * u_n * (1 + g)
+            %(g)s
+            inc = t * g + tc
+            hi = t + inc
+            back = hi - t
+            tc = (t - (hi - back)) + (inc - back)
+            t = hi * rx
+            tc *= rx
+            # w_n -> w_{n+1}
+            %(step)s
+            m += 1.0
+        n = stop
+        self.blocks.append((n - 1, abs_sum - block))
+    self.n, self.t, self.tc, self.S, self.comp = n, t, tc, S, comp
+    self.abs_sum, self.wstate = abs_sum, (%(state)s,)
+"""
+
+
+# ---------------------------------------------------------------------------
+# the term loops, generated per shape and weight walk
+
+
+def _kahan(acc: str, inc: str) -> list:
+    """Lines adding inc to acc by a Kahan step, compensation in acc_c."""
+    return [f"y = {inc} - {acc}_c", f"hi = {acc} + y",
+            f"{acc}_c = (hi - {acc}) - y", f"{acc} = hi"]
+
+
+def _walk_code(form: tuple, v: str):
+    """(names, lines) of a walk form with the weight's value in v: the
+    variables of its state, in order, and the lines that step them from
+    index m to m + 1. ("pairs", k) adds sum_i p_i / (s_i + m)
+    (_walk_pairs), ("harmonic", s) 1 / idx for s indices (Harmonic.steps),
+    ("sqgen2",) walks H_n and H_n^(2) (HarmonicSqPlusGen2.steps; idx * idx
+    is the int product rounded once), ("sum", *forms) adds its parts'
+    coefficients times their values to 0, as _lsum does
+    (LinearCombo.steps), and ("next",) calls the generator."""
+    kind, *args = form
+    if kind == "pairs":
+        pairs = [(f"{v}_p{i}", f"{v}_s{i}") for i in range(args[0])]
+        q = " + ".join(f"{c} / ({a} + m)" for c, a in pairs)
+        names = [v, v + "_c", *itertools.chain(*pairs)]
+        return names, _kahan(v, q) if q else []
+    if kind == "harmonic":
+        i = v + "_i"
+        return [v, v + "_c", i], [f"{i} += 1.0",
+                                  *_kahan(v, f"1.0 / {i}")] * args[0]
+    if kind == "sqgen2":
+        h, g, i = v + "_h", v + "_g", v + "_i"
+        return [v, h, h + "_c", g, g + "_c", i], [
+            f"{i} += 1.0", *_kahan(h, f"1.0 / {i}"),
+            *_kahan(g, f"1.0 / ({i} * {i})"), f"{v} = {h} * {h} + {g}"]
+    if kind == "sum":
+        names, lines = [v] + [f"{v}_k{i}" for i in range(len(args))], []
+        for i, part in enumerate(args):
+            part_names, part_lines = _walk_code(part, f"{v}_{i}")
+            names += part_names
+            lines += part_lines
+        terms = "".join(f" + {v}_k{i} * {v}_{i}" for i in range(len(args)))
+        return names, [*lines, f"{v} = 0{terms}"]
+    return [v, v + "_next"], [f"{v} = {v}_next()"]
+
+
+def _kernel_source(loop: str, shape: tuple, form: tuple) -> str:
+    """The text of a term loop: _DIRECT_LOOP (loop "direct") for shape
+    (numerator shifts, denominator shifts, p) or _WALK_LOOP (loop "walk")
+    for shape (pairs,), with the walk form written out (_walk_code). It
+    depends on these small integers only; the shifts a_i, b_j or pairs
+    (x_i, d_i) = (a - d, d), r*x and the walk's state are arguments."""
+    names, step = _walk_code(form, "w")
+    if loop == "direct":
+        k, l, p = shape
+        nums, dens = [f"a{i}" for i in range(k)], [f"b{j}" for j in range(l)]
+        # m * m is float(n + 1) ** 2 while exact: (n + 1)^2 < 2^53, the
+        # first 9.4e7 terms
+        divide = ("" if p == 0 else "t /= m" if p == 1 else
+                  "t /= m * m" if p == 2 else f"t /= m ** {p}")
+        return _DIRECT_LOOP % dict(
+            args=", ".join(nums + dens + names),
+            factor="".join([f" * ({a} + m)" for a in nums]
+                           + [f" / ({b} + m)" for b in dens]),
+            divide=divide, step="\n        ".join(step))
+    (k,) = shape
+    # the plain loop's first step from g = 0.0, 0.0 + (e + 0.0 * e), is
+    # e + 0.0 for every finite e
+    g = ["g = 0.0"] if k == 0 else ["g = x0 / (d0 + m) + 0.0"]
+    for i in range(1, k):
+        g += [f"e = x{i} / (d{i} + m)", "g += e + g * e"]
+    pairs = ", ".join(f"(x{i}, d{i})" for i in range(k))
+    return _WALK_LOOP % dict(pairs=pairs, state=", ".join(names),
+                             g="\n            ".join(g),
+                             step="\n            ".join(step))
+
+
+@functools.lru_cache(maxsize=128)
+def _kernel(loop: str, shape: tuple, form: tuple):
+    """_kernel_source's function, compiled once per loop, shape and walk
+    form, without the comment lines, which take most of its parse time."""
+    lines = _kernel_source(loop, shape, form).splitlines()
+    source = "\n".join(ln for ln in lines if not ln.lstrip().startswith("#"))
+    namespace = {}
+    exec(compile(source, f"<{loop} {shape} {form}>", "exec"), globals(),
+         namespace)
+    return namespace.popitem()[1]
 
 
 def _eval_unit(spec: PochhammerRatioSeries, weight: WeightKind, rx: complex,

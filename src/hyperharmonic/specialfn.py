@@ -54,7 +54,10 @@ _DIGAMMA_TAIL = (
 
 
 def _pole_index(z: complex) -> int | None:
-    """k >= 0 such that |z + k| <= POLE_TOL, or None if z is off-pole."""
+    """k >= 0 such that |z + k| <= POLE_TOL, or None if z is off-pole. A
+    non-finite z (a NaN parameter) raises DomainError."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite")
     k = round(z.real)
     if k <= 0 and abs(z - k) <= POLE_TOL:
         return -k

@@ -278,6 +278,20 @@ class TestVerifySemantics:
             verify(with_perturbed_rhs("COR-A1", 1e308), points=[{"a": 0.7}])
 
     @pytest.mark.parametrize("ident_id, point, prefix", [
+        ("COR-A1", {"a": math.nan}, r"^COR-A1 at \{'a': nan\}, lhs term 0: "),
+        ("SUM-2.8.50", {"a": math.nan, "b": 0.25},
+         r"^SUM-2\.8\.50 at \{'a': nan, 'b': 0\.25\}, lhs term 0: "),
+        ("THM-B", {"a": math.nan, "x": 0.5},
+         r"^THM-B at \{'a': nan, 'x': 0\.5\}, lhs term 0: "),
+    ])
+    def test_nan_parameter_raises_domain_error(self, ident_id, point,
+                                               prefix):
+        # a NaN shift is no pole: the pole checks once raised a bare
+        # ValueError from round(nan) before the side could name itself
+        with pytest.raises(errors.DomainError, match=prefix):
+            verify(ident_id, points=[point])
+
+    @pytest.mark.parametrize("ident_id, point, prefix", [
         # the second of THM-D's three lhs series diverges at r*x = -1
         ("THM-D", {"a": -0.1, "b": -0.1},
          r"^THM-D at \{'a': -0\.1, 'b': -0\.1\}, lhs term 1: "

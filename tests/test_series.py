@@ -22,7 +22,12 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            pochhammer, verify)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _moments, _pair_steps,
-                                  _rounding, _Walk)
+                                  _rounding, _Walk, _walk_code)
+from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
+                          COMPLEX_UNIT_DRAWS_DIGEST, REAL_DRAWS_DIGEST,
+                          ZIPPED_DRAWS_DIGEST, Zipped, complex_direct_draws,
+                          complex_unit_draws, draw_outcome, draw_result,
+                          real_draws)
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 
 _EPS = 2.0 ** -52
@@ -211,6 +216,25 @@ def _weight_mp(kind, n):
 _NESTED = LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic())))
 
 
+def _walked(weight, n0, count):
+    """The first count values of weight.walk(n0), stepped by the lines
+    that the term loops write out for it (_walk_code)."""
+    form, state = weight.walk(n0)
+    names, lines = _walk_code(form, "w")
+    source = "\n".join([
+        "def walked(state, m, count):",
+        f"    {', '.join(names)}, = state",
+        "    out = []",
+        "    for _ in range(count):",
+        "        out.append(w)",
+        *(f"        {line}" for line in lines),
+        "        m += 1.0",
+        "    return out"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["walked"](state, float(n0), count)
+
+
 class TestPairs:
     """pairs() states a first-order weight's step as sum_i c_i / (a_i + n),
     and _pair_steps walks any list of them; LinearCombo merges its
@@ -283,8 +307,8 @@ class TestPairs:
     @pytest.mark.parametrize("offset, n0", [
         (o, n0) for o in (-1, 0, 1, 2) for n0 in (0, 1) if o + n0 >= 0])
     def test_unit_stride_harmonic_steps_are_its_pair_walk(self, offset, n0):
-        # the premise of _Walk stepping Harmonic(1, o) in line: its own
-        # loop and the walk of its one pair (1, o + 1) agree bit for bit
+        # Harmonic(1, o)'s own loop and the walk of its one pair (1, o + 1)
+        # agree bit for bit
         w = Harmonic(1, offset)
         own = w.steps(n0)
         walk = _pair_steps(w.value(n0), w.pairs(), n0)
@@ -292,21 +316,31 @@ class TestPairs:
             a, b = next(own), next(walk)
             assert a == b and type(a) is type(b) is float
 
-    def test_inline_pairs_only_where_steps_is_their_walk(self):
+    def test_every_walk_is_the_walk_of_steps(self):
         class OwnSteps(DigammaDiffSum):
             __slots__ = ()
 
             def steps(self, n0):
                 return itertools.repeat(0.0)
 
-        # the generators of strides 2 and 3 add their reciprocals one by
-        # one, and a subclass's own steps or pairs win
-        for w in (Unit(), Harmonic(1, 2), DigammaLog(0.25, 0.75, 1.2),
-                  _NESTED):
-            assert w.inline_pairs() == w.pairs(), w
-        for w in (Harmonic(2), Harmonic(3, 1), HarmonicSqPlusGen2(),
-                  OwnSteps(0.25, 0.4), _Zipped(_NESTED.parts)):
-            assert w.inline_pairs() is None, w
+        # every built-in kind states the walk of its steps, bit for bit,
+        # as the term loops write it out; a kind with its own steps and
+        # no walk of its own has its generator called per term, also as
+        # a part of a LinearCombo
+        own = OwnSteps(0.1, 0.2)
+        for w in (Unit(), Harmonic(1, 2), Harmonic(2), Harmonic(3, 1),
+                  HarmonicSqPlusGen2(), DigammaLog(0.25, 0.75, 1.2),
+                  DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j), _NESTED,
+                  Zipped(_NESTED.parts),
+                  Zipped(((0.5j, HarmonicSqPlusGen2()), (2.0, _NESTED))),
+                  own, Zipped(((1.0, Harmonic()), (1.0, own)))):
+            for n0 in (0, 1):
+                got = _walked(w, n0, 2000)
+                want = list(itertools.islice(w.steps(n0), 2000))
+                assert repr(got) == repr(want), (w, n0)
+        assert own.walk(0)[0] == ("next",)
+        assert Zipped(((1.0, Harmonic()), (1.0, own))).walk(0)[0] == (
+            "sum", ("harmonic", 1), ("next",))
 
     def test_gauss_weight_is_one_pair_on_floats(self):
         # 2 H_2n - H_n = sum_{k<n} 1/(k + 1/2) = psi(n + 1/2) - psi(1/2)
@@ -1314,160 +1348,6 @@ class TestDerivativeSeries:
             self._check(1.0 / 3.0, 0.9, homogeneous, (0, 1, 2))
 
 
-# sha256 over the outcomes of _real_draws() (see _draw_outcome) whose
-# weight is not a LinearCombo, frozen when the tail at r*x = 1 became
-# Euler-Maclaurin on Taylor coefficients (its values moved in their last
-# bits); the kernels with _start and _pair_steps forced to complex give the
-# same digest. Error texts are hashed without the "1 - |r*x| = ..." part
-# that the direct rule's refusal has gained since
-REAL_DRAWS_DIGEST = \
-    "c9c0c155594c92d55b954b1707e22b698f13b40e9ee52e29c3fd4df97f9e0970"
-# the same over the 57 LinearCombo draws, as the parts' zipped walks
-# (_Zipped) give them, frozen from LinearCombo before it merged its pairs
-ZIPPED_DRAWS_DIGEST = \
-    "52f106bba6dd79d00e86b10f96655b21d7917714735d8086b8e24845d27bde2d"
-_GAP_CLAUSE = re.compile(r", 1 - \|r\*x\| = [^,]*")
-
-
-def _real_draws(count=300, seed=20181):
-    """(spec, weight, x, tol, max_terms) with a real spec and real x: every
-    weight kind (complex LinearCombo coefficients and a complex
-    DigammaDiffSum among them), p = 0, 1, 2, start index 0 and 1,
-    terminating shifts, x of both signs up to 0.97-0.999 and +-1, and
-    budgets from 5 to 2,000 terms (100 or more at +-1); then six draws at
-    +-1 with weights that have no expansion, five of them balanced sums
-    for the ladder, at its 16,384-term budget."""
-    rng = random.Random(seed)
-
-    def uni(lo, hi):
-        return round(rng.uniform(lo, hi), 3)
-
-    weights = (
-        lambda: Unit(),
-        lambda: Harmonic(rng.randint(1, 3), rng.randint(0, 2)),
-        lambda: HarmonicSqPlusGen2(),
-        lambda: DigammaDiffSum(uni(0.1, 2.0), uni(0.2, 2.0)),
-        lambda: DigammaDiffSum(complex(uni(0.1, 2.0), uni(-0.5, 0.5)),
-                               uni(0.2, 2.0)),
-        lambda: DigammaLog(uni(0.2, 2.5), uni(0.2, 2.5), uni(-1.0, 1.0)),
-        lambda: LinearCombo(((uni(-2.0, 2.0), Harmonic()),
-                             (uni(-2.0, 2.0), Unit()))),
-        lambda: LinearCombo(((complex(uni(-2.0, 2.0), uni(-1.0, 1.0)),
-                              Harmonic(2)), (1.0, Unit()))),
-    )
-    for _ in range(count):
-        p = rng.choice((0, 1, 2))
-        dens = [uni(0.2, 3.0) for _ in range(rng.choice((0, 1, 2)))]
-        # as many numerator as denominator shifts (n! counted), or one fewer
-        nums = [uni(-1.5, 2.5)
-                for _ in range(max(0, len(dens) + p - rng.choice((0, 0, 1))))]
-        if nums and rng.random() < 0.15:
-            nums[0] = -float(rng.randint(0, 6))     # terminating
-        start = rng.choice((0, 1))
-        weight = rng.choice(weights)()
-        budget = round(5 * 400 ** rng.random())
-        u = rng.random()
-        if u < 0.2:
-            rx = rng.choice((1.0, -1.0))
-            budget = round(100 * 20 ** rng.random())
-            if nums and rng.random() < 0.8:
-                # Re sigma in (-2.5, -1.1): a sum the unit-circle rules take
-                sigma = sum(nums) - sum(dens) - p
-                nums[-1] = round(nums[-1] + uni(-2.5, -1.1) - sigma, 3)
-        elif u < 0.5:
-            rx = rng.choice((1.0, -1.0)) * uni(0.97, 0.999)
-        else:
-            rx = uni(-0.95, 0.95)
-        ratio = rng.choice((1.0, 1.0, -1.0, 0.5))
-        yield (PochhammerRatioSeries(nums, dens, p, ratio, start), weight,
-               rx / ratio, rng.choice((None, 1e-6, 1e-9, 1e-12)), budget)
-    for rx, a, b, c in ((1.0, 0.5, 0.5, 2.5), (-1.0, 0.5, 0.5, 1.5),
-                        (1.0, -3.0, 0.5, 1.5), (-1.0, 0.25, 0.75, 2.0),
-                        (1.0, 0.3, 0.6, 2.2), (-1.0, 0.7, 0.2, 1.4)):
-        yield (PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0),
-               rng.choice(weights[3:])(), rx, 1e-6, 2 ** 14)
-
-
-def _complex_unit_draws(count=48, seed=20182):
-    """(spec, weight, x, tol, max_terms) on the unit circle with complex
-    terms: balanced sums of complex shifts at r*x = 1 and -1 with every
-    expansion weight (the anchored rule), 1 to 5 shift pairs, p = 0, 1,
-    2, start index 0 and 1, and r = +-1 or +-i; then twelve ladder sums
-    at r*x = e^(i theta) with the unit weight, the generator weights and
-    the pair weights (one to three pairs, complex among them), at the
-    ladder's 16,384-term budget."""
-    rng = random.Random(seed)
-
-    def uni(lo, hi):
-        return round(rng.uniform(lo, hi), 3)
-
-    def cplx(lo, hi):
-        return complex(uni(lo, hi), uni(-0.5, 0.5))
-
-    def spec(p, dens, target, ratio, start):
-        nums = [cplx(-1.5, 2.5) for _ in range(len(dens) + p)]
-        sigma = sum(nums) - sum(dens) - p
-        nums[-1] += complex(round((target - sigma).real, 3),
-                            round((target - sigma).imag, 3))
-        return PochhammerRatioSeries(nums, dens, p, ratio, start)
-
-    expansions = (
-        lambda: Unit(),
-        lambda: Harmonic(rng.randint(1, 3), rng.randint(0, 2)),
-        lambda: HarmonicSqPlusGen2(),
-    )
-    for _ in range(count):
-        p = rng.choice((0, 1, 2))
-        dens = [cplx(0.2, 3.0) for _ in range(rng.choice((1, 2, 3)))]
-        z = rng.choice((1.0, -1.0))
-        ratio = rng.choice((1.0, -1.0, 1j, -1j))
-        # Re sigma in (-2.5, -1.1)
-        yield (spec(p, dens, cplx(-2.5, -1.1), ratio, rng.choice((0, 1))),
-               rng.choice(expansions)(), z / ratio,
-               rng.choice((1e-6, 1e-9, 1e-12)), rng.choice((512, 4096)))
-    ladder = (
-        lambda: Unit(),
-        lambda: Harmonic(1, rng.randint(0, 2)),
-        lambda: Harmonic(2),
-        lambda: HarmonicSqPlusGen2(),
-        lambda: LinearCombo(((2.0, Harmonic(2)), (-1.0, Harmonic()))),
-        lambda: DigammaDiffSum(cplx(0.1, 2.0), uni(0.2, 2.0)),
-        lambda: DigammaLog(cplx(0.2, 2.5), uni(0.2, 2.5), uni(-1.0, 1.0)),
-    )
-    for i in range(12):
-        p = rng.choice((0, 1))
-        dens = [cplx(0.2, 3.0) for _ in range(rng.choice((1, 2)))]
-        theta = uni(0.3, 2.8) * rng.choice((1.0, -1.0))
-        # Re sigma in (-2.5, -0.6)
-        yield (spec(p, dens, cplx(-2.5, -0.6), 1.0, i % 2),
-               ladder[i % len(ladder)](), cmath.exp(1j * theta), 1e-6,
-               2 ** 14)
-
-
-def _draw_result(spec, weight, x, tol, max_terms):
-    """The SeriesResult of a draw, or the error it raises."""
-    try:
-        return eval_weighted(spec, weight, x, tol=tol, max_terms=max_terms)
-    except HyperharmonicError as exc:
-        return exc
-
-
-def _draw_outcome(*draw) -> str:
-    res = _draw_result(*draw)
-    if isinstance(res, HyperharmonicError):
-        return f"{type(res).__name__}: {_GAP_CLAUSE.sub('', str(res))}"
-    return repr((res.value, res.terms_used, res.tail_bound, res.method))
-
-
-class _Zipped(LinearCombo):
-    """A LinearCombo walked as its parts' zipped walks."""
-
-    __slots__ = ()
-
-    def pairs(self):
-        return None
-
-
 class TestRealSpecsOnFloats:
     """Real specs and arguments run the term loops on floats: the values,
     stops, bounds and errors must be those of the complex loops, bit for
@@ -1477,9 +1357,9 @@ class TestRealSpecsOnFloats:
 
     def test_real_draws_match_the_complex_kernels(self):
         digest = hashlib.sha256()
-        for draw in _real_draws():
+        for draw in real_draws():
             if not isinstance(draw[1], LinearCombo):
-                digest.update(_draw_outcome(*draw).encode())
+                digest.update(draw_outcome(*draw).encode())
         assert digest.hexdigest() == REAL_DRAWS_DIGEST
 
     def test_merged_pairs_keep_the_zipped_stops(self):
@@ -1487,14 +1367,14 @@ class TestRealSpecsOnFloats:
         # within its bound plus 16 eps (the direct rule counts no rounding)
         digest = hashlib.sha256()
         count = 0
-        for spec, weight, *rest in _real_draws():
+        for spec, weight, *rest in real_draws():
             if not isinstance(weight, LinearCombo):
                 continue
             count += 1
-            zipped = (spec, _Zipped(weight.parts), *rest)
-            digest.update(_draw_outcome(*zipped).encode())
-            want = _draw_result(*zipped)
-            got = _draw_result(spec, weight, *rest)
+            zipped = (spec, Zipped(weight.parts), *rest)
+            digest.update(draw_outcome(*zipped).encode())
+            want = draw_result(*zipped)
+            got = draw_result(spec, weight, *rest)
             assert type(got) is type(want), (spec, weight)
             if isinstance(want, HyperharmonicError):
                 continue
@@ -1530,13 +1410,6 @@ class TestRealSpecsOnFloats:
         assert type(chk.lhs) is complex and type(chk.rhs) is complex
 
 
-# sha256 over the outcomes of _complex_unit_draws(), frozen from the walk
-# that called every weight's generator, before it stepped first-order
-# weights in line and wrote out its step factor for 2 and 3 pairs
-COMPLEX_UNIT_DRAWS_DIGEST = \
-    "c559ea3620c1c0d761f7e935c3f13afc37f7e4b5225e99224e9decfd96be61fe"
-
-
 class TestComplexWalk:
     """Complex terms on the unit circle: the anchored rule and the ladder
     give the values, stops, bounds and errors of the frozen digest, bit
@@ -1545,72 +1418,11 @@ class TestComplexWalk:
     def test_complex_unit_draws_keep_their_digest(self):
         digest = hashlib.sha256()
         methods = set()
-        for draw in _complex_unit_draws():
-            digest.update(_draw_outcome(*draw).encode())
-            methods.add(getattr(_draw_result(*draw), "method", None))
+        for draw in complex_unit_draws():
+            digest.update(draw_outcome(*draw).encode())
+            methods.add(getattr(draw_result(*draw), "method", None))
         assert methods == {"anchored", "extrapolated"}
         assert digest.hexdigest() == COMPLEX_UNIT_DRAWS_DIGEST
-
-
-# sha256 over the outcomes of _complex_direct_draws(), frozen from the
-# direct rule's generic loop, before it stepped first-order weights in line,
-# wrote out its step factor for three shapes and trimmed its set-up
-COMPLEX_DIRECT_DRAWS_DIGEST = \
-    "923d8d8378d2cb738a3c44ce6c3e61b0a5ee9cadc81b97377bf5416b41a06fab"
-
-
-def _complex_direct_draws(count=240, seed=20183):
-    """(spec, weight, x, tol, max_terms) for the direct rule with complex
-    terms: 1 to 3 numerator and 0 to 2 denominator shifts, complex among
-    them, p = 0, 1, 2 (the registry's shapes (2, 1, 1), (2, 0, 2) and
-    (3, 2, 1) in half the draws), start index 0 and 1, terminating shifts,
-    complex r*x up to |r*x| = 0.999, and on the circle the terminating and
-    factorially decaying sums, with every weight kind and budgets of 1 to
-    2,000 terms; then one sum whose terms overflow."""
-    rng = random.Random(seed)
-
-    def uni(lo, hi):
-        return round(rng.uniform(lo, hi), 3)
-
-    def cplx(lo, hi):
-        return complex(uni(lo, hi), uni(-0.5, 0.5))
-
-    weights = (
-        lambda: Unit(),
-        lambda: Harmonic(rng.randint(1, 3), rng.randint(0, 2)),
-        lambda: HarmonicSqPlusGen2(),
-        lambda: DigammaDiffSum(cplx(0.1, 2.0), cplx(0.2, 2.0)),
-        lambda: DigammaLog(cplx(0.2, 2.5), uni(0.2, 2.5), cplx(-1.0, 1.0)),
-        lambda: LinearCombo(((cplx(-2.0, 2.0), Harmonic(2)),
-                             (uni(-2.0, 2.0), Harmonic()))),
-        lambda: LinearCombo(((cplx(-2.0, 2.0), HarmonicSqPlusGen2()),
-                             (1.0, Unit()))),
-    )
-    for _ in range(count):
-        if rng.random() < 0.5:
-            num_count, den_count, p = rng.choice(((2, 1, 1), (2, 0, 2),
-                                                  (3, 2, 1)))
-        else:
-            p, den_count = rng.randint(0, 2), rng.randint(0, 2)
-            num_count = rng.randint(1, max(1, min(3, den_count + p)))
-        dens = [rng.choice((uni, cplx))(0.2, 3.0) for _ in range(den_count)]
-        nums = [rng.choice((uni, cplx))(-1.5, 2.5) for _ in range(num_count)]
-        ratio = rng.choice((1.0, -1.0, 1j, 0.5 - 0.5j))
-        # on the circle only terminating sums and factorially decaying
-        # terms take the direct rule
-        circle = rng.random() < 0.15
-        mag = 1.0 if circle else rng.choice((uni(0.05, 0.95),
-                                             uni(0.95, 0.999)))
-        rx = cmath.rect(mag, uni(-3.1, 3.1))
-        if rng.random() < 0.1 or num_count > den_count + p or (
-                circle and num_count == den_count + p):
-            nums[0] = -float(rng.randint(0, 6))     # terminating
-        budget = rng.choice((2000, round(2000 ** rng.random())))
-        yield (PochhammerRatioSeries(nums, dens, p, ratio, rng.choice((0, 1))),
-               rng.choice(weights)(), rx / ratio,
-               rng.choice((None, 1e-6, 1e-9, 1e-12, 1e-15)), budget)
-    yield (PochhammerRatioSeries((300 + 1j, 300), (1.0,), 1, 1.0, 0),
-           Harmonic(), 0.9j, None, 2000)
 
 
 class TestComplexDirect:
@@ -1622,9 +1434,9 @@ class TestComplexDirect:
     def test_complex_direct_draws_keep_their_digest(self):
         digest = hashlib.sha256()
         results = []
-        for draw in _complex_direct_draws():
-            digest.update(_draw_outcome(*draw).encode())
-            results.append((draw[-1], _draw_result(*draw)))
+        for draw in complex_direct_draws():
+            digest.update(draw_outcome(*draw).encode())
+            results.append((draw[-1], draw_result(*draw)))
         sums = [res for _, res in results
                 if not isinstance(res, HyperharmonicError)]
         errors = [str(res) for _, res in results
