@@ -6,23 +6,20 @@ A PochhammerRatioSeries describes terms
 
 summed against a weight sequence w_n (harmonic numbers and relatives).
 The spec, the SeriesResult and the weights are Frozen value classes.
-Each weight family is one WeightKind subclass: value(n) evaluates w_n
-from scratch, steps(n0) walks w_n0, w_n0+1, ... with compensated
-accumulation so that a million steps stay within a couple of ulps of
-value(n), asymptotics() gives its growth n^shift (log n)^L,
-expansion(K, M), where a weight has one, its expansion in powers of 1/n
-and log n with the constant fixed by the computed w_M, and pairs(), for
-a first-order weight (a derivative of Pochhammer symbols (a_i + eps)_n
-in eps), its step as pairs (c_i, a_i) adding sum_i c_i / (a_i + n). One
-compensated walk steps DigammaDiffSum, DigammaLog and LinearCombo
-through their pairs; LinearCombo merges its parts' pairs, so the weight
-2 H_2n - H_n costs one division per step; walk(n0) states steps(n0) as
-a form that the term loops write out. Both term loops, the direct rule's
-and the unit-circle walk's (_Walk), are generated per shape and weight
-walk from one template each (_kernel_source), so no term branches on
-either. Terms advance by one multiply-divide recurrence per index, run on
-floats for a real spec at a real argument, with results identical to
-complex. Floats are added in a fixed order (_lsum), so every supported
+Each weight family is one WeightKind subclass. Every built-in kind but
+LinearCombo is a _PairWeight, a derivative of Pochhammer symbols (a_i +
+eps)_n in eps stated once by its pairs (c_i, a_i), the step adding
+sum_i c_i / (a_i + n) (H_n^2 + H_n^(2) steps P by one pair, Q by its
+square). From them it gives value(n), steps(n0), walk(n0) (the form that
+the term loops write out), asymptotics() and expansion(K, M), in powers
+of 1/n and log n with the constant fixed by the computed w_M.
+LinearCombo merges its parts' pairs, so 2 H_2n - H_n costs one division
+per step, and gives no expansion. Both term loops, the direct rule's and
+the unit-circle walk's (_Walk), are generated per shape and weight walk
+from one template each (_kernel_source), so no term branches on either.
+Terms advance by one multiply-divide recurrence per index, run on floats
+for a real spec at a real argument, with results identical to complex.
+Floats are added in a fixed order (_lsum), so every supported
 interpreter gives the same values.
 
 Before summing, the engine refuses terms that grow factorially (more
@@ -40,19 +37,18 @@ engine sums directly with a geometric tail bound. On the circle
 n^sigma (log n)^L.
 
 At r*x = 1 and -1, with a weight that gives its expansion in powers of
-1/n and log n (WeightKind.expansion: the unit weight, Harmonic(stride,
-offset) and H_n^2 + H_n^(2)), the anchored rule sums 2N terms, N = 64,
-and adds the tail in closed form. By DLMF 5.11.13, u_n ~ C z^n n^sigma
-sum_{k<=K} d_k n^-k (z = r*x, K = 10, the d_k from Bernoulli
-polynomials of the shifts); by DLMF 5.15.8, H_{sn+o} ~ log n + g +
-sum_k h_k n^-k with g taken from the computed H_{sM+o}, and H_n^(2) ~ c
-- sum_k B_{k-1} n^-k with c taken from the computed H_M^(2), so w_n u_n
-~ C z^n n^sigma sum_l log^l n sum_k f_lk n^-k with at most two log
-powers. With C anchored at the computed u_M (no Gamma value enters),
-the tail from index M is u_M sum_{m>=0} z^m f(m), f(h) the anchored
-expansion of w_(M+h) u_(M+h) / u_M, and one routine sums it from the
-Taylor coefficients c_j, j < J = 14, of f at 0 (binomial series of
-(1 + h/M)^(sigma-k) times powers of log M + log(1 + h/M)): at -1 by
+1/n and log n (WeightKind.expansion: every built-in weight but
+LinearCombo), the anchored rule sums 2N terms, N = 64, and adds the tail
+in closed form. By DLMF 5.11.13, u_n ~ C z^n n^sigma sum_{k<=K} d_k n^-k
+(z = r*x, K = 10, the d_k from Bernoulli polynomials of the shifts); by
+DLMF 5.15.8 a first-order weight has w_n ~ L log n + g + sum_k h_k n^-k
+(L = sum_i c_i, g taken from the computed w_M) and P^2 + Q a log^2 n
+row, so w_n u_n ~ C z^n n^sigma sum_l log^l n sum_k f_lk n^-k with at
+most two log powers. With C anchored at the computed u_M (no Gamma value
+enters), the tail from index M is u_M sum_{m>=0} z^m f(m), f(h) the
+anchored expansion of w_(M+h) u_(M+h) / u_M, and one routine sums it
+from the Taylor coefficients c_j, j < J = 14, of f at 0 (binomial series
+of (1 + h/M)^(sigma-k) times powers of log M + log(1 + h/M)): at -1 by
 Boole summation (DLMF 24.17; Johansson, arXiv:1606.06977),
 1/2 sum_j E_j(0) c_j with E_j(0) = -2 (2^(j+1) - 1) B_(j+1) / (j+1),
 and at 1 by Euler-Maclaurin (DLMF 2.10; Johansson, ACM TOMS 45(3) 2019),
@@ -110,8 +106,7 @@ from .errors import (
     NonConvergentError,
     PoleError,
 )
-from .specialfn import (_pole_index, digamma, generalized_harmonic, harmonic,
-                        pochhammer)
+from .specialfn import _pole_index, harmonic, pochhammer
 
 __all__ = [
     "PochhammerRatioSeries",
@@ -218,7 +213,8 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
     factorial_power p >= 0, start_index in {0, 1}. Denominator shifts may
     not sit within 1e-12 of a non-positive integer (the recurrence would
     divide by zero); numerator shifts at non-positive integers are legal
-    and terminate the series. Shifts and r are stored as complex numbers.
+    and terminate the series, and a numerator shift that is not finite
+    raises DomainError. Shifts and r are stored as complex numbers.
     """
 
     __slots__ = ("numerator_shifts", "denominator_shifts", "factorial_power",
@@ -237,6 +233,11 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
         for b in dens:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
+        # one test per spec: the sum is finite unless a shift is not, or
+        # finite shifts overflow it
+        if not cmath.isfinite(_lsum(nums)) and not all(map(cmath.isfinite,
+                                                             nums)):
+            raise DomainError(f"numerator shifts {nums} are not all finite")
         # a series node builds a spec wherever its shifts change: the
         # fields are stored directly, without Frozen.__init__'s loop
         _set(self, "numerator_shifts", nums)
@@ -292,23 +293,18 @@ _RESULT_SETTERS = slot_setters(SeriesResult)
 
 class WeightKind:
     """Base class for weight families; each subclass is the one definition
-    of its family. The families below are also Frozen value classes whose
-    fields are their __slots__; other subclasses need not be.
+    of its family. The built-in families are also Frozen value classes
+    whose fields are their __slots__, and all but LinearCombo are
+    _PairWeights; other subclasses need not be either.
 
     value(n) recomputes w_n from scratch, the reference that tests compare
-    the walk against. steps(n0) yields w_n0, w_n0+1, ... incrementally,
-    by default through pairs(); running sums carry Kahan compensation so
-    a 10^6-term walk stays within ~2 ulp of the fsum reference.
-    asymptotics() gives (shift, L) with w_n ~ n^shift * (log n)^L at
-    large n, the weight's part of the exponent sigma and the log power
-    of the unit-circle tail model.
-    expansion(K, M) refines that shape to an expansion in 1/n, where the
-    weight gives one; the anchored rule at r*x = 1 and -1 needs it.
-    pairs() states a first-order weight's step as pairs (c_i, a_i), the
-    step from w_n to w_n+1 adding sum_i c_i / (a_i + n): the derivative
-    in eps of (a_i + eps)_n at eps = 0 is (a_i)_n sum_{k<n} 1/(a_i + k).
-    _pair_steps walks any list of pairs; LinearCombo merges its parts'.
-    walk(n0) states steps(n0) as a walk that the term loops take in line.
+    the walk against; steps(n0) yields w_n0, w_n0+1, ... with Kahan-
+    compensated running sums; walk(n0) states steps(n0) as a walk that the
+    term loops take in line (a subclass that overrides steps() overrides
+    walk() too). asymptotics() gives (shift, L) with w_n ~ n^shift (log
+    n)^L, the weight's part of the exponent sigma and the log power of the
+    ladder's tail model; expansion(K, M) refines it to an expansion in 1/n
+    for the anchored rule at r*x = 1 and -1.
     """
     __slots__ = ()
 
@@ -316,10 +312,7 @@ class WeightKind:
         raise NotImplementedError
 
     def steps(self, n0: int):
-        pairs = self.pairs()
-        if pairs is None:
-            raise NotImplementedError
-        return _pair_steps(self.value(n0), pairs, n0)
+        raise NotImplementedError
 
     def asymptotics(self) -> tuple[int, int]:
         return 0, 0
@@ -341,35 +334,171 @@ class WeightKind:
     def walk(self, n0: int):
         """(form, state): steps(n0), bit for bit, as a walk that the term
         loops write out (_walk_code). form depends only on small integers;
-        state holds the walk's variables at n0, w_n0 first. A kind that
-        keeps the default steps walks its pairs; any other kind that
-        states no walk has its steps(n0) called per term (form "next")."""
-        pairs = self.pairs()
-        if pairs is not None and type(self).steps is WeightKind.steps:
-            return _pairs_walk(self.value(n0), pairs)
+        state holds the walk's variables at n0, w_n0 first. By default the
+        form is ("next",), which calls the generator per term."""
         step = self.steps(n0).__next__
         return ("next",), (step(), step)
 
 
-class Unit(Frozen, WeightKind):
-    """w_n = 1."""
+class _PairWeight(WeightKind):
+    """A weight stated by reciprocal pairs (c_i, a_i), as the derivative in
+    eps of (a + eps)_n is (a)_n sum_{k<n} 1/(a + k). Of order 1, w_n = w_n0
+    + sum_{n0<=k<n} sum_i c_i / (a_i + k); of order 2 (one pair), w_n =
+    P_n^2 + Q_n, P stepping by the pair and Q by its square c^2 / (a +
+    k)^2. A kind's __init__ validates its fields and states its pairs,
+    start value and start index once (_set_pairs), in hidden slots that
+    reprs, equality, hashing and pickles do not see: _pairs (as given),
+    _floats (as floats where they and the start value are all real),
+    _order, _start ((n0, w_n0), or (n0, (P, Q))) and _walks (each walk(n0)
+    once stated).
+
+    value(n) fsums the start value and the separate steps c_i / (a_i + k).
+    The steps add sum_i c_i psi(a_i + n), so by DLMF 5.15.8 w_n ~ L log n +
+    g + sum_k h_k n^-k, L = sum_i c_i, h_k = sum_i c_i (-1)^(k+1) B_k(a_i)
+    / k, and Q_n ~ c - sum_k c^2 B_(k-1)(1 - a) n^-k (from psi'(a + n),
+    as (-1)^m B_m(a) = B_m(1 - a)); expansion(K, M) takes g and c from the
+    computed P_M and Q_M. For H_{sn+o}, whose pairs are (1/s, (o+r)/s),
+    r = 1..s, the multiplication theorem (DLMF 24.4.17) gives h_k =
+    (-1)^(k+1) B_k(o+1) / (k s^k).
+    """
+
+    __slots__ = ("_pairs", "_floats", "_order", "_start", "_walks")
+
+    def _set_pairs(self, pairs, start, order=1, n0=0):
+        _set(self, "_pairs", None if order == 2 else pairs)
+        floats = _as_floats(pairs)
+        if floats is not None and not (start[0].imag or start[1].imag
+                                       if order == 2 else start.imag):
+            pairs = floats
+            start = tuple(map(_real, start)) if order == 2 else start.real
+        _set(self, "_floats", pairs)
+        _set(self, "_order", order)
+        _set(self, "_start", (n0, start))
+        _set(self, "_walks", {})
+
+    def _at(self, n):
+        """w_n, or (P_n, Q_n) at order 2."""
+        n0, start = self._start
+        if n == n0:
+            return start
+        if n < n0:
+            raise DomainError(f"{self!r} starts at index {n0}, got {n}")
+        if self._order == 1:
+            return _fsum([start] + [c / (a + k) for k in range(n0, n)
+                                    for c, a in self._floats])
+        (c, a), = self._floats
+        return (_fsum([start[0], *(c / (a + k) for k in range(n0, n))]),
+                _fsum([start[1], *(c * c / ((a + k) * (a + k))
+                                   for k in range(n0, n))]))
+
+    def _walk_at(self, n0):
+        if self._order == 1:
+            return (("pairs", len(self._floats)),
+                    (self._at(n0), 0.0, *itertools.chain(*self._floats)))
+        P, Q = self._at(n0)
+        (c, a), = self._floats
+        return ("square",), (P * P + Q, P, 0.0, Q, 0.0, c, a, c * c)
+
+    def value(self, n):
+        w = self._at(n)
+        return w if self._order == 1 else w[0] * w[0] + w[1]
+
+    def steps(self, n0):
+        if self._order == 1:
+            return _pair_steps(self._at(n0), self._floats, n0)
+        P, Q = self._at(n0)
+        (c, a), = self._floats
+        ps = _kahan_steps(P, (c / (a + k) for k in itertools.count(n0)))
+        qs = _kahan_steps(Q, (c * c / ((a + k) * (a + k))
+                              for k in itertools.count(n0)))
+        return (p * p + q for p, q in zip(ps, qs))
+
+    def walk(self, n0):
+        walk = self._walks.get(n0)
+        if walk is None:
+            walk = self._walks[n0] = self._walk_at(n0)
+        return walk
+
+    def pairs(self):
+        return self._pairs
+
+    def asymptotics(self):
+        return 0, (self._order if self._floats else 0)
+
+    def expansion(self, order, anchor):
+        log, h, q = _pair_rows(self._floats, self._order, order)
+        w, log_m = self._at(anchor), log * math.log(anchor)
+        if self._order == 1:
+            A = _anchored_row(w - log_m, h, anchor)
+            return (A, (log,) + (0.0,) * order) if self._floats else (A,)
+        # P^2 + Q with P ~ L log n + A(n): rows A^2 + Q, 2 L A and L^2
+        A = _anchored_row(w[0] - log_m, h, anchor)
+        G = _anchored_row(w[1], q, anchor)
+        const = tuple(G[k] + _lsum(A[j] * A[k - j] for j in range(k + 1))
+                      for k in range(order + 1))
+        return (const, tuple(2.0 * log * v for v in A),
+                (log * log,) + (0.0,) * order)
+
+
+def _as_floats(pairs):
+    """The pairs as floats where every value is real, else None."""
+    floats = []
+    for c, a in pairs:
+        if c.imag or a.imag:
+            return None
+        floats.append((c.real, a.real))
+    return tuple(floats)
+
+
+def _fsum(terms):
+    """math.fsum, part by part where the first term is complex."""
+    if type(terms[0]) is complex:
+        return complex(math.fsum(map(_real, terms)),
+                       math.fsum(map(_imag, terms)))
+    return math.fsum(terms)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_rows(pairs, weight_order: int, order: int) -> tuple:
+    """(L, h, q) of _PairWeight for k = 1..order, q None at order 1. They
+    depend on the pairs and the orders only, so each anchor reuses them."""
+    log, h = 0.0, [0.0] * order
+    for c, a in pairs:
+        log += c
+        for k in range(1, order + 1):
+            h[k - 1] += c * ((-1) ** (k + 1) * _bernoulli(k, a) / k)
+    if weight_order == 1:
+        return log, tuple(h), None
+    (c, a), = pairs
+    return log, tuple(h), tuple(-(c * c * _bernoulli(k - 1, 1.0 - a))
+                                for k in range(1, order + 1))
+
+
+def _bernoulli(m: int, a):
+    """The Bernoulli polynomial B_m(a) = sum_j binom(m, j) B_j a^(m-j)."""
+    return _lsum(cb * a ** (m - j) for j, cb in enumerate(_BINOM_BERNOULLI[m]))
+
+
+def _anchored_row(value, coeffs, anchor: int) -> tuple:
+    """(r_0, *coeffs), r_0 = value - sum_k coeffs[k-1] M^-k at M = anchor."""
+    M = float(anchor)
+    return (value - _lsum(coeffs[k - 1] * M ** -k
+                          for k in range(len(coeffs), 0, -1)), *coeffs)
+
+
+class Unit(Frozen, _PairWeight):
+    """w_n = 1: no pairs."""
 
     __slots__ = ()
 
-    def value(self, n):
-        return 1.0
-
-    def pairs(self):
-        return ()
-
-    def expansion(self, order, anchor):
-        return ((1.0,) + (0.0,) * order,)
+    def __init__(self):
+        self._set_pairs((), 1.0)
 
 
-class Harmonic(Frozen, WeightKind):
+class Harmonic(Frozen, _PairWeight):
     """w_n = H_{stride*n + offset}, stride in {1,2,3}, offset in
     {-1,0,1,2}; offsets 1 and 2 weight the derivative series of an H_n
-    generating function (catalog.ode_residual)."""
+    generating function (catalog.ode_residual). From index 1 at offset -1."""
 
     __slots__ = ("stride", "offset")
 
@@ -380,136 +509,36 @@ class Harmonic(Frozen, WeightKind):
             raise DomainError(f"harmonic offset must be -1, 0, 1 or 2, "
                               f"got {offset!r}")
         # an equal float (2.0) is stored as the int that indexing needs
-        object.__setattr__(self, "stride", int(stride.real))
-        object.__setattr__(self, "offset", int(offset.real))
-
-    def value(self, n):
-        return harmonic(self.stride * n + self.offset)
-
-    def steps(self, n0):
-        idx = self.stride * n0 + self.offset
-        h = harmonic(idx)
-        c = 0.0
-        stride = range(self.stride)
-        while True:
-            yield h
-            for _ in stride:
-                idx += 1
-                y = 1.0 / idx - c
-                t = h + y
-                c = (t - h) - y
-                h = t
-
-    def pairs(self):
-        # 1/(sn + o + r) = (1/s) / (n + (o + r)/s); steps keeps its own
-        # loop, one Kahan step per 1/idx, since 1/3 is not a binary fraction
-        s, o = self.stride, self.offset
-        return tuple((1.0 / s, (o + r) / s) for r in range(1, s + 1))
-
-    def walk(self, n0):
-        idx = self.stride * n0 + self.offset
-        return ("harmonic", self.stride), (harmonic(idx), 0.0, float(idx))
-
-    def asymptotics(self):
-        return 0, 1
-
-    def expansion(self, order, anchor):
-        # H_{sn+o} = psi(sn + o + 1) + gamma ~ log n + g + sum_k h_k n^-k
-        # (_harmonic_coefficients), and g = gamma + log s is taken from the
-        # computed w_anchor instead
-        h = [0.0, *_harmonic_coefficients(self.stride, self.offset, order)]
-        h[0] = (self.value(anchor) - math.log(anchor)
-                - _lsum(h[k] * float(anchor) ** -k for k in range(order, 0, -1)))
-        return tuple(h), (1.0,) + (0.0,) * order
+        s, o = int(stride.real), int(offset.real)
+        Frozen.__init__(self, s, o)
+        n0 = 1 if o < 0 else 0
+        # 1/(sn + o + r) = (1/s) / (n + (o + r)/s)
+        self._set_pairs(tuple((1.0 / s, (o + r) / s) for r in range(1, s + 1)),
+                        harmonic(s * n0 + o), n0=n0)
 
 
-@functools.lru_cache(maxsize=64)
-def _harmonic_coefficients(stride: int, offset: int, order: int) -> tuple:
-    """h_1, ..., h_order with H_{sn+o} ~ log n + g + sum_k h_k n^-k:
-    h_k = (-1)^(k+1) B_k(o+1) / (k s^k) (DLMF 5.15.8 at z = sn). They
-    depend on the weight and the order only, so each anchor reuses them."""
-    shift = offset + 1
-    return tuple((-1) ** (k + 1) * _lsum(
-        cb * shift ** (k - j) for j, cb in enumerate(_BINOM_BERNOULLI[k]))
-        / (k * stride ** k) for k in range(1, order + 1))
-
-
-class HarmonicSqPlusGen2(Frozen, WeightKind):
-    """w_n = H_n**2 + H_n^(2)."""
+class HarmonicSqPlusGen2(Frozen, _PairWeight):
+    """w_n = H_n**2 + H_n^(2): P = H_n by the pair (1, 1), Q = H_n^(2)."""
 
     __slots__ = ()
 
-    def value(self, n):
-        h = harmonic(n)
-        return h * h + generalized_harmonic(n, 2.0)
-
-    def steps(self, n0):
-        h, g, idx = harmonic(n0), generalized_harmonic(n0, 2.0), n0
-        hc = gc = 0.0
-        while True:
-            yield h * h + g
-            idx += 1
-            y = 1.0 / idx - hc
-            t = h + y
-            hc = (t - h) - y
-            h = t
-            y = 1.0 / (idx * idx) - gc
-            t = g + y
-            gc = (t - g) - y
-            g = t
-
-    def walk(self, n0):
-        h, g = harmonic(n0), generalized_harmonic(n0, 2.0)
-        return ("sqgen2",), (h * h + g, h, 0.0, g, 0.0, float(n0))
-
-    def asymptotics(self):
-        return 0, 2
-
-    def expansion(self, order, anchor):
-        # H_n = log n + A(n), A ~ g + sum_k h_k n^-k (Harmonic), so H_n^2 =
-        # log^2 n + 2 A log n + A^2; H_n^(2) = zeta(2) - psi'(n + 1) ~ c_2
-        # - sum_k B_{k-1} n^-k (DLMF 5.15.8, B_1 = -1/2), with c_2 taken
-        # from the computed H_anchor^(2)
-        a, log_row = Harmonic().expansion(order, anchor)
-        gen2 = [0.0] + [-_BERNOULLI[k - 1] for k in range(1, order + 1)]
-        gen2[0] = (generalized_harmonic(anchor, 2.0)
-                   - _lsum(gen2[k] * float(anchor) ** -k
-                           for k in range(order, 0, -1)))
-        const = tuple(gen2[k] + _lsum(a[j] * a[k - j] for j in range(k + 1))
-                      for k in range(order + 1))
-        return const, tuple(2.0 * v for v in a), log_row
+    def __init__(self):
+        self._set_pairs(((1.0, 1.0),), (0.0, 0.0), order=2)
 
 
-class DigammaDiffSum(Frozen, WeightKind):
-    """w_n = sum_{k=0}^{n-1} (2/(2b+k) - 1/(a+b+1/2+k)).
-
-    Telescopes to psi differences; the parameters must keep every shifted
-    argument away from non-positive integers.
-    """
+class DigammaDiffSum(Frozen, _PairWeight):
+    """w_n = sum_{k=0}^{n-1} (2/(2b+k) - 1/(a+b+1/2+k)), which telescopes
+    to psi differences; 2b and a+b+1/2 must stay away from poles."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", complex(a))
-        object.__setattr__(self, "b", complex(b))
-
-    def value(self, n):
-        # fsum over the real and the imaginary parts: a plain loop drifts by
-        # tens of ulps at n = 10^4. Adding to 0j keeps value(0) and value(1),
-        # where the walks start, as the loop gave them
-        b2, ab = 2.0 * self.b, self.a + self.b + 0.5
-        steps = [2.0 / (b2 + k) - 1.0 / (ab + k) for k in range(n)]
-        return 0j + complex(math.fsum(z.real for z in steps),
-                            math.fsum(z.imag for z in steps))
-
-    def pairs(self):
-        return (2.0, 2.0 * self.b), (-1.0, self.a + self.b + 0.5)
-
-    def asymptotics(self):
-        return 0, 1
+        a, b = complex(a), complex(b)
+        Frozen.__init__(self, a, b)
+        self._set_pairs(((2.0, 2.0 * b), (-1.0, a + b + 0.5)), 0j)
 
 
-class DigammaLog(Frozen, WeightKind):
+class DigammaLog(Frozen, _PairWeight):
     """w_n = 2 psi(n+1) - psi(a+n) - psi(b+n) - log y, the weight of Kummer's
     logarithmic connection formula (A&S 15.3.10), given by its first value
     w0 = 2 psi(1) - psi(a) - psi(b) - log y. The walk adds
@@ -520,39 +549,26 @@ class DigammaLog(Frozen, WeightKind):
     __slots__ = ("a", "b", "w0")
 
     def __init__(self, a, b, w0):
-        Frozen.__init__(self, complex(a), complex(b), complex(w0))
-
-    def value(self, n):
-        if n == 0:  # the walk from n = 0 starts without a digamma call
-            return self.w0
-        a, b = self.a, self.b
-        if n == 1:  # where the walks from n = 1 start: these bits stay
-            return (self.w0 + 2.0 * (digamma(n + 1.0) - digamma(1.0))
-                    - (digamma(a + n) - digamma(a))
-                    - (digamma(b + n) - digamma(b)))
-        # w0 and the n steps, fsum'd over the real and the imaginary parts:
-        # a difference of digamma values reads up to 6.8 ulps off at n <= 10^4
-        terms = [self.w0] + [2.0 / (1.0 + k) - 1.0 / (a + k) - 1.0 / (b + k)
-                             for k in range(n)]
-        return complex(math.fsum(z.real for z in terms),
-                       math.fsum(z.imag for z in terms))
-
-    def pairs(self):
-        return (2.0, 1.0), (-1.0, self.a), (-1.0, self.b)
-
-    def asymptotics(self):
-        return 0, 1
+        a, b, w0 = complex(a), complex(b), complex(w0)
+        Frozen.__init__(self, a, b, w0)
+        self._set_pairs(((2.0, 1.0), (-1.0, a), (-1.0, b)), w0)
 
 
-class LinearCombo(Frozen, WeightKind):
+class _MergedPairs:
+    """LinearCombo's hidden slot: (pairs, as floats or None), or None."""
+
+    __slots__ = ("_merged",)
+
+
+class LinearCombo(_MergedPairs, Frozen, WeightKind):
     """w_n = sum_i coeff_i * inner_i(n).
 
     Where every part has pairs, the combination has their pairs scaled by
     the coefficients, equal shifts merged and exact zeros dropped
-    (2 H_2n - H_n is the one pair (1, 1/2)), and steps walks them with
-    _pair_steps, one division per pair and index. A part without pairs
-    (HarmonicSqPlusGen2, a kind defined elsewhere) makes steps zip the
-    parts' own walks instead.
+    (2 H_2n - H_n is the one pair (1, 1/2)), merged once, and steps walks
+    them with _pair_steps, one division per pair and index. A part
+    without pairs (HarmonicSqPlusGen2, a kind defined elsewhere) makes
+    steps zip the parts' own walks instead. It gives no expansion.
     """
 
     __slots__ = ("parts",)  # of (coeff, WeightKind)
@@ -563,34 +579,42 @@ class LinearCombo(Frozen, WeightKind):
             if not isinstance(kind, WeightKind):
                 raise DomainError(f"LinearCombo parts need WeightKind entries, got {kind!r}")
             norm.append((complex(coeff), kind))
-        object.__setattr__(self, "parts", tuple(norm))
+        _set(self, "parts", tuple(norm))
+        merged = {}
+        for coeff, kind in norm:
+            inner = kind.pairs()
+            if inner is None:
+                _set(self, "_merged", None)
+                return
+            for c, a in inner:
+                merged[a] = merged.get(a, 0.0) + coeff * c
+        pairs = tuple((c, a) for a, c in merged.items() if c != 0.0)
+        _set(self, "_merged", (pairs, _as_floats(pairs)))
 
     def value(self, n):
         return _lsum(c * kind.value(n) for c, kind in self.parts)
 
+    def _pair_start(self, n0):
+        """w_n0 and the merged pairs, as floats where all are real."""
+        w = self.value(n0)
+        pairs, floats = self._merged
+        return (w, pairs) if floats is None or w.imag else (w.real, floats)
+
     def steps(self, n0):
-        pairs = self.pairs()
-        if pairs is not None:
-            return _pair_steps(self.value(n0), pairs, n0)
+        if self.pairs() is not None:
+            return _pair_steps(*self._pair_start(n0), n0)
         coeffs = tuple(c for c, _ in self.parts)
         walks = zip(*(kind.steps(n0) for _, kind in self.parts))
         return (_lsum(map(operator.mul, coeffs, ws)) for ws in walks)
 
     def pairs(self):
-        merged = {}
-        for coeff, kind in self.parts:
-            inner = kind.pairs()
-            if inner is None:
-                return None
-            for c, a in inner:
-                merged[a] = merged.get(a, 0.0) + coeff * c
-        return tuple((c, a) for a, c in merged.items() if c != 0.0)
+        return None if self._merged is None else self._merged[0]
 
     def walk(self, n0):
         # as steps: the merged pairs where they exist, else the parts' walks
-        pairs = self.pairs()
-        if pairs is not None:
-            return _pairs_walk(self.value(n0), pairs)
+        if self.pairs() is not None:
+            w, pairs = self._pair_start(n0)
+            return ("pairs", len(pairs)), (w, 0.0, *itertools.chain(*pairs))
         coeffs, kinds = zip(*self.parts)
         forms, states = zip(*(kind.walk(n0) for kind in kinds))
         value = _lsum(c * state[0] for c, state in zip(coeffs, states))
@@ -601,49 +625,26 @@ class LinearCombo(Frozen, WeightKind):
         return max(sh for sh, _ in shapes), max(lg for _, lg in shapes)
 
 
-def _real_pairs(w, pairs):
-    """w and the pairs as floats where all are real, else as given."""
-    if w.imag:
-        return w, pairs
-    real = []
-    for c, a in pairs:
-        if c.imag or a.imag:
-            return w, pairs
-        real.append((c.real, a.real))
-    return w.real, tuple(real)
-
-
-def _pairs_walk(w, pairs):
-    """The walk of _pair_steps from w, as WeightKind.walk states it."""
-    w, pairs = _real_pairs(w, pairs)
-    return ("pairs", len(pairs)), (w, 0.0, *itertools.chain(*pairs))
-
-
 def _pair_steps(w, pairs, n):
     """w_n, w_n+1, ... from w = w_n, each step adding q = sum_i c_i /
-    (a_i + n), formed in pair order, by one Kahan step. With w and every
-    pair real the walk runs on floats (_real_pairs), whose values are the
-    real parts of the complex ones."""
-    w, pairs = _real_pairs(w, pairs)
+    (a_i + n), formed in pair order; on floats where w and the pairs are
+    floats, whose values are the real parts of the complex ones."""
     if not pairs:
         return itertools.repeat(w)
-    return _walk_pairs(w, pairs, n)
+    return _kahan_steps(w, (functools.reduce(operator.add, [
+        c / (a + k) for c, a in pairs]) for k in itertools.count(n)))
 
 
-def _walk_pairs(acc, pairs, n):
-    """The walk of _pair_steps, for one pair or more."""
-    (c0, a0), *rest = pairs
+def _kahan_steps(acc, increments):
+    """acc, then acc plus each increment in turn, by one Kahan step each."""
     comp = 0.0
-    while True:
-        yield acc
-        q = c0 / (a0 + n)
-        for c, a in rest:
-            q += c / (a + n)
+    yield acc
+    for q in increments:
         y = q - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
-        n += 1
+        yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +791,8 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     sigma drives the direct rule's drift clause.
 
     At r*x = 1 and r*x = -1, a weight with an expansion
-    (WeightKind.expansion: the unit weight, Harmonic and
-    HarmonicSqPlusGen2, up to log^2 n) takes the anchored rule (method
+    (WeightKind.expansion: every built-in weight but LinearCombo, up to
+    log^2 n) takes the anchored rule (method
     "anchored"; the module docstring gives its tail and estimate): 2N
     terms, N = 64, plus the anchored tail. It returns S(2N,K) with
     terms_used = 2N once the estimate meets tol * max(1, |S|), and
@@ -1094,26 +1095,23 @@ def _walk_code(form: tuple, v: str):
     """(names, lines) of a walk form with the weight's value in v: the
     variables of its state, in order, and the lines that step them from
     index m to m + 1. ("pairs", k) adds sum_i p_i / (s_i + m)
-    (_walk_pairs), ("harmonic", s) 1 / idx for s indices (Harmonic.steps),
-    ("sqgen2",) walks H_n and H_n^(2) (HarmonicSqPlusGen2.steps; idx * idx
-    is the int product rounded once), ("sum", *forms) adds its parts'
-    coefficients times their values to 0, as _lsum does
-    (LinearCombo.steps), and ("next",) calls the generator."""
+    (_walk_pairs), ("square",) steps P by p / (s + m) and Q by its square
+    and forms P^2 + Q (_PairWeight._square_steps; d * d is exact while
+    d < 2^26.5), ("sum", *forms) adds its parts' coefficients times their
+    values to 0, as _lsum does (LinearCombo.steps), and ("next",) calls
+    the generator."""
     kind, *args = form
     if kind == "pairs":
         pairs = [(f"{v}_p{i}", f"{v}_s{i}") for i in range(args[0])]
         q = " + ".join(f"{c} / ({a} + m)" for c, a in pairs)
         names = [v, v + "_c", *itertools.chain(*pairs)]
         return names, _kahan(v, q) if q else []
-    if kind == "harmonic":
-        i = v + "_i"
-        return [v, v + "_c", i], [f"{i} += 1.0",
-                                  *_kahan(v, f"1.0 / {i}")] * args[0]
-    if kind == "sqgen2":
-        h, g, i = v + "_h", v + "_g", v + "_i"
-        return [v, h, h + "_c", g, g + "_c", i], [
-            f"{i} += 1.0", *_kahan(h, f"1.0 / {i}"),
-            *_kahan(g, f"1.0 / ({i} * {i})"), f"{v} = {h} * {h} + {g}"]
+    if kind == "square":
+        P, Q, p, s, pp, d = (v + x for x in ("_P", "_Q", "_p", "_s", "_pp",
+                                               "_d"))
+        return [v, P, P + "_c", Q, Q + "_c", p, s, pp], [
+            f"{d} = {s} + m", *_kahan(P, f"{p} / {d}"),
+            *_kahan(Q, f"{pp} / ({d} * {d})"), f"{v} = {P} * {P} + {Q}"]
     if kind == "sum":
         names, lines = [v] + [f"{v}_k{i}" for i in range(len(args))], []
         for i, part in enumerate(args):

@@ -25,28 +25,31 @@ from hyperharmonic import (DigammaDiffSum, DigammaLog, Harmonic,
                            LinearCombo, PochhammerRatioSeries, Unit,
                            eval_weighted)
 
+# The digests were last re-pinned when every built-in weight became a
+# walk of reciprocal pairs: Harmonic with stride 2 or 3 forms its s
+# reciprocals as one step (and stride 3 its pairs (1/3, (o+r)/3)), so its
+# walks and expansions moved in the last bits; DigammaLog's value(1), where
+# walks from index 1 start, became the fsum of w0 and its three steps; and
+# DigammaDiffSum and DigammaLog at r*x = 1 and -1 take the anchored rule,
+# 128 terms where the ladder took 4,096 or refused a budget below 16,384.
+# No other outcome moved.
+#
 # sha256 over the outcomes of real_draws() (see draw_outcome) whose
-# weight is not a LinearCombo, frozen when the tail at r*x = 1 became
-# Euler-Maclaurin on Taylor coefficients (its values moved in their last
-# bits); the kernels with _start and _pair_steps forced to complex give the
-# same digest. Error texts are hashed without the "1 - |r*x| = ..." part
-# that the direct rule's refusal has gained since
+# weight is not a LinearCombo; the kernels with _start and _pair_steps
+# forced to complex give the same digest. Error texts are hashed without
+# the "1 - |r*x| = ..." part of the direct rule's refusal
 REAL_DRAWS_DIGEST = \
-    "c9c0c155594c92d55b954b1707e22b698f13b40e9ee52e29c3fd4df97f9e0970"
+    "28b9accffba487a6870464b2eb8f43dbbc11243082c0aa03d84d14cea0c671cb"
 # the same over the 57 LinearCombo draws, as the parts' zipped walks
-# (Zipped) give them, frozen from LinearCombo before it merged its pairs
+# (Zipped) give them
 ZIPPED_DRAWS_DIGEST = \
-    "52f106bba6dd79d00e86b10f96655b21d7917714735d8086b8e24845d27bde2d"
-# sha256 over the outcomes of complex_unit_draws(), frozen from the walk
-# that called every weight's generator, before it stepped first-order
-# weights in line and wrote out its step factor for 2 and 3 pairs
+    "c4341f027b2c83ab533dc9609ac7210e834b34713c26ae34c6763350c051fd01"
+# sha256 over the outcomes of complex_unit_draws()
 COMPLEX_UNIT_DRAWS_DIGEST = \
-    "c559ea3620c1c0d761f7e935c3f13afc37f7e4b5225e99224e9decfd96be61fe"
-# sha256 over the outcomes of complex_direct_draws(), frozen from the
-# direct rule's generic loop, before it stepped first-order weights in line,
-# wrote out its step factor for three shapes and trimmed its set-up
+    "d8e3e4626c78ecc723c4933b5bacc2cccad74ef2d861afe235d2ea436b6be473"
+# sha256 over the outcomes of complex_direct_draws()
 COMPLEX_DIRECT_DRAWS_DIGEST = \
-    "923d8d8378d2cb738a3c44ce6c3e61b0a5ee9cadc81b97377bf5416b41a06fab"
+    "06598ab7aff08221493400df63bcd8ac03222b1393f1d316372bd450ec9943e7"
 _GAP_CLAUSE = re.compile(r", 1 - \|r\*x\| = [^,]*")
 
 
@@ -56,8 +59,9 @@ def real_draws(count=300, seed=20181):
     DigammaDiffSum among them), p = 0, 1, 2, start index 0 and 1,
     terminating shifts, x of both signs up to 0.97-0.999 and +-1, and
     budgets from 5 to 2,000 terms (100 or more at +-1); then six draws at
-    +-1 with weights that have no expansion, five of them balanced sums
-    for the ladder, at its 16,384-term budget."""
+    +-1 with the digamma and LinearCombo weights, five of them balanced
+    sums (the anchored rule, and the ladder for LinearCombo), at the
+    ladder's 16,384-term budget."""
     rng = random.Random(seed)
 
     def uni(lo, hi):

@@ -27,8 +27,10 @@ import os
 import re
 import sys
 
+# re-pinned when Harmonic with stride 2 and 3 became a walk of its
+# reciprocal pairs: one lhs of GF-K2 and one of EQ-H3N moved by an ulp
 REPORT_DIGEST = \
-    "3da081f4784a774605483e52c9062213817c833ddd629469ff5871012f780308"
+    "3f776038151c6c2e78d190bc3fa161a1e60f18767bbcfebddc5b9191c05a54a7"
 ARGV = ("verify", "--all", "--seed", "7", "--json", "-")
 
 # the identities of the seed-3 registry that do not set accel

@@ -291,6 +291,15 @@ class TestVerifySemantics:
         with pytest.raises(errors.DomainError, match=prefix):
             verify(ident_id, points=[point])
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_numerator_shift_is_refused_before_summing(self, a):
+        # THM-B's lhs sums inside the disk, where a NaN shift was summed
+        # for 256 terms and then reported as an overflow
+        with pytest.raises(errors.DomainError, match=(
+                rf"^THM-B at \{{'a': {a}, 'x': 0\.5\}}, lhs term 0: "
+                r"numerator shifts .* are not all finite$")):
+            verify("THM-B", points=[{"a": a, "x": 0.5}])
+
     @pytest.mark.parametrize("ident_id, point, prefix", [
         # the second of THM-D's three lhs series diverges at r*x = -1
         ("THM-D", {"a": -0.1, "b": -0.1},

@@ -18,8 +18,8 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            DomainError, Harmonic, HarmonicSqPlusGen2,
                            HyperharmonicError, LinearCombo, NonConvergentError,
                            PochhammerRatioSeries, PoleError, Unit, WeightKind,
-                           digamma, eval_weighted, harmonic, hyp2f1,
-                           pochhammer, verify)
+                           eval_weighted, harmonic, hyp2f1, pochhammer,
+                           verify)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _moments, _pair_steps,
                                   _rounding, _Walk, _walk_code)
@@ -95,6 +95,15 @@ class TestSpecValidation:
             PochhammerRatioSeries((0.5,), (-1.0,), 1, 1.0, 0)
         with pytest.raises(PoleError):
             PochhammerRatioSeries((0.5,), (1e-14,), 1, 1.0, 0)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf,
+                                       complex(0.5, math.nan)])
+    def test_non_finite_numerator_shift(self, shift):
+        with pytest.raises(DomainError, match="not all finite"):
+            PochhammerRatioSeries((0.5, shift), (1.5,), 1, 1.0, 0)
+        # finite shifts whose sum overflows are still shifts
+        spec = PochhammerRatioSeries((1e308, 1e308), (1.5,), 1, 1.0, 0)
+        assert spec.numerator_shifts == (1e308, 1e308)
 
     def test_effective_exponent(self):
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
@@ -194,8 +203,8 @@ class TestWeights:
 
 
 def _weight_mp(kind, n):
-    """w_n at 30 digits from the definition of a first-order kind: harmonic
-    numbers, and the digamma differences that DigammaDiffSum's and
+    """w_n at 30 digits from the definition of a kind: harmonic numbers,
+    H_n^2 + H_n^(2), and the digamma differences that DigammaDiffSum's and
     DigammaLog's sums telescope to."""
     mpmath.mp.dps = 30
     psi = mpmath.digamma
@@ -203,6 +212,8 @@ def _weight_mp(kind, n):
         return mpmath.mpf(1)
     if isinstance(kind, Harmonic):
         return mpmath.harmonic(kind.stride * n + kind.offset)
+    if isinstance(kind, HarmonicSqPlusGen2):
+        return _gen2_mp(n)
     if isinstance(kind, LinearCombo):
         return sum(mp_number(c) * _weight_mp(part, n) for c, part in kind.parts)
     a, b = mp_number(kind.a), mp_number(kind.b)
@@ -254,9 +265,9 @@ class TestPairs:
             ((1.0, DigammaLog(0.25, 0.75, 1.2)), (3.0, Harmonic(2, 1))))))),
     ])
     def test_pair_walk_reproduces_the_weight(self, weight):
-        # to 4 ulps of the 30-digit reference for n <= 10^4; value(n) of
-        # the digamma kinds is an uncompensated loop, off by up to 15 ulps
-        # of the reference there, so it is held to 16
+        # to 4 ulps of the 30-digit reference for n <= 10^4, and to 16 of
+        # value(n), which fsums separately rounded steps (a LinearCombo
+        # adds its parts' values)
         n0 = 1 if isinstance(weight, Harmonic) and weight.offset < 0 else 0
         walk = _pair_steps(weight.value(n0), weight.pairs(), n0)
         for n, got in zip(range(n0, self.MARKS[-1] + 1), walk):
@@ -277,11 +288,13 @@ class TestPairs:
         for n in self.MARKS[2:] + (4321,):
             want = complex(_weight_mp(weight, n))
             assert abs(weight.value(n) - want) <= 2 * math.ulp(abs(want)), n
-        # the walks start from value(0) and value(1), which stay the loop's
+        # the walks start from value(0) and value(1), which keep the bits of
+        # the plain loop's first step, on floats for real parameters
         b2, ab = 2.0 * weight.b, weight.a + weight.b + 0.5
-        assert repr(weight.value(0)) == repr(0j)
-        assert repr(weight.value(1)) == repr(0j + (2.0 / (b2 + 0)
-                                                     - 1.0 / (ab + 0)))
+        real = not (weight.a.imag or weight.b.imag)
+        first = 0j + (2.0 / (b2 + 0) - 1.0 / (ab + 0))
+        assert repr(weight.value(0)) == repr(0.0 if real else 0j)
+        assert repr(weight.value(1)) == repr(first.real if real else first)
 
     @pytest.mark.parametrize("a, b, w0", [(0.25, 0.75, 1.2),
                                           (1 / 6, 0.4, 0.3),
@@ -291,18 +304,15 @@ class TestPairs:
     def test_digamma_log_value_within_two_ulps(self, a, b, w0):
         # differences of digamma values read up to 6.8 ulps off here
         weight = DigammaLog(a, b, w0)
-        for n in range(2, 12):
+        for n in range(1, 12):
             want = complex(_weight_mp(weight, n))
             assert abs(weight.value(n) - want) <= 2 * math.ulp(abs(want)), n
         for n in self.MARKS[4:] + (4321,):
             want = complex(_weight_mp(weight, n))
             assert abs(weight.value(n) - want) <= 2 * math.ulp(abs(want)), n
-        # the walks start from value(0) and value(1), which keep their bits
-        assert repr(weight.value(0)) == repr(complex(w0))
-        a, b = complex(a), complex(b)
-        assert repr(weight.value(1)) == repr(
-            complex(w0) + 2.0 * (digamma(2.0) - digamma(1.0))
-            - (digamma(a + 1) - digamma(a)) - (digamma(b + 1) - digamma(b)))
+        # the walks from n = 0 start at w0, on floats where all is real
+        real = not any(complex(v).imag for v in (a, b, w0))
+        assert repr(weight.value(0)) == repr(w0 if real else complex(w0))
 
     @pytest.mark.parametrize("offset, n0", [
         (o, n0) for o in (-1, 0, 1, 2) for n0 in (0, 1) if o + n0 >= 0])
@@ -317,9 +327,7 @@ class TestPairs:
             assert a == b and type(a) is type(b) is float
 
     def test_every_walk_is_the_walk_of_steps(self):
-        class OwnSteps(DigammaDiffSum):
-            __slots__ = ()
-
+        class OwnSteps(WeightKind):
             def steps(self, n0):
                 return itertools.repeat(0.0)
 
@@ -327,7 +335,7 @@ class TestPairs:
         # as the term loops write it out; a kind with its own steps and
         # no walk of its own has its generator called per term, also as
         # a part of a LinearCombo
-        own = OwnSteps(0.1, 0.2)
+        own = OwnSteps()
         for w in (Unit(), Harmonic(1, 2), Harmonic(2), Harmonic(3, 1),
                   HarmonicSqPlusGen2(), DigammaLog(0.25, 0.75, 1.2),
                   DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j), _NESTED,
@@ -340,7 +348,7 @@ class TestPairs:
                 assert repr(got) == repr(want), (w, n0)
         assert own.walk(0)[0] == ("next",)
         assert Zipped(((1.0, Harmonic()), (1.0, own))).walk(0)[0] == (
-            "sum", ("harmonic", 1), ("next",))
+            "sum", ("pairs", 1), ("next",))
 
     def test_gauss_weight_is_one_pair_on_floats(self):
         # 2 H_2n - H_n = sum_{k<n} 1/(k + 1/2) = psi(n + 1/2) - psi(1/2)
@@ -814,7 +822,7 @@ class TestAnchoredTail:
             assert abs(walk.S - complex(S)) <= sum_part, top
             assert abs(walk.t / complex(u) - 1.0) <= anchor_part, top
 
-    def test_only_unit_and_harmonic_weights_have_an_expansion(self):
+    def test_pair_weights_have_an_expansion_and_linear_combos_none(self):
         assert Unit().expansion(3, 64) == ((1.0, 0.0, 0.0, 0.0),)
         # H_n ~ log n + gamma + 1/(2n) - 1/(12 n^2), gamma from H_64
         const, log_row = Harmonic().expansion(10, 64)
@@ -827,9 +835,11 @@ class TestAnchoredTail:
         assert const[:3] == pytest.approx(
             (0.57721566490153286 + math.log(2.0), 0.75, -13.0 / 48.0),
             abs=2e-15)
-        for weight in (LinearCombo(((1.0, Unit()),)), DigammaLog(0.2, 0.3, 1.0),
-                       DigammaDiffSum(0.2, 0.3)):
-            assert weight.expansion(3, 64) is None
+        # the digamma kinds' log coefficients are sum_i c_i: 1 and 0
+        for weight, log in ((DigammaDiffSum(0.2, 0.3), 1.0),
+                            (DigammaLog(0.2, 0.3, 1.0), 0.0)):
+            assert weight.expansion(3, 64)[1] == (log, 0.0, 0.0, 0.0)
+        assert LinearCombo(((1.0, Unit()),)).expansion(3, 64) is None
         # weights without an expansion, and r*x other than 1 and -1, keep
         # the ladder
         spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
@@ -957,6 +967,115 @@ class TestAnchoredLogSquared:
         assert res.method == "anchored"
         assert abs(res.value - complex(want)) <= res.tail_bound
         assert res.tail_bound <= 1e-6 * abs(res.value)
+
+
+def _h_mp(pairs, k):
+    """h_k = sum_i c_i (-1)^(k+1) B_k(a_i) / k at 30 digits."""
+    return mpmath.fsum(mp_number(c) * (-1) ** (k + 1)
+                       * mpmath.bernpoly(k, mp_number(a)) / k
+                       for c, a in pairs)
+
+
+class TestExpansionRows:
+    """Every kind's expansion(K, M) against its 30-digit weight: the rows
+    anchored at M = 64, summed at n = 64, 128 and 256, meet w_n to their
+    rounding plus three times the first two dropped terms at M (B_k(a)
+    vanishes at odd k for some a), for every order K from 1 to 10. For a
+    first-order kind the term of order k is |h_k| M^-k, h_k = sum_i c_i
+    (-1)^(k+1) B_k(a_i) / k (DLMF 5.15.8); for P^2 + Q (one pair (c, a))
+    it is (2 |P_n| |h_k| + |q_k| + sum_{0<j<k} |h_j h_(k-j)|) M^-k, with
+    q_k = -c^2 B_(k-1)(1 - a) from psi'."""
+
+    @pytest.mark.parametrize("weight", [
+        *(Harmonic(s, o) for s in (1, 2, 3) for o in (-1, 0, 1, 2)),
+        HarmonicSqPlusGen2(),
+        DigammaDiffSum(0.25, 0.4),
+        DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j),
+        DigammaLog(0.25, 0.75, 1.2),
+        DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
+    ], ids=repr)
+    def test_rows_match_the_weight(self, weight):
+        M = 64
+        square = isinstance(weight, HarmonicSqPlusGen2)
+        pairs = ((1.0, 1.0),) if square else weight.pairs()
+        wants = {n: _weight_mp(weight, n) for n in (64, 128, 256)}
+        for K in range(1, 11):
+            rows = weight.expansion(K, M)
+            assert len(rows) == (3 if square else 2)
+            h = [0] + [_h_mp(pairs, k) for k in range(1, K + 3)]
+            for n, want in wants.items():
+                log_n = mpmath.log(n)
+                terms = [mp_number(v) * log_n ** l * mpmath.mpf(n) ** -k
+                         for l, row in enumerate(rows)
+                         for k, v in enumerate(row)]
+                dropped = 0
+                for k in (K + 1, K + 2):
+                    size = abs(h[k])
+                    if square:
+                        size = (2 * abs(mpmath.harmonic(n)) * size
+                                + abs(mpmath.bernpoly(k - 1, 0))
+                                + mpmath.fsum(abs(h[j] * h[k - j])
+                                              for j in range(1, k)))
+                    dropped += size * mpmath.mpf(M) ** -k
+                bound = (16 * _EPS * mpmath.fsum(map(abs, terms))
+                         + 3 * dropped)
+                err = abs(mpmath.fsum(terms) - want)
+                assert err <= bound, (K, n, float(err), float(bound))
+
+
+def _psi_weight_mp(kind):
+    """n -> w_n of a digamma kind at the working precision, from psi."""
+    psi = mpmath.digamma
+    a, b = mp_number(kind.a), mp_number(kind.b)
+    if isinstance(kind, DigammaDiffSum):
+        ab = a + b + mpmath.mpf(0.5)
+        return lambda n: (2 * (psi(2 * b + n) - psi(2 * b))
+                          - (psi(ab + n) - psi(ab)))
+    w0 = mp_number(kind.w0)
+    return lambda n: (w0 + 2 * (psi(n + 1) - psi(1))
+                      - (psi(a + n) - psi(a)) - (psi(b + n) - psi(b)))
+
+
+class TestAnchoredDigamma:
+    """DigammaDiffSum and DigammaLog at r*x = 1 and -1 take the anchored
+    rule from their pairs' expansion. At 1 the oracle is Gauss's sum F =
+    2F1(A, B; C; 1) and its derivatives: with u_n = (A)_n (B)_n / ((C)_n
+    n!), sum u_n (psi(A + n) - psi(A)) = dF/dA and sum u_n (psi(C + n) -
+    psi(C)) = -dF/dC, so DigammaDiffSum(C - A/2 - 1/2, A/2) sums to
+    2 dF/dA + dF/dC, and DigammaLog(A, B, w0) to w0 F - dF/dA - dF/dB +
+    2 sum u_n H_n (harmonic_gauss_mp). At -1 the alternating-series oracle
+    sums the psi differences. Both at 30 digits."""
+
+    @pytest.mark.parametrize("A, B, C", [
+        (0.3, 0.4, 2.2), (0.6, -0.35, 1.55),
+        (0.5, 0.45, 1.2),                           # Re sigma = -1.25
+        (0.3 + 0.1j, 0.45, 1.8 - 0.2j), (0.25, 0.5 + 0.2j, 1.1 + 0.2j)])
+    @pytest.mark.parametrize("kind", ["diff", "log", "log complex w0"])
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_against_mpmath(self, A, B, C, kind, x):
+        weight = (DigammaDiffSum(C - A / 2 - 0.5, A / 2) if kind == "diff"
+                  else DigammaLog(A, B, 0.2 - 0.1j if "complex" in kind
+                                  else 0.2))
+        spec = PochhammerRatioSeries((A, B), (C,), 1, 1.0, 0)
+        res = eval_weighted(spec, weight, x, tol=1e-12)
+        assert res.method == "anchored" and res.terms_used == 128
+        if x == -1.0:
+            want = alternating_mp((A, B), (C,), 1, 0, _psi_weight_mp(weight))
+        else:
+            mpmath.mp.dps = 30
+            psi = mpmath.digamma
+            a, b, c = mp_number(A), mp_number(B), mp_number(C)
+            F = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+            dA = F * (psi(c - a) - psi(c - a - b))
+            if kind == "diff":
+                dC = F * (psi(c) + psi(c - a - b) - psi(c - a) - psi(c - b))
+                want = complex(2 * dA + dC)
+            else:
+                dB = F * (psi(c - b) - psi(c - a - b))
+                want = (complex(mp_number(weight.w0) * F - dA - dB)
+                        + 2 * harmonic_gauss_mp(A, B, C, 1, 0, 0))
+        assert abs(res.value - want) <= res.tail_bound
+        assert res.tail_bound <= 1e-12 * max(1.0, abs(res.value))
 
 
 class TestWalkPairing:
