@@ -300,10 +300,9 @@ class WeightKind:
     value(n) recomputes w_n from scratch, the reference that tests compare
     the walk against; steps(n0) yields w_n0, w_n0+1, ... with Kahan-
     compensated running sums; walk(n0) states steps(n0) as a walk that the
-    term loops take in line (a subclass that overrides steps() overrides
-    walk() too). asymptotics() gives (shift, L) with w_n ~ n^shift (log
-    n)^L, the weight's part of the exponent sigma and the log power of the
-    ladder's tail model; expansion(K, M) refines it to an expansion in 1/n
+    term loops take in line. asymptotics() gives (shift, L) with w_n ~
+    n^shift (log n)^L, the weight's part of the exponent sigma and the log
+    power of the ladder's tail model; expansion(K, M) refines it to an expansion in 1/n
     for the anchored rule at r*x = 1 and -1.
     """
     __slots__ = ()
@@ -349,10 +348,13 @@ class _PairWeight(WeightKind):
     start value and start index once (_set_pairs), in hidden slots that
     reprs, equality, hashing and pickles do not see: _pairs (as given),
     _floats (as floats where they and the start value are all real),
-    _order, _start ((n0, w_n0), or (n0, (P, Q))) and _walks (each walk(n0)
-    once stated).
+    _order, _start ((n0, w_n0), or (n0, (P, Q))), _terms and _walks (each
+    walk(n0) once stated).
 
-    value(n) fsums the start value and the separate steps c_i / (a_i + k).
+    value(n) fsums the start value and the separate terms c / (a + k), (c,
+    a) in T and s n0 <= k < s n, where (T, s) = _terms is (_floats, 1), or
+    for H_{sn+o} the terms 1/j, as harmonic() sums them (1/3 is inexact).
+    A subclass that overrides steps() is walked as ("next",).
     The steps add sum_i c_i psi(a_i + n), so by DLMF 5.15.8 w_n ~ L log n +
     g + sum_k h_k n^-k, L = sum_i c_i, h_k = sum_i c_i (-1)^(k+1) B_k(a_i)
     / k, and Q_n ~ c - sum_k c^2 B_(k-1)(1 - a) n^-k (from psi'(a + n),
@@ -362,9 +364,9 @@ class _PairWeight(WeightKind):
     (-1)^(k+1) B_k(o+1) / (k s^k).
     """
 
-    __slots__ = ("_pairs", "_floats", "_order", "_start", "_walks")
+    __slots__ = ("_pairs", "_floats", "_order", "_start", "_terms", "_walks")
 
-    def _set_pairs(self, pairs, start, order=1, n0=0):
+    def _set_pairs(self, pairs, start, order=1, n0=0, terms=None):
         _set(self, "_pairs", None if order == 2 else pairs)
         floats = _as_floats(pairs)
         if floats is not None and not (start[0].imag or start[1].imag
@@ -374,6 +376,7 @@ class _PairWeight(WeightKind):
         _set(self, "_floats", pairs)
         _set(self, "_order", order)
         _set(self, "_start", (n0, start))
+        _set(self, "_terms", terms or (pairs, 1))
         _set(self, "_walks", {})
 
     def _at(self, n):
@@ -383,13 +386,13 @@ class _PairWeight(WeightKind):
             return start
         if n < n0:
             raise DomainError(f"{self!r} starts at index {n0}, got {n}")
+        pairs, s = self._terms
+        ks = range(s * n0, s * n)
         if self._order == 1:
-            return _fsum([start] + [c / (a + k) for k in range(n0, n)
-                                    for c, a in self._floats])
-        (c, a), = self._floats
-        return (_fsum([start[0], *(c / (a + k) for k in range(n0, n))]),
-                _fsum([start[1], *(c * c / ((a + k) * (a + k))
-                                   for k in range(n0, n))]))
+            return _fsum([start, *(c / (a + k) for k in ks for c, a in pairs)])
+        (c, a), = pairs
+        return (_fsum([start[0], *(c / (a + k) for k in ks)]),
+                _fsum([start[1], *(c * c / ((a + k) * (a + k)) for k in ks)]))
 
     def _walk_at(self, n0):
         if self._order == 1:
@@ -414,10 +417,10 @@ class _PairWeight(WeightKind):
         return (p * p + q for p, q in zip(ps, qs))
 
     def walk(self, n0):
-        walk = self._walks.get(n0)
-        if walk is None:
-            walk = self._walks[n0] = self._walk_at(n0)
-        return walk
+        if type(self).steps is not _PairWeight.steps:
+            return WeightKind.walk(self, n0)
+        return self._walks.get(n0) or self._walks.setdefault(
+            n0, self._walk_at(n0))
 
     def pairs(self):
         return self._pairs
@@ -442,12 +445,8 @@ class _PairWeight(WeightKind):
 
 def _as_floats(pairs):
     """The pairs as floats where every value is real, else None."""
-    floats = []
-    for c, a in pairs:
-        if c.imag or a.imag:
-            return None
-        floats.append((c.real, a.real))
-    return tuple(floats)
+    floats = [(c.real, a.real) for c, a in pairs if not (c.imag or a.imag)]
+    return tuple(floats) if len(floats) == len(pairs) else None
 
 
 def _fsum(terms):
@@ -512,9 +511,10 @@ class Harmonic(Frozen, _PairWeight):
         s, o = int(stride.real), int(offset.real)
         Frozen.__init__(self, s, o)
         n0 = 1 if o < 0 else 0
-        # 1/(sn + o + r) = (1/s) / (n + (o + r)/s)
+        # 1/(sn + o + r) = (1/s) / (n + (o + r)/s); value(n) sums 1/j
         self._set_pairs(tuple((1.0 / s, (o + r) / s) for r in range(1, s + 1)),
-                        harmonic(s * n0 + o), n0=n0)
+                        harmonic(s * n0 + o), n0=n0,
+                        terms=(((1.0, o + 1.0),), s))
 
 
 class HarmonicSqPlusGen2(Frozen, _PairWeight):
@@ -1095,11 +1095,11 @@ def _walk_code(form: tuple, v: str):
     """(names, lines) of a walk form with the weight's value in v: the
     variables of its state, in order, and the lines that step them from
     index m to m + 1. ("pairs", k) adds sum_i p_i / (s_i + m)
-    (_walk_pairs), ("square",) steps P by p / (s + m) and Q by its square
-    and forms P^2 + Q (_PairWeight._square_steps; d * d is exact while
-    d < 2^26.5), ("sum", *forms) adds its parts' coefficients times their
-    values to 0, as _lsum does (LinearCombo.steps), and ("next",) calls
-    the generator."""
+    (_pair_steps), ("square",) steps P by p / (s + m) and Q by its square
+    and forms P^2 + Q (_kahan_steps in _PairWeight.steps; d * d is exact
+    while d < 2^26.5), ("sum", *forms) adds its parts' coefficients times
+    their values to 0, as _lsum does (LinearCombo.steps), and ("next",)
+    calls the generator."""
     kind, *args = form
     if kind == "pairs":
         pairs = [(f"{v}_p{i}", f"{v}_s{i}") for i in range(args[0])]

@@ -166,6 +166,15 @@ class TestWeights:
         assert combo.value(5) == pytest.approx(
             4.0 * harmonic(10) - 3.0 * harmonic(5), abs=1e-13)
 
+    def test_harmonic_value_is_harmonic_bit_for_bit(self):
+        # value(n) sums the terms 1/j one by one, as harmonic() does, also
+        # at stride 3, whose pairs (1/3, (o + r)/3) are rounded
+        for s in (1, 2, 3):
+            for o in (-1, 0, 1, 2):
+                w, n0 = Harmonic(s, o), 1 if o < 0 else 0
+                for n in range(n0, 400):
+                    assert w.value(n) == harmonic(s * n + o), (s, o, n)
+
     def test_digamma_diff_sum_brute_force(self):
         w = DigammaDiffSum(0.3 + 0.1j, 0.2)
         for n in (0, 1, 4, 9):
@@ -331,22 +340,30 @@ class TestPairs:
             def steps(self, n0):
                 return itertools.repeat(0.0)
 
+        class OwnDigammaSteps(DigammaDiffSum):
+            def steps(self, n0):
+                return itertools.repeat(0.0)
+
         # every built-in kind states the walk of its steps, bit for bit,
         # as the term loops write it out; a kind with its own steps and
-        # no walk of its own has its generator called per term, also as
-        # a part of a LinearCombo
-        own = OwnSteps()
+        # no walk of its own, also a subclass of a built-in kind, has its
+        # generator called per term, also as a part of a LinearCombo
+        own, own_digamma = OwnSteps(), OwnDigammaSteps(0.3, 0.2)
         for w in (Unit(), Harmonic(1, 2), Harmonic(2), Harmonic(3, 1),
                   HarmonicSqPlusGen2(), DigammaLog(0.25, 0.75, 1.2),
                   DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j), _NESTED,
                   Zipped(_NESTED.parts),
                   Zipped(((0.5j, HarmonicSqPlusGen2()), (2.0, _NESTED))),
-                  own, Zipped(((1.0, Harmonic()), (1.0, own)))):
+                  own, Zipped(((1.0, Harmonic()), (1.0, own))), own_digamma):
             for n0 in (0, 1):
                 got = _walked(w, n0, 2000)
                 want = list(itertools.islice(w.steps(n0), 2000))
                 assert repr(got) == repr(want), (w, n0)
         assert own.walk(0)[0] == ("next",)
+        assert own_digamma.walk(0)[0] == ("next",)
+        res = eval_weighted(PochhammerRatioSeries((0.5,), (1.5,), 1, 0.5, 0),
+                            own_digamma, 1.0)
+        assert res.value == 0.0 and res.method == "direct"
         assert Zipped(((1.0, Harmonic()), (1.0, own))).walk(0)[0] == (
             "sum", ("pairs", 1), ("next",))
 
