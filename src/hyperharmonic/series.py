@@ -6,17 +6,18 @@ A PochhammerRatioSeries describes terms
 
 summed against a weight sequence w_n (harmonic numbers and relatives).
 The spec, the SeriesResult and the weights are Frozen value classes.
-Each weight family is one WeightKind subclass. Every built-in kind but
-LinearCombo is a _PairWeight, a derivative of Pochhammer symbols (a_i +
-eps)_n in eps stated once by its pairs (c_i, a_i), the step adding
-sum_i c_i / (a_i + n) (H_n^2 + H_n^(2) steps P by one pair, Q by its
-square). From them it gives value(n), steps(n0), walk(n0) (the form that
-the term loops write out), asymptotics() and expansion(K, M), in powers
-of 1/n and log n with the constant fixed by the computed w_M.
-LinearCombo merges its parts' pairs, so 2 H_2n - H_n costs one division
-per step, and gives no expansion. Both term loops, the direct rule's and
-the unit-circle walk's (_Walk), are generated per shape and weight walk
-from one template each (_kernel_source), so no term branches on either.
+Each weight family is one WeightKind subclass. Every built-in kind is a
+_PairWeight, a derivative of Pochhammer symbols (a_i + eps)_n in eps
+stated once by its pairs (c_i, a_i), the step adding sum_i c_i / (a_i +
+n) (H_n^2 + H_n^(2) steps P by one pair, Q by its square). From them it
+gives value(n), steps(n0), walk(n0) (the form that the term loops write
+out), asymptotics() and expansion(K, M), in powers of 1/n and log n with
+the constant fixed by the computed w_M. LinearCombo's pairs are its
+parts' pairs merged, so 2 H_2n - H_n costs one division per step; it
+refuses a part without pairs and gives no expansion. Both term loops,
+the direct rule's and the unit-circle walk's (_Walk), are generated per
+shape and weight walk from one template each (_kernel_source), so no
+term branches on either.
 Terms advance by one multiply-divide recurrence per index, run on floats
 for a real spec at a real argument, with results identical to complex.
 Floats are added in a fixed order (_lsum), so every supported
@@ -294,8 +295,8 @@ _RESULT_SETTERS = slot_setters(SeriesResult)
 class WeightKind:
     """Base class for weight families; each subclass is the one definition
     of its family. The built-in families are also Frozen value classes
-    whose fields are their __slots__, and all but LinearCombo are
-    _PairWeights; other subclasses need not be either.
+    whose fields are their __slots__, and _PairWeights; other subclasses
+    need not be either.
 
     value(n) recomputes w_n from scratch, the reference that tests compare
     the walk against; steps(n0) yields w_n0, w_n0+1, ... with Kahan-
@@ -345,7 +346,8 @@ class _PairWeight(WeightKind):
     + sum_{n0<=k<n} sum_i c_i / (a_i + k); of order 2 (one pair), w_n =
     P_n^2 + Q_n, P stepping by the pair and Q by its square c^2 / (a +
     k)^2. A kind's __init__ validates its fields and states its pairs,
-    start value and start index once (_set_pairs), in hidden slots that
+    start value and start index once (_set_pairs, which raises PoleError
+    for a shift a_i = -k at an index k >= n0), in hidden slots that
     reprs, equality, hashing and pickles do not see: _pairs (as given),
     _floats (as floats where they and the start value are all real),
     _order, _start ((n0, w_n0), or (n0, (P, Q))), _terms and _walks (each
@@ -356,10 +358,11 @@ class _PairWeight(WeightKind):
     for H_{sn+o} the terms 1/j, as harmonic() sums them (1/3 is inexact).
     A subclass that overrides steps() is walked as ("next",).
     The steps add sum_i c_i psi(a_i + n), so by DLMF 5.15.8 w_n ~ L log n +
-    g + sum_k h_k n^-k, L = sum_i c_i, h_k = sum_i c_i (-1)^(k+1) B_k(a_i)
-    / k, and Q_n ~ c - sum_k c^2 B_(k-1)(1 - a) n^-k (from psi'(a + n),
-    as (-1)^m B_m(a) = B_m(1 - a)); expansion(K, M) takes g and c from the
-    computed P_M and Q_M. For H_{sn+o}, whose pairs are (1/s, (o+r)/s),
+    g + sum_k h_k n^-k, L = sum_i c_i (log power 0 where L = 0, as for
+    DigammaLog), h_k = sum_i c_i (-1)^(k+1) B_k(a_i) / k, and Q_n ~ c -
+    sum_k c^2 B_(k-1)(1 - a) n^-k (from psi'(a + n), as (-1)^m B_m(a) =
+    B_m(1 - a)); expansion(K, M) takes g and c from the computed P_M and
+    Q_M. For H_{sn+o}, whose pairs are (1/s, (o+r)/s),
     r = 1..s, the multiplication theorem (DLMF 24.4.17) gives h_k =
     (-1)^(k+1) B_k(o+1) / (k s^k).
     """
@@ -367,6 +370,11 @@ class _PairWeight(WeightKind):
     __slots__ = ("_pairs", "_floats", "_order", "_start", "_terms", "_walks")
 
     def _set_pairs(self, pairs, start, order=1, n0=0, terms=None):
+        for _, a in pairs:
+            k = _pole_index(a)
+            if k is not None and k >= n0:
+                raise PoleError(f"{self!r} has the shift {a}, a pole at "
+                                f"index {k}")
         _set(self, "_pairs", None if order == 2 else pairs)
         floats = _as_floats(pairs)
         if floats is not None and not (start[0].imag or start[1].imag
@@ -426,14 +434,15 @@ class _PairWeight(WeightKind):
         return self._pairs
 
     def asymptotics(self):
-        return 0, (self._order if self._floats else 0)
+        log = _pair_rows(self._floats, self._order, 0)[0]
+        return 0, (self._order if log else 0)
 
     def expansion(self, order, anchor):
         log, h, q = _pair_rows(self._floats, self._order, order)
         w, log_m = self._at(anchor), log * math.log(anchor)
         if self._order == 1:
             A = _anchored_row(w - log_m, h, anchor)
-            return (A, (log,) + (0.0,) * order) if self._floats else (A,)
+            return (A, (log,) + (0.0,) * order) if log else (A,)
         # P^2 + Q with P ~ L log n + A(n): rows A^2 + Q, 2 L A and L^2
         A = _anchored_row(w[0] - log_m, h, anchor)
         G = _anchored_row(w[1], q, anchor)
@@ -554,75 +563,49 @@ class DigammaLog(Frozen, _PairWeight):
         self._set_pairs(((2.0, 1.0), (-1.0, a), (-1.0, b)), w0)
 
 
-class _MergedPairs:
-    """LinearCombo's hidden slot: (pairs, as floats or None), or None."""
-
-    __slots__ = ("_merged",)
-
-
-class LinearCombo(_MergedPairs, Frozen, WeightKind):
+class LinearCombo(Frozen, _PairWeight):
     """w_n = sum_i coeff_i * inner_i(n).
 
-    Where every part has pairs, the combination has their pairs scaled by
-    the coefficients, equal shifts merged and exact zeros dropped
-    (2 H_2n - H_n is the one pair (1, 1/2)), merged once, and steps walks
-    them with _pair_steps, one division per pair and index. A part
-    without pairs (HarmonicSqPlusGen2, a kind defined elsewhere) makes
-    steps zip the parts' own walks instead. It gives no expansion.
+    Its pairs are the parts' pairs scaled by the coefficients, equal
+    shifts merged and exact zeros dropped (2 H_2n - H_n is the one pair
+    (1, 1/2)), and value(n) adds the parts' values. A part without pairs
+    (HarmonicSqPlusGen2, a kind whose pairs() is None) raises DomainError.
     """
 
     __slots__ = ("parts",)  # of (coeff, WeightKind)
 
+    # no expansion, so the combinations keep the ladder at r*x = 1 and -1;
+    # this line goes once the benchmark's memory bound allows (ROADMAP
+    # items 1 and 2a)
+    expansion = WeightKind.expansion
+
     def __init__(self, parts):
-        norm = []
+        norm, merged = [], {}
         for coeff, kind in parts:
             if not isinstance(kind, WeightKind):
                 raise DomainError(f"LinearCombo parts need WeightKind entries, got {kind!r}")
-            norm.append((complex(coeff), kind))
-        _set(self, "parts", tuple(norm))
-        merged = {}
-        for coeff, kind in norm:
             inner = kind.pairs()
             if inner is None:
-                _set(self, "_merged", None)
-                return
+                raise DomainError(f"LinearCombo part {kind!r} has no pairs "
+                                  f"to merge")
+            coeff = complex(coeff)
+            norm.append((coeff, kind))
             for c, a in inner:
                 merged[a] = merged.get(a, 0.0) + coeff * c
-        pairs = tuple((c, a) for a, c in merged.items() if c != 0.0)
-        _set(self, "_merged", (pairs, _as_floats(pairs)))
+        _set(self, "parts", tuple(norm))
+        # poles from the latest start among the parts: the shift 0 of
+        # Harmonic(s, -1) is a pole only before its start index 1
+        n0 = max((kind._start[0] for _, kind in norm
+                  if isinstance(kind, _PairWeight)), default=0)
+        self._set_pairs(tuple((c, a) for a, c in merged.items() if c != 0.0),
+                        0.0, n0=n0)
 
-    def value(self, n):
-        return _lsum(c * kind.value(n) for c, kind in self.parts)
-
-    def _pair_start(self, n0):
-        """w_n0 and the merged pairs, as floats where all are real."""
-        w = self.value(n0)
-        pairs, floats = self._merged
-        return (w, pairs) if floats is None or w.imag else (w.real, floats)
-
-    def steps(self, n0):
-        if self.pairs() is not None:
-            return _pair_steps(*self._pair_start(n0), n0)
-        coeffs = tuple(c for c, _ in self.parts)
-        walks = zip(*(kind.steps(n0) for _, kind in self.parts))
-        return (_lsum(map(operator.mul, coeffs, ws)) for ws in walks)
-
-    def pairs(self):
-        return None if self._merged is None else self._merged[0]
-
-    def walk(self, n0):
-        # as steps: the merged pairs where they exist, else the parts' walks
-        if self.pairs() is not None:
-            w, pairs = self._pair_start(n0)
-            return ("pairs", len(pairs)), (w, 0.0, *itertools.chain(*pairs))
-        coeffs, kinds = zip(*self.parts)
-        forms, states = zip(*(kind.walk(n0) for kind in kinds))
-        value = _lsum(c * state[0] for c, state in zip(coeffs, states))
-        return ("sum", *forms), (value, *coeffs, *itertools.chain(*states))
-
-    def asymptotics(self):
-        shapes = [kind.asymptotics() for _, kind in self.parts]
-        return max(sh for sh, _ in shapes), max(lg for _, lg in shapes)
+    def _at(self, n):
+        # the parts' values, real where they and the pairs are all real
+        # (_floats then holds the pairs as floats)
+        w = _lsum(c * kind.value(n) for c, kind in self.parts)
+        return (w.real if not w.imag and _as_floats(self._pairs) is not None
+                else w)
 
 
 def _pair_steps(w, pairs, n):
@@ -1097,9 +1080,7 @@ def _walk_code(form: tuple, v: str):
     index m to m + 1. ("pairs", k) adds sum_i p_i / (s_i + m)
     (_pair_steps), ("square",) steps P by p / (s + m) and Q by its square
     and forms P^2 + Q (_kahan_steps in _PairWeight.steps; d * d is exact
-    while d < 2^26.5), ("sum", *forms) adds its parts' coefficients times
-    their values to 0, as _lsum does (LinearCombo.steps), and ("next",)
-    calls the generator."""
+    while d < 2^26.5), and ("next",) calls the generator."""
     kind, *args = form
     if kind == "pairs":
         pairs = [(f"{v}_p{i}", f"{v}_s{i}") for i in range(args[0])]
@@ -1112,14 +1093,6 @@ def _walk_code(form: tuple, v: str):
         return [v, P, P + "_c", Q, Q + "_c", p, s, pp], [
             f"{d} = {s} + m", *_kahan(P, f"{p} / {d}"),
             *_kahan(Q, f"{pp} / ({d} * {d})"), f"{v} = {P} * {P} + {Q}"]
-    if kind == "sum":
-        names, lines = [v] + [f"{v}_k{i}" for i in range(len(args))], []
-        for i, part in enumerate(args):
-            part_names, part_lines = _walk_code(part, f"{v}_{i}")
-            names += part_names
-            lines += part_lines
-        terms = "".join(f" + {v}_k{i} * {v}_{i}" for i in range(len(args)))
-        return names, [*lines, f"{v} = 0{terms}"]
     return [v, v + "_next"], [f"{v} = {v}_next()"]
 
 

@@ -186,7 +186,9 @@ def pochhammer(a: complex, n: int) -> complex:
 
 
 def harmonic(n: int) -> float:
-    """H_n = sum_{k<=n} 1/k, exactly-rounded float via fsum. H_0 = 0."""
+    """H_n = sum_{k<=n} 1/k as the fsum of the rounded terms 1.0/k, so
+    within about 0.56 ulp of H_n (not correctly rounded: 149 of the values
+    for n < 3,000 are not the nearest float). H_0 = 0."""
     if n != int(n) or n < 0:
         raise DomainError(f"harmonic index must be a non-negative integer, got {n!r}")
     return math.fsum(1.0 / k for k in range(1, int(n) + 1))

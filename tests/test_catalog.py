@@ -264,6 +264,13 @@ class TestVerifySemantics:
         with pytest.raises(PoleError, match=(
                 r"^THM-C at \{'a': 0\.5, 'b': 0\.15\}, rhs expression: ")):
             verify("THM-C", points=[{"a": 0.5, "b": 0.15}])
+        # the shift 2b of SUM-CHOI's weight is a pole at these b: its walk
+        # once raised a bare ZeroDivisionError, which escaped verify
+        for b in (-3.0, -2.0, -1.5, -1.0, -0.5, 0.0):
+            with pytest.raises(PoleError, match=(
+                    rf"^SUM-CHOI at \{{'a': 0\.25, 'b': {b}\}}, lhs term 0: "
+                    r"DigammaDiffSum\(.*\) has the shift .*, a pole at")):
+                verify("SUM-CHOI", points=[{"a": 0.25, "b": b}])
 
     def test_overflow_and_non_finite_sides_raise_domain_error(self):
         # Gamma((a+1)/2) overflows at a = 400.3, and a perturbation of
@@ -290,6 +297,24 @@ class TestVerifySemantics:
         # ValueError from round(nan) before the side could name itself
         with pytest.raises(errors.DomainError, match=prefix):
             verify(ident_id, points=[point])
+
+    def test_every_identity_on_a_pole_grid_returns_or_raises_a_package_error(
+            self):
+        # each parameter in turn at poles and half-poles of the shifts,
+        # the others at the first sample point: every point returns or
+        # raises a HyperharmonicError, never a bare Python error
+        raised = checked = 0
+        for ident in REGISTRY.values():
+            for name in ident.param_names if ident.sample_points else ():
+                for v in (-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5,
+                          2.0):
+                    point = dict(ident.sample_points[0], **{name: v})
+                    checked += 1
+                    try:
+                        verify(ident, points=[point])
+                    except errors.HyperharmonicError:
+                        raised += 1
+        assert checked == 490 and raised == 146
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_non_finite_numerator_shift_is_refused_before_summing(self, a):

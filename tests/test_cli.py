@@ -417,6 +417,18 @@ class TestSweep:
         assert err == ("evaluation error: DomainError: COR-A2 at "
                        "{'a': 400.3}, rhs expression: math range error\n")
 
+    def test_weight_pole_is_evaluation_error(self, capsys):
+        # SUM-CHOI's weight has the shift 2b, a pole at b = 0: the walk
+        # once raised a bare ZeroDivisionError, which ended in a traceback
+        # and exit code 1
+        rc, out, err = run_cli(capsys, "sweep", "--id", "SUM-CHOI",
+                               "--param", "b", "--from", "-2", "--to", "0.5",
+                               "--steps", "6", "--fixed", "a=0.25")
+        assert (rc, out) == (3, "")
+        assert err.startswith("evaluation error: PoleError: SUM-CHOI at "
+                              "{'a': 0.25, 'b': -2.0}, lhs term 0: ")
+        assert "Traceback" not in err
+
     def test_closed_form_pole_is_evaluation_error(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--id", "THM-C", "--param", "a",
                              "--from", "0.1", "--to", "0.5", "--steps", "2",

@@ -22,7 +22,7 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            verify)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _moments, _pair_steps,
-                                  _rounding, _Walk, _walk_code)
+                                  _PairWeight, _rounding, _Walk, _walk_code)
 from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           COMPLEX_UNIT_DRAWS_DIGEST, REAL_DRAWS_DIGEST,
                           ZIPPED_DRAWS_DIGEST, Zipped, complex_direct_draws,
@@ -138,6 +138,32 @@ class TestWeights:
         with pytest.raises(DomainError):
             LinearCombo(((2.0, "H"),))
 
+    def test_shift_at_a_pole_is_refused_at_construction(self):
+        # a shift a = -k with k at or past the start index would divide
+        # by zero in the walk (once a bare ZeroDivisionError)
+        class PolePairs(WeightKind):
+            def pairs(self):
+                return ((1.0, -2.0),)
+
+        for make in (lambda: DigammaDiffSum(0.3, 0.0),
+                     lambda: DigammaDiffSum(0.3, -1.5),
+                     lambda: DigammaDiffSum(-1.7, 0.2),
+                     lambda: DigammaLog(0.0, 0.5, 1.0),
+                     lambda: DigammaLog(0.5, -3.0 + 1e-13, 1.0),
+                     lambda: LinearCombo(((1.0, PolePairs()),))):
+            with pytest.raises(PoleError, match="a pole at index"):
+                make()
+        with pytest.raises(DomainError, match="not finite"):
+            DigammaDiffSum(math.nan, 0.25)
+        # Harmonic(s, -1) has the shift 0 but starts at index 1, also as
+        # a part
+        for s in (1, 2, 3):
+            part = Harmonic(s, -1)
+            w = LinearCombo(((1.0, part),))
+            assert w.value(5) == part.value(5) == harmonic(5 * s - 1)
+            assert list(itertools.islice(w.steps(1), 5)) == pytest.approx(
+                [part.value(n) for n in range(1, 6)], abs=1e-15)
+
     def test_harmonic_float_stride_is_stored_as_int(self):
         # 2.0 is a valid stride; it used to be stored as given, and the
         # walk died with a TypeError from range(2.0)
@@ -194,8 +220,8 @@ class TestWeights:
         LinearCombo(((4.0, Harmonic(stride=2)), (-3.0, Harmonic()))),
         DigammaLog(0.25, 0.75, 1.2),
         DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
-        LinearCombo(((0.5j, HarmonicSqPlusGen2()),
-                     (2.0, DigammaDiffSum(0.25, 0.4)), (-1.0, Unit()))),
+        Zipped(((0.5j, HarmonicSqPlusGen2()),
+                (2.0, DigammaDiffSum(0.25, 0.4)), (-1.0, Unit()))),
     ])
     @pytest.mark.parametrize("n0", [0, 1, 7])
     def test_stepper_matches_reference(self, weight, n0):
@@ -347,7 +373,7 @@ class TestPairs:
         # every built-in kind states the walk of its steps, bit for bit,
         # as the term loops write it out; a kind with its own steps and
         # no walk of its own, also a subclass of a built-in kind, has its
-        # generator called per term, also as a part of a LinearCombo
+        # generator called per term
         own, own_digamma = OwnSteps(), OwnDigammaSteps(0.3, 0.2)
         for w in (Unit(), Harmonic(1, 2), Harmonic(2), Harmonic(3, 1),
                   HarmonicSqPlusGen2(), DigammaLog(0.25, 0.75, 1.2),
@@ -364,8 +390,6 @@ class TestPairs:
         res = eval_weighted(PochhammerRatioSeries((0.5,), (1.5,), 1, 0.5, 0),
                             own_digamma, 1.0)
         assert res.value == 0.0 and res.method == "direct"
-        assert Zipped(((1.0, Harmonic()), (1.0, own))).walk(0)[0] == (
-            "sum", ("pairs", 1), ("next",))
 
     def test_gauss_weight_is_one_pair_on_floats(self):
         # 2 H_2n - H_n = sum_{k<n} 1/(k + 1/2) = psi(n + 1/2) - psi(1/2)
@@ -396,14 +420,32 @@ class TestPairs:
             assert type(got) is complex
             assert abs(got - (2.0 + 0.5j * harmonic(n))) <= 2.0 * _EPS * 4
 
-    def test_part_without_pairs_keeps_the_composed_walk(self):
-        inner = HarmonicSqPlusGen2()
-        w = LinearCombo(((1.0, inner),))
-        assert w.pairs() is None
-        for n, got, part in zip(range(500), w.steps(0), inner.steps(0)):
-            assert got == part
-            want = w.value(n)
-            assert abs(got - want) <= 4.0 * _EPS * max(1.0, abs(want)), n
+    def test_part_without_pairs_is_refused(self):
+        # a combination is a pair weight: a part whose pairs() is None, a
+        # log^2 weight or a kind defined elsewhere, has none to merge
+        class OwnSteps(WeightKind):
+            def steps(self, n0):
+                return itertools.repeat(0.0)
+
+        own = OwnSteps()
+        for part in (HarmonicSqPlusGen2(), own):
+            with pytest.raises(DomainError, match=re.escape(repr(part))):
+                LinearCombo(((1.0, Harmonic()), (2.0, part)))
+
+    def test_combination_is_a_pair_weight(self):
+        # its walk is its merged pairs' walk, stated once per start index
+        w = LinearCombo(((2.0, Harmonic(stride=2)), (-1.0, Harmonic())))
+        assert isinstance(w, _PairWeight)
+        assert w.walk(1) is w.walk(1)
+        assert w.walk(1)[0] == ("pairs", 1) and type(w.walk(1)[1][0]) is float
+        assert w.asymptotics() == (0, 1)
+        # on floats where the value and the pairs are real, also where
+        # there are no pairs, and complex otherwise
+        assert type(LinearCombo(((1.0, Unit()),)).walk(0)[1][0]) is float
+        assert type(LinearCombo(((1j, Unit()),)).walk(0)[1][0]) is complex
+        # H_2n - H_n tends to log 2: sum_i c_i = 0, so log power 0
+        assert LinearCombo(((1.0, Harmonic(stride=2)),
+                            (-1.0, Harmonic()))).asymptotics() == (0, 0)
 
 
 class TestEvalWeighted:
@@ -617,8 +659,8 @@ class TestEvalWeighted:
                 hyp2f1(0.5, 0.5, 1.5, 0.5, tol=tol)
 
     def test_alternating_unit_argument_accelerated(self):
-        # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1); the weight
-        # inside LinearCombo has no expansion, so it keeps the ladder
+        # sum (1/2)_n (1/2)_n / ((3/2)_n n!) (-1)^n = asinh(1); a
+        # LinearCombo has no expansion, so it keeps the ladder
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         res = eval_weighted(spec, LinearCombo(((1.0, Unit()),)), -1.0,
                             tol=1e-9)
@@ -852,15 +894,20 @@ class TestAnchoredTail:
         assert const[:3] == pytest.approx(
             (0.57721566490153286 + math.log(2.0), 0.75, -13.0 / 48.0),
             abs=2e-15)
-        # the digamma kinds' log coefficients are sum_i c_i: 1 and 0
-        for weight, log in ((DigammaDiffSum(0.2, 0.3), 1.0),
-                            (DigammaLog(0.2, 0.3, 1.0), 0.0)):
-            assert weight.expansion(3, 64)[1] == (log, 0.0, 0.0, 0.0)
+        # the log coefficient is L = sum_i c_i: 1 for DigammaDiffSum, 0
+        # for DigammaLog, which tends to a constant, so it has log power
+        # 0 and one row
+        w = DigammaDiffSum(0.2, 0.3)
+        assert w.asymptotics() == (0, 1)
+        assert w.expansion(3, 64)[1] == (1.0, 0.0, 0.0, 0.0)
+        w = DigammaLog(0.2, 0.3, 1.0)
+        assert w.asymptotics() == (0, 0)
+        assert len(w.expansion(3, 64)) == 1
         assert LinearCombo(((1.0, Unit()),)).expansion(3, 64) is None
         # weights without an expansion, and r*x other than 1 and -1, keep
         # the ladder
         spec = PochhammerRatioSeries((0.3, 0.2), (2.0,), 1, 1.0, 0)
-        for weight, x in ((LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
+        for weight, x in ((Zipped(((1.0, HarmonicSqPlusGen2()),)), 1.0),
                           (LinearCombo(((1.0, Unit()),)), 1.0),
                           (LinearCombo(((1.0, Unit()),)), -1.0),
                           (Unit(), cmath.exp(2j)), (Harmonic(), 1j)):
@@ -1018,7 +1065,9 @@ class TestExpansionRows:
         wants = {n: _weight_mp(weight, n) for n in (64, 128, 256)}
         for K in range(1, 11):
             rows = weight.expansion(K, M)
-            assert len(rows) == (3 if square else 2)
+            # DigammaLog's c_i cancel: no log row
+            assert len(rows) == (3 if square else
+                                 1 if isinstance(weight, DigammaLog) else 2)
             h = [0] + [_h_mp(pairs, k) for k in range(1, K + 3)]
             for n, want in wants.items():
                 log_n = mpmath.log(n)
@@ -1284,8 +1333,9 @@ class TestUnitLadder:
     """The ladder rule, which sums every balanced unit-circle series but
     the anchored ones: a ladder of partial sums cut at the first top
     (2^12, 2^13 or 2^14) where the fitted limit of the known-exponent
-    tail model certifies. A one-part LinearCombo has no expansion, so it
-    stands in for its part at r*x = 1 and -1."""
+    tail model certifies. A one-part LinearCombo, or Zipped for a part
+    without pairs, has no expansion, so it stands in for its part at r*x
+    = 1 and -1."""
 
     @pytest.mark.parametrize("tol, top", [(1e-10, 8192), (1e-11, 16384)])
     def test_later_tops_against_mpmath(self, tol, top):
@@ -1307,7 +1357,7 @@ class TestUnitLadder:
             (PochhammerRatioSeries((0.3, 0.2, 1), (2.0, 2), 1, 1.0, 0),
              LinearCombo(((1.0, Unit()),)), 1.0),
             (PochhammerRatioSeries((0.25, 0.25), (1.0,), 1, 1.0, 1),
-             LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0),
+             Zipped(((1.0, HarmonicSqPlusGen2()),)), 1.0),
             (PochhammerRatioSeries((0.5, 0.6), (1.25, 1.5), 0, 1.0, 1),
              Harmonic(), 1.0j),
         ]
@@ -1334,11 +1384,11 @@ class TestUnitLadder:
     def test_fast_decaying_tail_drops_dependent_columns(self):
         # s = -5 at log power 2: some model columns are numerically
         # dependent on the ladder, yet the sum plainly converges (the
-        # weight inside LinearCombo has no expansion, so it keeps the
-        # ladder; alone it takes the anchored rule)
+        # weight inside Zipped has no expansion, so it keeps the ladder;
+        # alone it takes the anchored rule)
         spec = PochhammerRatioSeries((0.5, 0.5), (6.0,), 1, 1.0, 1)
         ladder = eval_weighted(
-            spec, LinearCombo(((1.0, HarmonicSqPlusGen2()),)), 1.0, tol=1e-11)
+            spec, Zipped(((1.0, HarmonicSqPlusGen2()),)), 1.0, tol=1e-11)
         anchored = eval_weighted(spec, HarmonicSqPlusGen2(), 1.0, tol=1e-11)
         assert ladder.method == "extrapolated"
         assert anchored.method == "anchored"
@@ -1391,8 +1441,7 @@ class TestUnitLadder:
         # expansion take the anchored rule)
         spec = PochhammerRatioSeries((0.5,), (400.5,), 0, 1.0, 0)
         with pytest.raises(AccelerationBreakdown, match="N\\^-399"):
-            eval_weighted(spec, LinearCombo(((1.0, HarmonicSqPlusGen2()),)),
-                          1.0)
+            eval_weighted(spec, Zipped(((1.0, HarmonicSqPlusGen2()),)), 1.0)
 
     @pytest.mark.parametrize("spec, x, terms, oracle", [
         (PochhammerRatioSeries((), (), 1, 1.0, 0), 1.0, 18,

@@ -173,6 +173,22 @@ class TestHarmonic:
             want += Fraction(1, k)
         assert abs(harmonic(10) - float(want)) < 1e-15
 
+    def test_within_0_56_ulp_of_the_exact_sum(self):
+        # fsum of the rounded terms 1/k is not correctly rounded: for n <
+        # 3,000 it is off by up to 0.5585 ulp (at n = 1,292), and 149 of
+        # those values differ from the correctly rounded H_n
+        want, worst, off = Fraction(0), Fraction(0), 0
+        for n in range(3000):
+            if n:
+                want += Fraction(1, n)
+            got = harmonic(n)
+            if n:
+                worst = max(worst, abs(Fraction(got) - want)
+                            / Fraction(math.ulp(got)))
+            off += got != float(want)
+        assert Fraction(0.55) < worst <= Fraction(0.56)
+        assert off == 149
+
     def test_generalized(self):
         assert generalized_harmonic(3, 2) == pytest.approx(49.0 / 36.0, abs=1e-16)
         assert generalized_harmonic(10, 1) == pytest.approx(harmonic(10), abs=1e-15)

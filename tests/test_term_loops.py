@@ -24,6 +24,7 @@ from hyperharmonic import (DigammaDiffSum, DigammaLog, DomainError, Harmonic,
 from hyperharmonic.series import (_FINITE_EVERY, _RATIO_HARD_CAP,
                                   _RATIO_TRUST, _exponent, _kernel_source,
                                   _ratio, _start, _Walk)
+from draw_digests import Zipped
 
 
 class _Reciprocal(WeightKind):
@@ -183,8 +184,9 @@ def _outcome(sum_, spec, weight, x, tol, max_terms) -> str:
 
 def _weights(rng):
     """A weight of every kind: the built-ins, real and complex, a
-    LinearCombo with pairs, one with a HarmonicSqPlusGen2 part, a kind
-    with its own steps(), and a LinearCombo with such a part."""
+    LinearCombo, a kind with its own steps(), and the zipped combinations
+    of parts without pairs (a HarmonicSqPlusGen2 part or such a kind),
+    which LinearCombo refuses."""
 
     def uni(lo, hi):
         return round(rng.uniform(lo, hi), 3)
@@ -202,11 +204,10 @@ def _weights(rng):
         lambda: DigammaLog(cplx(0.2, 2.5), uni(0.2, 2.5), cplx(-1.0, 1.0)),
         lambda: LinearCombo(((uni(-2.0, 2.0), Harmonic(2)),
                              (cplx(-2.0, 2.0), Harmonic()))),
-        lambda: LinearCombo(((cplx(-2.0, 2.0), HarmonicSqPlusGen2()),
-                             (uni(-2.0, 2.0), Harmonic(3, 1)),
-                             (1.0, Unit()))),
+        lambda: Zipped(((cplx(-2.0, 2.0), HarmonicSqPlusGen2()),
+                        (uni(-2.0, 2.0), Harmonic(3, 1)), (1.0, Unit()))),
         lambda: _Reciprocal(),
-        lambda: LinearCombo(((2.0, _Reciprocal()), (-1.0, Harmonic()))),
+        lambda: Zipped(((2.0, _Reciprocal()), (-1.0, Harmonic()))),
     ))()
 
 
@@ -269,7 +270,7 @@ def _unit_draws(seed=20263):
     walks are _Walk's: balanced sums of real or complex shifts at r*x = 1
     and -1 with the weights that have an expansion (the anchored rule),
     1 to 4 pairs, p = 0 to 2; then ladder sums at r*x = -1 and e^(i
-    theta) with the pair weights, a LinearCombo with a HarmonicSqPlusGen2
+    theta) with the pair weights, a Zipped with a HarmonicSqPlusGen2
     part and a kind with its own steps()."""
     rng = random.Random(seed)
     for i in range(40):
@@ -287,7 +288,7 @@ def _unit_draws(seed=20263):
                weight, rng.choice((1.0, -1.0)),
                rng.choice((1e-6, 1e-9, 1e-12)), rng.choice((128, 512, 4096)))
     ladder = (DigammaLog(0.3 + 0.1j, 0.6, 0.2), DigammaDiffSum(0.4, 0.7),
-              LinearCombo(((0.5, HarmonicSqPlusGen2()), (1.0, Harmonic()))),
+              Zipped(((0.5, HarmonicSqPlusGen2()), (1.0, Harmonic()))),
               _Reciprocal())
     for i, weight in enumerate(ladder):
         yield (PochhammerRatioSeries((0.5, 0.25 + 0.1j * i), (2.75,), 1, 1.0,
