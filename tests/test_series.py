@@ -28,6 +28,9 @@ from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           ZIPPED_DRAWS_DIGEST, Zipped, complex_direct_draws,
                           complex_unit_draws, draw_outcome, draw_result,
                           real_draws)
+from anchored_digest import (ANCHORED_DIGEST, ANCHORED_SUMS,
+                             anchored_outcomes)
+from anchored_digest import digest as outcomes_digest
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 
 _EPS = 2.0 ** -52
@@ -1608,6 +1611,16 @@ class TestComplexWalk:
             methods.add(getattr(draw_result(*draw), "method", None))
         assert methods == {"anchored", "extrapolated"}
         assert digest.hexdigest() == COMPLEX_UNIT_DRAWS_DIGEST
+
+
+class TestAnchoredDigest:
+    """Every anchored sum of the registries at seeds 0-12, 101 and 202
+    keeps its value, term count, bound and method, bit for bit."""
+
+    def test_anchored_sums_keep_their_digest(self):
+        outcomes = anchored_outcomes()
+        assert len(outcomes) == ANCHORED_SUMS
+        assert outcomes_digest(outcomes) == ANCHORED_DIGEST
 
 
 class TestComplexDirect:
