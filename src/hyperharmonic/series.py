@@ -350,13 +350,15 @@ class _PairWeight(WeightKind):
     for a shift a_i = -k at an index k >= n0), in hidden slots that
     reprs, equality, hashing and pickles do not see: _pairs (as given),
     _floats (as floats where they and the start value are all real),
-    _order, _start ((n0, w_n0), or (n0, (P, Q))), _terms and _walks (each
-    walk(n0) once stated).
+    _order, _start ((n0, w_n0), or (n0, (P, Q))), _terms, _walks (each
+    walk(n0) once stated) and _expansions (each expansion(K, M) once
+    formed, its rows tuples; a copy or a pickle starts without them).
 
     value(n) fsums the start value and the separate terms c / (a + k), (c,
     a) in T and s n0 <= k < s n, where (T, s) = _terms is (_floats, 1), or
     for H_{sn+o} the terms 1/j, as harmonic() sums them (1/3 is inexact).
-    A subclass that overrides steps() is walked as ("next",).
+    A subclass that overrides steps() is walked as ("next",) and has no
+    expansion, since its pairs no longer state its steps.
     The steps add sum_i c_i psi(a_i + n), so by DLMF 5.15.8 w_n ~ L log n +
     g + sum_k h_k n^-k, L = sum_i c_i (log power 0 where L = 0, as for
     DigammaLog), h_k = sum_i c_i (-1)^(k+1) B_k(a_i) / k, and Q_n ~ c -
@@ -367,7 +369,8 @@ class _PairWeight(WeightKind):
     (-1)^(k+1) B_k(o+1) / (k s^k).
     """
 
-    __slots__ = ("_pairs", "_floats", "_order", "_start", "_terms", "_walks")
+    __slots__ = ("_pairs", "_floats", "_order", "_start", "_terms", "_walks",
+                 "_expansions")
 
     def _set_pairs(self, pairs, start, order=1, n0=0, terms=None):
         for _, a in pairs:
@@ -386,6 +389,7 @@ class _PairWeight(WeightKind):
         _set(self, "_start", (n0, start))
         _set(self, "_terms", terms or (pairs, 1))
         _set(self, "_walks", {})
+        _set(self, "_expansions", {})
 
     def _at(self, n):
         """w_n, or (P_n, Q_n) at order 2."""
@@ -438,6 +442,13 @@ class _PairWeight(WeightKind):
         return 0, (self._order if log else 0)
 
     def expansion(self, order, anchor):
+        if type(self).steps is not _PairWeight.steps:
+            return None
+        key = order, anchor
+        return self._expansions.get(key) or self._expansions.setdefault(
+            key, self._expansion_at(order, anchor))
+
+    def _expansion_at(self, order, anchor):
         log, h, q = _pair_rows(self._floats, self._order, order)
         w, log_m = self._at(anchor), log * math.log(anchor)
         if self._order == 1:
@@ -1279,16 +1290,30 @@ def _folded_weights(M: int, logs: int, z: int) -> tuple:
     return full, last
 
 
-def _moments(exponents, M: int, logs: int, z: int) -> list:
-    """The moments of the tail at r*x = z, z = 1 or -1: for each s of the
-    exponents, ((m_0, ..., m_logs), (t_0, ..., t_logs)) with m_l =
-    sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m) and t_l the last term of
-    the sum that gives it.
+def _binomials(exponents) -> list:
+    """(s, b) for each s of the exponents, s a float where it is real and
+    b_i = binom(-s, i), i < J, the series of (1 + x)^-s: the part of the
+    moments (_moments) that no anchor changes, formed once per sum."""
+    out = []
+    for s in exponents:
+        s = s if s.imag else s.real
+        b = [1.0]
+        for i in range(1, _TAYLOR_ORDER):
+            b.append(b[-1] * (-s - (i - 1)) / i)
+        out.append((s, b))
+    return out
+
+
+def _moments(binomials, M: int, logs: int, z: int) -> list:
+    """The moments of the tail at r*x = z, z = 1 or -1: for each (s, b) of
+    binomials (_binomials), ((m_0, ..., m_logs), (t_0, ..., t_logs)) with
+    m_l = sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m) and t_l the last
+    term of the sum that gives it.
 
     With f(h) = (1 + h/M)^-s P_l(h/M), P_l(x) = (log M + log(1 + x))^l
     as a power series truncated after x^(J-1), and c_j its Taylor
     coefficients at 0, M^-j times the x^j coefficient of P_l and the
-    binomial series of (1 + x)^-s, both sums are dots of the c_j, j < J,
+    binomial series b of (1 + x)^-s, both sums are dots of the c_j, j < J,
     with weights W_j(z) M^-j (_folded_weights):
 
         z = -1, Boole (DLMF 24.17.1): W_j = 1/2 E_j(0);
@@ -1296,22 +1321,16 @@ def _moments(exponents, M: int, logs: int, z: int) -> list:
         plus the integral of f from 0 to infinity,
         I_l = (M log^l M + l I_(l-1)) / (s - 1), I_0 = M / (s - 1).
 
-    Each s costs the J binomial coefficients and two dot products per
-    moment, on floats for a real s (their values are the real parts of
-    the complex ones). The terms shrink like (|s| / (pi M))^j at -1 and
-    (|s| / (2 pi M))^j at 1, so for |s| well below those the last term
-    (j = J - 1, odd; both weights vanish at even j >= 2) bounds the
-    truncation.
+    Each s costs two dot products per moment, on floats for a real s
+    (their values are the real parts of the complex ones). The terms
+    shrink like (|s| / (pi M))^j at -1 and (|s| / (2 pi M))^j at 1, so
+    for |s| well below those the last term (j = J - 1, odd; both weights
+    vanish at even j >= 2) bounds the truncation.
     """
     full, last = _folded_weights(M, logs, z)
-    J = _TAYLOR_ORDER
     log_m = math.log(M)
     out = []
-    for s in exponents:
-        s = s if s.imag else s.real
-        b = [1.0]                   # binom(-s, i), the series of (1 + x)^-s
-        for i in range(1, J):
-            b.append(b[-1] * (-s - (i - 1)) / i)
+    for s, b in binomials:
         mom = [_lsum(map(operator.mul, b, w)) for w in full]
         if z == 1:
             integral = 0.0
@@ -1322,8 +1341,7 @@ def _moments(exponents, M: int, logs: int, z: int) -> list:
     return out
 
 
-def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
-                   z: int):
+def _anchored_tail(d, rows, binomials, M: int, anchor: complex, z: int):
     """sum_{n >= M} w_n u_n for u_n ~ C z^n n^sigma sum_k d_k n^-k (z = 1 or
     -1) and w_n u_n ~ C z^n n^sigma sum_l log^l n sum_k f_lk n^-k (rows
     f_0 and, for a weight with log powers, f_1 and f_2), with C fixed by
@@ -1332,17 +1350,16 @@ def _anchored_tail(d, rows, sigma: complex, M: int, anchor: complex,
 
     With e_k = d_k M^-k, C z^M M^sigma = anchor / sum_k e_k. With
     the moments m_l(s) = sum_{m >= 0} z^m (1 + m/M)^-s log^l(M + m)
-    (_moments) at s = k - sigma, the tail is anchor * sum_k M^-k sum_l
-    f_lk m_l(k - sigma) / sum_k e_k: C and M^sigma drop out, and no Gamma
-    value is needed. The truncation size is the modulus of the same sum
-    over the moments' last terms t_l.
+    (_moments, from the sum's binomials at s = k - sigma, k = 0..K), the
+    tail is anchor * sum_k M^-k sum_l f_lk m_l(k - sigma) / sum_k e_k: C
+    and M^sigma drop out, and no Gamma value is needed. The truncation
+    size is the modulus of the same sum over the moments' last terms t_l.
     """
     low = len(d) - 3
     num = den = cut = 0j
     scale = 1.0
     logs = range(1, len(rows))
-    moments = _moments([k - sigma for k in range(len(d))], M, len(rows) - 1,
-                       z)
+    moments = _moments(binomials, M, len(rows) - 1, z)
     for k, (dk, (mom, last)) in enumerate(zip(d, moments)):
         part = rows[0][k] * scale * mom[0]
         for l in logs:
@@ -1364,8 +1381,12 @@ def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
     terms plus the anchored tail from the next index, whose moments come
     from _moments at the sign z, with N doubled until the error estimate
     certifies. rows is the weight's expansion at the first anchor,
-    n0 + N."""
+    n0 + N. The set-up that no anchor changes is formed once per sum:
+    the terms' expansion d and the binomial series of the exponents
+    k - sigma (_binomials); the weight keeps its rows per anchor
+    (_PairWeight.expansion)."""
     d = _term_expansion(spec, _EXPANSION_ORDER)
+    binomials = _binomials([k - sigma for k in range(len(d))])
 
     def tail(walk, rows):
         # the terms' rows: d times the weight's, truncated at the order
@@ -1374,7 +1395,7 @@ def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
         if not all(cmath.isfinite(v) for row in f for v in row):
             raise AccelerationBreakdown(
                 "asymptotic expansion of the terms overflows")
-        return _anchored_tail(d, f, sigma, walk.n, walk.t, z)
+        return _anchored_tail(d, f, binomials, walk.n, walk.t, z)
 
     N = _ANCHOR_N
     if max_terms < 2 * N:

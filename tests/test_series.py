@@ -21,8 +21,9 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            eval_weighted, harmonic, hyp2f1, pochhammer,
                            verify)
 from hyperharmonic.catalog import _derivative_sums
-from hyperharmonic.series import (_EULER_AT_ZERO, _moments, _pair_steps,
-                                  _PairWeight, _rounding, _Walk, _walk_code)
+from hyperharmonic.series import (_EULER_AT_ZERO, _binomials, _moments,
+                                  _pair_steps, _PairWeight, _rounding, _Walk,
+                                  _walk_code)
 from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           COMPLEX_UNIT_DRAWS_DIGEST, REAL_DRAWS_DIGEST,
                           ZIPPED_DRAWS_DIGEST, Zipped, complex_direct_draws,
@@ -937,7 +938,7 @@ class TestAnchoredHarmonic:
         # mpf). Each error lies within the last term's size t_l (at s =
         # 420.5, M = 65 Euler-Maclaurin's terms no longer shrink, and t_l
         # says so); at -1 only |s| < pi M / 2, where Boole's terms shrink
-        (mom, last), = _moments([complex(s)], M, 2, z)
+        (mom, last), = _moments(_binomials([complex(s)]), M, 2, z)
         mpmath.mp.dps = 60
         sm, mm = mp_number(s), mpmath.mpf(M)
         log2 = mpmath.log(2)
