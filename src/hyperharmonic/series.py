@@ -1360,12 +1360,12 @@ def _anchored_tail(d, rows, binomials, M: int, anchor: complex, z: int):
     scale = 1.0
     logs = range(1, len(rows))
     moments = _moments(binomials, M, len(rows) - 1, z)
-    for k, (dk, (mom, last)) in enumerate(zip(d, moments)):
-        part = rows[0][k] * scale * mom[0]
+    for k, (dk, col, (mom, last)) in enumerate(zip(d, zip(*rows), moments)):
+        part = col[0] * scale * mom[0]
         for l in logs:
-            part += rows[l][k] * scale * mom[l]
+            part += col[l] * scale * mom[l]
         num += part
-        cut += scale * _lsum(row[k] * m for row, m in zip(rows, last))
+        cut += scale * _lsum(map(operator.mul, col, last))
         den += dk * scale
         if k == low:
             num_low, den_low = num, den
@@ -1389,8 +1389,13 @@ def _eval_anchored(spec: PochhammerRatioSeries, weight: WeightKind,
     binomials = _binomials([k - sigma for k in range(len(d))])
 
     def tail(walk, rows):
-        # the terms' rows: d times the weight's, truncated at the order
-        f = [[_lsum(map(operator.mul, d[:k + 1], row[k::-1]))
+        # the terms' rows: d times the weight's, truncated at the order. A
+        # row (r_0, 0, ..., 0), such as Unit's and every log row, gives 0j
+        # + d_k r_0, bit for bit: with d complex and finite, the other
+        # products are complex zeros and 0 plus them is 0j (a d that is
+        # not finite raises below either way)
+        f = [[0j + v * row[0] for v in d] if not any(row[1:]) else
+             [_lsum(map(operator.mul, d[:k + 1], row[k::-1]))
               for k in range(_EXPANSION_ORDER + 1)] for row in rows]
         if not all(cmath.isfinite(v) for row in f for v in row):
             raise AccelerationBreakdown(

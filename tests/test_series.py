@@ -3,9 +3,12 @@ rules (anchored tail and ladder), convergence guards, and the 2F1
 wrapper."""
 
 import cmath
+import collections
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -18,8 +21,8 @@ from hyperharmonic import (AccelerationBreakdown, DigammaDiffSum, DigammaLog,
                            DomainError, Harmonic, HarmonicSqPlusGen2,
                            HyperharmonicError, LinearCombo, NonConvergentError,
                            PochhammerRatioSeries, PoleError, Unit, WeightKind,
-                           eval_weighted, harmonic, hyp2f1, pochhammer,
-                           verify)
+                           build_registry, eval_weighted, harmonic, hyp2f1,
+                           pochhammer, series, verify)
 from hyperharmonic.catalog import _derivative_sums
 from hyperharmonic.series import (_EULER_AT_ZERO, _binomials, _moments,
                                   _pair_steps, _PairWeight, _rounding, _Walk,
@@ -917,6 +920,108 @@ class TestAnchoredTail:
                           (Unit(), cmath.exp(2j)), (Harmonic(), 1j)):
             res = eval_weighted(spec, weight, x, tol=1e-8)
             assert res.method == "extrapolated", (weight, x)
+
+
+class Shifted(Harmonic):
+    """w_n = H_n + 1 by its own steps() and value(): a subclass whose
+    pairs, those of H_n, no longer state its steps."""
+
+    def steps(self, n0):
+        return (w + 1.0 for w in Harmonic.steps(self, n0))
+
+    def value(self, n):
+        return Harmonic.value(self, n) + 1.0
+
+
+class TestAnchoredSetUp:
+    """What no anchor changes is formed once per anchored sum, and a pair
+    weight forms its expansion rows once per anchor, kept in a hidden
+    cache that no comparison, repr, copy or pickle sees."""
+
+    def test_set_up_is_formed_once(self, monkeypatch):
+        counts = collections.Counter()
+        rows_at = collections.Counter()
+        alive = []          # no id of a counted weight is reused
+        anchored, binomials, at = (series._eval_anchored, series._binomials,
+                                   _PairWeight._at)
+
+        def count_sums(*args):
+            counts["sums"] += 1
+            return anchored(*args)
+
+        def count_tables(exponents):
+            counts["tables"] += 1
+            return binomials(exponents)
+
+        def count_at(self, n):
+            if n >= 64:
+                alive.append(self)
+                rows_at[id(self), n] += 1
+            return at(self, n)
+
+        monkeypatch.setattr(series, "_eval_anchored", count_sums)
+        monkeypatch.setattr(series, "_binomials", count_tables)
+        monkeypatch.setattr(_PairWeight, "_at", count_at)
+        registry = build_registry(101)
+        for ident_id in ("THM-A1", "THM-C"):
+            # a deep copy builds its weights anew, with empty caches
+            assert verify(copy.deepcopy(registry[ident_id])).passed
+        # the unit-argument side of each of the 12 + 6 points, 128 terms
+        # each: two anchors per sum, and two weights (one Harmonic() per
+        # identity) at the anchors 65 and 129
+        assert counts == {"sums": 18, "tables": 18}
+        assert sorted(rows_at.values()) == [1, 1, 1, 1]
+        assert sorted(n for _, n in rows_at) == [65, 65, 129, 129]
+
+    @pytest.mark.parametrize("weight", [
+        Unit(), *(Harmonic(s, o) for s in (1, 2, 3) for o in (-1, 0, 1, 2)),
+        HarmonicSqPlusGen2(), DigammaDiffSum(0.25, 0.4),
+        DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j), DigammaLog(0.25, 0.75, 1.2),
+        DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
+    ], ids=repr)
+    def test_cached_rows_are_a_fresh_weights_and_stay_hidden(self, weight):
+        weight = copy.copy(weight)
+        fresh = pickle.loads(pickle.dumps(weight))
+        n0 = weight._start[0]
+        anchors = [n0 + 64 * 2 ** k for k in range(4)]
+        for M in anchors:
+            rows = weight.expansion(10, M)
+            assert weight.expansion(10, M) is rows
+            assert type(rows) is tuple
+            assert all(type(row) is tuple for row in rows)
+        assert list(weight._expansions) == [(10, M) for M in anchors]
+        # copies and pickles start without them, and see nothing of them
+        for other in (copy.copy(weight), pickle.loads(pickle.dumps(weight))):
+            assert other._expansions == {}
+        assert weight == fresh and hash(weight) == hash(fresh)
+        assert repr(weight) == repr(fresh)
+        assert pickle.dumps(weight) == pickle.dumps(fresh)
+        for M in reversed(anchors):
+            assert repr(fresh.expansion(10, M)) == repr(weight.expansion(10, M))
+
+    def test_linear_combo_and_own_steps_have_no_rows(self):
+        combo = LinearCombo(((2.0, Harmonic(2)), (-1.0, Harmonic())))
+        shifted = Shifted()
+        for weight in (combo, shifted):
+            assert weight.expansion(10, 64) is None
+            assert weight.expansion(10, 64) is None
+            assert weight._expansions == {}
+
+    @pytest.mark.parametrize("nums, dens, tol", [
+        ((0.5, 0.5), (1.5,), 1e-9), ((0.25, 0.5), (1.75,), 1e-6)])
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_own_steps_take_the_ladder(self, nums, dens, tol, x):
+        # Shifted was walked by its own steps but anchored on H_n's rows:
+        # at 1 the first sum raised after 131,072 terms and the second
+        # returned with err/bound 0.99999; the ladder sums them
+        spec = PochhammerRatioSeries(nums, dens, 1, 1.0, 0)
+        res = eval_weighted(spec, Shifted(), x, tol=tol)
+        parts = [eval_weighted(spec, w, x, tol=tol)
+                 for w in (Harmonic(), Unit())]
+        assert res.method == "extrapolated" and res.terms_used <= 2 ** 14
+        err = abs(res.value - parts[0].value - parts[1].value)
+        assert err <= res.tail_bound + parts[0].tail_bound \
+            + parts[1].tail_bound
 
 
 class TestAnchoredHarmonic:
