@@ -32,8 +32,7 @@ from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           ZIPPED_DRAWS_DIGEST, Zipped, complex_direct_draws,
                           complex_unit_draws, draw_outcome, draw_result,
                           real_draws)
-from anchored_digest import (ANCHORED_DIGEST, ANCHORED_SUMS,
-                             anchored_outcomes)
+from anchored_digest import ANCHORED_DIGEST, ANCHORED_SUMS, anchored_outcomes
 from anchored_digest import digest as outcomes_digest
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 
@@ -979,7 +978,7 @@ class TestAnchoredSetUp:
         DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j), DigammaLog(0.25, 0.75, 1.2),
         DigammaLog(0.3 + 0.1j, 0.7 - 0.1j, -0.4 + 0.25j),
     ], ids=repr)
-    def test_cached_rows_are_a_fresh_weights_and_stay_hidden(self, weight):
+    def test_cached_rows_match_a_fresh_weight_and_stay_hidden(self, weight):
         weight = copy.copy(weight)
         fresh = pickle.loads(pickle.dumps(weight))
         n0 = weight._start[0]
@@ -997,7 +996,8 @@ class TestAnchoredSetUp:
         assert repr(weight) == repr(fresh)
         assert pickle.dumps(weight) == pickle.dumps(fresh)
         for M in reversed(anchors):
-            assert repr(fresh.expansion(10, M)) == repr(weight.expansion(10, M))
+            assert repr(fresh.expansion(10, M)) == repr(
+                weight.expansion(10, M))
 
     def test_linear_combo_and_own_steps_have_no_rows(self):
         combo = LinearCombo(((2.0, Harmonic(2)), (-1.0, Harmonic())))
