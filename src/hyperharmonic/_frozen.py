@@ -1,15 +1,19 @@
 """Base of every immutable value class: the expression nodes, the weight
 kinds, the series records and the catalog records.
 
-A subclass lists its fields, in order, as __slots__. Frozen binds them
-in __init__ (positionally or by keyword), compares and hashes instances
-by class and fields, names both in repr, refuses assignment after
-construction, and pickles, copies and replace()s through the
-constructor. Nothing is generated per class, so defining one costs what
-a plain class costs. A subclass that has defaults, or normalizes or
-validates its arguments, defines its own __init__ whose parameters are
-its fields; it passes the final values on to Frozen.__init__ or stores
-each with object.__setattr__, which passes the guard.
+Each subclass gets one field table when it is defined: its field names,
+in order, and their slot setters. The fields are the __slots__ of the
+nearest Frozen class in its MRO that declares a non-empty __slots__: a
+subclass that declares its own has exactly those fields, one with
+__slots__ = () keeps its base's, and the slots of a base that is not
+Frozen (a hidden slot, such as a memo) are never fields. Frozen.__init__
+stores every field through the table (positionally or by keyword);
+instances compare and hash by class and fields, name both in repr,
+refuse assignment after construction, and pickle, copy and replace()
+through the constructor. Nothing is generated per class. A subclass
+that has defaults, or normalizes or validates its arguments, defines its
+own __init__ whose parameters are its fields and passes the final
+values on to Frozen.__init__.
 """
 
 from __future__ import annotations
@@ -20,37 +24,44 @@ _set = object.__setattr__
 class Frozen:
     __slots__ = ()
 
+    # the field table: names and slot setters, in order
+    __names = ()
+    __setters = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for base in cls.__mro__:
+            names = base.__dict__.get("__slots__")
+            if names and issubclass(base, Frozen):
+                cls.__names = tuple(names)
+                cls.__setters = tuple(base.__dict__[name].__set__
+                                      for name in names)
+                break
+
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
+        setters = self.__setters
+        if kwargs or len(args) != len(setters):
+            names = self.__names
             given = dict(zip(names, args), **kwargs)
             if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
                 raise TypeError(f"{type(self).__name__} takes the fields "
                                 f"({', '.join(names)}), got {len(args)} "
                                 f"positional and keywords {sorted(kwargs)}")
             args = [given[name] for name in names]
-        # nearly every class has at most two fields, and a loop would cost
-        # more than their stores; object.__setattr__ passes the guard below
-        n = len(args)
-        if n == 2:
-            _set(self, names[0], args[0])
-            _set(self, names[1], args[1])
-        elif n == 1:
-            _set(self, names[0], args[0])
-        elif n:
-            for name, value in zip(names, args):
-                _set(self, name, value)
+        # a slot's setter passes the guard of __setattr__ below
+        for store, value in zip(setters, args):
+            store(self, value)
 
     def replace(self, **changes):
         """Copy with the named fields changed. It is built through the
         constructor, so normalization and validation run again, and an
         unknown field raises TypeError."""
-        fields = dict(zip(self.__slots__, self._fields()))
+        fields = dict(zip(self.__names, self._fields()))
         fields.update(changes)
         return type(self)(**fields)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__names)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -62,7 +73,7 @@ class Frozen:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self.__names)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -75,10 +86,3 @@ class Frozen:
         # rebuild through the constructor: the default slot-state restore
         # would assign attributes and hit the guard above
         return type(self), self._fields()
-
-
-def slot_setters(cls) -> tuple:
-    """The setters of cls's fields, in the order of its __slots__. A class
-    built once per sum or point stores its fields through them, past the
-    guard of Frozen.__setattr__ and without a lookup by name."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)

@@ -27,7 +27,7 @@ import cmath
 import math
 import random
 
-from ._frozen import Frozen, slot_setters
+from ._frozen import Frozen
 from .errors import DomainError, HyperharmonicError, UnknownIdentityError
 from .expr import (C, Cos, Digamma, EllipticK, Gamma, GammaRatio, Hyp2F1,
                    Log, Mul, P, PI, Pow, Series, Sin, Sqrt)
@@ -66,22 +66,6 @@ class PointCheck(Frozen):
 
     __slots__ = ("params", "lhs", "rhs", "abs_err", "rel_err", "passed",
                  "terms_used", "method")
-
-    def __init__(self, params, lhs, rhs, abs_err, rel_err, passed,
-                 terms_used, method):
-        # one per point: each field stored by its slot's setter
-        s0, s1, s2, s3, s4, s5, s6, s7 = _POINT_SETTERS
-        s0(self, params)
-        s1(self, lhs)
-        s2(self, rhs)
-        s3(self, abs_err)
-        s4(self, rel_err)
-        s5(self, passed)
-        s6(self, terms_used)
-        s7(self, method)
-
-
-_POINT_SETTERS = slot_setters(PointCheck)
 
 
 class VerifyReport(Frozen):

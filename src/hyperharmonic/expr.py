@@ -105,7 +105,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", complex(value))
+        Frozen.__init__(self, complex(value))
 
     def eval(self, env):
         return self.value
@@ -204,12 +204,12 @@ class Cos(Expr):
 class _Memo:
     """The hidden slot of a node that reuses its last result: (key, result),
     the key being the exact bits of the argument values (_bits) the result
-    was computed from, (None, None) before the first. The slot is not one
-    of the node's fields (those are its class's __slots__), so reprs,
-    equality, hashing and pickles see only the formula, and a copy starts
-    empty. A computation that raises stores nothing. The pair is read and
-    stored as one tuple, so threads that share a tree at worst compute a
-    result twice."""
+    was computed from, (None, None) before the first. _Memo is not Frozen,
+    so its slot is not one of the node's fields: reprs, equality, hashing
+    and pickles see only the formula, and a copy starts empty. A
+    computation that raises stores nothing. The pair is read and stored
+    as one tuple, so threads that share a tree at worst compute a result
+    twice."""
 
     __slots__ = ("_memo",)
 

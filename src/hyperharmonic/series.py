@@ -100,7 +100,7 @@ import math
 import operator
 import sys
 
-from ._frozen import Frozen, _set, slot_setters
+from ._frozen import Frozen, _set
 from .errors import (
     AccelerationBreakdown,
     DomainError,
@@ -231,6 +231,7 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
                               f"got {factorial_power!r}")
         if start_index not in (0, 1):
             raise DomainError(f"start_index must be 0 or 1, got {start_index!r}")
+        start_index = int(start_index.real)  # 1.0, 1+0j or True: the int
         for b in dens:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
@@ -239,13 +240,8 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
         if not cmath.isfinite(_lsum(nums)) and not all(map(cmath.isfinite,
                                                              nums)):
             raise DomainError(f"numerator shifts {nums} are not all finite")
-        # a series node builds a spec wherever its shifts change: the
-        # fields are stored directly, without Frozen.__init__'s loop
-        _set(self, "numerator_shifts", nums)
-        _set(self, "denominator_shifts", dens)
-        _set(self, "factorial_power", int(factorial_power))
-        _set(self, "geometric_ratio", ratio)
-        _set(self, "start_index", start_index)
+        Frozen.__init__(self, nums, dens, int(factorial_power), ratio,
+                        start_index)
         _set(self, "_floats", None if any(map(_imag, nums + dens)) else
              (tuple(map(_real, nums)), tuple(map(_real, dens))))
 
@@ -274,18 +270,6 @@ class SeriesResult(Frozen):
     ("direct", "anchored" or "extrapolated", the rule that summed it)."""
 
     __slots__ = ("value", "terms_used", "tail_bound", "converged", "method")
-
-    def __init__(self, value, terms_used, tail_bound, converged, method):
-        # one per sum: each field stored by its slot's setter
-        sv, sn, st, sc, sm = _RESULT_SETTERS
-        sv(self, value)
-        sn(self, terms_used)
-        st(self, tail_bound)
-        sc(self, converged)
-        sm(self, method)
-
-
-_RESULT_SETTERS = slot_setters(SeriesResult)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +587,7 @@ class LinearCombo(Frozen, _PairWeight):
             norm.append((coeff, kind))
             for c, a in inner:
                 merged[a] = merged.get(a, 0.0) + coeff * c
-        _set(self, "parts", tuple(norm))
+        Frozen.__init__(self, tuple(norm))
         # poles from the latest start among the parts: the shift 0 of
         # Harmonic(s, -1) is a pole only before its start index 1
         n0 = max((kind._start[0] for _, kind in norm

@@ -13,11 +13,15 @@ inside the unit disk, and CSV sweeps over an elliptic argument, a
 digamma closed form and a Gauss function that takes Kummer's connection
 formulas with complex parameters.
 
+FORMULA_DIGEST pins the formulas themselves, which no output prints:
+the repr of both sides of every identity of the default registry, so
+the reprs of every value class they hold.
+
     PYTHONPATH=src python tests/report_digest.py
 
 runs every pinned command in-process and exits 1 unless each exits 0
-with its digest. It needs only the standard library, so it also runs
-where the test extra is not installed.
+with its digest and the formulas keep theirs. It needs only the
+standard library, so it also runs where the test extra is not installed.
 """
 
 import contextlib
@@ -58,6 +62,11 @@ OUTPUT_DIGESTS = (
      "d22b35b80f7ba81bf9cb71c19b59f34328a5820e8ef10ca67094d33896714c93"),
 )
 
+# sha256 over (id, repr(lhs), repr(rhs)) of each entry of the default
+# registry, in registry order
+FORMULA_DIGEST = \
+    "91546d4da562edbb07ae2e1261e4ccb3d64652adb599c1788afa6526ad2989b8"
+
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 
@@ -78,6 +87,16 @@ def run(argv) -> tuple:
     return code, digest(out.getvalue())
 
 
+def formula_digest() -> str:
+    """sha256 over the formulas of the default registry."""
+    from hyperharmonic import REGISTRY
+
+    h = hashlib.sha256()
+    for ident in REGISTRY.values():
+        h.update(repr((ident.id, repr(ident.lhs), repr(ident.rhs))).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     failed = 0
     for argv, expected in ((ARGV, REPORT_DIGEST), *OUTPUT_DIGESTS):
@@ -87,6 +106,11 @@ def main() -> int:
         if code != 0 or got != expected:
             print(f"expected exit 0, digest {expected}", file=sys.stderr)
             failed = 1
+    got = formula_digest()
+    print(f"Python {sys.version.split()[0]}: formulas: digest {got}")
+    if got != FORMULA_DIGEST:
+        print(f"expected digest {FORMULA_DIGEST}", file=sys.stderr)
+        failed = 1
     return failed
 
 

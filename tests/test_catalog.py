@@ -19,6 +19,7 @@ from hyperharmonic import (DEFAULT_SEED, Harmonic, HarmonicSqPlusGen2,
 from hyperharmonic import catalog, errors, expr, series, specialfn
 from hyperharmonic.expr import C, Digamma, Hyp2F1, Log, P, PI, Sin
 from oracles import alternating_mp, harmonic_gauss_mp
+from report_digest import FORMULA_DIGEST, formula_digest
 
 # frozen at 40 digits: twice the weighted half-argument series of the
 # first doubling identity at a = 0.3+0.1i, b = 0.2
@@ -61,10 +62,6 @@ REGISTRY_DIGESTS = {
 # sha256 of the concatenated hex digests of seeds 0..300
 REGISTRY_DIGEST_0_300 = \
     "42d4b278228972678e2b090a101a9c2403c301d1f6a398c8456a96050728d807"
-# sha256 over (id, repr(lhs), repr(rhs)) of each entry in registry order:
-# the formulas themselves, which the digests above do not see
-FORMULA_DIGEST = \
-    "91546d4da562edbb07ae2e1261e4ccb3d64652adb599c1788afa6526ad2989b8"
 
 
 def registry_digest(registry) -> str:
@@ -135,11 +132,9 @@ class TestRegistryShape:
             == REGISTRY_DIGEST_0_300
 
     def test_formula_digest(self):
-        h = hashlib.sha256()
-        for ident in REGISTRY.values():
-            h.update(repr((ident.id, repr(ident.lhs),
-                           repr(ident.rhs))).encode())
-        assert h.hexdigest() == FORMULA_DIGEST
+        # the formulas themselves, which the digests above do not see;
+        # tests/report_digest.py also checks them on the other versions
+        assert formula_digest() == FORMULA_DIGEST
 
     @pytest.mark.parametrize("ident_id", EXPECTED_IDS)
     def test_entries_are_data(self, ident_id):
@@ -271,6 +266,11 @@ class TestVerifySemantics:
                     rf"^SUM-CHOI at \{{'a': 0\.25, 'b': {b}\}}, lhs term 0: "
                     r"DigammaDiffSum\(.*\) has the shift .*, a pole at")):
                 verify("SUM-CHOI", points=[{"a": 0.25, "b": b}])
+        # a point without one of the identity's parameters
+        with pytest.raises(errors.DomainError, match=(
+                r"^THM-B at \{'a': 0\.25\}, lhs term 0: "
+                r"missing parameter 'x'$")):
+            verify("THM-B", points=[{"a": 0.25}])
 
     def test_overflow_and_non_finite_sides_raise_domain_error(self):
         # Gamma((a+1)/2) overflows at a = 400.3, and a perturbation of

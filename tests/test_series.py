@@ -1544,6 +1544,15 @@ class TestUnitLadder:
             eval_weighted(spec, LinearCombo(((1.0, Unit()),)), -1.0,
                           max_terms=16383)
 
+    def test_last_top_that_fails_to_certify_raises(self):
+        # at r*x = e^{2i} the ladder runs to its last top, 2^14, where the
+        # fit still misses the tolerance
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match=(
+                r"extrapolated error estimate .* exceeds tolerance 1e-15 "
+                r"after 16384 terms")):
+            eval_weighted(spec, Unit(), cmath.exp(2j), tol=1e-15)
+
     def test_unrepresentable_model_raises_breakdown(self):
         # a balanced spec with exponent -400 and a log^2 weight without an
         # expansion: N^-399 overflows on the ladder (the weights with an

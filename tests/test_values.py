@@ -65,6 +65,17 @@ IDS = [type(build()).__name__ for build in BUILDERS]
 UNHASHABLE = {"Identity", "PointCheck", "VerifyReport"}
 
 
+# a subclass of each value class that declares __slots__ = (), as a
+# slotted subclass does: it keeps its base's fields. Module globals, so
+# that pickle finds them by name
+SUBCLASSES = {}
+for _build in BUILDERS:
+    _base = type(_build())
+    _name = f"Sub{_base.__name__}"
+    SUBCLASSES[_base] = globals()[_name] = type(_name, (_base,),
+                                                {"__slots__": ()})
+
+
 def _frozen_classes():
     found, todo = set(), [Frozen]
     while todo:
@@ -121,6 +132,24 @@ class TestValueSemantics:
                 assert hash(twin) == hash(obj)
 
 
+@pytest.mark.parametrize("build", BUILDERS, ids=IDS)
+def test_subclass_with_empty_slots_keeps_the_fields(build):
+    base = build()
+    names = type(base).__slots__
+    sub_class = SUBCLASSES[type(base)]
+    args = [getattr(base, name) for name in names]
+    sub, twin = sub_class(*args), sub_class(*args)
+    assert repr(sub) == repr(base).replace(type(base).__qualname__,
+                                           sub_class.__qualname__, 1)
+    assert sub == twin and sub != base and base != sub
+    if type(base).__name__ not in UNHASHABLE:
+        assert hash(sub) == hash(twin)
+    for copied in (copy.copy(sub), copy.deepcopy(sub),
+                   pickle.loads(pickle.dumps(sub)),
+                   sub.replace(**dict(zip(names, args)))):
+        assert type(copied) is sub_class and copied == sub
+
+
 def test_fields_and_class_distinguish_values():
     assert Sin(P("a")) != Cos(P("a"))
     assert Add(P("a"), C(1)) != Add(P("a"), C(2))
@@ -133,6 +162,20 @@ def test_normalizing_constructors():
     assert Const(1).value == 1 + 0j and type(Const(1).value) is complex
     assert DigammaDiffSum(1, 2) == DigammaDiffSum(1 + 0j, 2.0)
     assert LinearCombo(((2, Unit()),)).parts == ((2 + 0j, Unit()),)
+    # an equal float, complex or bool start index is stored as the int:
+    # a float one once passed the check and then broke every sum
+    for start, alike in ((1.0, 1), (1 + 0j, 1), (True, 1), (0.0, 0),
+                         (0j, 0), (False, 0)):
+        spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, start)
+        want = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, alike)
+        assert spec == want and repr(spec) == repr(want)
+        assert type(spec.start_index) is int
+    spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 1.0)
+    want = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 1)
+    for weight in (Unit(), Harmonic()):
+        for x in (0.5, 1.0):
+            assert (repr(series.eval_weighted(spec, weight, x))
+                    == repr(series.eval_weighted(want, weight, x)))
 
 
 def test_keyword_and_positional_construction_agree():
