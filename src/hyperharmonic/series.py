@@ -33,7 +33,9 @@ has Re sigma >= -1 at r*x = 1 or >= 0 elsewhere.
 The argument, the shift counts and the weight pick the rule. Inside the
 unit circle, and on it for terminating sums and for sums with more
 denominator than numerator shifts (terms decaying factorially), the
-engine sums directly with a geometric tail bound. On the circle
+engine sums directly with a geometric tail bound, and only its stop
+test certifies: a sum still running when the budget is spent raises
+NonConvergentError, as in the two rules below. On the circle
 (|r*x| = 1) the terms of balanced sums decay only algebraically, like
 n^sigma (log n)^L.
 
@@ -107,7 +109,7 @@ from .errors import (
     NonConvergentError,
     PoleError,
 )
-from .specialfn import _pole_index, harmonic, pochhammer
+from .specialfn import _pole_index, _whole, harmonic, pochhammer
 
 __all__ = [
     "PochhammerRatioSeries",
@@ -226,9 +228,7 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
         nums = tuple(map(complex, numerator_shifts))
         dens = tuple(map(complex, denominator_shifts))
         ratio = complex(geometric_ratio)
-        if factorial_power != int(factorial_power) or factorial_power < 0:
-            raise DomainError(f"factorial_power must be a non-negative integer, "
-                              f"got {factorial_power!r}")
+        factorial_power = _whole(factorial_power, "factorial_power")
         if start_index not in (0, 1):
             raise DomainError(f"start_index must be 0 or 1, got {start_index!r}")
         start_index = int(start_index.real)  # 1.0, 1+0j or True: the int
@@ -240,7 +240,7 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
         if not cmath.isfinite(_lsum(nums)) and not all(map(cmath.isfinite,
                                                              nums)):
             raise DomainError(f"numerator shifts {nums} are not all finite")
-        Frozen.__init__(self, nums, dens, int(factorial_power), ratio,
+        Frozen.__init__(self, nums, dens, factorial_power, ratio,
                         start_index)
         _set(self, "_floats", None if any(map(_imag, nums + dens)) else
              (tuple(map(_real, nums)), tuple(map(_real, dens))))
@@ -754,9 +754,11 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
 
     Inside the unit circle the sum is direct, stopping once three
     consecutive terms fall below tol*|S| and the geometric tail bound
-    built from recent term ratios also meets the tolerance. Every
-    _FINITE_EVERY = 256 terms, and at the budget, the partial sum must
-    be finite; terms that overflow raise DomainError there. The loop is
+    built from recent term ratios also meets the tolerance. That stop
+    test is the only way a direct sum certifies: at the budget the rule
+    raises NonConvergentError, as the anchored rule and the ladder do.
+    Every _FINITE_EVERY = 256 terms, and at the budget, the partial sum
+    must be finite; terms that overflow raise DomainError there. The loop is
     generated for the spec's shape and the weight's walk (_kernel_source),
     bit for bit the plain recurrence and steps().
 
@@ -849,13 +851,18 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
     form, state = weight.walk(spec.start_index)
     t, rx, nums, dens = _start(spec, rx)
     loop = _kernel("direct", (len(nums), len(dens), p), form)
-    return loop(spec, weight, tol, max_terms, mag, t, rx, *nums, *dens,
-                *state)
+    result = loop(spec, weight, tol, max_terms, t, rx, *nums, *dens, *state)
+    if result is None:
+        raise NonConvergentError(
+            f"no tolerance-{tol:g} tail bound after {max_terms} terms "
+            f"(|r*x| = {mag:.6g}, 1 - |r*x| = {1.0 - mag:.3g}, "
+            f"exponent {_exponent(spec, weight).real:.3g})")
+    return result
 
 
 _DIRECT_LOOP = """\
-def _direct_loop(spec, weight, tol, max_terms, mag, t, rx, %(args)s):
-    # sigma is formed only where the drift clause or the refusal reads it
+def _direct_loop(spec, weight, tol, max_terms, t, rx, %(args)s):
+    # sigma is formed only where the drift clause reads it
     sigma = None
     n0 = spec.start_index
     m = float(n0)               # n, the index of the term being added
@@ -866,8 +873,8 @@ def _direct_loop(spec, weight, tol, max_terms, mag, t, rx, %(args)s):
     # partial sum must still be finite; checked terms were finite
     checked = 0
     check = min(max_terms, _FINITE_EVERY)
-    # |t_n| of the three terms before this one, oldest first (-1 if none)
-    back3 = back2 = back1 = -1.0
+    # |t_n| of the three terms before this one, oldest first
+    back3 = back2 = back1 = 0.0
 
     while True:
         term = t * w
@@ -912,7 +919,7 @@ def _direct_loop(spec, weight, tol, max_terms, mag, t, rx, %(args)s):
                     f"finite between indices {n0 + checked} "
                     f"and {n0 + count - 1}")
             if count >= max_terms:
-                break
+                return None         # the budget is spent: the caller refuses
             checked = count
             check = min(max_terms, count + _FINITE_EVERY)
         back3, back2, back1 = back2, back1, at
@@ -924,30 +931,7 @@ def _direct_loop(spec, weight, tol, max_terms, mag, t, rx, %(args)s):
         t *= rx%(factor)s
         m += 1.0
         %(divide)s
-
-    return _past_budget(spec, weight, tol, mag, S, count, back3, back2,
-                        back1, at, sigma)
 """
-
-
-def _past_budget(spec, weight, tol, mag, S, count, back3, back2, back1, at,
-                 sigma):
-    """The direct rule's result once its loop spent the budget."""
-    # budget exhausted: accept only if a trustworthy tail bound exists;
-    # the slice keeps the ratios between terms summed (at most four terms)
-    if count > 1:
-        r = max((_ratio(back3, back2), _ratio(back2, back1),
-                 _ratio(back1, at))[1 - count:])
-        if 0.0 <= r < _RATIO_HARD_CAP:
-            tail = max(back2, back1, at) * r / (1.0 - r)
-            if tail <= tol * max(1.0, abs(S)):
-                return SeriesResult(complex(S), count, tail, True, "direct")
-    if sigma is None:
-        sigma = _exponent(spec, weight)
-    raise NonConvergentError(
-        f"no tolerance-{tol:g} tail bound after {count} terms "
-        f"(|r*x| = {mag:.6g}, 1 - |r*x| = {1.0 - mag:.3g}, "
-        f"exponent {sigma.real:.3g})")
 
 
 def _exponent(spec: PochhammerRatioSeries, weight: WeightKind) -> complex:

@@ -64,6 +64,14 @@ def _pole_index(z: complex) -> int | None:
     return None
 
 
+def _whole(n, what: str) -> int:
+    """n as an int if it is a whole number >= 0, else DomainError naming
+    it as what; nan and inf raise it too, before int() could."""
+    if not (0 <= n < math.inf and n == int(n)):
+        raise DomainError(f"{what} must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def _ln_gamma_right(z: complex) -> complex:
     # Re z >= 0.5 only; callers reflect first.
     x = _LANCZOS[0]
@@ -173,9 +181,7 @@ def pochhammer(a: complex, n: int) -> complex:
     Small n is an exact product (so integer zeros come out exactly zero);
     large n goes through the gamma-ratio path.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"pochhammer order must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _whole(n, "pochhammer order")
     a = complex(a)
     if n <= 64:
         out = 1.0 + 0j
@@ -189,16 +195,14 @@ def harmonic(n: int) -> float:
     """H_n = sum_{k<=n} 1/k as the fsum of the rounded terms 1.0/k, so
     within about 0.56 ulp of H_n (not correctly rounded: 149 of the values
     for n < 3,000 are not the nearest float). H_0 = 0."""
-    if n != int(n) or n < 0:
-        raise DomainError(f"harmonic index must be a non-negative integer, got {n!r}")
-    return math.fsum(1.0 / k for k in range(1, int(n) + 1))
+    n = _whole(n, "harmonic index")
+    return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
 def generalized_harmonic(n: int, r: float) -> float:
     """H_n^(r) = sum_{k<=n} k**(-r) via fsum."""
-    if n != int(n) or n < 0:
-        raise DomainError(f"harmonic index must be a non-negative integer, got {n!r}")
-    return math.fsum(float(k) ** (-r) for k in range(1, int(n) + 1))
+    n = _whole(n, "harmonic index")
+    return math.fsum(float(k) ** (-r) for k in range(1, n + 1))
 
 
 def elliptic_K(k) -> float:
@@ -212,7 +216,7 @@ def elliptic_K(k) -> float:
             raise DomainError(f"elliptic_K requires a real modulus, got {k!r}")
         k = k.real
     k = float(k)
-    if k < 0.0 or k >= 1.0:
+    if not 0.0 <= k < 1.0:
         raise DomainError(f"elliptic_K requires 0 <= k < 1, got {k!r}")
     a, b = 1.0, math.sqrt(1.0 - k * k)
     # quadratic convergence: 7 iterations suffice for any k in [0, 1);

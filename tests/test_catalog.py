@@ -248,6 +248,9 @@ class TestVerifySemantics:
         from hyperharmonic import PoleError
         with pytest.raises(PoleError):
             eval_rhs("THM-C", a=0.5, b=0.15)
+        with pytest.raises(errors.DomainError,
+                           match="log of zero in closed form"):
+            Log(C(0)).eval({})
 
     def test_evaluation_error_names_identity_point_and_side(self):
         from hyperharmonic import PoleError

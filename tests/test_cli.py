@@ -65,6 +65,11 @@ class TestVerify:
         assert rc == 2
         assert "FAIL" in out and "MISMATCH" in out
         assert "1 checked: 0 passed, 1 failed, 0 errors" in out
+        # eps = -1 scales the rhs to 0, where no relative error exists
+        rc, out, _ = run_cli(capsys, "verify", "--ids", "EX-1",
+                             "--perturb", "EX-1=-1")
+        assert rc == 2
+        assert "(rel n/a, 35 terms, direct) MISMATCH" in out
 
     def test_perturbation_of_a_series_rhs_fails_with_exit_2(self, capsys):
         # THM-A1's right-hand side is one series and no closed form

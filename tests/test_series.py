@@ -91,6 +91,9 @@ class TestSpecValidation:
             PochhammerRatioSeries((0.5,), (), -1, 1.0, 0)
         with pytest.raises(DomainError):
             PochhammerRatioSeries((0.5,), (), 1.5, 1.0, 0)
+        for p in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                PochhammerRatioSeries((0.5,), (1.5,), p)
 
     def test_bad_start_index(self):
         with pytest.raises(DomainError):
@@ -139,6 +142,9 @@ class TestWeights:
                 Harmonic(offset=offset)
         assert Harmonic(offset=1).value(3) == harmonic(4)
         assert Harmonic(offset=2).value(3) == harmonic(5)
+        # H_(n-1) starts at n = 1: index 0 would be H_(-1)
+        with pytest.raises(DomainError, match="starts at index 1, got 0"):
+            Harmonic(1, -1).value(0)
 
     def test_linear_combo_validation(self):
         with pytest.raises(DomainError):
@@ -592,25 +598,48 @@ class TestEvalWeighted:
         spec = PochhammerRatioSeries((0.5, 0.5), (1.5,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError):
             eval_weighted(spec, Unit(), 0.5, tol=1e-10, max_terms=5)
+        # at the budget the ratios of the last terms certify nothing: from
+        # them 2F1(5, 5.5; 2; -0.998) was certified as 275,249 (mpmath:
+        # -0.00119), with H_n as -247,555 (-0.0498), and sum x^n at 0.999
+        # with a bound of 1.3e-84 against an error of 5e-13
+        gauss = PochhammerRatioSeries((5.0, 5.5), (2.0,), 1, 1.0, 0)
+        for spec, weight, x in ((gauss, Unit(), -0.998),
+                                (gauss, Harmonic(), -0.998),
+                                (PochhammerRatioSeries((), (), 0, 1.0, 0),
+                                 Unit(), 0.999)):
+            with pytest.raises(NonConvergentError,
+                               match="after 200000 terms"):
+                eval_weighted(spec, weight, x, tol=1e-10)
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6])
     def test_budget_below_the_ratio_window(self, budget):
-        # at x = 0 only u_0 = 1 is nonzero: two or more terms give ratios
-        # of 0 and a tail bound of 0, and one term gives no ratio at all
+        # at x = 0 only u_0 = 1 is nonzero, so the tail bound is 0 once the
+        # stop test may run, from the sixth term on; a smaller budget is
+        # refused, not certified by the ratios of the terms summed so far
         spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
-        if budget == 1:
-            with pytest.raises(NonConvergentError, match="after 1 terms"):
+        if budget < 6:
+            with pytest.raises(NonConvergentError,
+                               match=f"after {budget} terms"):
                 eval_weighted(spec, Unit(), 0.0, max_terms=budget)
             return
         res = eval_weighted(spec, Unit(), 0.0, max_terms=budget)
-        assert (res.value, res.terms_used, res.tail_bound) == (1, budget, 0)
+        assert (res.value, res.terms_used, res.tail_bound) == (1, 6, 0)
 
     def test_a_nonzero_term_after_a_zero_gives_no_ratio(self):
-        # w_0 = H_0 = 0, so the second term follows an exact zero: its
-        # ratio poisons the window instead of reading as 0 (a zero tail)
+        # w_3 = 0, so the fifth term follows an exact zero: its ratio
+        # poisons the window instead of reading as 0 (a zero tail), and the
+        # sum stops at the eighth term, the first window without it, where
+        # with w_3 = 1 it stops at the sixth
+        class Gap(WeightKind):
+            def value(self, n):
+                return 0.0 if n == 3 else 1.0
+
+            def steps(self, n0):
+                return map(self.value, itertools.count(n0))
+
         spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
-        with pytest.raises(NonConvergentError, match="after 2 terms"):
-            eval_weighted(spec, Harmonic(), 1e-20, max_terms=2)
+        assert eval_weighted(spec, Unit(), 1e-20).terms_used == 6
+        assert eval_weighted(spec, Gap(), 1e-20).terms_used == 8
 
     def test_overflowing_terms_raise_at_a_checkpoint(self):
         # 2F1(300, 300; 1; 0.9) is about 6e770: the terms overflow a float
@@ -827,6 +856,16 @@ class TestAnchoredTail:
         spec = PochhammerRatioSeries((5.0, 4.5), (10.0,), 1, 1.0, 0)
         with pytest.raises(NonConvergentError, match="after 128 terms"):
             eval_weighted(spec, Unit(), 1.0, tol=1e-17)
+        # 2F1(20, 1/2; 21; 1): at 128 terms the estimate itself misses tol,
+        # and the next doubling would overrun the budget; 1,024 certify
+        spec = PochhammerRatioSeries((20.0, 0.5), (21.0,), 1, 1.0, 0)
+        with pytest.raises(NonConvergentError, match=re.escape(
+                "anchored error estimate 7.03e-05 exceeds tolerance 1e-12 "
+                "after 128 terms")):
+            eval_weighted(spec, Unit(), 1.0, tol=1e-12, max_terms=128)
+        res = eval_weighted(spec, Unit(), 1.0, tol=1e-12, max_terms=1024)
+        assert res.terms_used == 1024
+        assert abs(res.value - _gauss_mp(20, 0.5, 21)) <= res.tail_bound
 
     def test_rounding_floor_refusal_names_the_rounding_part(self):
         # the estimate of the last step (0.00188) is not what stops the
@@ -1757,12 +1796,13 @@ class TestComplexDirect:
         assert {res.method for res in sums} == {"direct"}
         assert any(type(res.value) is complex and res.value.imag
                    for res in sums)
-        # past the first finiteness checkpoint, and certified or refused
-        # once the budget ran out
+        # past the first finiteness checkpoint, and refused once the budget
+        # ran out: only the stop test certifies, never the budget
         assert any(res.terms_used > 256 for res in sums)
-        assert any(res.terms_used == budget for budget, res in results
-                   if not isinstance(res, HyperharmonicError) and budget > 1)
-        assert any(e.startswith("no tolerance-") for e in errors)
+        refused = [(budget, str(res)) for budget, res in results
+                   if str(res).startswith("no tolerance-")]
+        assert any(budget > 1 for budget, _ in refused)
+        assert all(f" after {budget} terms " in e for budget, e in refused)
         assert errors[-1] == ("the terms overflowed: the partial sum stopped "
                               "being finite between indices 0 and 255")
         assert digest.hexdigest() == COMPLEX_DIRECT_DRAWS_DIGEST

@@ -149,6 +149,10 @@ class TestPochhammer:
             pochhammer(1.0, -1)
         with pytest.raises(DomainError):
             pochhammer(1.0, 2.5)
+        # nan and inf once escaped from int() as ValueError and OverflowError
+        for n in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                pochhammer(0.5, n)
 
     def test_negative_integer_base_terminates(self):
         assert pochhammer(-3.0, 4) == 0.0
@@ -202,6 +206,11 @@ class TestHarmonic:
             harmonic(-1)
         with pytest.raises(DomainError):
             generalized_harmonic(-2, 2)
+        for n in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                harmonic(n)
+            with pytest.raises(DomainError, match="non-negative integer"):
+                generalized_harmonic(n, 2)
 
 
 class TestEllipticK:
@@ -218,6 +227,9 @@ class TestEllipticK:
             elliptic_K(-0.2)
         with pytest.raises(DomainError):
             elliptic_K(0.5 + 0.1j)
+        # nan fails both k < 0 and k >= 1, and once came back as nan
+        with pytest.raises(DomainError):
+            elliptic_K(math.nan)
 
     def test_tiny_imaginary_part_tolerated(self):
         got = elliptic_K(0.5 + 1e-14j)

@@ -40,7 +40,9 @@ class _Reciprocal(WeightKind):
 
 def _reference_direct(spec, weight, x, *, tol, max_terms):
     """The direct rule of eval_weighted with the generic loop it had
-    before its loops were generated, for a sum that takes that rule."""
+    before its loops were generated, for a sum that takes that rule,
+    less the branch that once accepted a sum at the budget (the rule now
+    certifies by its stop test alone)."""
     rx = spec.geometric_ratio * complex(x)
     mag = abs(rx)
     p = spec.factorial_power
@@ -112,13 +114,6 @@ def _reference_direct(spec, weight, x, *, tol, max_terms):
         if p:
             t /= m ** p
 
-    if count > 1:
-        r = max((_ratio(back3, back2), _ratio(back2, back1),
-                 _ratio(back1, at))[1 - count:])
-        if 0.0 <= r < _RATIO_HARD_CAP:
-            tail = max(back2, back1, at) * r / (1.0 - r)
-            if tail <= tol * max(1.0, abs(S)):
-                return SeriesResult(complex(S), count, tail, True, "direct")
     if sigma is None:
         sigma = _exponent(spec, weight)
     raise NonConvergentError(
