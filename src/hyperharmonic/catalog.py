@@ -86,22 +86,25 @@ class VerifyReport(Frozen):
 
 class _Scope(dict):
     """A point's parameters, plus the tolerance that a side's Series
-    nodes sum at and the list of their SeriesResults (see expr.Series)."""
+    nodes sum at, the list of their SeriesResults (see expr.Series), and
+    the verify call's table of closed-form values (see expr), or None."""
 
-    __slots__ = ("tol", "sums")
+    __slots__ = ("tol", "sums", "table")
 
 
-def _eval_side(ident: Identity, env: dict, side: str):
+def _eval_side(ident: Identity, env: dict, side: str, table=None):
     """(value, SeriesResults of its Series nodes) of ident's side ("lhs"
-    or "rhs") at the point env, every series summed at ident.tol / 4. An
-    error is raised again as the same class, its message prefixed with
-    the identity, the point and the place: "{side} term k" for the k-th
-    Series node in evaluation order (from 0), "{side} expression" for
-    any other node. An OverflowError, and a value that is not finite,
-    raise DomainError with that prefix."""
+    or "rhs") at the point env, every series summed at ident.tol / 4, its
+    closed-form nodes sharing values through table (a dict, or None to
+    share none). An error is raised again as the same class, its message
+    prefixed with the identity, the point and the place: "{side} term k"
+    for the k-th Series node in evaluation order (from 0), "{side}
+    expression" for any other node. An OverflowError, and a value that
+    is not finite, raise DomainError with that prefix."""
     scope = _Scope(env)
     scope.tol = ident.tol / 4.0
     scope.sums = sums = []
+    scope.table = table
     try:
         # from 0j, as a sum of series: a negated side's zero imaginary
         # part then reads +0.0
@@ -116,9 +119,10 @@ def _eval_side(ident: Identity, env: dict, side: str):
         raise cls(f"{ident.id} at {env}, {side} {where}: {exc}") from exc
 
 
-def _check_point(ident: Identity, env: dict, tol: float) -> PointCheck:
-    lhs, sums = _eval_side(ident, env, "lhs")
-    rhs, sums_r = _eval_side(ident, env, "rhs")
+def _check_point(ident: Identity, env: dict, tol: float,
+                 table: dict | None) -> PointCheck:
+    lhs, sums = _eval_side(ident, env, "lhs", table)
+    rhs, sums_r = _eval_side(ident, env, "rhs", table)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else None
     passed = (rel_err <= tol) if abs(rhs) >= 1.0 else (abs_err <= tol)
@@ -152,13 +156,24 @@ def verify(identity, *, points=None, tol: float | None = None,
     Numerical disagreement comes back as failed PointChecks; evaluation
     failures (divergent series, domain violations) raise the same error
     class with a message that names the identity, the point and the side.
+    A tol that is not finite and positive raises DomainError. The call's
+    points share one table of closed-form values (see expr), emptied
+    when the call returns or raises.
     """
     ident = get_identity(identity, registry)
     if tol is None:
         tol = ident.tol
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"{ident.id}: tol must be finite and positive, "
+                          f"got {tol!r}")
     pts = ident.sample_points if points is None else tuple(dict(p) for p in points)
-    return VerifyReport(ident.id, tol, tuple(_check_point(ident, dict(p), tol)
-                                             for p in pts))
+    table = {}
+    try:
+        checks = tuple(_check_point(ident, dict(p), tol, table) for p in pts)
+    finally:
+        # a raised error's traceback keeps this frame, and the table in it
+        table.clear()
+    return VerifyReport(ident.id, tol, checks)
 
 
 def eval_lhs(identity, registry: dict | None = None, **params) -> complex:

@@ -18,8 +18,13 @@ A verify's points share most of what these nodes compute: digamma and
 gamma values on parameters alone, Gamma ratios, connection prefactors,
 series specs. Digamma, Gamma, GammaRatio, Hyp2F1 and Series keep their
 last result in a hidden slot (_Memo), keyed by the exact bits of their
-argument values, and reuse it while those repeat; the values are bit for
-bit those of a fresh node.
+argument values, and reuse it while those repeat. Where the env has a
+`table` dict (one per catalog.verify call), a closed-form node that
+misses its slot looks there next, under the function plus those bits:
+Digamma, Gamma and GammaRatio values, and Hyp2F1's values, direct specs
+and connection parts, so equal arguments at other nodes and points of
+the call are computed once. Either way the values are bit for bit those
+of a fresh node.
 """
 
 from __future__ import annotations
@@ -119,6 +124,9 @@ class Param(Expr):
             return complex(env[self.name])
         except KeyError:
             raise DomainError(f"missing parameter {self.name!r}") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"parameter {self.name!r} is not a number: "
+                              f"{env[self.name]!r}") from None
 
 
 class Add(Expr):
@@ -201,6 +209,18 @@ class Cos(Expr):
         return cmath.cos(self.arg.eval(env))
 
 
+def _shared(table, key, compute, *args):
+    """compute(*args), kept under key in table, the dict that one verify
+    call shares across its nodes and points; computed afresh where table
+    is None. A computation that raises stores nothing."""
+    if table is None:
+        return compute(*args)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute(*args)
+    return value
+
+
 class _Memo:
     """The hidden slot of a node that reuses its last result: (key, result),
     the key being the exact bits of the argument values (_bits) the result
@@ -217,12 +237,21 @@ class _Memo:
         Frozen.__init__(self, *args, **kwargs)
         _set(self, "_memo", (None, None))
 
-    def _reuse(self, key, compute, *args):
-        """The result of compute(*args), reused while key repeats."""
+    def _reuse(self, env, key, compute, *args):
+        """The result of compute(*args), reused while key repeats, and
+        shared under (compute, key) through the env's table."""
         memo = self._memo
         if key == memo[0]:
             return memo[1]
-        value = compute(*args)
+        # _shared in line: every slot miss of a verify call takes this path
+        table = getattr(env, "table", None)
+        if table is None:
+            value = compute(*args)
+        else:
+            shared = compute, key
+            value = table.get(shared)
+            if value is None:
+                value = table[shared] = compute(*args)
         _set(self, "_memo", (key, value))
         return value
 
@@ -236,7 +265,7 @@ class Gamma(_Memo, Expr):
 
     def eval(self, env):
         z = self.arg.eval(env)
-        return self._reuse(_bits(z), _gamma, z)
+        return self._reuse(env, _bits(z), _gamma, z)
 
 
 class Digamma(_Memo, Expr):
@@ -244,7 +273,7 @@ class Digamma(_Memo, Expr):
 
     def eval(self, env):
         z = self.arg.eval(env)
-        return self._reuse(_bits(z), _digamma, z)
+        return self._reuse(env, _bits(z), _digamma, z)
 
 
 class GammaRatio(_Memo, Expr):
@@ -255,7 +284,8 @@ class GammaRatio(_Memo, Expr):
     def eval(self, env):
         nums = [e.eval(env) for e in self.numerators]
         dens = [e.eval(env) for e in self.denominators]
-        return self._reuse(_bits((nums, dens)), _gamma_ratio, nums, dens)
+        return self._reuse(env, _bits((nums, dens)), _gamma_ratio, nums,
+                           dens)
 
 
 class EllipticK(Expr):
@@ -288,7 +318,9 @@ class Hyp2F1(_Memo, Expr):
 
     The memo, keyed by a, b and c, holds (direct spec, connection parts):
     each is built at the first x that needs it (None until then), and
-    only what depends on x is computed at every point.
+    only what depends on x is computed at every point. Through the env's
+    table the value is shared by (a, b, c, x), and the spec and the parts
+    by (a, b, c), across the nodes and points of a verify call.
     """
 
     __slots__ = ("a", "b", "c", "x")
@@ -297,18 +329,26 @@ class Hyp2F1(_Memo, Expr):
         a, b, c = self.a.eval(env), self.b.eval(env), self.c.eval(env)
         x = self.x.eval(env)
         key = _bits((a, b, c))
+        table = getattr(env, "table", None)
+        if table is None:
+            return self._sum(key, a, b, c, x, None)
+        return _shared(table, (Hyp2F1, key, _bits(x)), self._sum, key, a, b,
+                       c, x, table)
+
+    def _sum(self, key, a, b, c, x, table):
+        """The value at x, from the parts in the slot, in table or built."""
         memo = self._memo
         spec, near = memo[1] if key == memo[0] else (None, None)
         if abs(1.0 - x) < 0.25 and abs(x) < 1.0:
             if near is None:
-                near = _connection(a, b, c)
+                near = _shared(table, (_connection, key), _connection, a, b, c)
                 _set(self, "_memo", (key, (spec, near)))
             if near:
                 value = _hyp2f1_near_one(near, 1.0 - x)
                 if value is not None:
                     return value
         if spec is None:
-            spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
+            spec = _shared(table, (_gauss_spec, key), _gauss_spec, a, b, c)
             _set(self, "_memo", (key, (spec, near)))
         return eval_weighted(spec, _UNIT, x, tol=1e-12).value
 
@@ -369,6 +409,11 @@ class Series(_Memo, Expr):
         if sums is not None:
             sums[k] = res
         return res.value
+
+
+def _gauss_spec(a, b, c):
+    """The spec of Hyp2F1's direct sum at x."""
+    return PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
 
 
 def _connection(a, b, c):

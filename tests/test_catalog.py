@@ -301,6 +301,22 @@ class TestVerifySemantics:
         with pytest.raises(errors.DomainError, match=prefix):
             verify(ident_id, points=[point])
 
+    @pytest.mark.parametrize("ident_id, point, place, name, value", [
+        ("THM-B", {"a": "x", "x": 0.5}, "lhs term 0", "a", "'x'"),
+        ("THM-B", {"a": None, "x": 0.5}, "lhs term 0", "a", "None"),
+        ("THM-B", {"a": 0.25, "x": [0.5]}, "lhs term 0", "x", r"\[0\.5\]"),
+        ("VAL-ALG", {"x": 0.5, "scale": "s"}, "lhs expression", "scale",
+         "'s'"),
+    ])
+    def test_parameter_that_is_not_a_number_raises_domain_error(
+            self, ident_id, point, place, name, value):
+        # complex() raised a bare ValueError ('x') or TypeError (None, a
+        # list) through Param.eval, which caught only a missing parameter
+        with pytest.raises(errors.DomainError, match=(
+                rf"^{ident_id} at .*, {place}: parameter '{name}' is not a "
+                rf"number: {value}$")):
+            verify(ident_id, points=[point])
+
     def test_every_identity_on_a_pole_grid_returns_or_raises_a_package_error(
             self):
         # each parameter in turn at poles and half-poles of the shifts,
@@ -375,6 +391,19 @@ class TestVerifySemantics:
         report = verify(with_perturbed_rhs("EX-1", 1e-13), tol=1e-15)
         assert not report.passed
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_that_is_not_finite_and_positive_raises(self, tol):
+        # tol=inf passed a closed form 50 % off, and nan, 0 and -1 failed
+        # every check without a word
+        bad = with_perturbed_rhs("THM-B", 0.5)
+        with pytest.raises(errors.DomainError, match=(
+                rf"^THM-B: tol must be finite and positive, got {tol!r}$")):
+            verify(bad, tol=tol, points=[{"a": 0.25, "x": 0.5}])
+        # an entry's own tol is held to the same rule
+        with pytest.raises(errors.DomainError, match=(
+                rf"^EX-1: tol must be finite and positive, got {tol!r}$")):
+            verify(REGISTRY["EX-1"].replace(tol=tol))
+
     @pytest.mark.parametrize("ident_id", [
         "EX-1", "EX-2", "SUM-2.8.50", "SUM-2.8.51", "TR-2.11.2",
     ])
@@ -384,6 +413,57 @@ class TestVerifySemantics:
         ident = REGISTRY[ident_id]
         tight = ident.replace(tol=ident.tol / 10.0)
         assert verify(tight).passed
+
+
+class TestSharedValues:
+    """The points of one verify call share a table of closed-form values
+    (expr): each check is that of fresh nodes, bit for bit, however the
+    points are grouped or ordered, and no table outlives its call."""
+
+    @pytest.mark.parametrize("seed", [*range(13), 101, 202])
+    def test_checks_do_not_depend_on_the_grouping_of_points(self, seed):
+        # all points in one call, one point per call and all in reverse
+        # order, against fresh nodes that share no table
+        registry = build_registry(seed)
+        for ident in registry.values():
+            points = ident.sample_points
+            together = verify(copy.deepcopy(ident), points=points).checks
+            alone = tuple(verify(ident, points=[p]).checks[0] for p in points)
+            reverse = verify(ident, points=points[::-1]).checks[::-1]
+            fresh = copy.deepcopy(ident)
+            unshared = tuple(catalog._check_point(fresh, dict(p), ident.tol,
+                                                  None) for p in points)
+            assert (repr(together) == repr(alone) == repr(reverse)
+                    == repr(unshared)), ident.id
+
+    def test_no_table_outlives_its_call(self, monkeypatch):
+        seen = []
+        eval_side = catalog._eval_side
+
+        def spy(ident, env, side, table=None):
+            try:
+                return eval_side(ident, env, side, table)
+            finally:
+                seen.append((table, None if table is None else len(table)))
+
+        monkeypatch.setattr(catalog, "_eval_side", spy)
+        verify("THM-B")
+        tables = {id(table) for table, _ in seen}
+        assert len(seen) == 2 * len(REGISTRY["THM-B"].sample_points)
+        assert len(tables) == 1 and seen[-1][1] > 0 and seen[0][0] == {}
+        first = seen[0][0]
+        seen.clear()
+        # the second point raises after the first filled the table
+        with pytest.raises(NonConvergentError):
+            verify("THM-B", points=[{"a": 0.25, "x": 0.5},
+                                    {"a": 0.25, "x": 1.0}])
+        # (the lhs is a Series node, which shares nothing)
+        assert [n > 0 for _, n in seen] == [False, True, True]
+        assert seen[0][0] is not first and seen[0][0] == {}
+        # a side evaluated alone shares nothing
+        seen.clear()
+        eval_lhs("THM-B", a=0.25, x=0.5)
+        assert seen == [(None, None)]
 
 
 class TestStructuralChecks:

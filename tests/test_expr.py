@@ -319,6 +319,28 @@ class TestReuse:
         assert counted["_gamma_ratio"] == 1 and counted["_digamma"] == 3
         assert counted["eval_weighted"] == 6
 
+    @pytest.mark.parametrize("ident_id, shared, alone", [
+        # THM-B's 36 points hold 4 values of a and 9 of x, whose 1 - x are
+        # x's of other points; 36 of its sums are the lhs Series sums
+        ("THM-B", (84, 21, 4), (108, 34, 8)),
+        ("EQ-H3N", (21, 3, 1), (27, 6, 2)),
+        ("TR-2.11.7", (32, 0, 12), (32, 0, 14))])
+    def test_a_verify_call_computes_each_closed_form_value_once(
+            self, counted, ident_id, shared, alone):
+        # (eval_weighted, digamma, gamma ratio) calls on fresh nodes at
+        # registry seed 101: in one verify call, and with each side
+        # evaluated in a plain scope, which shares nothing
+        ident = catalog.build_registry(101)[ident_id]
+        verify(copy.deepcopy(ident))
+        calls = ("eval_weighted", "_digamma", "_gamma_ratio")
+        assert tuple(counted[name] for name in calls) == shared
+        counted.update(dict.fromkeys(calls, 0))
+        fresh = copy.deepcopy(ident)
+        for env in ident.sample_points:
+            for side in ("lhs", "rhs"):
+                catalog._eval_side(fresh, env, side)
+        assert tuple(counted[name] for name in calls) == alone
+
     def test_threads_sharing_nodes_get_their_own_points_values(self):
         # a node's kept result is one tuple, read and stored whole: a thread
         # that read a key and a value from two different stores would get
