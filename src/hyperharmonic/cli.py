@@ -119,7 +119,11 @@ def _jsonable_number(v):
     return c.real if c.imag == 0.0 else c
 
 
-def _report_payload(report: VerifyReport, ident: Identity) -> dict:
+def _report_payload(ident: Identity, report: VerifyReport | None,
+                    err: str | None) -> dict:
+    """The JSON entry of one identity: its report, or the error it raised."""
+    if err is not None:
+        return {"id": ident.id, "kind": ident.kind, "error": err}
     checks = []
     for chk in report.checks:
         checks.append({
@@ -171,6 +175,27 @@ def _tol_arg(text: str) -> float:
     return value
 
 
+def _id_arg(text: str) -> str:
+    """argparse type of an identity id; the ids do not depend on the seed."""
+    if text not in REGISTRY:
+        raise argparse.ArgumentTypeError(f"unknown identity id {text!r}; "
+                                         "run `hyperharmonic list`")
+    return text
+
+
+def _pin_arg(name_arg, parse):
+    """The argparse type of a NAME=VALUE pin: (name_arg(NAME), VALUE
+    parsed by parse as a finite number, a float where it is real)."""
+    def pin(text: str) -> tuple:
+        name, sep, value_text = text.partition("=")
+        value = _finite(value_text, parse) if sep and name else None
+        if value is None:
+            raise argparse.ArgumentTypeError(
+                f"expected NAME=VALUE with a finite VALUE, got {text!r}")
+        return name_arg(name), value.real if value.imag == 0.0 else value
+    return pin
+
+
 def _resolve_seed(args) -> int:
     env = os.environ.get("HYPERHARMONIC_SEED")
     if env is not None and env != "":
@@ -180,31 +205,6 @@ def _resolve_seed(args) -> int:
             raise _UsageError(
                 f"HYPERHARMONIC_SEED must be an integer, got {env!r}")
     return args.seed
-
-
-def _parse_perturb(specs) -> dict:
-    out = {}
-    for spec in specs or ():
-        ident_id, sep, eps_text = spec.partition("=")
-        if not sep or not ident_id:
-            raise _UsageError(f"--perturb expects ID=EPS, got {spec!r}")
-        out[ident_id] = _finite(eps_text)
-        if out[ident_id] is None:
-            raise _UsageError(
-                f"--perturb epsilon must be a finite number, got {eps_text!r}")
-    return out
-
-
-def _select_ids(args, registry) -> list:
-    if args.all:
-        return list(registry)
-    if not args.ids:
-        raise _UsageError("verify needs --ids or --all")
-    for ident_id in args.ids:
-        if ident_id not in registry:
-            raise _UsageError(f"unknown identity id {ident_id!r}; "
-                              "run `hyperharmonic list`")
-    return list(args.ids)
 
 
 def _output(path, **kwargs):
@@ -217,19 +217,6 @@ def _output(path, **kwargs):
         return open(path, "w", **kwargs)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _parse_fixed(specs) -> dict:
-    out = {}
-    for spec in specs or ():
-        name, sep, text = spec.partition("=")
-        if not sep or not name:
-            raise _UsageError(f"--fixed expects NAME=VALUE, got {spec!r}")
-        val = _finite(text, complex)
-        if val is None:
-            raise _UsageError(f"--fixed value must be a finite number, got {text!r}")
-        out[name] = val.real if val.imag == 0.0 else val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +235,14 @@ def _cmd_list(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
+    if not (args.all or args.ids):
+        raise _UsageError("verify needs --ids or --all")
     registry = build_registry(seed)
-    ids = _select_ids(args, registry)
-    perturb = _parse_perturb(args.perturb)
-    for ident_id in perturb:
-        if ident_id not in registry:
-            raise _UsageError(f"--perturb references unknown id {ident_id!r}")
-        registry[ident_id] = with_perturbed_rhs(
-            registry[ident_id], perturb[ident_id], registry)
+    ids = list(registry) if args.all else args.ids
+    perturb = dict(args.perturb or ())
+    for ident_id, eps in perturb.items():
+        registry[ident_id] = with_perturbed_rhs(registry[ident_id], eps,
+                                                registry)
 
     def run_one(ident_id):
         try:
@@ -266,16 +253,12 @@ def _cmd_verify(args) -> int:
     with _output(args.json) as report_file:
         outcomes = [run_one(i) for i in ids]
 
-        payload_results = []
         n_pass = n_fail = n_error = 0
         width = max(len(i) for i in ids)
         for ident_id, (report, err) in zip(ids, outcomes):
-            ident = registry[ident_id]
             if err is not None:
                 n_error += 1
                 print(f"{ident_id:<{width}}  ERROR  {err}", file=sys.stderr)
-                payload_results.append({"id": ident_id, "kind": ident.kind,
-                                        "error": err})
                 continue
             status = "PASS" if report.passed else "FAIL"
             if report.passed:
@@ -289,10 +272,9 @@ def _cmd_verify(args) -> int:
                     rel = ("rel %.3e" % chk.rel_err) if chk.rel_err is not None \
                         else "rel n/a"
                     mark = "ok" if chk.passed else "MISMATCH"
-                    print(f"    {_fmt_params(ident, chk.params)}: "
+                    print(f"    {_fmt_params(registry[ident_id], chk.params)}: "
                           f"|lhs-rhs| = {chk.abs_err:.3e} ({rel}, "
                           f"{chk.terms_used} terms, {chk.method}) {mark}")
-            payload_results.append(_report_payload(report, ident))
 
         print(f"{len(ids)} checked: {n_pass} passed, {n_fail} failed, "
               f"{n_error} errors")
@@ -305,11 +287,12 @@ def _cmd_verify(args) -> int:
                     "seed": seed,
                     "timestamp": datetime.now(timezone.utc)
                                          .strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    "ids": list(ids),
+                    "ids": ids,
                     "tol_override": args.tol,
                     "perturb": {k: perturb[k] for k in sorted(perturb)},
                 },
-                "results": payload_results,
+                "results": [_report_payload(registry[i], *outcome)
+                            for i, outcome in zip(ids, outcomes)],
             }
             report_file.write(_json_text(payload) + "\n")
 
@@ -320,9 +303,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _resolve_seed(args)  # validated only: the grid replaces the seeded points
-    if args.id not in REGISTRY:
-        raise _UsageError(f"unknown identity id {args.id!r}; "
-                          "run `hyperharmonic list`")
     ident = REGISTRY[args.id]
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
@@ -330,7 +310,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(
             f"{args.id} has no parameter {args.param!r}; "
             f"parameters: {', '.join(ident.param_names) or '(none)'}")
-    fixed = _parse_fixed(args.fixed)
+    fixed = dict(args.fixed or ())
     if args.param in fixed:
         raise _UsageError(f"--fixed pins the swept parameter {args.param!r}")
     for name in fixed:
@@ -397,13 +377,14 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="check identities at seeded sample points")
-    p_verify.add_argument("--ids", nargs="+", metavar="ID",
+    p_verify.add_argument("--ids", nargs="+", type=_id_arg, metavar="ID",
                           help="identity ids to check")
     p_verify.add_argument("--all", action="store_true",
                           help="check the whole registry")
     p_verify.add_argument("--tol", type=_tol_arg, default=None,
                           help="override comparison tolerance for all ids")
-    p_verify.add_argument("--perturb", action="append", metavar="ID=EPS",
+    p_verify.add_argument("--perturb", action="append",
+                          type=_pin_arg(_id_arg, float), metavar="ID=EPS",
                           help="scale the closed form of ID by (1+EPS); "
                                "fault injection for the failure path")
     p_verify.add_argument("--json", metavar="FILE",
@@ -413,7 +394,8 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="walk one parameter across a linear grid")
-    p_sweep.add_argument("--id", required=True, help="identity id")
+    p_sweep.add_argument("--id", required=True, type=_id_arg,
+                         help="identity id")
     p_sweep.add_argument("--param", required=True, help="parameter to sweep")
     p_sweep.add_argument("--from", dest="start", type=_finite_arg, required=True,
                          help="grid start")
@@ -421,7 +403,8 @@ def _build_parser() -> _Parser:
                          help="grid end")
     p_sweep.add_argument("--steps", type=int, required=True,
                          help="number of grid points (>= 2)")
-    p_sweep.add_argument("--fixed", action="append", metavar="NAME=VALUE",
+    p_sweep.add_argument("--fixed", action="append",
+                         type=_pin_arg(str, complex), metavar="NAME=VALUE",
                          help="pin another parameter (repeatable)")
     p_sweep.add_argument("--tol", type=_tol_arg, default=None,
                          help="override the identity's tolerance")

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HyperharmonicError", "DomainError", "PoleError", "NonConvergentError",
+    "AccelerationBreakdown", "UnknownIdentityError",
+]
+
 
 class HyperharmonicError(Exception):
     """Base class for package-specific failures."""

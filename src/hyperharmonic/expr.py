@@ -36,7 +36,7 @@ import math
 from ._frozen import Frozen, _set
 from .errors import DomainError, PoleError
 from .series import (DigammaLog, PochhammerRatioSeries, Unit, WeightKind,
-                     _lsum, eval_weighted)
+                     _gauss_spec, _lsum, eval_weighted)
 from .specialfn import _pole_index
 from .specialfn import digamma as _digamma
 from .specialfn import elliptic_K as _elliptic_K
@@ -409,11 +409,6 @@ class Series(_Memo, Expr):
         if sums is not None:
             sums[k] = res
         return res.value
-
-
-def _gauss_spec(a, b, c):
-    """The spec of Hyp2F1's direct sum at x."""
-    return PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
 
 
 def _connection(a, b, c):

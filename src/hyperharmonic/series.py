@@ -109,7 +109,8 @@ from .errors import (
     NonConvergentError,
     PoleError,
 )
-from .specialfn import _pole_index, _whole, harmonic, pochhammer
+from .specialfn import (_BERNOULLI_RATIONALS, _pole_index, _whole, harmonic,
+                        pochhammer)
 
 __all__ = [
     "PochhammerRatioSeries",
@@ -159,12 +160,8 @@ _EXPANSION_ORDER = 10        # K
 # and the dropped compensation (about 3 eps)
 _DRIFT_ULPS = 4.0
 _TERM_ULPS = 4.0
-# Bernoulli numbers B_0 .. B_20 (float literals: no fractions import)
-_BERNOULLI = (
-    1.0, -1.0 / 2.0, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0,
-    -1.0 / 30.0, 0.0, 5.0 / 66.0, 0.0, -691.0 / 2730.0, 0.0, 7.0 / 6.0, 0.0,
-    -3617.0 / 510.0, 0.0, 43867.0 / 798.0, 0.0, -174611.0 / 330.0,
-)
+# Bernoulli numbers B_0 .. B_20
+_BERNOULLI = tuple(p / q for p, q in _BERNOULLI_RATIONALS)
 # binom(m, j) B_j, j <= m: the Bernoulli polynomials' coefficients
 _BINOM_BERNOULLI = tuple(tuple(math.comb(m, j) * _BERNOULLI[j]
                                for j in range(m + 1))
@@ -330,8 +327,9 @@ class _PairWeight(WeightKind):
     + sum_{n0<=k<n} sum_i c_i / (a_i + k); of order 2 (one pair), w_n =
     P_n^2 + Q_n, P stepping by the pair and Q by its square c^2 / (a +
     k)^2. A kind's __init__ validates its fields and states its pairs,
-    start value and start index once (_set_pairs, which raises PoleError
-    for a shift a_i = -k at an index k >= n0), in hidden slots that
+    start value and start index once (_set_pairs, which raises DomainError
+    for a c_i, a_i or start value that is not finite and PoleError for a
+    shift a_i = -k at an index k >= n0), in hidden slots that
     reprs, equality, hashing and pickles do not see: _pairs (as given),
     _floats (as floats where they and the start value are all real),
     _order, _start ((n0, w_n0), or (n0, (P, Q))), _terms, _walks (each
@@ -357,6 +355,10 @@ class _PairWeight(WeightKind):
                  "_expansions")
 
     def _set_pairs(self, pairs, start, order=1, n0=0, terms=None):
+        starts = start if order == 2 else (start,)
+        if not all(map(cmath.isfinite, itertools.chain(*pairs, starts))):
+            raise DomainError(f"{self!r} has a pair or a start value that is "
+                              f"not finite: pairs {pairs}, start {start}")
         for _, a in pairs:
             k = _pole_index(a)
             if k is not None and k >= n0:
@@ -564,7 +566,8 @@ class LinearCombo(Frozen, _PairWeight):
     Its pairs are the parts' pairs scaled by the coefficients, equal
     shifts merged and exact zeros dropped (2 H_2n - H_n is the one pair
     (1, 1/2)), and value(n) adds the parts' values. A part without pairs
-    (HarmonicSqPlusGen2, a kind whose pairs() is None) raises DomainError.
+    (HarmonicSqPlusGen2, a kind whose pairs() is None) or a coefficient
+    that is not finite raises DomainError.
     """
 
     __slots__ = ("parts",)  # of (coeff, WeightKind)
@@ -584,6 +587,9 @@ class LinearCombo(Frozen, _PairWeight):
                 raise DomainError(f"LinearCombo part {kind!r} has no pairs "
                                   f"to merge")
             coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise DomainError(f"LinearCombo coefficient {coeff} of "
+                                  f"{kind!r} is not finite")
             norm.append((coeff, kind))
             for c, a in inner:
                 merged[a] = merged.get(a, 0.0) + coeff * c
@@ -809,20 +815,22 @@ def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,
         # stop after 3 terms
         raise DomainError(
             f"max_terms must be a whole number >= 1, got {max_terms!r}")
+    max_terms = int(max_terms)  # True or 2.0: the int the refusals name
     if mag > 1.0 + _UNIT_BAND:
         raise NonConvergentError(f"|ratio*x| = {mag:.6g} exceeds 1; series diverges")
     nums = spec.numerator_shifts
     dens = spec.denominator_shifts
     p = spec.factorial_power
-    # u_{n+1}/u_n ~ r*x * n^excess: factorial growth (excess > 0) or decay
-    excess = len(nums) - len(dens) - p
-    if excess > 0 and mag > 0.0 and all(_pole_index(a) is None for a in nums):
-        raise NonConvergentError(
-            f"{len(nums)} numerator against {len(dens) + p} denominator shifts "
-            "(n! counted as one) and no terminating shift; terms grow factorially")
-    # a terminating sum is finite, and factorially decaying terms (excess
+    # u_{n+1}/u_n ~ r*x * n^excess: factorial growth (excess > 0) or decay.
+    # A terminating sum is finite, and factorially decaying terms (excess
     # < 0) leave a geometric tail: the direct rule below sums both
-    if unit and excess >= 0 and all(_pole_index(a) is None for a in nums):
+    excess = len(nums) - len(dens) - p
+    if (excess > 0 and mag > 0.0 or excess == 0 and unit) and all(
+            _pole_index(a) is None for a in nums):
+        if excess:
+            raise NonConvergentError(
+                f"{len(nums)} numerator against {len(dens) + p} denominator shifts "
+                "(n! counted as one) and no terminating shift; terms grow factorially")
         sigma = _exponent(spec, weight)
         # at r*x = 1 the partial sums need sigma < -1, elsewhere on the
         # circle the terms need sigma < 0
@@ -1410,6 +1418,11 @@ def hyp2f1(a, b, c, x, *, tol: float = 1e-12,
     catalog.boundary_asymptotic_check measures the series' own growth
     there, which a connection formula would only read back.
     """
-    spec = PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
-    return eval_weighted(spec, Unit(), x, tol=tol, max_terms=max_terms).value
+    return eval_weighted(_gauss_spec(a, b, c), Unit(), x, tol=tol,
+                         max_terms=max_terms).value
+
+
+def _gauss_spec(a, b, c):
+    """The spec of 2F1(a, b; c; x)'s series at x: (a)_n (b)_n / ((c)_n n!)."""
+    return PochhammerRatioSeries((a, b), (c,), 1, 1.0, 0)
 

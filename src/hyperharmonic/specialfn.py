@@ -41,16 +41,18 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 
-# B_{2k}/(2k) for k = 1..7, the asymptotic digamma tail coefficients.
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
+# Bernoulli numbers B_0 .. B_20 as exact (numerator, denominator) pairs:
+# each table of their values divides once per entry, so every float is the
+# correctly rounded value of its rational
+_BERNOULLI_RATIONALS = (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
+    (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1),
+    (-3617, 510), (0, 1), (43867, 798), (0, 1), (-174611, 330),
 )
+
+# B_{2k}/(2k) for k = 1..7, the asymptotic digamma tail coefficients.
+_DIGAMMA_TAIL = tuple(p / (2 * k * q) for k, (p, q)
+                      in enumerate(_BERNOULLI_RATIONALS[2:15:2], 1))
 
 
 def _pole_index(z: complex) -> int | None:

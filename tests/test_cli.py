@@ -124,6 +124,8 @@ class TestVerify:
             ("verify", "--ids", "EX-1", "--perturb", "EX-1"),      # no '='
             ("verify", "--ids", "EX-1", "--perturb", "EX-1=abc"),  # bad eps
             ("verify", "--ids", "EX-1", "--perturb", "NOPE=1e-6"),
+            ("verify", "--ids", "EX-1", "--perturb", "=1e-6"),     # no id
+            ("verify", "--ids", "EX-1", "--perturb", "EX-1=1+1j"),  # complex
             ("frobnicate",),                               # unknown command
             # numbers that cannot be valid: an infinite perturbation wrote
             # inf and nan into the JSON report, a nan tolerance failed
@@ -483,6 +485,9 @@ class TestSweep:
             ("sweep", "--id", "COR-A1", "--param", "a",
              "--from", "0.2", "--to", "0.4", "--steps", "3",
              "--fixed", "a"),
+            ("sweep", "--id", "COR-A1", "--param", "a",
+             "--from", "0.2", "--to", "0.4", "--steps", "3",
+             "--fixed", "=1"),
             # non-finite grid ends and pins, and invalid tolerances
             ("sweep", "--id", "GF-K1", "--param", "k",
              "--from", "nan", "--to", "0.5", "--steps", "3"),

@@ -34,6 +34,7 @@ from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           real_draws)
 from anchored_digest import ANCHORED_DIGEST, ANCHORED_SUMS, anchored_outcomes
 from anchored_digest import digest as outcomes_digest
+from sum_digest import SUM_DIGEST, SUMS, sum_outcomes
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 import complex_step
 
@@ -176,6 +177,41 @@ class TestWeights:
             assert w.value(5) == part.value(5) == harmonic(5 * s - 1)
             assert list(itertools.islice(w.steps(1), 5)) == pytest.approx(
                 [part.value(n) for n in range(1, 6)], abs=1e-15)
+
+    def test_value_that_is_not_finite_is_refused_at_construction(self):
+        # a nan or inf coefficient, shift or start value was stored without
+        # a word, and the sum then reported an overflow
+        spec = PochhammerRatioSeries((0.5,), (1.5,), 1, 1.0, 0)
+
+        class BadPairs(WeightKind):
+            def __init__(self, c, a):
+                self.pair = (c, a)
+
+            def pairs(self):
+                return (self.pair,)
+
+        for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.inf)):
+            for make in (lambda: DigammaDiffSum(bad, 0.25),
+                         lambda: DigammaDiffSum(0.3, bad),
+                         lambda: DigammaLog(bad, 0.3, 1.0),
+                         lambda: DigammaLog(0.2, bad, 1.0),
+                         lambda: DigammaLog(0.2, 0.3, bad),
+                         lambda: LinearCombo(((bad, Harmonic()),)),
+                         lambda: LinearCombo(((bad, Unit()),)),
+                         lambda: LinearCombo(((1.0, Harmonic()),
+                                              (bad, Harmonic(2)))),
+                         lambda: LinearCombo(((1.0, BadPairs(bad, 1.0)),)),
+                         lambda: LinearCombo(((1.0, BadPairs(1.0, bad)),))):
+                with pytest.raises(DomainError, match="not finite") as info:
+                    eval_weighted(spec, make(), 0.5)
+                assert info.traceback[-1].name in ("_set_pairs", "__init__")
+                name = re.match(r"\w+", str(info.value)).group()
+                assert name in ("DigammaDiffSum", "DigammaLog", "LinearCombo")
+        # finite values whose product overflows
+        with pytest.raises(DomainError, match="LinearCombo.*not finite"):
+            LinearCombo(((1e300, BadPairs(1e10, 1.0)),))
+        with pytest.raises(DomainError, match="DigammaDiffSum.*not finite"):
+            DigammaDiffSum(0.3, 1e308)
 
     def test_harmonic_float_stride_is_stored_as_int(self):
         # 2.0 is a valid stride; it used to be stored as given, and the
@@ -668,6 +704,12 @@ class TestEvalWeighted:
         spec = PochhammerRatioSeries((0.5,), (), 1, 1.0, 0)
         with pytest.raises(DomainError):
             eval_weighted(spec, Unit(), 0.5, max_terms=0)
+        # a whole budget is used, and named, as the int it equals: True
+        # once passed as 1 and was named "True"
+        for budget, n in ((True, 1), (2.0, 2)):
+            with pytest.raises(NonConvergentError,
+                               match=f" after {n} terms "):
+                eval_weighted(spec, Unit(), 0.5, max_terms=budget)
 
     def test_bad_budget_raises_before_summing(self):
         # max_terms = nan never met the budget tests (sum x^n at x =
@@ -1776,6 +1818,17 @@ class TestAnchoredDigest:
         outcomes = anchored_outcomes()
         assert len(outcomes) == ANCHORED_SUMS
         assert outcomes_digest(outcomes) == ANCHORED_DIGEST
+
+
+class TestSumDigest:
+    """Every direct and ladder sum that verify makes at the registries of
+    seeds 0-12, 101 and 202 keeps its value, term count, bound and method,
+    bit for bit."""
+
+    def test_direct_and_ladder_sums_keep_their_digest(self):
+        outcomes = sum_outcomes()
+        assert len(outcomes) == SUMS
+        assert outcomes_digest(outcomes) == SUM_DIGEST
 
 
 class TestComplexDirect:
