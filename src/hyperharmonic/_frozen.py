@@ -6,14 +6,14 @@ in order, and their slot setters. The fields are the __slots__ of the
 nearest Frozen class in its MRO that declares a non-empty __slots__: a
 subclass that declares its own has exactly those fields, one with
 __slots__ = () keeps its base's, and the slots of a base that is not
-Frozen (a hidden slot, such as a memo) are never fields. Frozen.__init__
-stores every field through the table (positionally or by keyword);
-instances compare and hash by class and fields, name both in repr,
-refuse assignment after construction, and pickle, copy and replace()
-through the constructor. Nothing is generated per class. A subclass
-that has defaults, or normalizes or validates its arguments, defines its
-own __init__ whose parameters are its fields and passes the final
-values on to Frozen.__init__.
+Frozen (a hidden slot, such as a weight kind's walks) are never fields.
+Frozen.__init__ stores every field through the table (positionally or
+by keyword); instances compare and hash by class and fields, name both
+in repr, refuse assignment after construction, and pickle, copy and
+replace() through the constructor. Nothing is generated per class. A
+subclass that has defaults, or normalizes or validates its arguments,
+defines its own __init__ whose parameters are its fields and passes the
+final values on to Frozen.__init__.
 """
 
 from __future__ import annotations

@@ -15,16 +15,13 @@ sums at 1 - x by Kummer's connection formulas, a few terms where the
 direct sum at x would take tens of thousands.
 
 A verify's points share most of what these nodes compute: digamma and
-gamma values on parameters alone, Gamma ratios, connection prefactors,
-series specs. Digamma, Gamma, GammaRatio, Hyp2F1 and Series keep their
-last result in a hidden slot (_Memo), keyed by the exact bits of their
-argument values, and reuse it while those repeat. Where the env has a
-`table` dict (one per catalog.verify call), a closed-form node that
-misses its slot looks there next, under the function plus those bits:
-Digamma, Gamma and GammaRatio values, and Hyp2F1's values, direct specs
-and connection parts, so equal arguments at other nodes and points of
-the call are computed once. Either way the values are bit for bit those
-of a fresh node.
+gamma values on parameters alone, Gamma ratios, connection prefactors.
+Where the env has a `table` dict (one per catalog.verify call), Digamma,
+Gamma and GammaRatio keep their values there, and Hyp2F1 its values,
+direct specs and connection parts, under the function plus the exact
+bits of its argument values, so equal arguments at other nodes and
+points of the call are computed once, bit for bit as by a fresh node.
+The nodes themselves keep nothing from point to point.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import cmath
 import marshal
 import math
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .errors import DomainError, PoleError
 from .series import (DigammaLog, PochhammerRatioSeries, Unit, WeightKind,
                      _gauss_spec, _lsum, eval_weighted)
@@ -54,7 +51,7 @@ _UNIT = Unit()
 
 
 def _bits(values) -> bytes:
-    """A memo key: the exact bits of a complex number, or of a tuple or
+    """A table key: the exact bits of a complex number, or of a tuple or
     list of them. marshal's version 2 writes each float as its 8 bytes and
     keeps no back-references, so a -0.0 never matches a +0.0 and a NaN
     matches only a NaN of the same bits."""
@@ -221,62 +218,29 @@ def _shared(table, key, compute, *args):
     return value
 
 
-class _Memo:
-    """The hidden slot of a node that reuses its last result: (key, result),
-    the key being the exact bits of the argument values (_bits) the result
-    was computed from, (None, None) before the first. _Memo is not Frozen,
-    so its slot is not one of the node's fields: reprs, equality, hashing
-    and pickles see only the formula, and a copy starts empty. A
-    computation that raises stores nothing. The pair is read and stored
-    as one tuple, so threads that share a tree at worst compute a result
-    twice."""
-
-    __slots__ = ("_memo",)
-
-    def __init__(self, *args, **kwargs):
-        Frozen.__init__(self, *args, **kwargs)
-        _set(self, "_memo", (None, None))
-
-    def _reuse(self, env, key, compute, *args):
-        """The result of compute(*args), reused while key repeats, and
-        shared under (compute, key) through the env's table."""
-        memo = self._memo
-        if key == memo[0]:
-            return memo[1]
-        # _shared in line: every slot miss of a verify call takes this path
-        table = getattr(env, "table", None)
-        if table is None:
-            value = compute(*args)
-        else:
-            shared = compute, key
-            value = table.get(shared)
-            if value is None:
-                value = table[shared] = compute(*args)
-        _set(self, "_memo", (key, value))
-        return value
-
-
 def _gamma(z):
     return cmath.exp(_ln_gamma(z))
 
 
-class Gamma(_Memo, Expr):
+class Gamma(Expr):
     __slots__ = ("arg",)
 
     def eval(self, env):
         z = self.arg.eval(env)
-        return self._reuse(env, _bits(z), _gamma, z)
+        return _shared(getattr(env, "table", None), (_gamma, _bits(z)),
+                       _gamma, z)
 
 
-class Digamma(_Memo, Expr):
+class Digamma(Expr):
     __slots__ = ("arg",)
 
     def eval(self, env):
         z = self.arg.eval(env)
-        return self._reuse(env, _bits(z), _digamma, z)
+        return _shared(getattr(env, "table", None), (_digamma, _bits(z)),
+                       _digamma, z)
 
 
-class GammaRatio(_Memo, Expr):
+class GammaRatio(Expr):
     """prod Gamma(numerators) / prod Gamma(denominators), pole-paired."""
 
     __slots__ = ("numerators", "denominators")
@@ -284,8 +248,9 @@ class GammaRatio(_Memo, Expr):
     def eval(self, env):
         nums = [e.eval(env) for e in self.numerators]
         dens = [e.eval(env) for e in self.denominators]
-        return self._reuse(env, _bits((nums, dens)), _gamma_ratio, nums,
-                           dens)
+        return _shared(getattr(env, "table", None),
+                       (_gamma_ratio, _bits((nums, dens))), _gamma_ratio,
+                       nums, dens)
 
 
 class EllipticK(Expr):
@@ -295,7 +260,7 @@ class EllipticK(Expr):
         return complex(_elliptic_K(self.arg.eval(env)))
 
 
-class Hyp2F1(_Memo, Expr):
+class Hyp2F1(Expr):
     """Gauss 2F1(a, b; c; x), summed to 1e-12 * max(1, |F|).
 
     Near x = 1 (|1 - x| < 1/4 and |x| < 1) the node sums at y = 1 - x
@@ -316,11 +281,10 @@ class Hyp2F1(_Memo, Expr):
     |x| > 1 and takes the unit-circle rule at |x| = 1. A pole at c
     raises PoleError.
 
-    The memo, keyed by a, b and c, holds (direct spec, connection parts):
-    each is built at the first x that needs it (None until then), and
-    only what depends on x is computed at every point. Through the env's
-    table the value is shared by (a, b, c, x), and the spec and the parts
-    by (a, b, c), across the nodes and points of a verify call.
+    Through the env's table the value is shared by (a, b, c, x), and the
+    direct spec and the connection parts by (a, b, c), across the nodes
+    and points of a verify call; each is built at the first x that needs
+    it.
     """
 
     __slots__ = ("a", "b", "c", "x")
@@ -328,32 +292,25 @@ class Hyp2F1(_Memo, Expr):
     def eval(self, env):
         a, b, c = self.a.eval(env), self.b.eval(env), self.c.eval(env)
         x = self.x.eval(env)
-        key = _bits((a, b, c))
-        table = getattr(env, "table", None)
-        if table is None:
-            return self._sum(key, a, b, c, x, None)
-        return _shared(table, (Hyp2F1, key, _bits(x)), self._sum, key, a, b,
-                       c, x, table)
-
-    def _sum(self, key, a, b, c, x, table):
-        """The value at x, from the parts in the slot, in table or built."""
-        memo = self._memo
-        spec, near = memo[1] if key == memo[0] else (None, None)
-        if abs(1.0 - x) < 0.25 and abs(x) < 1.0:
-            if near is None:
-                near = _shared(table, (_connection, key), _connection, a, b, c)
-                _set(self, "_memo", (key, (spec, near)))
-            if near:
-                value = _hyp2f1_near_one(near, 1.0 - x)
-                if value is not None:
-                    return value
-        if spec is None:
-            spec = _shared(table, (_gauss_spec, key), _gauss_spec, a, b, c)
-            _set(self, "_memo", (key, (spec, near)))
-        return eval_weighted(spec, _UNIT, x, tol=1e-12).value
+        key, table = _bits((a, b, c)), getattr(env, "table", None)
+        return _shared(table, (Hyp2F1, key, _bits(x)), _hyp2f1, a, b, c, x,
+                       key, table)
 
 
-class Series(_Memo, Expr):
+def _hyp2f1(a, b, c, x, key, table):
+    """Hyp2F1's value at x, from the parts kept in table under key (the
+    bits of a, b and c) or built."""
+    if abs(1.0 - x) < 0.25 and abs(x) < 1.0:
+        near = _shared(table, (_connection, key), _connection, a, b, c)
+        if near:
+            value = _hyp2f1_near_one(near, 1.0 - x)
+            if value is not None:
+                return value
+    spec = _shared(table, (_gauss_spec, key), _gauss_spec, a, b, c)
+    return eval_weighted(spec, _UNIT, x, tol=1e-12).value
+
+
+class Series(Expr):
     """sum_{n >= start_index} w_n u_n(x): the weighted series of
     series.PochhammerRatioSeries(numerator_shifts, denominator_shifts,
     factorial_power, geometric_ratio, start_index) with weight w at the
@@ -364,7 +321,7 @@ class Series(_Memo, Expr):
 
     eval sums at the env's `tol` attribute (eval_weighted's default in a
     plain dict) and, where the env has a `sums` list, records its
-    SeriesResult there in evaluation order; the slot holds None while
+    SeriesResult there in evaluation order; its entry holds None while
     the node is being summed, so a failure can name the node.
     """
 
@@ -373,30 +330,23 @@ class Series(_Memo, Expr):
 
     def __init__(self, numerator_shifts, denominator_shifts, factorial_power,
                  geometric_ratio, start_index, weight, x):
-        _Memo.__init__(self, tuple(map(_wrap, numerator_shifts)),
-                       tuple(map(_wrap, denominator_shifts)), factorial_power,
-                       geometric_ratio, start_index, weight, _wrap(x))
+        Frozen.__init__(self, tuple(map(_wrap, numerator_shifts)),
+                        tuple(map(_wrap, denominator_shifts)), factorial_power,
+                        geometric_ratio, start_index, weight, _wrap(x))
 
     def bind(self, env):
         """(spec, weight, x) at the point env: eval_weighted's arguments.
-        The spec and a weight built from Exprs are kept, keyed by the
-        shifts and the weight's parameters, and reused while they repeat."""
+        The spec, and a weight given as (kind class, *Exprs), are built
+        anew at every call."""
         nums = [e.eval(env) for e in self.numerator_shifts]
         dens = [e.eval(env) for e in self.denominator_shifts]
         weight = self.weight
         params = (None if isinstance(weight, WeightKind)
                   else [e.eval(env) for e in weight[1:]])
-        key = _bits((nums, dens, params))
-        memo = self._memo
-        if key == memo[0]:
-            spec, weight = memo[1]
-        else:
-            spec = PochhammerRatioSeries(nums, dens, self.factorial_power,
-                                         self.geometric_ratio,
-                                         self.start_index)
-            if params is not None:
-                weight = weight[0](*params)
-            _set(self, "_memo", (key, (spec, weight)))
+        spec = PochhammerRatioSeries(nums, dens, self.factorial_power,
+                                     self.geometric_ratio, self.start_index)
+        if params is not None:
+            weight = weight[0](*params)
         return spec, weight, self.x.eval(env)
 
     def eval(self, env):

@@ -198,16 +198,7 @@ _imag = operator.attrgetter("imag")
 # series specification
 
 
-class _RealShifts:
-    """The hidden slot of a PochhammerRatioSeries: its shifts as floats,
-    (numerators, denominators), where every one is real, else None. The
-    term loops read it in _start. It is not one of the spec's fields, so
-    reprs, equality, hashing and pickles see only those."""
-
-    __slots__ = ("_floats",)
-
-
-class PochhammerRatioSeries(_RealShifts, Frozen):
+class PochhammerRatioSeries(Frozen):
     """Term family u_n = prod (a_i)_n / (prod (b_j)_n (n!)**p) * r**n.
 
     factorial_power p >= 0, start_index in {0, 1}. Denominator shifts may
@@ -239,8 +230,6 @@ class PochhammerRatioSeries(_RealShifts, Frozen):
             raise DomainError(f"numerator shifts {nums} are not all finite")
         Frozen.__init__(self, nums, dens, factorial_power, ratio,
                         start_index)
-        _set(self, "_floats", None if any(map(_imag, nums + dens)) else
-             (tuple(map(_real, nums)), tuple(map(_real, dens))))
 
     def effective_exponent(self) -> complex:
         """Complex exponent of u_n at |r*x| = 1 for balanced shifts:
@@ -463,10 +452,8 @@ def _fsum(terms):
     return math.fsum(terms)
 
 
-@functools.lru_cache(maxsize=64)
 def _pair_rows(pairs, weight_order: int, order: int) -> tuple:
-    """(L, h, q) of _PairWeight for k = 1..order, q None at order 1. They
-    depend on the pairs and the orders only, so each anchor reuses them."""
+    """(L, h, q) of _PairWeight for k = 1..order, q None at order 1."""
     log, h = 0.0, [0.0] * order
     for c, a in pairs:
         log += c
@@ -728,10 +715,9 @@ def _reflect(refl, c) -> None:
 def _start(spec: PochhammerRatioSeries, rx: complex):
     """(u_{n0}, r*x, numerator shifts, denominator shifts) for the term
     loops; (a)_1 = a, (a)_0 = 1, so both legal starts are cheap. All real,
-    they come as floats (the shifts from the spec's own float copies): the
-    loops then run the same recurrence in float arithmetic, whose values
-    are the real parts of the complex ones, until a complex weight value
-    makes the term complex."""
+    they come as floats: the loops then run the same recurrence in float
+    arithmetic, whose values are the real parts of the complex ones,
+    until a complex weight value makes the term complex."""
     nums, dens = spec.numerator_shifts, spec.denominator_shifts
     t = 1.0 + 0j
     if spec.start_index == 1:
@@ -740,10 +726,9 @@ def _start(spec: PochhammerRatioSeries, rx: complex):
             t *= a
         for b in dens:
             t /= b
-    floats = spec._floats
-    if floats is None or rx.imag or t.imag:
+    if rx.imag or t.imag or any(map(_imag, nums + dens)):
         return t, rx, nums, dens
-    return t.real, rx.real, *floats
+    return t.real, rx.real, tuple(map(_real, nums)), tuple(map(_real, dens))
 
 
 def eval_weighted(spec: PochhammerRatioSeries, weight: WeightKind, x,

@@ -1,8 +1,8 @@
 """Closed-form Gauss 2F1 nodes: Kummer's connection formulas near x = 1
 against mpmath, the direct sum everywhere else, and the calls the node
 makes through the module attributes of `expr`; the spec a Series node
-binds; and the results that nodes keep from point to point, which must
-give a fresh node's values bit for bit."""
+binds; and the values that one verify call's table shares between its
+nodes and points, which must be a fresh node's values bit for bit."""
 
 import cmath
 import copy
@@ -164,9 +164,9 @@ class TestDirectSum:
 
 
 class TestSeriesNode:
-    def test_constant_shifts_build_the_spec_once(self, monkeypatch):
-        # EX-1's shifts are constants: its first evaluation builds its spec,
-        # and later ones build none; a shift on a parameter is bound anew
+    def test_constant_shifts_bind_equal_specs(self, monkeypatch):
+        # EX-1's shifts are constants: every bind builds its spec anew, and
+        # the specs are equal; a shift on a parameter binds the same spec
         node = REGISTRY["EX-1"].lhs
         value = node.eval({})
         built = []
@@ -177,15 +177,16 @@ class TestSeriesNode:
 
         monkeypatch.setattr(expr, "PochhammerRatioSeries", counting)
         assert node.eval({}) == value
-        assert node.bind({})[0] is node.bind({})[0]
-        assert built == []
+        assert node.bind({})[0] == node.bind({})[0]
+        assert len(built) == 3
         param = Series((P("a"), 0.5), (), 2, 0.5, 1, Harmonic(), 1.0)
+        assert param.bind({"a": 0.5})[0] == node.bind({})[0]
         assert param.eval({"a": 0.5}) == value
-        assert len(built) == 1
+        assert len(built) == 6
 
     def test_cached_spec_is_not_a_field(self):
         # repr, equality and pickles see only the formula, and a copy
-        # rebuilds the spec through the constructor
+        # binds the same spec
         node = REGISTRY["EX-1"].lhs
         twin = pickle.loads(pickle.dumps(node))
         assert twin == node and hash(twin) == hash(node)
@@ -207,14 +208,22 @@ def z(re, im):
     return complex(re, im)
 
 
+def scoped(env, table):
+    """env as catalog's scope, sharing the closed-form values of table."""
+    scope = catalog._Scope(env)
+    scope.table = table
+    return scope
+
+
 _NAN = float("nan")
 a_, b_, c_, x_ = P("a"), P("b"), P("c"), P("x")
 
 
 class TestReuse:
-    """Digamma, Gamma, GammaRatio, Hyp2F1 and Series nodes keep their last
-    result, keyed by the exact bits of their argument values: a kept node
-    gives a fresh node's value, bit for bit, at every point."""
+    """Digamma, Gamma, GammaRatio and Hyp2F1 nodes share their values
+    through a verify call's table, keyed by the exact bits of their
+    argument values: a node that reads the table gives a fresh node's
+    value, bit for bit, at every point."""
 
     NODES = {
         "Digamma": Digamma(1 - a_ / 2),
@@ -257,10 +266,13 @@ class TestReuse:
 
     @pytest.mark.parametrize("name", NODES)
     def test_kept_node_gives_a_fresh_nodes_bits(self, name):
-        kept = copy.deepcopy(self.NODES[name])
+        # one node and one table for every point, against a fresh node
+        # that shares nothing
+        kept, table = copy.deepcopy(self.NODES[name]), {}
         for env in self.POINTS:
             fresh = copy.deepcopy(self.NODES[name])
-            assert outcome(kept, env) == outcome(fresh, env), env
+            assert (outcome(kept, scoped(env, table))
+                    == outcome(fresh, env)), env
 
     def test_the_points_raise_and_repeat_where_intended(self):
         # the sequence above exercises every case it names
@@ -287,7 +299,7 @@ class TestReuse:
     def test_reused_only_while_the_bits_repeat(self, monkeypatch, name,
                                                node):
         # a stand-in function that shows the signs of its argument's zero
-        # parts: a node that reused across them would read the old signs
+        # parts: a table that keyed them together would give the old signs
         calls = []
 
         def signs(*args):
@@ -296,13 +308,15 @@ class TestReuse:
             return z(math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
 
         monkeypatch.setattr(expr, name, signs)
-        node = copy.deepcopy(node)
+        table = {}
         show = cmath.exp if name == "_ln_gamma" else (lambda v: v)
         for re, im in ((0.0, 0.0), (0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
                        (-0.0, -0.0), (0.0, 0.0)):
             want = show(z(math.copysign(1.0, re), math.copysign(1.0, im)))
-            assert repr(node.eval({"a": z(re, im)})) == repr(want)
-        assert len(calls) == 4
+            got = node.eval(scoped({"a": z(re, im)}, table))
+            assert repr(got) == repr(want)
+        # one call per sign pattern, then the table's value
+        assert len(calls) == 3
 
     def test_series_spec_keeps_the_signs_of_its_shifts(self):
         node = copy.deepcopy(self.NODES["Series"])
@@ -311,19 +325,19 @@ class TestReuse:
             assert repr(spec.numerator_shifts[0]) == repr(av)
 
     def test_kept_parts_are_reused(self, counted):
-        # THM-B's node at one a: the connection parts come once for the
-        # points near x = 1, the direct spec once for the others
-        node = copy.deepcopy(self.NODES["Hyp2F1-log"])
+        # THM-B's node at one a, with one table: the connection parts come
+        # once for the points near x = 1
+        node, table = self.NODES["Hyp2F1-log"], {}
         for xv in (0.1, 0.9, 0.2, 0.95, 0.8, 0.3):
-            node.eval({"a": 0.25, "x": xv})
+            node.eval(scoped({"a": 0.25, "x": xv}, table))
         assert counted["_gamma_ratio"] == 1 and counted["_digamma"] == 3
         assert counted["eval_weighted"] == 6
 
     @pytest.mark.parametrize("ident_id, shared, alone", [
         # THM-B's 36 points hold 4 values of a and 9 of x, whose 1 - x are
         # x's of other points; 36 of its sums are the lhs Series sums
-        ("THM-B", (84, 21, 4), (108, 34, 8)),
-        ("EQ-H3N", (21, 3, 1), (27, 6, 2)),
+        ("THM-B", (84, 21, 4), (108, 192, 16)),
+        ("EQ-H3N", (21, 3, 1), (27, 12, 4)),
         ("TR-2.11.7", (32, 0, 12), (32, 0, 14))])
     def test_a_verify_call_computes_each_closed_form_value_once(
             self, counted, ident_id, shared, alone):
@@ -342,9 +356,8 @@ class TestReuse:
         assert tuple(counted[name] for name in calls) == alone
 
     def test_threads_sharing_nodes_get_their_own_points_values(self):
-        # a node's kept result is one tuple, read and stored whole: a thread
-        # that read a key and a value from two different stores would get
-        # another point's value
+        # nodes keep nothing between points: a result kept on a shared
+        # node could hand a thread another point's value
         names = ("Digamma", "GammaRatio", "Hyp2F1", "Series-weight")
         nodes = [copy.deepcopy(self.NODES[name]) for name in names]
         points = [self.POINTS[i] for i in (0, 1, 3, 7, 17, 18)]
@@ -377,8 +390,8 @@ class TestReuse:
     @pytest.mark.parametrize("ident_id", ("THM-B", "COR-A2", "SUM-CHOI",
                                           "TR-2.11.2", "TR-2.11.7"))
     def test_sums_are_recorded_as_from_fresh_nodes(self, ident_id):
-        # the registry's shared trees keep their results between points; a
-        # deep copy per point starts without any
+        # the registry's shared trees keep nothing between points, so they
+        # give the sums of a deep copy per point
         ident = REGISTRY[ident_id]
         points = list(ident.sample_points)
         points = points + points[::-1] + points[::2]

@@ -32,9 +32,9 @@ from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           ZIPPED_DRAWS_DIGEST, Zipped, complex_direct_draws,
                           complex_unit_draws, draw_outcome, draw_result,
                           real_draws)
-from anchored_digest import ANCHORED_DIGEST, ANCHORED_SUMS, anchored_outcomes
-from anchored_digest import digest as outcomes_digest
-from sum_digest import SUM_DIGEST, SUMS, sum_outcomes
+from sum_digests import (ANCHORED_DIGEST, ANCHORED_SUMS, SUM_DIGEST, SUMS,
+                         registry_outcomes)
+from sum_digests import digest as outcomes_digest
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 import complex_step
 
@@ -1810,12 +1810,18 @@ class TestComplexWalk:
         assert digest.hexdigest() == COMPLEX_UNIT_DRAWS_DIGEST
 
 
+@pytest.fixture(scope="module")
+def registry_sums():
+    """(anchored, others) of sum_digests: one walk for both digests."""
+    return registry_outcomes()
+
+
 class TestAnchoredDigest:
     """Every anchored sum of the registries at seeds 0-12, 101 and 202
     keeps its value, term count, bound and method, bit for bit."""
 
-    def test_anchored_sums_keep_their_digest(self):
-        outcomes = anchored_outcomes()
+    def test_anchored_sums_keep_their_digest(self, registry_sums):
+        outcomes = registry_sums[0]
         assert len(outcomes) == ANCHORED_SUMS
         assert outcomes_digest(outcomes) == ANCHORED_DIGEST
 
@@ -1825,8 +1831,8 @@ class TestSumDigest:
     seeds 0-12, 101 and 202 keeps its value, term count, bound and method,
     bit for bit."""
 
-    def test_direct_and_ladder_sums_keep_their_digest(self):
-        outcomes = sum_outcomes()
+    def test_direct_and_ladder_sums_keep_their_digest(self, registry_sums):
+        outcomes = registry_sums[1]
         assert len(outcomes) == SUMS
         assert outcomes_digest(outcomes) == SUM_DIGEST
 
