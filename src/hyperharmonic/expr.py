@@ -118,12 +118,16 @@ class Param(Expr):
 
     def eval(self, env):
         try:
-            return complex(env[self.name])
+            value = env[self.name]
+            # complex() would also parse a numeric string such as '0.25'
+            if not isinstance(value, str):
+                return complex(value)
         except KeyError:
             raise DomainError(f"missing parameter {self.name!r}") from None
         except (TypeError, ValueError):
-            raise DomainError(f"parameter {self.name!r} is not a number: "
-                              f"{env[self.name]!r}") from None
+            pass
+        raise DomainError(f"parameter {self.name!r} is not a number: "
+                          f"{value!r}")
 
 
 class Add(Expr):

@@ -7,14 +7,16 @@ A PochhammerRatioSeries describes terms
 summed against a weight sequence w_n (harmonic numbers and relatives).
 The spec, the SeriesResult and the weights are Frozen value classes.
 Each weight family is one WeightKind subclass. Every built-in kind is a
-_PairWeight, a derivative of Pochhammer symbols (a_i + eps)_n in eps
-stated once by its pairs (c_i, a_i), the step adding sum_i c_i / (a_i +
-n) (H_n^2 + H_n^(2) steps P by one pair, Q by its square). From them it
-gives value(n), steps(n0), walk(n0) (the form that the term loops write
-out), asymptotics() and expansion(K, M), in powers of 1/n and log n with
-the constant fixed by the computed w_M. LinearCombo's pairs are its
-parts' pairs merged, so 2 H_2n - H_n costs one division per step; it
-refuses a part without pairs and gives no expansion. Both term loops,
+_PairWeight. A first-order kind is a derivative of Pochhammer symbols
+(a_i + eps)_n in eps, stated once by its pairs (c_i, a_i), the step
+adding sum_i c_i / (a_i + n). From them it gives value(n), steps(n0),
+walk(n0) (the form that the term loops write out), asymptotics() and
+expansion(K, M), in powers of 1/n and log n with the constant fixed by
+the computed w_M. HarmonicSqPlusGen2, the one second-order weight H_n^2
++ H_n^(2), states its own steps and rows and is walked by its
+generator. LinearCombo's pairs are its parts' pairs merged, so 2 H_2n -
+H_n costs one division per step; it refuses a part without pairs and
+gives no expansion. Both term loops,
 the direct rule's and the unit-circle walk's (_Walk), are generated per
 shape and weight walk from one template each (_kernel_source), so no
 term branches on either.
@@ -223,10 +225,7 @@ class PochhammerRatioSeries(Frozen):
         for b in dens:
             if _pole_index(b) is not None:
                 raise PoleError(f"denominator shift {b} hits a non-positive integer")
-        # one test per spec: the sum is finite unless a shift is not, or
-        # finite shifts overflow it
-        if not cmath.isfinite(_lsum(nums)) and not all(map(cmath.isfinite,
-                                                             nums)):
+        if not all(map(cmath.isfinite, nums)):
             raise DomainError(f"numerator shifts {nums} are not all finite")
         Frozen.__init__(self, nums, dens, factorial_power, ratio,
                         start_index)
@@ -311,41 +310,36 @@ class WeightKind:
 
 
 class _PairWeight(WeightKind):
-    """A weight stated by reciprocal pairs (c_i, a_i), as the derivative in
-    eps of (a + eps)_n is (a)_n sum_{k<n} 1/(a + k). Of order 1, w_n = w_n0
-    + sum_{n0<=k<n} sum_i c_i / (a_i + k); of order 2 (one pair), w_n =
-    P_n^2 + Q_n, P stepping by the pair and Q by its square c^2 / (a +
-    k)^2. A kind's __init__ validates its fields and states its pairs,
-    start value and start index once (_set_pairs, which raises DomainError
-    for a c_i, a_i or start value that is not finite and PoleError for a
-    shift a_i = -k at an index k >= n0), in hidden slots that
-    reprs, equality, hashing and pickles do not see: _pairs (as given),
-    _floats (as floats where they and the start value are all real),
-    _order, _start ((n0, w_n0), or (n0, (P, Q))), _terms, _walks (each
-    walk(n0) once stated) and _expansions (each expansion(K, M) once
+    """A first-order weight stated by reciprocal pairs (c_i, a_i), as the
+    derivative in eps of (a + eps)_n is (a)_n sum_{k<n} 1/(a + k): w_n =
+    w_n0 + sum_{n0<=k<n} sum_i c_i / (a_i + k). A kind's __init__
+    validates its fields and states its pairs, start value and start
+    index once (_set_pairs, which raises DomainError for a c_i, a_i or
+    start value that is not finite and PoleError for a shift a_i = -k at
+    an index k >= n0), in hidden slots that reprs, equality, hashing and
+    pickles do not see: _pairs (as given), _floats (as floats where they
+    and the start value are all real), _start ((n0, w_n0)), _terms, _walks
+    (each walk(n0) once stated) and _expansions (each expansion(K, M) once
     formed, its rows tuples; a copy or a pickle starts without them).
 
     value(n) fsums the start value and the separate terms c / (a + k), (c,
     a) in T and s n0 <= k < s n, where (T, s) = _terms is (_floats, 1), or
     for H_{sn+o} the terms 1/j, as harmonic() sums them (1/3 is inexact).
     A subclass that overrides steps() is walked as ("next",) and has no
-    expansion, since its pairs no longer state its steps.
-    The steps add sum_i c_i psi(a_i + n), so by DLMF 5.15.8 w_n ~ L log n +
-    g + sum_k h_k n^-k, L = sum_i c_i (log power 0 where L = 0, as for
-    DigammaLog), h_k = sum_i c_i (-1)^(k+1) B_k(a_i) / k, and Q_n ~ c -
-    sum_k c^2 B_(k-1)(1 - a) n^-k (from psi'(a + n), as (-1)^m B_m(a) =
-    B_m(1 - a)); expansion(K, M) takes g and c from the computed P_M and
-    Q_M. For H_{sn+o}, whose pairs are (1/s, (o+r)/s),
-    r = 1..s, the multiplication theorem (DLMF 24.4.17) gives h_k =
-    (-1)^(k+1) B_k(o+1) / (k s^k).
+    expansion, since the kind's own steps (_own_steps) no longer state its
+    walk. The steps add sum_i c_i psi(a_i + n), so by DLMF 5.15.8 w_n ~ L
+    log n + g + sum_k h_k n^-k, L = sum_i c_i (log power 0 where L = 0, as
+    for DigammaLog) and h_k = sum_i c_i (-1)^(k+1) B_k(a_i) / k;
+    expansion(K, M) takes g from the computed w_M. For H_{sn+o}, whose
+    pairs are (1/s, (o+r)/s), r = 1..s, the multiplication theorem (DLMF
+    24.4.17) gives h_k = (-1)^(k+1) B_k(o+1) / (k s^k).
     """
 
-    __slots__ = ("_pairs", "_floats", "_order", "_start", "_terms", "_walks",
+    __slots__ = ("_pairs", "_floats", "_start", "_terms", "_walks",
                  "_expansions")
 
-    def _set_pairs(self, pairs, start, order=1, n0=0, terms=None):
-        starts = start if order == 2 else (start,)
-        if not all(map(cmath.isfinite, itertools.chain(*pairs, starts))):
+    def _set_pairs(self, pairs, start, n0=0, terms=None):
+        if not all(map(cmath.isfinite, itertools.chain(*pairs, (start,)))):
             raise DomainError(f"{self!r} has a pair or a start value that is "
                               f"not finite: pairs {pairs}, start {start}")
         for _, a in pairs:
@@ -353,89 +347,61 @@ class _PairWeight(WeightKind):
             if k is not None and k >= n0:
                 raise PoleError(f"{self!r} has the shift {a}, a pole at "
                                 f"index {k}")
-        _set(self, "_pairs", None if order == 2 else pairs)
+        _set(self, "_pairs", pairs)
         floats = _as_floats(pairs)
-        if floats is not None and not (start[0].imag or start[1].imag
-                                       if order == 2 else start.imag):
-            pairs = floats
-            start = tuple(map(_real, start)) if order == 2 else start.real
+        if floats is not None and not start.imag:
+            pairs, start = floats, start.real
         _set(self, "_floats", pairs)
-        _set(self, "_order", order)
         _set(self, "_start", (n0, start))
         _set(self, "_terms", terms or (pairs, 1))
         _set(self, "_walks", {})
         _set(self, "_expansions", {})
 
     def _at(self, n):
-        """w_n, or (P_n, Q_n) at order 2."""
         n0, start = self._start
         if n == n0:
             return start
         if n < n0:
             raise DomainError(f"{self!r} starts at index {n0}, got {n}")
         pairs, s = self._terms
-        ks = range(s * n0, s * n)
-        if self._order == 1:
-            return _fsum([start, *(c / (a + k) for k in ks for c, a in pairs)])
-        (c, a), = pairs
-        return (_fsum([start[0], *(c / (a + k) for k in ks)]),
-                _fsum([start[1], *(c * c / ((a + k) * (a + k)) for k in ks)]))
-
-    def _walk_at(self, n0):
-        if self._order == 1:
-            return (("pairs", len(self._floats)),
-                    (self._at(n0), 0.0, *itertools.chain(*self._floats)))
-        P, Q = self._at(n0)
-        (c, a), = self._floats
-        return ("square",), (P * P + Q, P, 0.0, Q, 0.0, c, a, c * c)
+        return _fsum([start, *(c / (a + k) for k in range(s * n0, s * n)
+                               for c, a in pairs)])
 
     def value(self, n):
-        w = self._at(n)
-        return w if self._order == 1 else w[0] * w[0] + w[1]
+        return self._at(n)
 
     def steps(self, n0):
-        if self._order == 1:
-            return _pair_steps(self._at(n0), self._floats, n0)
-        P, Q = self._at(n0)
-        (c, a), = self._floats
-        ps = _kahan_steps(P, (c / (a + k) for k in itertools.count(n0)))
-        qs = _kahan_steps(Q, (c * c / ((a + k) * (a + k))
-                              for k in itertools.count(n0)))
-        return (p * p + q for p, q in zip(ps, qs))
+        return _pair_steps(self._at(n0), self._floats, n0)
+
+    # the steps that walk() and expansion() state; a kind with its own
+    # names them again
+    _own_steps = steps
 
     def walk(self, n0):
-        if type(self).steps is not _PairWeight.steps:
+        if type(self).steps is not type(self)._own_steps:
             return WeightKind.walk(self, n0)
-        return self._walks.get(n0) or self._walks.setdefault(
-            n0, self._walk_at(n0))
+        return self._walks.get(n0) or self._walks.setdefault(n0, (
+            ("pairs", len(self._floats)),
+            (self._at(n0), 0.0, *itertools.chain(*self._floats))))
 
     def pairs(self):
         return self._pairs
 
     def asymptotics(self):
-        log = _pair_rows(self._floats, self._order, 0)[0]
-        return 0, (self._order if log else 0)
+        return 0, (1 if _pair_rows(self._floats, 0)[0] else 0)
 
     def expansion(self, order, anchor):
-        if type(self).steps is not _PairWeight.steps:
+        if type(self).steps is not type(self)._own_steps:
             return None
         key = order, anchor
         return self._expansions.get(key) or self._expansions.setdefault(
             key, self._expansion_at(order, anchor))
 
     def _expansion_at(self, order, anchor):
-        log, h, q = _pair_rows(self._floats, self._order, order)
-        w, log_m = self._at(anchor), log * math.log(anchor)
-        if self._order == 1:
-            A = _anchored_row(w - log_m, h, anchor)
-            return (A, (log,) + (0.0,) * order) if log else (A,)
-        # P^2 + Q with P ~ L log n + A(n): rows A^2 + Q, 2 L A and L^2
-        A = _anchored_row(w[0] - log_m, h, anchor)
-        G = _anchored_row(w[1], q, anchor)
-        const = tuple(G[k] + _lsum(A[j] * A[k - j] for j in range(k + 1))
-                      for k in range(order + 1))
-        return (const, tuple(2.0 * log * v for v in A),
-                (log * log,) + (0.0,) * order)
+        log, h = _pair_rows(self._floats, order)
+        A = _anchored_row(self._at(anchor) - log * math.log(anchor), h,
+                          anchor)
+        return (A, (log,) + (0.0,) * order) if log else (A,)
 
 
 def _as_floats(pairs):
@@ -452,18 +418,14 @@ def _fsum(terms):
     return math.fsum(terms)
 
 
-def _pair_rows(pairs, weight_order: int, order: int) -> tuple:
-    """(L, h, q) of _PairWeight for k = 1..order, q None at order 1."""
+def _pair_rows(pairs, order: int) -> tuple:
+    """(L, h) of _PairWeight for k = 1..order."""
     log, h = 0.0, [0.0] * order
     for c, a in pairs:
         log += c
         for k in range(1, order + 1):
             h[k - 1] += c * ((-1) ** (k + 1) * _bernoulli(k, a) / k)
-    if weight_order == 1:
-        return log, tuple(h), None
-    (c, a), = pairs
-    return log, tuple(h), tuple(-(c * c * _bernoulli(k - 1, 1.0 - a))
-                                for k in range(1, order + 1))
+    return log, tuple(h)
 
 
 def _bernoulli(m: int, a):
@@ -511,12 +473,53 @@ class Harmonic(Frozen, _PairWeight):
 
 
 class HarmonicSqPlusGen2(Frozen, _PairWeight):
-    """w_n = H_n**2 + H_n^(2): P = H_n by the pair (1, 1), Q = H_n^(2)."""
+    """w_n = H_n**2 + H_n^(2) = P_n^2 + Q_n, the paper's one second-order
+    weight: 2 [eps^2] of (1)_n / (1 - eps)_n. P = H_n steps by 1/(1 + k),
+    the pair (1, 1), and Q = H_n^(2) by 1/(1 + k)^2, each by a Kahan
+    step; value(n) fsums both, P as the base does. It has no pairs, so
+    LinearCombo refuses it, and the term loops call its generator (walk
+    ("next",)). By DLMF 5.15.8, P ~ log n + A(n) and Q ~ G(n) = zeta(2) - sum_k
+    B_(k-1) n^-k (from psi'(n + 1)), so its rows are A^2 + G, 2 A and 1,
+    with the constants of A and G taken from the computed P_M and Q_M.
+    """
 
     __slots__ = ()
 
+    walk = WeightKind.walk
+
     def __init__(self):
-        self._set_pairs(((1.0, 1.0),), (0.0, 0.0), order=2)
+        self._set_pairs(((1.0, 1.0),), 0.0)
+
+    def _gen2(self, n):
+        """Q_n = H_n^(2), fsummed."""
+        return math.fsum(1.0 / ((1.0 + k) * (1.0 + k)) for k in range(n))
+
+    def value(self, n):
+        P = self._at(n)
+        return P * P + self._gen2(n)
+
+    def steps(self, n0):
+        ps = _kahan_steps(self._at(n0), (1.0 / (1.0 + k)
+                                         for k in itertools.count(n0)))
+        qs = _kahan_steps(self._gen2(n0), (1.0 / ((1.0 + k) * (1.0 + k))
+                                          for k in itertools.count(n0)))
+        return (p * p + q for p, q in zip(ps, qs))
+
+    _own_steps = steps
+
+    def pairs(self):
+        return None
+
+    def asymptotics(self):
+        return 0, 2
+
+    def _expansion_at(self, order, anchor):
+        A = _PairWeight._expansion_at(self, order, anchor)[0]
+        G = _anchored_row(self._gen2(anchor), tuple(
+            -_BERNOULLI[k - 1] for k in range(1, order + 1)), anchor)
+        return (tuple(G[k] + _lsum(A[j] * A[k - j] for j in range(k + 1))
+                      for k in range(order + 1)),
+                tuple(2.0 * v for v in A), (1.0,) + (0.0,) * order)
 
 
 class DigammaDiffSum(Frozen, _PairWeight):
@@ -1050,21 +1053,12 @@ def _walk_code(form: tuple, v: str):
     """(names, lines) of a walk form with the weight's value in v: the
     variables of its state, in order, and the lines that step them from
     index m to m + 1. ("pairs", k) adds sum_i p_i / (s_i + m)
-    (_pair_steps), ("square",) steps P by p / (s + m) and Q by its square
-    and forms P^2 + Q (_kahan_steps in _PairWeight.steps; d * d is exact
-    while d < 2^26.5), and ("next",) calls the generator."""
-    kind, *args = form
-    if kind == "pairs":
-        pairs = [(f"{v}_p{i}", f"{v}_s{i}") for i in range(args[0])]
+    (_pair_steps), and ("next",) calls the generator."""
+    if form[0] == "pairs":
+        pairs = [(f"{v}_p{i}", f"{v}_s{i}") for i in range(form[1])]
         q = " + ".join(f"{c} / ({a} + m)" for c, a in pairs)
         names = [v, v + "_c", *itertools.chain(*pairs)]
         return names, _kahan(v, q) if q else []
-    if kind == "square":
-        P, Q, p, s, pp, d = (v + x for x in ("_P", "_Q", "_p", "_s", "_pp",
-                                               "_d"))
-        return [v, P, P + "_c", Q, Q + "_c", p, s, pp], [
-            f"{d} = {s} + m", *_kahan(P, f"{p} / {d}"),
-            *_kahan(Q, f"{pp} / ({d} * {d})"), f"{v} = {P} * {P} + {Q}"]
     return [v, v + "_next"], [f"{v} = {v}_next()"]
 
 
@@ -1102,12 +1096,10 @@ def _kernel_source(loop: str, shape: tuple, form: tuple) -> str:
 @functools.lru_cache(maxsize=128)
 def _kernel(loop: str, shape: tuple, form: tuple):
     """_kernel_source's function, compiled once per loop, shape and walk
-    form, without the comment lines, which take most of its parse time."""
-    lines = _kernel_source(loop, shape, form).splitlines()
-    source = "\n".join(ln for ln in lines if not ln.lstrip().startswith("#"))
+    form."""
     namespace = {}
-    exec(compile(source, f"<{loop} {shape} {form}>", "exec"), globals(),
-         namespace)
+    exec(compile(_kernel_source(loop, shape, form),
+                 f"<{loop} {shape} {form}>", "exec"), globals(), namespace)
     return namespace.popitem()[1]
 
 

@@ -17,25 +17,26 @@ real part dominates.
 
 Covered: the sums that verify gives with weight Harmonic, DigammaDiffSum
 or LinearCombo at real shifts, ratio and argument, at the registry
-points of seeds 0-12, 101 and 202. A pair whose shift is a pole below
-the start index (Harmonic(1, -1), whose w_n = H_(n-1) has the pair (1,
-0)) cannot be a denominator shift; such a sum is skipped and counted.
+points of seeds 0-12, 101 and 202, taken from the walk that pins the
+sums' digests (sum_digests.registry_sums). A pair whose shift is a pole
+below the start index (Harmonic(1, -1), whose w_n = H_(n-1) has the pair
+(1, 0)) cannot be a denominator shift; such a sum is skipped and
+counted.
 
-    PYTHONPATH=src python tests/complex_step.py
+    PYTHONPATH=src python tests/sum_digests.py
 
-prints the count covered, the count skipped and the worst gap against
-its bound, and exits 1 if a gap exceeds its bound. It needs only the
-standard library; tests/test_series.py runs the same check.
+runs the check after the digests: it prints the count covered, the
+count skipped and the worst gap against its bound, and exits 1 if a gap
+exceeds its bound. It needs only the standard library;
+tests/test_series.py runs the same check on the same walk.
 """
 
 import math
 import sys
 
 from hyperharmonic import (DigammaDiffSum, Harmonic, LinearCombo, PoleError,
-                           PochhammerRatioSeries, Unit, build_registry,
-                           eval_weighted, expr, verify)
+                           PochhammerRatioSeries, Unit, eval_weighted)
 
-SEEDS = (*range(13), 101, 202)
 H = 1e-30
 FIRST_ORDER = (Harmonic, DigammaDiffSum, LinearCombo)
 # the stepped sum's tolerance, as a share of the weighted sum's
@@ -89,39 +90,25 @@ def check(spec, weight, x, tol, result):
     return result.value, value, gap, bound
 
 
-def covered_sums(seeds=SEEDS):
+def covered_sums(sums) -> list:
     """(spec, weight, x, tol, SeriesResult) of every first-order weighted
-    sum at real arguments that verify gives at the registry points of
-    seeds, in the order verify sums them."""
-    sums = []
-    summed = expr.eval_weighted
-
-    def record(spec, weight, x, **kwargs):
-        res = summed(spec, weight, x, **kwargs)
-        if (isinstance(weight, FIRST_ORDER)
-                and _real([v for pair in weight.pairs() for v in pair])
-                and _real((*spec.numerator_shifts, *spec.denominator_shifts,
-                           spec.geometric_ratio, x))):
-            sums.append((spec, weight, x, kwargs["tol"], res))
-        return res
-
-    expr.eval_weighted = record
-    try:
-        for seed in seeds:
-            registry = build_registry(seed)
-            for ident_id in registry:
-                verify(ident_id, registry=registry)
-    finally:
-        expr.eval_weighted = summed
-    return sums
+    sum at real shifts, ratio and argument among sums, the (spec, weight,
+    x, keyword arguments, SeriesResult) of sum_digests.registry_sums, in
+    their order."""
+    return [(spec, weight, x, kwargs["tol"], res)
+            for spec, weight, x, kwargs, res in sums
+            if isinstance(weight, FIRST_ORDER)
+            and _real([v for pair in weight.pairs() for v in pair])
+            and _real((*spec.numerator_shifts, *spec.denominator_shifts,
+                       spec.geometric_ratio, x))]
 
 
-def run(seeds=SEEDS):
+def run(sums):
     """(covered, skipped, worst gap / bound, its sum, the sums whose gap
-    exceeds the bound)."""
+    exceeds the bound) over the covered sums among sums."""
     covered = skipped = 0
     worst, worst_sum, failed = 0.0, None, []
-    for spec, weight, x, tol, res in covered_sums(seeds):
+    for spec, weight, x, tol, res in covered_sums(sums):
         out = check(spec, weight, x, tol, res)
         if out is None:
             skipped += 1
@@ -135,8 +122,9 @@ def run(seeds=SEEDS):
     return covered, skipped, worst, worst_sum, failed
 
 
-def main() -> int:
-    covered, skipped, worst, worst_sum, failed = run()
+def report(sums) -> int:
+    """Print run(sums); 1 if a gap exceeds its bound or none is covered."""
+    covered, skipped, worst, worst_sum, failed = run(sums)
     print(f"Python {sys.version.split()[0]}: {covered} weighted sums checked "
           f"by a complex step, {skipped} skipped (a pair at a pole below "
           f"the start index); worst gap {worst:.3g} of its bound")
@@ -149,7 +137,3 @@ def main() -> int:
               f"{weight!r}, x = {x!r}: {value!r} against {step!r}",
               file=sys.stderr)
     return 1 if failed or not covered else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,14 +12,17 @@ that moves any of these outcomes must re-pin them and say why.
 
     PYTHONPATH=src python tests/sum_digests.py
 
-walks the registries once, computes both digests and exits 1 unless
-both match. It needs only the standard library, so it also runs where
-the test extra is not installed.
+walks the registries once, computes both digests, checks the
+first-order sums of the same walk by a complex step (complex_step.py)
+and exits 1 unless both digests match and every step agrees. It needs
+only the standard library, so it also runs where the test extra is not
+installed.
 """
 
 import hashlib
 import sys
 
+import complex_step
 from hyperharmonic import build_registry, expr, verify
 
 SEEDS = (*range(13), 101, 202)
@@ -35,16 +38,16 @@ SUM_DIGEST = \
 SUMS = 4181
 
 
-def registry_outcomes() -> tuple:
-    """(anchored, others): repr((value, terms, bound, method)) of each
-    anchored sum and of each other sum, in the order verify sums them."""
-    anchored, others = [], []
+def registry_sums() -> list:
+    """(spec, weight, x, keyword arguments, SeriesResult) of every sum
+    that verify gives through expr.eval_weighted at the registries of
+    SEEDS, in the order verify sums them."""
+    sums = []
     summed = expr.eval_weighted
 
-    def record(*args, **kwargs):
-        res = summed(*args, **kwargs)
-        (anchored if res.method == "anchored" else others).append(
-            repr((res.value, res.terms_used, res.tail_bound, res.method)))
+    def record(spec, weight, x, **kwargs):
+        res = summed(spec, weight, x, **kwargs)
+        sums.append((spec, weight, x, kwargs, res))
         return res
 
     expr.eval_weighted = record
@@ -55,6 +58,16 @@ def registry_outcomes() -> tuple:
                 verify(ident_id, registry=registry)
     finally:
         expr.eval_weighted = summed
+    return sums
+
+
+def registry_outcomes(sums) -> tuple:
+    """(anchored, others): repr((value, terms, bound, method)) of each
+    anchored sum and of each other sum of registry_sums, in its order."""
+    anchored, others = [], []
+    for *_, res in sums:
+        (anchored if res.method == "anchored" else others).append(
+            repr((res.value, res.terms_used, res.tail_bound, res.method)))
     return anchored, others
 
 
@@ -66,7 +79,8 @@ def digest(outcomes) -> str:
 
 
 def main() -> int:
-    anchored, others = registry_outcomes()
+    sums = registry_sums()
+    anchored, others = registry_outcomes(sums)
     failed = 0
     for outcomes, what, count, pinned in (
             (anchored, "anchored", ANCHORED_SUMS, ANCHORED_DIGEST),
@@ -78,7 +92,7 @@ def main() -> int:
             print(f"expected {count} {what} sums, digest {pinned}",
                   file=sys.stderr)
             failed = 1
-    return failed
+    return complex_step.report(sums) or failed
 
 
 if __name__ == "__main__":

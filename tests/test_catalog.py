@@ -304,6 +304,8 @@ class TestVerifySemantics:
     @pytest.mark.parametrize("ident_id, point, place, name, value", [
         ("THM-B", {"a": "x", "x": 0.5}, "lhs term 0", "a", "'x'"),
         ("THM-B", {"a": None, "x": 0.5}, "lhs term 0", "a", "None"),
+        ("THM-B", {"a": "0.25", "x": 0.5}, "lhs term 0", "a", r"'0\.25'"),
+        ("THM-B", {"a": 0.25, "x": "1+2j"}, "lhs term 0", "x", r"'1\+2j'"),
         ("THM-B", {"a": 0.25, "x": [0.5]}, "lhs term 0", "x", r"\[0\.5\]"),
         ("VAL-ALG", {"x": 0.5, "scale": "s"}, "lhs expression", "scale",
          "'s'"),
@@ -311,7 +313,8 @@ class TestVerifySemantics:
     def test_parameter_that_is_not_a_number_raises_domain_error(
             self, ident_id, point, place, name, value):
         # complex() raised a bare ValueError ('x') or TypeError (None, a
-        # list) through Param.eval, which caught only a missing parameter
+        # list) through Param.eval, which caught only a missing parameter,
+        # and parsed a numeric string ('0.25') into a passing report
         with pytest.raises(errors.DomainError, match=(
                 rf"^{ident_id} at .*, {place}: parameter '{name}' is not a "
                 rf"number: {value}$")):

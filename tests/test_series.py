@@ -34,6 +34,7 @@ from draw_digests import (COMPLEX_DIRECT_DRAWS_DIGEST,
                           real_draws)
 from sum_digests import (ANCHORED_DIGEST, ANCHORED_SUMS, SUM_DIGEST, SUMS,
                          registry_outcomes)
+from sum_digests import registry_sums as walk_registry_sums
 from sum_digests import digest as outcomes_digest
 from oracles import alternating_mp, harmonic_gauss_mp, mp_number
 import complex_step
@@ -439,6 +440,38 @@ class TestPairs:
         res = eval_weighted(PochhammerRatioSeries((0.5,), (1.5,), 1, 0.5, 0),
                             own_digamma, 1.0)
         assert res.value == 0.0 and res.method == "direct"
+
+    def test_first_order_kinds_walk_pairs_and_the_square_its_steps(self):
+        # the term loops write out the pairs of every first-order kind;
+        # H_n^2 + H_n^(2) has none and is walked by its generator, as is a
+        # subclass with its own steps, which also loses the rows of the
+        # kind's steps and takes the ladder at r*x = 1
+        for w in (Unit(), *(Harmonic(s, o) for s in (1, 2, 3)
+                            for o in (0, 1, 2)),
+                  DigammaDiffSum(0.3 + 0.1j, 0.2 - 0.2j),
+                  DigammaLog(0.25, 0.75, 1.2), _NESTED):
+            assert w.walk(0)[0] == ("pairs", len(w.pairs())), w
+
+        class OwnSquare(HarmonicSqPlusGen2):
+            def steps(self, n0):
+                return (w + 1.0 for w in HarmonicSqPlusGen2.steps(self, n0))
+
+            def value(self, n):
+                return HarmonicSqPlusGen2.value(self, n) + 1.0
+
+        own = OwnSquare()
+        assert HarmonicSqPlusGen2().walk(0)[0] == own.walk(0)[0] == ("next",)
+        assert own.expansion(10, 65) is None and own._expansions == {}
+        ident = build_registry(0)["THM-A2"]
+        spec, weight, x = ident.rhs.bind(ident.sample_points[0])
+        assert type(weight) is HarmonicSqPlusGen2
+        res = eval_weighted(spec, weight, x, tol=ident.tol)
+        assert res.method == "anchored"
+        res_own, res_unit = (eval_weighted(spec, w, x, tol=ident.tol)
+                             for w in (own, Unit()))
+        assert res_own.method == "extrapolated"
+        assert abs(res_own.value - res.value - res_unit.value) <= (
+            res_own.tail_bound + res.tail_bound + res_unit.tail_bound)
 
     def test_gauss_weight_is_one_pair_on_floats(self):
         # 2 H_2n - H_n = sum_{k<n} 1/(k + 1/2) = psi(n + 1/2) - psi(1/2)
@@ -1812,8 +1845,9 @@ class TestComplexWalk:
 
 @pytest.fixture(scope="module")
 def registry_sums():
-    """(anchored, others) of sum_digests: one walk for both digests."""
-    return registry_outcomes()
+    """The sums of sum_digests' one walk, for both digests and the
+    complex-step check."""
+    return walk_registry_sums()
 
 
 class TestAnchoredDigest:
@@ -1821,7 +1855,7 @@ class TestAnchoredDigest:
     keeps its value, term count, bound and method, bit for bit."""
 
     def test_anchored_sums_keep_their_digest(self, registry_sums):
-        outcomes = registry_sums[0]
+        outcomes = registry_outcomes(registry_sums)[0]
         assert len(outcomes) == ANCHORED_SUMS
         assert outcomes_digest(outcomes) == ANCHORED_DIGEST
 
@@ -1832,7 +1866,7 @@ class TestSumDigest:
     bit for bit."""
 
     def test_direct_and_ladder_sums_keep_their_digest(self, registry_sums):
-        outcomes = registry_sums[1]
+        outcomes = registry_outcomes(registry_sums)[1]
         assert len(outcomes) == SUMS
         assert outcomes_digest(outcomes) == SUM_DIGEST
 
@@ -1906,10 +1940,11 @@ class TestComplexStep:
         res = eval_weighted(spec, weight, -0.6, tol=1e-12)
         assert complex_step.check(spec, weight, -0.6, 1e-12, res)[2] <= 1e-13
 
-    def test_every_registry_sum_matches_its_complex_step(self):
+    def test_every_registry_sum_matches_its_complex_step(self,
+                                                         registry_sums):
         # seeds 0-12, 101 and 202; none of their sums has a pair at a pole
         # below its start index
-        covered, skipped, worst, _, failed = complex_step.run()
+        covered, skipped, worst, _, failed = complex_step.run(registry_sums)
         assert failed == []
         assert (covered, skipped) == (1774, 0)
         assert worst < 1.0
